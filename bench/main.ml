@@ -357,7 +357,7 @@ let sweep_tests =
       [ 2; 3; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* tiered solver: symbolic derivations vs Morse-reduced elimination    *)
+(* tiered solver: symbolic derivations vs numeric elimination          *)
 (* ------------------------------------------------------------------ *)
 
 (* Reference points for the two connectivity tiers.  The symbolic rows
@@ -378,9 +378,7 @@ let solver_tests =
         Solver.symbolic_model (Model_complex.get "semi") semi81);
     t "solver: symbolic psph n=8 values=4 (Corollary 6)" (fun () ->
         Solver.symbolic_psph ~n:8 ~values:4);
-    t "solver: numeric sync n=3 r=1 connectivity, Morse-reduced" (fun () ->
-        Homology.connectivity_reduced (Sync_complex.rounds ~k:1 ~r:1 (input_simplex 3)));
-    t "solver: numeric sync n=3 r=1 connectivity, no precollapse" (fun () ->
+    t "solver: numeric sync n=3 r=1 connectivity" (fun () ->
         Homology.connectivity (Sync_complex.rounds ~k:1 ~r:1 (input_simplex 3)));
   ]
 
@@ -471,7 +469,7 @@ let engine_bench () =
 
 (* Per registered model and n in {2, 3}, wall-time the r=1 and r=2
    protocol-complex builds plus both connectivity tiers on the r=1 query —
-   numeric (Morse-reduced elimination on the built complex) and symbolic
+   numeric (elimination on the built complex) and symbolic
    (the solver derivation, which never builds it) — and write
    BENCH_models.json: the per-model, per-tier perf trajectory successive
    PRs can diff, generated from the registry so a newly registered model
@@ -496,7 +494,7 @@ let models_bench () =
                     in
                     let c1, r1_s = timed_m "r1" (fun () -> M.rounds (spec 1) s) in
                     let conn, conn_s =
-                      timed_m "conn" (fun () -> Homology.connectivity_reduced c1)
+                      timed_m "conn" (fun () -> Homology.connectivity c1)
                     in
                     let sym, sym_s =
                       timed_m "symbolic" (fun () -> Solver.symbolic_model m (spec 1))

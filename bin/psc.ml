@@ -400,9 +400,6 @@ let connectivity_cmd =
         Option.iter (Format.printf "rule: %s@.") res.solver.rule;
         Option.iter (Format.printf "steps: %d@.") res.solver.steps;
         Option.iter
-          (Format.printf "cells removed by Morse precollapse: %d@.")
-          res.solver.cells_removed;
-        Option.iter
           (Format.printf "checked: numeric satisfies symbolic lower bound %d@.")
           res.solver.checked;
         Format.printf "key: %s@." (Psph_engine.Key.to_hex res.key)
@@ -424,8 +421,8 @@ let connectivity_cmd =
     (Cmd.info "connectivity"
        ~doc:
          "Answer a connectivity query through the tiered solver (symbolic \
-          Mayer-Vietoris / round lemmas, or Morse-reduced numeric \
-          elimination), printing which tier answered and its provenance.")
+          Mayer-Vietoris / round lemmas, or numeric Z/2 elimination), \
+          printing which tier answered and its provenance.")
     Term.(
       const run $ trace_arg $ psph_arg $ model_arg $ n_arg $ f_arg $ k_arg
       $ p_arg $ r_arg $ ext_kv_arg $ values_arg $ solver_arg)

@@ -34,7 +34,12 @@ let iterate step r s =
    pairs — e.g. the failure-free facet of every branch in which all
    survivors heard everything — so results are memoized per call on
    [(r, Intern.simplex_id s)] (the branch generator is fixed for the
-   whole call). *)
+   whole call).
+
+   In the last round the continuation of every facet is the facet's own
+   closure, and a complex is the union of its facets' closures, so [r = 1]
+   unions the branch complexes themselves instead of re-closing each
+   facet. *)
 let compose ~branches r s =
   let memo : (int * int, Complex.t) Hashtbl.t = Hashtbl.create 97 in
   let rec go r s =
@@ -50,9 +55,11 @@ let compose ~branches r s =
           let c =
             List.fold_left
               (fun acc b ->
-                List.fold_left
-                  (fun acc t -> Complex.union acc (go (r - 1) t))
-                  acc (Complex.facets b))
+                if r = 1 then Complex.union acc b
+                else
+                  List.fold_left
+                    (fun acc t -> Complex.union acc (go (r - 1) t))
+                    acc (Complex.facets b))
               Complex.empty (branches s)
           in
           Hashtbl.add memo key c;

@@ -57,7 +57,9 @@ type provenance = {
   tier : tier;
   rule : string option;  (* symbolic: the rule that concluded the bound *)
   steps : int option;  (* symbolic: proof size *)
-  cells_removed : int option;  (* numeric: Morse-eliminated simplices *)
+  cells_removed : int option;
+      (* no longer set (numeric misses skip the Morse precollapse); kept so
+         older peers' provenance still decodes *)
   checked : int option;  (* check mode: the symbolic bound verified against *)
 }
 
@@ -90,15 +92,17 @@ let spec_key_of = function
   | Model { model; params } ->
       Some (SModel (Model_complex.encode (Model_complex.get model) params))
 
-let queries_c = lazy (Obs.counter "engine.queries")
+(* metric handles are created eagerly at module initialization: a [lazy]
+   handle forced by two worker domains at once raises
+   [CamlinternalLazy.Undefined], and the registry's get-or-create is
+   already lock-guarded *)
+let queries_c = Obs.counter "engine.queries"
 
-let symbolic_hits_c = lazy (Obs.counter "solver.symbolic_hit")
+let symbolic_hits_c = Obs.counter "solver.symbolic_hit"
 
-let cells_removed_c = lazy (Obs.counter "solver.collapse.cells_removed")
+let build_h = Obs.histogram "engine.build_s"
 
-let build_h = lazy (Obs.histogram "engine.build_s")
-
-let compute_h = lazy (Obs.histogram "engine.compute_s")
+let compute_h = Obs.histogram "engine.compute_s"
 
 type t = {
   pool : Pool.t;
@@ -107,14 +111,12 @@ type t = {
   lock : Mutex.t;
   persist : string option;
   par_threshold : int;
-  morse : bool;
 }
 
 let default_domains () =
   min 4 (max 1 (Domain.recommended_domain_count () - 1))
 
-let create ?domains ?(capacity = 4096) ?persist ?(par_threshold = 2048)
-    ?(morse = true) () =
+let create ?domains ?(capacity = 4096) ?persist ?(par_threshold = 2048) () =
   let domains = match domains with Some d -> d | None -> default_domains () in
   let t =
     {
@@ -124,7 +126,6 @@ let create ?domains ?(capacity = 4096) ?persist ?(par_threshold = 2048)
       lock = Mutex.create ();
       persist;
       par_threshold;
-      morse;
     }
   in
   Option.iter
@@ -166,7 +167,7 @@ let no_prov tier =
 
 let cached_prov = no_prov Cached
 
-let numeric_prov removed = { (no_prov Numeric) with cells_removed = Some removed }
+let numeric_prov = no_prov Numeric
 
 let symbolic_prov (s : Solver.symbolic) =
   {
@@ -193,25 +194,17 @@ let provenance_fields p =
     | None -> [])
   @ match p.checked with Some b -> [ ("checked", Jsonl.int b) ] | None -> []
 
-(* Betti vector and connectivity from the boundary ranks, mirroring
-   [Homology.reduced_betti]/[betti]/[connectivity] (the property tests in
-   test/test_engine.ml hold this mirror to the original).  [c] is the
-   complex the ranks were computed on — possibly a Morse core — while
-   [dim] is the original complex's dimension: the core's reduced homology
-   equals the original's in every dimension (zero above the core's), so
-   the Betti vector is padded and the connectivity search still runs to
-   the original dimension. *)
-let answer_of_ranks ?dim c r =
-  let cdim = Complex.dim c in
-  let dim = match dim with None -> cdim | Some d -> d in
+(* Betti vector and connectivity from the boundary ranks of [c],
+   mirroring [Homology.reduced_betti]/[betti]/[connectivity] (the property
+   tests in test/test_engine.ml hold this mirror to the original). *)
+let answer_of_ranks c r =
+  let dim = Complex.dim c in
   if dim < 0 then { betti = [||]; connectivity = -2 }
   else begin
     let reduced =
       Array.init (dim + 1) (fun d ->
-          if d > cdim then 0
-          else
-            Complex.count_of_dim c d - r.(d)
-            - (if d + 1 <= cdim then r.(d + 1) else 0))
+          Complex.count_of_dim c d - r.(d)
+          - (if d + 1 <= dim then r.(d + 1) else 0))
     in
     let betti = Array.copy reduced in
     betti.(0) <- betti.(0) + 1;
@@ -221,24 +214,22 @@ let answer_of_ranks ?dim c r =
     { betti; connectivity = conn 0 }
   end
 
-(* Morse-precollapse (unless disabled), then eliminate over the critical
-   core; the fan-out decision reads the post-collapse size, since that is
-   what elimination will chew on.  Returns the answer plus the number of
-   cells the collapse removed. *)
+(* Z/2 elimination straight over the built complex, with no
+   discrete-Morse precollapse: on the served model specs
+   {!Collapse.reduce} costs more than the elimination it saves (see the
+   numbers in docs/TOPOLOGY.md). *)
 let compute t c =
-  let core, removed = if t.morse then Collapse.reduce c else (c, 0) in
-  if removed > 0 then Obs.incr ~by:removed (Lazy.force cells_removed_c);
-  let r, jobs = Homology.rank_jobs core in
+  let r, jobs = Homology.rank_jobs c in
   if
     Pool.size t.pool > 1
     && List.length jobs > 1
-    && Complex.num_simplices core >= t.par_threshold
+    && Complex.num_simplices c >= t.par_threshold
   then begin
     let futures = List.map (fun (d, job) -> (d, Pool.submit t.pool job)) jobs in
     List.iter (fun (d, fut) -> r.(d) <- Pool.await fut) futures
   end
   else List.iter (fun (d, job) -> r.(d) <- job ()) jobs;
-  (answer_of_ranks ~dim:(Complex.dim c) core r, removed)
+  answer_of_ranks c r
 
 (* slow path: build the complex, derive its content key, consult the LRU.
    [sk_opt] is the caller's spec key, recorded so the next occurrence of
@@ -248,7 +239,7 @@ let eval_uncached t sk_opt spec =
   let c = build spec in
   let key = Key.of_complex c in
   let t1 = Obs.monotonic () in
-  Obs.observe (Lazy.force build_h) (t1 -. t0);
+  Obs.observe build_h (t1 -. t0);
   Mutex.lock t.lock;
   Option.iter (fun sk -> Hashtbl.replace t.spec_memo sk key) sk_opt;
   let hit = Lru.find_opt t.cache key in
@@ -256,13 +247,11 @@ let eval_uncached t sk_opt spec =
   match hit with
   | Some answer -> { key; answer; cached = true; solver = cached_prov }
   | None ->
-      let answer, removed =
-        Obs.time (Lazy.force compute_h) (fun () -> compute t c)
-      in
+      let answer = Obs.time compute_h (fun () -> compute t c) in
       Mutex.lock t.lock;
       Lru.add t.cache key answer;
       Mutex.unlock t.lock;
-      { key; answer; cached = false; solver = numeric_prov removed }
+      { key; answer; cached = false; solver = numeric_prov }
 
 (* the spec-memo fast path: a warm slot answers without building *)
 let cache_probe t spec =
@@ -308,7 +297,7 @@ let symbolic_key = function
       Key.of_string (Model_complex.encode (Model_complex.get model) params)
 
 let symbolic_result spec (s : Solver.symbolic) =
-  Obs.incr (Lazy.force symbolic_hits_c);
+  Obs.incr symbolic_hits_c;
   {
     key = symbolic_key spec;
     answer = { betti = [||]; connectivity = s.Solver.connectivity };
@@ -340,7 +329,7 @@ let check_against_symbolic spec (r : result) =
 
 let with_query_span f =
   Obs.with_span "engine.query" (fun sp ->
-      Obs.incr (Lazy.force queries_c);
+      Obs.incr queries_c;
       let r = f () in
       (* attrs only reach a live sink; skip the hex rendering otherwise —
          cache hits are cheap enough for this to show up *)
@@ -440,10 +429,10 @@ let stats t =
     evictions = Lru.evictions t.cache;
     cache_len;
     jobs = Pool.jobs_run t.pool;
-    queries = Obs.counter_value (Lazy.force queries_c);
+    queries = Obs.counter_value queries_c;
     domains = Pool.size t.pool;
-    build_s = (Obs.histogram_stats (Lazy.force build_h)).Obs.sum;
-    compute_s = (Obs.histogram_stats (Lazy.force compute_h)).Obs.sum;
+    build_s = (Obs.histogram_stats build_h).Obs.sum;
+    compute_s = (Obs.histogram_stats compute_h).Obs.sum;
   }
 
 let flush t =

@@ -33,8 +33,7 @@ type tier = Cached | Symbolic | Numeric
 (** Which solver tier produced an answer: a warm cache slot, a symbolic
     derivation ({!Pseudosphere.Solver} — Theorem 2 + Corollary 6 or a
     closed-form round lemma, no complex realized), or numeric Bitmat
-    elimination (Morse-precollapsed unless the engine was created with
-    [~morse:false]). *)
+    elimination over the built complex. *)
 
 type provenance = {
   tier : tier;
@@ -43,7 +42,9 @@ type provenance = {
           Corollary 6"], ["Lemma 16/17"]) *)
   steps : int option;  (** symbolic: derivation size *)
   cells_removed : int option;
-      (** numeric: simplices eliminated by the Morse precollapse *)
+      (** simplices eliminated by a Morse precollapse.  The engine no
+          longer precollapses, so its answers leave this [None]; the
+          field stays so that provenance from older peers still decodes. *)
   checked : int option;
       (** {!mode} [Check]: the symbolic lower bound the numeric answer was
           verified against *)
@@ -83,7 +84,6 @@ val create :
   ?capacity:int ->
   ?persist:string ->
   ?par_threshold:int ->
-  ?morse:bool ->
   unit ->
   t
 (** [domains] defaults to [min 4 (recommended_domain_count - 1)], at least
@@ -91,10 +91,7 @@ val create :
     bounds the LRU.  [persist] names a {!Store} file loaded now and
     written by {!flush}/{!shutdown}.  [par_threshold] (default 2048) is
     the simplex count above which a single query's rank computations are
-    fanned out per dimension — measured {e after} the Morse precollapse,
-    since that is what elimination chews on.  [morse] (default [true])
-    enables the discrete-Morse precollapse on numeric misses; disabling it
-    is the ablation benched in bench/main.ml. *)
+    fanned out per dimension. *)
 
 val build : spec -> Complex.t
 (** The complex a spec denotes (no caching, no homology).

@@ -353,11 +353,13 @@ let handle_request engine req =
    a trace's requests stay distinguishable even without client "id"s *)
 let request_ids = Atomic.make 0
 
-let requests_c = lazy (Obs.counter "serve.requests")
+(* eager, like the engine's handles: worker domains serve requests
+   concurrently, and a lazy handle forced twice at once raises *)
+let requests_c = Obs.counter "serve.requests"
 
 let handle_line engine line =
   let rid = Atomic.fetch_and_add request_ids 1 in
-  Obs.incr (Lazy.force requests_c);
+  Obs.incr requests_c;
   Obs.with_span "serve.request"
     ~attrs:[ ("request", Jsonl.int rid) ]
     (fun sp ->

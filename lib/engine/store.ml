@@ -16,13 +16,15 @@ open Psph_obs
 
 type entry = { betti : int array; connectivity : int }
 
-let save_s = lazy (Obs.histogram "store.save_s")
+(* eager handles: a lazy one forced from two domains at once raises
+   [CamlinternalLazy.Undefined] *)
+let save_s = Obs.histogram "store.save_s"
 
-let load_s = lazy (Obs.histogram "store.load_s")
+let load_s = Obs.histogram "store.load_s"
 
-let loaded_lines = lazy (Obs.counter "store.loaded")
+let loaded_lines = Obs.counter "store.loaded"
 
-let skipped_lines = lazy (Obs.counter "store.skipped")
+let skipped_lines = Obs.counter "store.skipped"
 
 let entry_to_line key e =
   Printf.sprintf "%s %d %s" (Key.to_hex key) e.connectivity
@@ -48,7 +50,7 @@ let save path entries =
   Obs.with_span "store.save"
     ~attrs:[ ("entries", Jsonl.int (List.length entries)) ]
     (fun _ ->
-      Obs.time (Lazy.force save_s) (fun () ->
+      Obs.time save_s (fun () ->
           let tmp = path ^ ".tmp" in
           let oc = open_out tmp in
           List.iter
@@ -62,7 +64,7 @@ let save path entries =
 let load path =
   if not (Sys.file_exists path) then []
   else
-    Obs.time (Lazy.force load_s) (fun () ->
+    Obs.time load_s (fun () ->
         let ic = open_in path in
         let rec loop acc =
           match input_line ic with
@@ -70,10 +72,10 @@ let load path =
               loop
                 (match entry_of_line line with
                 | Some e ->
-                    Obs.incr (Lazy.force loaded_lines);
+                    Obs.incr loaded_lines;
                     e :: acc
                 | None ->
-                    Obs.incr (Lazy.force skipped_lines);
+                    Obs.incr skipped_lines;
                     acc)
           | exception End_of_file -> List.rev acc
         in

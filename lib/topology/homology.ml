@@ -221,40 +221,6 @@ let connectivity ?cap c =
     loop 0
   end
 
-(* Morse-reduced entry points: collapse to the critical-cell core first
-   ({!Collapse.reduce}), then eliminate.  The core is homotopy equivalent
-   to the input, so these agree exactly with the direct versions while the
-   boundary matrices are built over (often far) fewer cells. *)
-
-let ranks_reduced ?max_dim c =
-  let core, _removed = Collapse.reduce c in
-  (core, ranks ?max_dim core)
-
-let betti_reduced ?max_dim c =
-  let dim = Complex.dim c in
-  if dim < 0 then [||]
-  else begin
-    let top = match max_dim with None -> dim | Some m -> min m dim in
-    let core, _ = Collapse.reduce c in
-    let b = betti ?max_dim core in
-    let n = Array.length b in
-    (* the core may have lower dimension; its missing Betti numbers are 0 *)
-    if n >= top + 1 then b
-    else begin
-      let out = Array.make (top + 1) 0 in
-      Array.blit b 0 out 0 n;
-      out
-    end
-  end
-
-let connectivity_reduced ?cap c =
-  if Complex.is_empty c then -2
-  else begin
-    let cap = match cap with None -> Complex.dim c | Some k -> k in
-    let core, _ = Collapse.reduce c in
-    connectivity ~cap core
-  end
-
 let euler_from_betti c =
   let b = betti c in
   let acc = ref 0 in

@@ -48,23 +48,6 @@ val is_k_connected : Complex.t -> int -> bool
     [k <= -2] always holds, [k = -1] means nonempty, and [k >= 0] means
     nonempty with vanishing reduced homology through dimension [k]. *)
 
-val ranks_reduced : ?max_dim:int -> Complex.t -> Complex.t * int array
-(** [ranks_reduced c] precollapses [c] to its discrete-Morse critical core
-    ({!Collapse.reduce}) and returns the core together with its boundary
-    ranks ({!ranks} on the core).  Because the core is homotopy equivalent
-    to [c], Betti numbers derived from the core's ranks and simplex counts
-    equal those of [c] (dimensions above the core's are 0). *)
-
-val betti_reduced : ?max_dim:int -> Complex.t -> int array
-(** {!betti} computed via the Morse-reduced core.  Equal to [betti c]
-    entry-for-entry; the core's missing top dimensions are padded with
-    zeros. *)
-
-val connectivity_reduced : ?cap:int -> Complex.t -> int
-(** {!connectivity} computed via the Morse-reduced core.  Equal to
-    [connectivity ?cap c]; [cap] still defaults to the {e original}
-    complex's dimension. *)
-
 val euler_from_betti : Complex.t -> int
 (** Alternating sum of unreduced Betti numbers; equals {!Complex.euler} on
     every complex (a consistency check used by tests). *)

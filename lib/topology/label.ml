@@ -33,22 +33,27 @@ let compare_array a b =
     in
     loop 0
 
+(* Round labels share their sub-labels physically with the previous round's
+   vertices; labels are immutable, so a physically equal pair is equal and
+   the identity check skips walking the shared part. *)
 let rec compare a b =
-  match (a, b) with
-  | Unit, Unit -> 0
-  | Bool x, Bool y -> Bool.compare x y
-  | Int x, Int y -> Int.compare x y
-  | Str x, Str y -> String.compare x y
-  | Pid x, Pid y -> Pid.compare x y
-  | Pid_set x, Pid_set y -> Pid.Set.compare x y
-  | Vec x, Vec y -> compare_array x y
-  | Pair (x1, x2), Pair (y1, y2) ->
-      let c = compare x1 y1 in
-      if c <> 0 then c else compare x2 y2
-  | List x, List y -> compare_list x y
-  | ( (Unit | Bool _ | Int _ | Str _ | Pid _ | Pid_set _ | Vec _ | Pair _ | List _),
-      _ ) ->
-      Int.compare (rank a) (rank b)
+  if a == b then 0
+  else
+    match (a, b) with
+    | Unit, Unit -> 0
+    | Bool x, Bool y -> Bool.compare x y
+    | Int x, Int y -> Int.compare x y
+    | Str x, Str y -> String.compare x y
+    | Pid x, Pid y -> Pid.compare x y
+    | Pid_set x, Pid_set y -> Pid.Set.compare x y
+    | Vec x, Vec y -> compare_array x y
+    | Pair (x1, x2), Pair (y1, y2) ->
+        let c = compare x1 y1 in
+        if c <> 0 then c else compare x2 y2
+    | List x, List y -> compare_list x y
+    | ( (Unit | Bool _ | Int _ | Str _ | Pid _ | Pid_set _ | Vec _ | Pair _ | List _),
+        _ ) ->
+        Int.compare (rank a) (rank b)
 
 and compare_list x y =
   match (x, y) with

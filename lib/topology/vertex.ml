@@ -6,14 +6,17 @@ let anon i = Anon i
 
 let rank = function Proc _ -> 0 | Anon _ -> 1 | Bary _ -> 2
 
+(* identity first, as in [Label.compare] *)
 let rec compare a b =
-  match (a, b) with
-  | Proc (p, l), Proc (q, m) ->
-      let c = Pid.compare p q in
-      if c <> 0 then c else Label.compare l m
-  | Anon i, Anon j -> Int.compare i j
-  | Bary x, Bary y -> compare_list x y
-  | (Proc _ | Anon _ | Bary _), _ -> Int.compare (rank a) (rank b)
+  if a == b then 0
+  else
+    match (a, b) with
+    | Proc (p, l), Proc (q, m) ->
+        let c = Pid.compare p q in
+        if c <> 0 then c else Label.compare l m
+    | Anon i, Anon j -> Int.compare i j
+    | Bary x, Bary y -> compare_list x y
+    | (Proc _ | Anon _ | Bary _), _ -> Int.compare (rank a) (rank b)
 
 and compare_list x y =
   match (x, y) with

@@ -397,13 +397,14 @@ let solver_tier_tests =
         Alcotest.(check string) "still symbolic" "symbolic"
           (tier_name r2.E.solver.E.tier);
         Alcotest.(check bool) "stable key" true (Key.equal r1.E.key r2.E.key));
-    Alcotest.test_case "numeric tier records Morse provenance, then the cache"
+    Alcotest.test_case "numeric tier provenance has no collapse count, then the cache"
       `Quick (fun () ->
         with_solver_engine @@ fun e ->
         let r1 = E.eval_conn ~mode:E.Numeric_only e async2 in
         Alcotest.(check string) "tier" "numeric" (tier_name r1.E.solver.E.tier);
-        Alcotest.(check bool) "cells_removed recorded" true
-          (r1.E.solver.E.cells_removed <> None);
+        (* elimination runs on the built complex; no Morse precollapse *)
+        Alcotest.(check bool) "no cells_removed" true
+          (r1.E.solver.E.cells_removed = None);
         let r2 = E.eval_conn ~mode:E.Numeric_only e async2 in
         Alcotest.(check string) "warm tier" "cached" (tier_name r2.E.solver.E.tier);
         Alcotest.(check bool) "cached" true r2.E.cached;
@@ -868,6 +869,76 @@ let serve_tests =
         E.shutdown (Lazy.force engine));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* fresh serve processes                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The metric handles are process-global, so only a fresh process
+   exercises their first use.  A batch makes the pool's two worker
+   domains start queries together; each query is a distinct tiny miss or
+   a symbolic connectivity answer, so both workers reach every handle
+   (query counter, build and compute histograms, symbolic-hit counter)
+   for the first time at about the same moment. *)
+let psc_exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/psc.exe"
+
+let first_batch =
+  let queries =
+    List.concat_map
+      (fun v ->
+        [
+          Printf.sprintf {|{"op":"psph","n":0,"values":%d}|} v;
+          Printf.sprintf {|{"op":"connectivity","model":"sync","n":%d}|} v;
+        ])
+      [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+  in
+  Printf.sprintf {|{"op":"batch","requests":[%s]}|} (String.concat "," queries)
+
+let spawn_serve () =
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process psc_exe
+      [| psc_exe; "serve"; "--domains"; "2" |]
+      in_r out_w Unix.stderr
+  in
+  Unix.close in_r;
+  Unix.close out_w;
+  let oc = Unix.out_channel_of_descr in_w in
+  output_string oc (first_batch ^ "\n");
+  close_out oc;
+  (pid, Unix.in_channel_of_descr out_r)
+
+let finish (pid, ic) =
+  let out = In_channel.input_all ic in
+  close_in ic;
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> out
+  | _ -> Alcotest.fail "psc serve did not exit cleanly"
+
+let fresh_process_tests =
+  [
+    Alcotest.test_case "concurrent first requests on fresh serve processes"
+      `Quick (fun () ->
+        (* the race hit a few percent of fresh processes before the
+           handles were created eagerly: 64 processes, 2 alive at a time *)
+        for _ = 1 to 32 do
+          List.init 2 (fun _ -> spawn_serve ())
+          |> List.map finish
+          |> List.iter (fun out ->
+                 let results =
+                   match Option.bind (obj_field "results" out) Jsonl.to_list_opt with
+                   | Some rs -> rs
+                   | None -> Alcotest.fail ("no batch results: " ^ out)
+                 in
+                 Alcotest.(check int) "one answer per query" 16 (List.length results);
+                 List.iter
+                   (fun r ->
+                     if Jsonl.member "ok" r <> Some (Jsonl.Bool true) then
+                       Alcotest.fail ("error reply: " ^ Jsonl.to_string r))
+                   results)
+        done);
+  ]
+
 let suites =
   [
     ("engine keys", key_tests);
@@ -876,5 +947,6 @@ let suites =
     ("engine store", store_tests);
     ("engine vs homology", engine_unit_tests @ engine_props);
     ("engine solver", solver_tier_tests);
+    ("engine serve process", fresh_process_tests);
     ("engine serve", serve_tests);
   ]

@@ -329,6 +329,124 @@ let real_models () =
       not (String.length M.name >= 5 && String.sub M.name 0 5 = "test-"))
     (MC.all ())
 
+(* ------------------------------------------------------------------ *)
+(* round composition against the facet-by-facet reference             *)
+(* ------------------------------------------------------------------ *)
+
+(* Round composition facet by facet, with no last-round shortcut: every
+   facet of every branch is recursed on down to [r = 0], where it is
+   re-closed. *)
+let reference_compose ~branches r s =
+  let memo = Hashtbl.create 97 in
+  let rec go r s =
+    if r <= 0 then Complex.of_simplex s
+    else
+      let key = (r, Intern.simplex_id s) in
+      match Hashtbl.find_opt memo key with
+      | Some c -> c
+      | None ->
+          let c =
+            List.fold_left
+              (fun acc b ->
+                List.fold_left
+                  (fun acc t -> Complex.union acc (go (r - 1) t))
+                  acc (Complex.facets b))
+              Complex.empty (branches s)
+          in
+          Hashtbl.add memo key c;
+          c
+  in
+  go r s
+
+(* each registered model's branch generator, rebuilt from the model
+   modules' public one-round pieces *)
+let reference_branches name (spec : MC.spec) =
+  let ext key = MC.ext_value spec key ~default:0 in
+  match name with
+  | "async" -> Some (fun s -> [ Async_complex.one_round ~n:spec.n ~f:spec.f s ])
+  | "iis" -> Some (fun s -> [ Iis_complex.one_round s ])
+  | "sync" ->
+      Some
+        (fun s ->
+          List.map
+            (fun (fk, _) -> Sync_complex.one_round_failing s fk)
+            (Sync_complex.pseudospheres ~k:spec.k s))
+  | "semi" ->
+      Some
+        (fun s ->
+          List.map
+            (fun (pat, _) ->
+              Semi_sync_complex.one_round_pattern ~p:spec.p ~n:spec.n s pat)
+            (Semi_sync_complex.pseudospheres ~k:spec.k ~p:spec.p ~n:spec.n s))
+  | "byz" ->
+      Some
+        (fun s ->
+          List.map
+            (fun (_, ps) -> Psph.realize ps)
+            (Byz_complex.pseudospheres ~n:spec.n ~k:spec.k ~t:(ext "t")
+               ~versions:(1 + ext "equiv") s))
+  | "dyn" ->
+      let adv = Option.get (Dyn_net_complex.adversary_of_int (ext "adv")) in
+      Some
+        (fun s ->
+          Psph_model.Round_schedule.digraphs ~alive:(Simplex.ids s)
+          |> List.filter (Dyn_net_complex.allowed adv)
+          |> List.map (fun g -> Complex.of_simplex (Dyn_net_complex.facet_of s g)))
+  | _ -> None
+
+let compose_tests =
+  [
+    Alcotest.test_case
+      "rounds equal the facet-by-facet reference (n=2,3; r=1,2)" `Slow
+      (fun () ->
+        List.iter
+          (fun (module M : MC.MODEL) ->
+            List.iter
+              (fun n ->
+                let s = input_simplex n in
+                let spec r =
+                  match M.validate { MC.default_spec with n; r } with
+                  | Ok spec -> spec
+                  | Error msg -> Alcotest.fail (M.name ^ ": " ^ msg)
+                in
+                let branches =
+                  match reference_branches M.name (spec 1) with
+                  | Some b -> b
+                  | None -> Alcotest.fail (M.name ^ ": no reference branches")
+                in
+                let check r =
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s n=%d r=%d" M.name n r)
+                    true
+                    (Complex.equal (M.rounds (spec r) s)
+                       (reference_compose ~branches r s))
+                in
+                check 1;
+                (* the bench's gate: a second round only where the first
+                   has at most 1024 facets *)
+                if List.length (Complex.facets (M.rounds (spec 1) s)) <= 1024
+                then check 2)
+              [ 2; 3 ])
+          (real_models ()));
+    Alcotest.test_case "content keys match the pinned golden values" `Quick
+      (fun () ->
+        List.iter
+          (fun (name, spec, expect) ->
+            let c = E.build (E.Model { model = name; params = spec }) in
+            Alcotest.(check string) name expect (Key.to_hex (Key.of_complex c)))
+          [
+            ( "async",
+              { MC.default_spec with n = 2; f = 1; r = 2 },
+              "0b7b2c6c662b94701728558166c911e6" );
+            ( "sync",
+              { MC.default_spec with n = 3; k = 2; r = 2 },
+              "31698f31a8d2d2ce05424f53a4ee7346" );
+            ( "dyn",
+              { MC.default_spec with n = 3; r = 1; ext = [ ("adv", 0) ] },
+              "0a5bdfff093048073200560862f6d7f9" );
+          ]);
+  ]
+
 let solver_tests =
   [
     Alcotest.test_case "r=0 answers the solid input simplex" `Quick (fun () ->
@@ -734,6 +852,7 @@ let suites =
     ("models.encode", golden_encode_tests @ encode_injective_props);
     ("models.decomposition", decomposition_props @ decomposition_n4);
     ("models.rounds", rounds_tests);
+    ("models.compose", compose_tests);
     ("models.solver", solver_tests);
     ("models.byz", byz_grid_tests);
     ("models.dyn", dyn_tests);

@@ -521,6 +521,66 @@ let gen_small_complex =
     let facet = list_size (int_range 1 4) (int_range 0 6) in
     list_size (int_range 1 6) facet |> map (fun fs -> cx fs))
 
+(* Labels built the way round labels are: each round pairs an earlier
+   label with a list of earlier labels, drawn by index from everything
+   built so far, so the result shares sub-terms physically. *)
+let gen_shared_labels =
+  let open QCheck2.Gen in
+  let leaf =
+    oneof
+      [
+        return Label.Unit;
+        map (fun b -> Label.Bool b) bool;
+        map (fun i -> Label.Int i) (int_range 0 3);
+        map (fun s -> Label.Str s) (string_size ~gen:(char_range 'a' 'b') (int_range 0 2));
+        map (fun p -> Label.Pid p) (int_range 0 2);
+        map Label.pid_set (list_size (int_range 0 3) (int_range 0 3));
+        map (fun l -> Label.Vec (Array.of_list l)) (list_size (int_range 0 3) (int_range 0 2));
+      ]
+  in
+  let rec rounds k pool =
+    if k = 0 then return (Array.to_list pool)
+    else
+      let pick = int_bound (Array.length pool - 1) in
+      let* fresh =
+        list_size (int_range 1 3)
+          (let* prev = pick and* heard = list_size (int_range 0 3) pick in
+           return
+             (Label.Pair (pool.(prev), Label.List (List.map (Array.get pool) heard))))
+      in
+      rounds (k - 1) (Array.append pool (Array.of_list fresh))
+  in
+  let* leaves = list_size (int_range 1 4) leaf in
+  rounds 3 (Array.of_list leaves)
+
+(* a structurally equal label sharing no heap block with the original *)
+let rec copy_label = function
+  | Label.Unit -> Label.Unit
+  | Label.Bool b -> Label.Bool b
+  | Label.Int i -> Label.Int i
+  | Label.Str s -> Label.Str (Bytes.to_string (Bytes.of_string s))
+  | Label.Pid p -> Label.Pid p
+  | Label.Pid_set s -> Label.Pid_set (Pid.Set.of_list (Pid.Set.elements s))
+  | Label.Vec v -> Label.Vec (Array.copy v)
+  | Label.Pair (a, b) -> Label.Pair (copy_label a, copy_label b)
+  | Label.List l -> Label.List (List.map copy_label l)
+
+let rec copy_vertex = function
+  | Vertex.Proc (p, l) -> Vertex.Proc (p, copy_label l)
+  | Vertex.Anon i -> Vertex.Anon i
+  | Vertex.Bary vs -> Vertex.Bary (List.map copy_vertex vs)
+
+(* every ordered pair of a list, each side also compared as a deep copy *)
+let agrees_on_copies compare copy xs =
+  List.for_all
+    (fun a ->
+      List.for_all
+        (fun b ->
+          let c = compare (copy a) (copy b) in
+          compare a b = c && compare a (copy b) = c && compare (copy a) b = c)
+        xs)
+    xs
+
 let prop_tests =
   let open QCheck2 in
   let count = 60 in
@@ -534,11 +594,15 @@ let prop_tests =
         let core, removed = Collapse.reduce c in
         Complex.num_simplices core + removed = Complex.num_simplices c
         && same_betti (Homology.betti core) (Homology.betti c));
-    Test.make ~count ~name:"betti_reduced equals betti" gen_small_complex
-      (fun c -> Homology.betti_reduced c = Homology.betti c);
-    Test.make ~count ~name:"connectivity_reduced equals connectivity"
-      gen_small_complex (fun c ->
-        Homology.connectivity_reduced c = Homology.connectivity c);
+    Test.make ~count ~name:"label compare on shared sub-terms agrees with deep copies"
+      gen_shared_labels (fun ls -> agrees_on_copies Label.compare copy_label ls);
+    Test.make ~count ~name:"vertex compare on shared sub-terms agrees with deep copies"
+      gen_shared_labels (fun ls ->
+        let procs = List.mapi (fun i l -> Vertex.proc (i mod 2) l) ls in
+        let barys =
+          List.mapi (fun i v -> Vertex.Bary (v :: List.filteri (fun j _ -> j < i mod 3) procs)) procs
+        in
+        agrees_on_copies Vertex.compare copy_vertex (procs @ barys));
     Test.make ~count ~name:"barycentric preserves betti" gen_small_complex (fun c ->
         Homology.betti (Subdivision.barycentric c) = Homology.betti c);
     Test.make ~count ~name:"facets regenerate the complex" gen_small_complex (fun c ->
