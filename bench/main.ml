@@ -4,7 +4,10 @@
 
    Run with: dune exec bench/main.exe            (default 0.5s/test quota)
              dune exec bench/main.exe -- 0.1     (faster, rougher)
-             dune exec bench/main.exe -- net     (only the network matrix) *)
+
+   Writes BENCH_homology.json (this table) and BENCH_models.json (the
+   registry sweep).  Served throughput and latency are measured by the
+   repository benchmark in perfbench/, not here. *)
 
 open Bechamel
 open Toolkit
@@ -29,8 +32,6 @@ let timed name f =
   let h = Obs.histogram ("bench." ^ name) in
   let x = Obs.time h f in
   (x, (Obs.histogram_stats h).Obs.sum)
-
-let phase name f = snd (timed name f)
 
 (* Every BENCH_*.json artifact lands via tmp + rename: CI uploads whatever
    files exist, so a bench that dies mid-write must never leave a
@@ -383,89 +384,8 @@ let solver_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* query-engine throughput: batch of mixed repeated queries            *)
+(* model registry sweep                                                *)
 (* ------------------------------------------------------------------ *)
-
-(* Not a bechamel microbench: the unit of interest is a whole batch of 200
-   queries drawn from 8 recurring shapes (25 repeats each), served three
-   ways — naive sequential recomputation (build + betti + connectivity
-   from scratch, what the CLI did per invocation), the engine with a cold
-   cache (misses, parallel evaluation), and the engine warm (every query a
-   cache hit).  Results go to BENCH_engine.json next to the bechamel
-   table's BENCH_homology.json. *)
-let engine_bench () =
-  let module E = Psph_engine.Engine in
-  let shapes =
-    [
-      E.Psph { n = 2; values = 2 };
-      E.Psph { n = 3; values = 2 };
-      E.Psph { n = 2; values = 3 };
-      E.Psph { n = 4; values = 2 };
-      E.Psph { n = 5; values = 2 };
-      E.Model
-        { model = "sync"; params = { Model_complex.default_spec with n = 3 } };
-      E.Model { model = "async"; params = Model_complex.default_spec };
-      E.Model { model = "semi"; params = Model_complex.default_spec };
-    ]
-  in
-  let nshapes = List.length shapes in
-  let batch_size = 200 in
-  let batch =
-    List.init batch_size (fun i -> List.nth shapes (i mod nshapes))
-  in
-  let naive_s =
-    phase "engine.naive" (fun () ->
-        List.iter
-          (fun spec ->
-            let c = E.build spec in
-            ignore (Homology.betti c);
-            ignore (Homology.connectivity c))
-          batch)
-  in
-  let domains = min 4 (max 2 (Domain.recommended_domain_count () - 1)) in
-  let engine = E.create ~domains ~capacity:1024 () in
-  let cold_s = phase "engine.cold" (fun () -> ignore (E.eval_batch engine batch)) in
-  let warm_s = phase "engine.warm" (fun () -> ignore (E.eval_batch engine batch)) in
-  let stats = E.stats engine in
-  E.shutdown engine;
-  let speedup_cold = naive_s /. cold_s and speedup_warm = naive_s /. warm_s in
-  Format.printf
-    "@.engine throughput (batch of %d queries, %d shapes, %d domains):@." batch_size
-    nshapes domains;
-  Format.printf "  naive sequential  %8.1f ms   %8.0f q/s@." (1000. *. naive_s)
-    (float_of_int batch_size /. naive_s);
-  Format.printf "  engine cold       %8.1f ms   %8.0f q/s   %5.2fx@."
-    (1000. *. cold_s)
-    (float_of_int batch_size /. cold_s)
-    speedup_cold;
-  Format.printf "  engine warm       %8.1f ms   %8.0f q/s   %5.2fx@."
-    (1000. *. warm_s)
-    (float_of_int batch_size /. warm_s)
-    speedup_warm;
-  Format.printf "  cache: %d hits, %d misses, %d evictions; %d pool jobs@."
-    stats.E.hits stats.E.misses stats.E.evictions stats.E.jobs;
-  write_json "BENCH_engine.json" @@ fun oc ->
-  Printf.fprintf oc
-    "{\n\
-    \  \"batch_size\": %d,\n\
-    \  \"distinct_shapes\": %d,\n\
-    \  \"domains\": %d,\n\
-    \  \"naive_s\": %.6f,\n\
-    \  \"engine_cold_s\": %.6f,\n\
-    \  \"engine_warm_s\": %.6f,\n\
-    \  \"speedup_cold\": %.2f,\n\
-    \  \"speedup_warm\": %.2f,\n\
-    \  \"naive_qps\": %.1f,\n\
-    \  \"warm_qps\": %.1f,\n\
-    \  \"hits\": %d,\n\
-    \  \"misses\": %d,\n\
-    \  \"evictions\": %d,\n\
-    \  \"jobs\": %d\n\
-     }\n"
-    batch_size nshapes domains naive_s cold_s warm_s speedup_cold speedup_warm
-    (float_of_int batch_size /. naive_s)
-    (float_of_int batch_size /. warm_s)
-    stats.E.hits stats.E.misses stats.E.evictions stats.E.jobs
 
 (* Per registered model and n in {2, 3}, wall-time the r=1 and r=2
    protocol-complex builds plus both connectivity tiers on the r=1 query —
@@ -567,266 +487,7 @@ let models_bench () =
     sweeps;
   Printf.fprintf oc "  ]\n}\n"
 
-(* Loopback TCP throughput: the framed transport end to end (client ->
-   server -> Serve.handle_line -> back), measured on a warm cache so the
-   number is the transport's, not homology's.  PR 6 turns this into a
-   connections x pipeline-depth matrix over the v2 wire protocol: every
-   client negotiates the binary codec and keeps [depth] requests in
-   flight through {!Client.eval_many}, so the measured cost is frames +
-   codec + reactor, with no JSON on either side of the hot path.  One
-   phase per matrix point; quantiles from the raw per-request latency
-   samples.  Results go to BENCH_net.json.
-
-   Reading the latency columns: every point runs on whatever cores the
-   machine has, and total in-flight = conns x depth, so by Little's law
-   p99 grows with the product, not with connections per se.  The
-   reactor's scaling claim is the equal-in-flight comparison (64 conns
-   x depth 8 vs 16 conns x depth 32, both 512 in flight): spreading the
-   same load over 4x the sockets should not cost latency. *)
-let net_bench () =
-  let module E = Psph_engine.Engine in
-  let module Serve = Psph_engine.Serve in
-  let open Psph_net in
-  let engine = E.create ~domains:0 ~capacity:64 () in
-  let handler = Serve.handle_line engine in
-  match
-    Server.listen ~handler
-      ~bin_handler:(Codec.handle ~json:handler engine)
-      { Addr.host = "127.0.0.1"; port = 0 }
-  with
-  | Error m ->
-      E.shutdown engine;
-      prerr_endline ("net bench skipped: " ^ m)
-  | Ok srv ->
-      Server.start srv;
-      let addr = { Addr.host = "127.0.0.1"; port = Server.port srv } in
-      (* warm: the first query computes, everything after is a cache hit *)
-      let warm = Client.create addr in
-      (match Client.request warm {|{"op":"psph","n":2,"values":2}|} with
-      | Ok _ -> ()
-      | Error e -> failwith ("net bench warm-up: " ^ Client.error_message e));
-      Client.close warm;
-      let query = (Codec.Both, Codec.Psph { n = 2; values = 2 }) in
-      let run (conns, depth) =
-        let per = max 2000 (400 * depth) in
-        let lats = Array.make (conns * per) 0. in
-        let wall =
-          phase
-            (Printf.sprintf "net.c%d_d%d" conns depth)
-            (fun () ->
-              let worker w =
-                let c =
-                  Client.create ~retries:1 ~codec:`Binary ~pipeline_depth:depth
-                    addr
-                in
-                Client.eval_many
-                  ~on_latency:(fun i s -> lats.((w * per) + i) <- s)
-                  c
-                  (List.init per (fun _ -> query))
-                |> List.iter (function
-                     | Ok _ -> ()
-                     | Error e -> failwith (Client.error_message e));
-                Client.close c
-              in
-              List.iter Thread.join
-                (List.init conns (fun w -> Thread.create worker w)))
-        in
-        Array.sort compare lats;
-        let n = Array.length lats in
-        let q p = lats.(min (n - 1) (int_of_float (p *. float_of_int n))) in
-        let mean = Array.fold_left ( +. ) 0. lats /. float_of_int n in
-        (conns, depth, n, wall, float_of_int n /. wall, mean, q 0.5, q 0.99)
-      in
-      let rows =
-        List.concat_map
-          (fun conns -> List.map (fun depth -> run (conns, depth)) [ 1; 8; 32 ])
-          [ 1; 4; 16; 64 ]
-      in
-      Server.stop srv;
-      E.shutdown engine;
-      let p99_of c d =
-        let (_, _, _, _, _, _, _, p99) =
-          List.find (fun (c', d', _, _, _, _, _, _) -> c' = c && d' = d) rows
-        in
-        p99
-      in
-      let best =
-        List.fold_left
-          (fun ((_, _, _, _, brps, _, _, _) as b)
-               ((_, _, _, _, rps, _, _, _) as r) ->
-            if rps > brps then r else b)
-          (List.hd rows) (List.tl rows)
-      in
-      let (bc, bd, _, _, brps, _, _, _) = best in
-      Format.printf
-        "@.loopback TCP throughput (binary codec, pipelined, warm cache):@.";
-      List.iter
-        (fun (conns, depth, n, wall, rps, mean, p50, p99) ->
-          Format.printf
-            "  %2d conns x depth %2d  %7d req in %6.2f s   %8.0f req/s   \
-             mean %7.3f ms   p50 %7.3f ms   p99 %7.3f ms@."
-            conns depth n wall rps (1000. *. mean) (1000. *. p50)
-            (1000. *. p99))
-        rows;
-      Format.printf "  best: %d conns x depth %d = %.0f req/s@." bc bd brps;
-      Format.printf
-        "  equal in-flight p99 (512): 64x8 %.3f ms vs 16x32 %.3f ms@."
-        (1000. *. p99_of 64 8)
-        (1000. *. p99_of 16 32);
-      ( write_json "BENCH_net.json" @@ fun oc ->
-      Printf.fprintf oc "{\n  \"codec\": \"binary\",\n";
-      Printf.fprintf oc "  \"query\": \"psph n=2 values=2 (warm cache)\",\n";
-      Printf.fprintf oc "  \"matrix\": [\n";
-      List.iteri
-        (fun i (conns, depth, n, wall, rps, mean, p50, p99) ->
-          Printf.fprintf oc
-            "    { \"conns\": %d, \"depth\": %d, \"requests\": %d, \
-             \"wall_s\": %.6f, \"requests_per_s\": %.1f, \"mean_ms\": %.4f, \
-             \"p50_ms\": %.4f, \"p99_ms\": %.4f }%s\n"
-            conns depth n wall rps (1000. *. mean) (1000. *. p50)
-            (1000. *. p99)
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      Printf.fprintf oc "  ],\n";
-      Printf.fprintf oc
-        "  \"best\": { \"conns\": %d, \"depth\": %d, \"requests_per_s\": \
-         %.1f },\n"
-        bc bd brps;
-      Printf.fprintf oc
-        "  \"p99_equal_inflight\": { \"inflight\": 512, \"c64_d8_ms\": %.4f, \
-         \"c16_d32_ms\": %.4f },\n"
-        (1000. *. p99_of 64 8)
-        (1000. *. p99_of 16 32);
-      Printf.fprintf oc
-        "  \"p99_depth1_ms\": { \"c1\": %.4f, \"c64\": %.4f }\n"
-        (1000. *. p99_of 1 1)
-        (1000. *. p99_of 64 1);
-      Printf.fprintf oc "}\n" )
-
-(* ------------------------------------------------------------------ *)
-(* cluster recovery-to-warm: snapshot warming vs cold restart          *)
-(* ------------------------------------------------------------------ *)
-
-(* The replicated tier's recovery story in one number: after a backend
-   dies, how much faster does a replacement reach a warm cache by
-   streaming a peer's snapshot (`psc serve --warm-from`, the same path
-   the router's join rebalance uses) than by recomputing every key from
-   scratch?  One peer computes K distinct keys; a "cold restart"
-   recomputes them all; a "warm restart" streams the peer's snapshot
-   first and then serves the same workload from cache.  Results go to
-   BENCH_cluster.json. *)
-let cluster_bench () =
-  let module E = Psph_engine.Engine in
-  let module Serve = Psph_engine.Serve in
-  let open Psph_net in
-  let keys = 160 in
-  (* a spread of costs: 40 pseudospheres that take real compute, plus
-     120 label-salted facet complexes that are cheap but distinct — the
-     store treats them all as one population of content-addressed keys *)
-  let heavy = 40 in
-  let queries =
-    List.init keys (fun i ->
-        if i < heavy then
-          Printf.sprintf {|{"op":"psph","n":2,"values":%d}|} (4 + i)
-        else
-          Printf.sprintf
-            {|{"op":"betti","facets":["0:i%d ; 1:i%d","1:i%d ; 2:i%d"]}|}
-            (1000 + i) (2000 + i) (2000 + i) (3000 + i))
-  in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    m = 0 || go 0
-  in
-  let with_engine_server f =
-    let engine = E.create ~domains:0 ~capacity:4096 () in
-    let handler = Serve.handle_line engine in
-    match
-      Server.listen ~handler
-        ~bin_handler:(Codec.handle ~json:handler engine)
-        { Addr.host = "127.0.0.1"; port = 0 }
-    with
-    | Error m ->
-        E.shutdown engine;
-        failwith ("cluster bench: " ^ m)
-    | Ok srv ->
-        Server.start srv;
-        let addr = { Addr.host = "127.0.0.1"; port = Server.port srv } in
-        let r = f engine addr in
-        Server.stop srv;
-        E.shutdown engine;
-        r
-  in
-  let eval_all label addr =
-    let hits = ref 0 in
-    let wall =
-      phase label (fun () ->
-          (* the deadline must cover queueing behind heavy neighbours in
-             the pipeline, not just one query's own compute *)
-          let c =
-            Client.create ~timeout_ms:300_000 ~retries:1 ~pipeline_depth:16
-              addr
-          in
-          List.iter
-            (function
-              | Ok resp -> if contains resp {|"cached":true|} then incr hits
-              | Error e -> failwith (Client.error_message e))
-            (Client.pipeline c queries);
-          Client.close c)
-    in
-    (wall, !hits)
-  in
-  with_engine_server @@ fun _peer paddr ->
-  let compute_s, _ = eval_all "cluster.compute" paddr in
-  let cold_s, cold_hits =
-    with_engine_server (fun _ addr -> eval_all "cluster.cold" addr)
-  in
-  let (entries, transfer_s), (warm_s, warm_hits) =
-    with_engine_server (fun engine addr ->
-        let tr =
-          timed "cluster.transfer" (fun () ->
-              match Replica.warm_from engine paddr with
-              | Ok n -> n
-              | Error m -> failwith ("warm_from: " ^ m))
-        in
-        (tr, eval_all "cluster.warm" addr))
-  in
-  let warm_total = transfer_s +. warm_s in
-  let rate h = float_of_int h /. float_of_int keys in
-  let speedup = cold_s /. warm_total in
-  Format.printf "@.cluster recovery to warm (%d keys, psph n=2):@." keys;
-  Format.printf "  peer compute        %8.3f s@." compute_s;
-  Format.printf "  cold restart        %8.3f s   hit rate %.2f@." cold_s
-    (rate cold_hits);
-  Format.printf
-    "  warm restart        %8.3f s   (transfer %.3f s, %d entries, serve \
-     %.3f s)   hit rate %.2f@."
-    warm_total transfer_s entries warm_s (rate warm_hits);
-  Format.printf "  speedup vs cold     %8.2fx@." speedup;
-  write_json "BENCH_cluster.json" @@ fun oc ->
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"keys\": %d,\n" keys;
-  Printf.fprintf oc
-    "  \"workload\": \"psph n=2 values=4..%d + %d facet complexes\",\n"
-    (3 + heavy) (keys - heavy);
-  Printf.fprintf oc "  \"compute_s\": %.6f,\n" compute_s;
-  Printf.fprintf oc "  \"cold_restart_s\": %.6f,\n" cold_s;
-  Printf.fprintf oc "  \"cold_hit_rate\": %.4f,\n" (rate cold_hits);
-  Printf.fprintf oc "  \"transfer_s\": %.6f,\n" transfer_s;
-  Printf.fprintf oc "  \"entries_transferred\": %d,\n" entries;
-  Printf.fprintf oc "  \"warm_serve_s\": %.6f,\n" warm_s;
-  Printf.fprintf oc "  \"warm_restart_s\": %.6f,\n" warm_total;
-  Printf.fprintf oc "  \"warm_hit_rate\": %.4f,\n" (rate warm_hits);
-  Printf.fprintf oc "  \"speedup_vs_cold\": %.3f\n" speedup;
-  Printf.fprintf oc "}\n"
-
 let () =
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "net" then (
-    net_bench ();
-    exit 0);
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "cluster" then (
-    cluster_bench ();
-    exit 0);
   let quota =
     if Array.length Sys.argv > 1 then float_of_string Sys.argv.(1) else 0.5
   in
@@ -884,7 +545,4 @@ let () =
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Printf.fprintf oc "}\n" );
-  engine_bench ();
-  models_bench ();
-  net_bench ();
-  cluster_bench ()
+  models_bench ()

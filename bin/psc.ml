@@ -671,30 +671,21 @@ let retries_arg =
           "Retries on retryable failures (refused connection, timeout, torn \
            frame), with exponential backoff and jitter.")
 
-let codec_arg =
-  Arg.(
-    value
-    & opt (enum [ ("json", `Json); ("binary", `Binary) ]) `Json
-    & info [ "codec" ] ~docv:"CODEC"
-        ~doc:
-          "Wire codec to request at the protocol-v2 handshake: $(b,json) or \
-           $(b,binary).  Negotiated, never assumed — a server without the \
-           binary codec (or a v1 server) gets JSON transparently.")
-
 let pipeline_depth_arg =
   Arg.(
     value & opt int 1
     & info [ "pipeline-depth" ] ~docv:"N"
         ~doc:
           "Keep up to $(docv) requests in flight per connection (protocol \
-           v2 pipelining; 1 = classic request/response).")
+           v2 pipelining over the binary codec, negotiated — a v1 server \
+           gets sequential JSON; 1 = classic request/response).")
 
 let query_cmd =
-  let run trace connect timeout_ms retries codec pipeline_depth =
+  let run trace connect timeout_ms retries pipeline_depth =
     let code =
       with_trace trace @@ fun () ->
       let client =
-        Psph_net.Client.create ~timeout_ms ~retries ~codec
+        Psph_net.Client.create ~timeout_ms ~retries
           ~pipeline_depth:(max 1 pipeline_depth) connect
       in
       let failures = ref 0 in
@@ -716,9 +707,7 @@ let query_cmd =
          stdin in chunks so up to pipeline-depth requests share the wire.
          The plain default keeps the line-at-a-time loop, so interactive
          sessions still see each answer before typing the next query *)
-      let chunk =
-        if codec = `Json && pipeline_depth <= 1 then 1 else 4 * pipeline_depth
-      in
+      let chunk = if pipeline_depth > 1 then 4 * pipeline_depth else 1 in
       let rec loop () =
         let rec take k acc =
           if k = 0 then List.rev acc
@@ -750,13 +739,13 @@ let query_cmd =
        ~doc:
          "Send JSON-lines requests from stdin to a TCP $(b,psc serve \
           --listen) (or $(b,psc route)) endpoint, one response per line on \
-          stdout, optionally pipelined ($(b,--pipeline-depth)) and over the \
-          compact binary codec ($(b,--codec binary)).  Exits nonzero if any \
+          stdout, optionally pipelined over the compact binary codec \
+          ($(b,--pipeline-depth)).  Exits nonzero if any \
           request failed at the transport layer (server-side \
           {\"ok\":false,...} responses pass through).")
     Term.(
       const run $ trace_arg $ connect_arg $ timeout_ms_arg $ retries_arg
-      $ codec_arg $ pipeline_depth_arg)
+      $ pipeline_depth_arg)
 
 (* the router's backend links default to a real window: fanning a batch
    out is the point of the command *)
@@ -766,16 +755,16 @@ let route_pipeline_depth_arg =
     & info [ "pipeline-depth" ] ~docv:"N"
         ~doc:
           "In-flight requests per backend connection (protocol v2 \
-           pipelining, negotiated per backend).")
+           pipelining over the binary codec, negotiated per backend).")
 
 let route_cmd =
   let run trace listen backends max_conns replicas vnodes read_fallback
-      timeout_ms retries check_period_ms codec pipeline_depth reactor_threads =
+      timeout_ms retries check_period_ms pipeline_depth reactor_threads =
     let code =
       with_trace trace @@ fun () ->
       let router =
         Psph_net.Router.create ~vnodes ~replication:replicas ~read_fallback
-          ~timeout_ms ~retries ~check_period_ms ~codec
+          ~timeout_ms ~retries ~check_period_ms
           ~pipeline_depth:(max 1 pipeline_depth)
           backends
       in
@@ -862,14 +851,14 @@ let route_cmd =
           {\"ok\":false,\"error\":\"no backend\"} answer when nothing is \
           reachable (see docs/NET.md).  With $(b,--replicas) R > 1 each \
           key's answers are replicated onto R backends and reads fail over \
-          onto the warm replicas.  Backend links pipeline \
-          ($(b,--pipeline-depth)) and can use the binary codec \
-          ($(b,--codec binary)); hot-op batches fan out across shards in \
-          parallel.")
+          onto the warm replicas.  Backend links pipeline over the binary \
+          codec ($(b,--pipeline-depth)); hot-op batches fan out across \
+          shards in parallel.  Clients may speak JSON lines or the binary \
+          codec.")
     Term.(
       const run $ trace_arg $ listen_arg $ backend_arg $ max_conns_arg
       $ replicas_arg $ vnodes_arg $ read_fallback_arg $ timeout_ms_arg
-      $ retries_arg $ check_period_arg $ codec_arg $ route_pipeline_depth_arg
+      $ retries_arg $ check_period_arg $ route_pipeline_depth_arg
       $ reactor_threads_arg)
 
 let sim_cmd =
@@ -998,7 +987,7 @@ let faults_of (dlo, dhi) throttle reset torn corrupt =
   }
 
 let load_cmd =
-  let run trace connect soak out rate conns pipeline_depth codec duration
+  let run trace connect soak out rate conns pipeline_depth duration
       keyspace zipf seed timeout_ms retries backends replicas warm_s slo_ms
       warm_floor no_kill delay throttle reset torn corrupt =
     let lcfg =
@@ -1006,7 +995,6 @@ let load_cmd =
         Psph_load.Loadgen.rate;
         conns;
         pipeline_depth = max 1 pipeline_depth;
-        codec;
         duration_s = duration;
         keyspace;
         zipf;
@@ -1138,13 +1126,6 @@ let load_cmd =
       & info [ "pipeline-depth" ] ~docv:"N"
           ~doc:"In-flight requests per generator connection.")
   in
-  let load_codec_arg =
-    Arg.(
-      value
-      & opt (enum [ ("json", `Json); ("binary", `Binary) ]) `Binary
-      & info [ "codec" ] ~docv:"CODEC"
-          ~doc:"Codec to request at the v2 handshake (negotiated).")
-  in
   let duration_arg =
     Arg.(
       value & opt float 10.
@@ -1262,7 +1243,7 @@ let load_cmd =
           invariant.  See docs/LOAD.md.")
     Term.(
       const run $ trace_arg $ connect_opt_arg $ soak_arg $ out_arg $ rate_arg
-      $ conns_arg $ load_depth_arg $ load_codec_arg $ duration_arg
+      $ conns_arg $ load_depth_arg $ duration_arg
       $ keyspace_arg $ zipf_arg $ seed_arg $ load_timeout_arg
       $ load_retries_arg $ backends_arg $ soak_replicas_arg $ warm_arg
       $ slo_arg $ warm_floor_arg $ no_kill_arg $ chaos_delay_arg

@@ -18,9 +18,11 @@
    building the complex just to hash it costs more than the lookup it
    guards — while the content key underneath still unifies a symbolic
    query with an [Explicit] copy of the same complex.  The front table is
-   unbounded but tiny (a handful of ints per distinct spec ever seen); the
-   bounded LRU holds the actual answers, and a spec whose answer was
-   evicted just recomputes and re-enters.
+   bounded at twice the LRU's capacity (an open spec keyspace must not
+   grow memory forever): past that, bindings whose answer the LRU has
+   evicted are dropped, and if that is not enough the table starts over.
+   The bounded LRU holds the actual answers, and a spec whose binding or
+   answer is gone just recomputes and re-enters.
 
    Observability: every [eval] runs in an [engine.query] root span
    carrying the content key and the hit/miss outcome, so a trace can tell
@@ -103,6 +105,8 @@ let symbolic_hits_c = Obs.counter "solver.symbolic_hit"
 let build_h = Obs.histogram "engine.build_s"
 
 let compute_h = Obs.histogram "engine.compute_s"
+
+let spec_memo_g = Obs.gauge "engine.spec_memo"
 
 type t = {
   pool : Pool.t;
@@ -231,6 +235,21 @@ let compute t c =
   else List.iter (fun (d, job) -> r.(d) <- job ()) jobs;
   answer_of_ranks c r
 
+(* bind a spec key to its content key, keeping the table within twice the
+   LRU's capacity: a binding whose answer was evicted only saves a build
+   the evicted-answer path in [cache_probe] pays anyway.  Caller holds
+   the lock. *)
+let remember_spec t sk key =
+  Hashtbl.replace t.spec_memo sk key;
+  let bound = 2 * Lru.capacity t.cache in
+  if Hashtbl.length t.spec_memo > bound then begin
+    Hashtbl.filter_map_inplace
+      (fun _ key -> if Lru.mem t.cache key then Some key else None)
+      t.spec_memo;
+    if Hashtbl.length t.spec_memo > bound then Hashtbl.reset t.spec_memo
+  end;
+  Obs.gauge_set spec_memo_g (float_of_int (Hashtbl.length t.spec_memo))
+
 (* slow path: build the complex, derive its content key, consult the LRU.
    [sk_opt] is the caller's spec key, recorded so the next occurrence of
    the same spec takes the fast path. *)
@@ -241,7 +260,7 @@ let eval_uncached t sk_opt spec =
   let t1 = Obs.monotonic () in
   Obs.observe build_h (t1 -. t0);
   Mutex.lock t.lock;
-  Option.iter (fun sk -> Hashtbl.replace t.spec_memo sk key) sk_opt;
+  Option.iter (fun sk -> remember_spec t sk key) sk_opt;
   let hit = Lru.find_opt t.cache key in
   Mutex.unlock t.lock;
   match hit with
@@ -268,6 +287,8 @@ let cache_probe t spec =
             | None ->
                 (* the answer was evicted; drop the binding and rebuild *)
                 Hashtbl.remove t.spec_memo sk;
+                Obs.gauge_set spec_memo_g
+                  (float_of_int (Hashtbl.length t.spec_memo));
                 None)
       in
       Mutex.unlock t.lock;

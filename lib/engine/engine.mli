@@ -88,8 +88,10 @@ val create :
   t
 (** [domains] defaults to [min 4 (recommended_domain_count - 1)], at least
     1; pass [0] for a purely sequential engine.  [capacity] (default 4096)
-    bounds the LRU.  [persist] names a {!Store} file loaded now and
-    written by {!flush}/{!shutdown}.  [par_threshold] (default 2048) is
+    bounds the LRU, and at twice that the spec memo in front of it (its
+    size is the [engine.spec_memo] gauge).  [persist] names a {!Store}
+    file loaded now and written by {!flush}/{!shutdown}.
+    [par_threshold] (default 2048) is
     the simplex count above which a single query's rank computations are
     fanned out per dimension. *)
 

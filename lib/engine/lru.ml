@@ -60,6 +60,8 @@ let push_front t n =
   (match t.mru with Some m -> m.prev <- Some n | None -> t.lru <- Some n);
   t.mru <- Some n
 
+let mem t k = Hashtbl.mem t.tbl k
+
 let find_opt t k =
   match Hashtbl.find_opt t.tbl k with
   | None ->

@@ -18,6 +18,9 @@ val create : ?metrics:string -> capacity:int -> unit -> ('k, 'v) t
 val find_opt : ('k, 'v) t -> 'k -> 'v option
 (** Counts a hit (and promotes) or a miss. *)
 
+val mem : ('k, 'v) t -> 'k -> bool
+(** Presence only: no hit/miss accounting, no promotion. *)
+
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or overwrite, promoting to MRU; evicts the LRU entry when the
     table is full. *)

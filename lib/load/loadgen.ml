@@ -31,7 +31,6 @@ type config = {
   rate : float;
   conns : int;
   pipeline_depth : int;
-  codec : [ `Json | `Binary ];
   duration_s : float;
   keyspace : int;
   zipf : float;
@@ -45,7 +44,6 @@ let default_config =
     rate = 500.;
     conns = 4;
     pipeline_depth = 16;
-    codec = `Binary;
     duration_s = 10.;
     keyspace = 64;
     zipf = 1.0;
@@ -186,7 +184,7 @@ let worker cfg m addr qtab cdf wi acc =
   let rng = Random.State.make [| cfg.seed; wi |] in
   let client =
     Client.create ~metrics:"load.client" ~timeout_ms:cfg.timeout_ms
-      ~retries:cfg.retries ~codec:cfg.codec
+      ~retries:cfg.retries ~codec:`Binary
       ~pipeline_depth:cfg.pipeline_depth addr
   in
   let per_conn_rate = cfg.rate /. float_of_int (max 1 cfg.conns) in

@@ -1,7 +1,8 @@
 (** Open-loop load generator for the framed serve protocol (wire v2).
 
     [conns] worker threads each own one pipelined {!Psph_net.Client}
-    (binary codec when the peer grants it) and fire requests on a
+    (binary codec, which every {!Psph_net.Server} grants — a router
+    front included; v1 when the peer predates it) and fire requests on a
     Poisson arrival schedule drawn from a seeded RNG — {b open-loop}:
     the schedule is independent of how fast the server answers, and
     each request's latency is measured from its {e intended} arrival
@@ -30,7 +31,6 @@ type config = {
   rate : float;  (** total target req/s across all connections *)
   conns : int;
   pipeline_depth : int;
-  codec : [ `Json | `Binary ];
   duration_s : float;
   keyspace : int;  (** distinct keys in the query table *)
   zipf : float;  (** skew exponent; 0. = uniform *)
@@ -40,8 +40,7 @@ type config = {
 }
 
 val default_config : config
-(** 500 req/s over 4 connections, depth 16, binary codec, 10 s,
-    64 keys, zipf 1.0. *)
+(** 500 req/s over 4 connections, depth 16, 10 s, 64 keys, zipf 1.0. *)
 
 type stats = {
   sent : int;

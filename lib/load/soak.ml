@@ -264,7 +264,7 @@ let run cfg =
           let router =
             Router.create ~metrics:"soak.router" ~replication:cfg.replicas
               ~read_fallback:true ~timeout_ms:1500 ~retries:0
-              ~check_period_ms:250 ~codec:`Binary
+              ~check_period_ms:250
               (List.map Chaos.addr proxies)
           in
           defer (fun () -> Router.stop router);

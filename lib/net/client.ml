@@ -1,5 +1,5 @@
-(* Reconnecting request/response client with optional pipelining and
-   binary codec (wire protocol v2).
+(* Reconnecting request/response client with optional pipelining over
+   the binary codec (wire protocol v2).
 
    The v1 discipline survives intact for plain clients: each attempt
    gets [timeout_ms] of budget covering connect, send and receive
@@ -7,9 +7,9 @@
    failed attempt discards the socket, because on an id-less connection
    a late response would be mistaken for the answer to the next request.
 
-   Pipelined connections change exactly that last rule.  The client
-   injects a transport request id into every windowed request and keys
-   the in-flight window on it, so a late response is identifiable — and
+   Binary connections change exactly that last rule.  The client stamps
+   a transport request id on every windowed request and keys the
+   in-flight window on it, so a late response is identifiable — and
    therefore harmless.  A timed-out request keeps the connection: its id
    moves to the connection's stale set, the retry flies with a fresh id,
    and when the orphaned response eventually lands it is dropped and
@@ -23,11 +23,11 @@
    failures (torn frames, oversized frames, dead sockets, barrier
    timeouts) tear the connection down.
 
-   The driver below runs every request through one state machine with
-   three per-connection modes, negotiated by a hello frame on fresh
-   connections: V2 binary (hot ops as {!Codec} bytes, everything else
-   escape-tagged JSON), V2 json (hot ops with injected ids), and V1
-   (old server: sequential, one in flight, byte-identical to the old
+   The driver below runs every request — {!request} included — through
+   one state machine with two per-connection modes: binary (negotiated
+   by a hello frame on fresh connections; hot ops as {!Codec} bytes,
+   everything else escape-tagged JSON) and V1 (plain clients, and old
+   servers: sequential, one in flight, byte-identical to the old
    client).  Requests whose responses carry no id to match on — batch,
    stats, anything not a hot op — are "barriers": the window drains and
    they fly alone, so positional matching is unambiguous. *)
@@ -59,13 +59,14 @@ type metrics = {
 }
 
 (* how a fresh connection turned out after the hello exchange *)
-type nego = V1 | V2 of { binary : bool }
+type mode = V1 | Binary
 
 type conn = {
   fd : Unix.file_descr;
   reader : Frame.reader;  (* persistent: frames can span reads *)
+  rbuf : Bytes.t;  (* socket read buffer, reused by every exchange *)
   stale : (int, float) Hashtbl.t;  (* timed-out id -> expiry of the debt *)
-  mutable nego : nego option;
+  mutable mode : mode option;
 }
 
 type t = {
@@ -75,7 +76,7 @@ type t = {
   backoff_s : float;
   max_backoff_s : float;
   max_frame : int;
-  codec : [ `Json | `Binary ];
+  binary : bool;  (* negotiate the binary codec on fresh connections *)
   pipeline_depth : int;
   rng : Random.State.t;
   lock : Mutex.t;
@@ -118,7 +119,7 @@ let create ?(metrics = "net.client") ?(timeout_ms = 5000) ?(retries = 3)
     backoff_s = float_of_int backoff_ms /. 1000.;
     max_backoff_s = float_of_int max_backoff_ms /. 1000.;
     max_frame;
-    codec;
+    binary = codec = `Binary || pipeline_depth > 1;
     pipeline_depth = max 1 pipeline_depth;
     rng = Random.State.make_self_init ();
     lock = Mutex.create ();
@@ -141,11 +142,13 @@ let create ?(metrics = "net.client") ?(timeout_ms = 5000) ?(retries = 3)
 
 let addr t = t.addr
 
-let pending_stale t =
+let locked t f =
   Mutex.lock t.lock;
-  let n = match t.conn with Some c -> Hashtbl.length c.stale | None -> 0 in
-  Mutex.unlock t.lock;
-  n
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+
+let pending_stale t =
+  locked t @@ fun () ->
+  match t.conn with Some c -> Hashtbl.length c.stale | None -> 0
 
 let next_tid t =
   let v = t.tid in
@@ -159,10 +162,7 @@ let disconnect t =
       t.conn <- None;
       (try Unix.close c.fd with _ -> ())
 
-let close t =
-  Mutex.lock t.lock;
-  disconnect t;
-  Mutex.unlock t.lock
+let close t = locked t (fun () -> disconnect t)
 
 let connection fmt = Printf.ksprintf (fun m -> raise (Err (Connection m))) fmt
 
@@ -225,8 +225,9 @@ let ensure_connected t deadline =
         {
           fd;
           reader = Frame.reader ~max_frame:t.max_frame ();
+          rbuf = Bytes.create 65536;
           stale = Hashtbl.create 8;
-          nego = None;
+          mode = None;
         }
       in
       t.conn <- Some c;
@@ -263,7 +264,7 @@ let send_all fd s deadline =
    connection (reader included), so a half-frame can never leak into the
    next exchange. *)
 let recv_one c deadline =
-  let buf = Bytes.create 65536 in
+  let buf = c.rbuf in
   let rec go () =
     match Frame.next c.reader with
     | Some payload -> payload
@@ -309,61 +310,56 @@ let backoff_delay t n =
 (* negotiation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let hello_line t =
-  Printf.sprintf {|{"op":"hello","version":2,"codec":%S,"pipeline":true}|}
-    (match t.codec with `Binary -> "binary" | `Json -> "json")
+let hello_line = {|{"op":"hello","version":2,"codec":"binary"}|}
 
+(* binary only when granted: an old server answers hello with an
+   unknown-op error, and one that grants v2 JSON pipelining instead is
+   spoken to in v1 *)
 let negotiate t c deadline =
-  send_all c.fd (Frame.encode ~max_frame:t.max_frame (hello_line t)) deadline;
+  send_all c.fd (Frame.encode ~max_frame:t.max_frame hello_line) deadline;
   let resp = recv_one c deadline in
-  let nego =
+  let mode =
     match Jsonl.of_string_opt resp with
-    | Some o ->
-        let ok = Jsonl.member "ok" o = Some (Jsonl.Bool true) in
-        let version = Option.bind (Jsonl.member "version" o) Jsonl.to_int_opt in
-        let pipelined = Jsonl.member "pipeline" o = Some (Jsonl.Bool true) in
-        if ok && version = Some 2 && pipelined then
-          V2
-            {
-              binary =
-                Option.bind (Jsonl.member "codec" o) Jsonl.to_string_opt
-                = Some "binary";
-            }
-        else V1 (* an old server answers hello with an unknown-op error *)
-    | None -> V1
+    | Some o
+      when Jsonl.member "ok" o = Some (Jsonl.Bool true)
+           && Option.bind (Jsonl.member "version" o) Jsonl.to_int_opt = Some 2
+           && Option.bind (Jsonl.member "codec" o) Jsonl.to_string_opt
+              = Some "binary" ->
+        Binary
+    | _ -> V1
   in
-  c.nego <- Some nego;
-  nego
+  c.mode <- Some mode;
+  mode
 
 (* connect if needed, negotiate if the connection is fresh.  Plain
-   clients (json codec, depth 1) never send a hello: they stay
+   clients (no binary, depth 1) never send a hello: they stay
    byte-for-byte the v1 client. *)
-let ensure_nego t =
+let ensure_mode t =
   let deadline = Obs.monotonic () +. t.timeout_s in
   let c = ensure_connected t deadline in
-  match c.nego with
-  | Some n -> (c, n)
+  match c.mode with
+  | Some m -> (c, m)
   | None ->
-      if t.codec = `Json && t.pipeline_depth <= 1 then begin
-        c.nego <- Some V1;
+      if t.binary then (c, negotiate t c deadline)
+      else begin
+        c.mode <- Some V1;
         (c, V1)
       end
-      else (c, negotiate t c deadline)
 
 (* ------------------------------------------------------------------ *)
 (* the pipelined driver                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* one request through the driver.  [bin] marks it windowable — a hot
-   op whose response is guaranteed to echo the transport id (hot-op
-   results and their errors both do) — and holds its pre-encoded binary
-   request (id 0, stamped per send), so the per-flight cost on a binary
-   connection is a copy, not an encode.  Everything else is a barrier.
-   The JSON forms are lazy: a binary connection never builds them. *)
+(* one request through the driver.  [bin] is [Some] for a windowable
+   request — a hot op, whose binary reply (result or error) always
+   echoes the transport id — holding its pre-encoded binary request (id
+   0, stamped per send), so the per-flight cost is a copy, not an
+   encode.  [None] makes it a barrier.  Every form is lazy: a V1
+   exchange never parses its line, a binary one never prints it. *)
 type ditem = {
   jline : string Lazy.t;
   jobj : Jsonl.t option Lazy.t;
-  bin : string Lazy.t option;
+  bin : string option Lazy.t;
   mutable attempts : int;  (* failed attempts so far *)
 }
 
@@ -373,7 +369,6 @@ type ditem = {
 type rv =
   | Rbin of Codec.reply  (* binary reply, ids already transport-level *)
   | Rraw of string  (* verbatim response line (barrier or v1) *)
-  | Rinj of string  (* JSON response carrying an injected transport id *)
 
 let drive ?on_latency t (items : ditem array) =
   let n = Array.length items in
@@ -418,9 +413,8 @@ let drive ?on_latency t (items : ditem array) =
       incr streak
     end
   in
-  let buf = Bytes.create 65536 in
 
-  (* -------------------- V1: sequential fallback -------------------- *)
+  (* ------------------- V1: the sequential exchange ----------------- *)
   let v1_drain c =
     let inflight = ref (-1) in
     try
@@ -451,32 +445,14 @@ let drive ?on_latency t (items : ditem array) =
       end
   in
 
-  (* ---------------------- V2: windowed pump ------------------------ *)
-  let pump c binary =
+  (* -------------------- binary: the windowed pump ------------------- *)
+  let pump c =
     (* tid -> (item index, sent_at, deadline) *)
     let window = Hashtbl.create (2 * t.pipeline_depth) in
     let barrier = ref None in
     let out = Buffer.create 4096 in
     let inflight () =
       Hashtbl.length window + match !barrier with Some _ -> 1 | None -> 0
-    in
-    let encode_windowable it tid =
-      match it.bin with
-      | Some tpl when binary -> Codec.request_with_id (Lazy.force tpl) tid
-      | Some _ -> (
-          match Lazy.force it.jobj with
-          | Some (Jsonl.Obj fields) ->
-              Jsonl.to_string
-                (Jsonl.Obj
-                   (("id", Jsonl.int tid) :: List.remove_assoc "id" fields))
-          | _ ->
-              Lazy.force it.jline
-              (* unreachable: windowable implies a parsed object *))
-      | None -> assert false
-    in
-    let encode_barrier it =
-      if binary then Codec.escape_json (Lazy.force it.jline)
-      else Lazy.force it.jline
     in
     let fill () =
       let again = ref true in
@@ -485,15 +461,15 @@ let drive ?on_latency t (items : ditem array) =
         if results.(idx) <> None then ignore (Queue.pop pending)
         else begin
           let it = items.(idx) in
-          match it.bin with
-          | Some _ ->
+          match Lazy.force it.bin with
+          | Some tpl ->
               if !barrier = None && Hashtbl.length window < t.pipeline_depth
               then begin
                 ignore (Queue.pop pending);
                 let tid = next_tid t in
                 let now = Obs.monotonic () in
                 Frame.encode_into ~max_frame:t.max_frame out
-                  (encode_windowable it tid);
+                  (Codec.request_with_id tpl tid);
                 Hashtbl.replace window tid (idx, now, now +. t.timeout_s);
                 Obs.incr t.m.pipelined
               end
@@ -505,7 +481,7 @@ let drive ?on_latency t (items : ditem array) =
                 ignore (Queue.pop pending);
                 let now = Obs.monotonic () in
                 Frame.encode_into ~max_frame:t.max_frame out
-                  (encode_barrier it);
+                  (Codec.escape_json (Lazy.force it.jline));
                 barrier := Some (idx, now, now +. t.timeout_s)
               end;
               again := false
@@ -528,46 +504,33 @@ let drive ?on_latency t (items : ditem array) =
       Obs.incr t.m.stale
     in
     let handle_payload payload =
-      let cls =
-        if binary then
-          match Codec.unescape_json payload with
-          | Some line -> `Json line
-          | None -> (
-              match Codec.decode_reply payload with
-              | Ok r -> `Bin r
-              | Error m -> raise (Err (Protocol ("undecodable reply: " ^ m))))
-        else `Json payload
-      in
-      match cls with
-      | `Bin r -> (
-          let id =
-            match r with
-            | Codec.Result { id; _ } | Codec.Failed { id; _ } -> id
-          in
-          match Hashtbl.find_opt window id with
-          | Some (idx, sent, _) -> resolve_window id idx sent (Rbin r)
-          | None -> drop_stale (Some id))
-      | `Json line -> (
+      match Codec.unescape_json payload with
+      | None -> (
+          match Codec.decode_reply payload with
+          | Error m -> raise (Err (Protocol ("undecodable reply: " ^ m)))
+          | Ok r -> (
+              let id =
+                match r with
+                | Codec.Result { id; _ } | Codec.Failed { id; _ } -> id
+              in
+              match Hashtbl.find_opt window id with
+              | Some (idx, sent, _) -> resolve_window id idx sent (Rbin r)
+              | None -> drop_stale (Some id)))
+      | Some line -> (
+          (* an escaped JSON frame answers the barrier — unless its id
+             names a request we timed out, in which case it is that
+             request's late response *)
           let id =
             match Jsonl.of_string_opt line with
             | Some o -> Option.bind (Jsonl.member "id" o) Jsonl.to_int_opt
             | None -> None
           in
-          match id with
-          | Some i when (not binary) && Hashtbl.mem window i ->
-              let idx, sent, _ = Hashtbl.find window i in
-              resolve_window i idx sent (Rinj line)
-          | _ -> (
-              (* a frame that matches no window slot answers the barrier
-                 — unless its id names a request we timed out, in which
-                 case it is that request's late response *)
-              match !barrier with
-              | Some (idx, sent, _)
-                when (match id with Some i -> i < tid_base | None -> true) ->
-                  barrier := None;
-                  resolve ~latency:(Obs.monotonic () -. sent) idx
-                    (Ok (Rraw line))
-              | _ -> drop_stale id))
+          match !barrier with
+          | Some (idx, sent, _)
+            when (match id with Some i -> i < tid_base | None -> true) ->
+              barrier := None;
+              resolve ~latency:(Obs.monotonic () -. sent) idx (Ok (Rraw line))
+          | _ -> drop_stale id)
     in
     let nearest_deadline () =
       let d =
@@ -644,10 +607,10 @@ let drive ?on_latency t (items : ditem array) =
         if dl <= now then expire ()
         else begin
           set_timeout c.fd Unix.SO_RCVTIMEO (dl -. now);
-          match Unix.read c.fd buf 0 (Bytes.length buf) with
+          match Unix.read c.fd c.rbuf 0 (Bytes.length c.rbuf) with
           | 0 -> connection "connection closed by server (torn frame)"
           | n -> (
-              match Frame.feed c.reader buf 0 n with
+              match Frame.feed c.reader c.rbuf 0 n with
               | () -> ()
               | exception Frame.Oversized len ->
                   raise
@@ -685,7 +648,7 @@ let drive ?on_latency t (items : ditem array) =
   let rec session () =
     if unresolved () then begin
       rebuild_pending ();
-      (match ensure_nego t with
+      (match ensure_mode t with
       | exception e ->
           let e =
             match e with Err e -> e | e -> Connection (Printexc.to_string e)
@@ -694,9 +657,9 @@ let drive ?on_latency t (items : ditem array) =
       | c, V1 ->
           streak := 0;
           v1_drain c
-      | c, V2 { binary } ->
+      | c, Binary ->
           streak := 0;
-          pump c binary);
+          pump c);
       session ()
     end
   in
@@ -712,58 +675,45 @@ let drive ?on_latency t (items : ditem array) =
 (* ------------------------------------------------------------------ *)
 
 let item_of_line line =
-  let jobj = Jsonl.of_string_opt line in
+  let jobj = lazy (Jsonl.of_string_opt line) in
   let bin =
-    match jobj with
-    | Some (Jsonl.Obj _ as o) ->
-        Codec.query_of_json o
-        |> Option.map (fun (want, query) ->
-               lazy (Codec.encode_request { Codec.id = 0; want; query }))
-    | _ -> None
+    lazy
+      (match Lazy.force jobj with
+      | Some (Jsonl.Obj _ as o) ->
+          Codec.query_of_json o
+          |> Option.map (fun (want, query) ->
+                 Codec.encode_request { Codec.id = 0; want; query })
+      | _ -> None)
   in
-  { jline = Lazy.from_val line; jobj = Lazy.from_val jobj; bin; attempts = 0 }
+  { jline = Lazy.from_val line; jobj; bin; attempts = 0 }
 
-let orig_id it =
-  match Lazy.force it.jobj with
-  | Some o -> Jsonl.member "id" o
-  | None -> None
+(* the response line a v1 exchange would have produced: a binary reply
+   is printed back under the caller's own id *)
+let line_of it = function
+  | Rraw s -> s
+  | Rbin rep ->
+      let orig =
+        match Lazy.force it.jobj with
+        | Some o -> Jsonl.member "id" o
+        | None -> None
+      in
+      Codec.json_of_reply ~id:orig rep
 
-(* swap the injected transport id back out of a response line.  The
-   server always puts the echoed id first, so this preserves the exact
-   bytes a v1 exchange would have produced. *)
-let restore_id orig line =
-  match Jsonl.of_string_opt line with
-  | Some (Jsonl.Obj (("id", _) :: rest)) ->
-      Jsonl.to_string
-        (Jsonl.Obj
-           (match orig with Some v -> ("id", v) :: rest | None -> rest))
-  | _ -> line
-
-let pipeline_locked ?on_latency t lines =
-  let items = Array.of_list (List.map item_of_line lines) in
+(* a batch through the driver under one pipeline span *)
+let drive_all ?on_latency t items =
   Obs.incr ~by:(Array.length items) t.m.requests;
   Obs.with_span t.m.pipeline_span (fun sp ->
       Obs.set_attr sp "count" (Jsonl.int (Array.length items));
-      let rs = drive ?on_latency t items in
-      Array.to_list
-        (Array.mapi
-           (fun i r ->
-             match r with
-             | Error e -> Error e
-             | Ok (Rraw s) -> Ok s
-             | Ok (Rinj s) -> Ok (restore_id (orig_id items.(i)) s)
-             | Ok (Rbin rep) ->
-                 Ok (Codec.json_of_reply ~id:(orig_id items.(i)) rep))
-           rs))
+      drive ?on_latency t items)
 
 let pipeline ?on_latency t lines =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
-  pipeline_locked ?on_latency t lines
+  locked t @@ fun () ->
+  let items = Array.of_list (List.map item_of_line lines) in
+  let rs = drive_all ?on_latency t items in
+  Array.to_list (Array.mapi (fun i r -> Result.map (line_of items.(i)) r) rs)
 
 let eval_many ?on_latency t specs =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
+  locked t @@ fun () ->
   let items =
     Array.of_list
       (List.map
@@ -772,8 +722,8 @@ let eval_many ?on_latency t specs =
              (* out-of-range queries can't ride the binary codec; let
                 them fall back to plain JSON and the server's answer *)
              match Codec.encode_request { Codec.id = 0; want; query } with
-             | tpl -> Some (Lazy.from_val tpl)
-             | exception Invalid_argument _ -> None
+             | tpl -> Lazy.from_val (Some tpl)
+             | exception Invalid_argument _ -> Lazy.from_val None
            in
            let jline = lazy (Codec.json_line_of_query want query) in
            {
@@ -784,66 +734,30 @@ let eval_many ?on_latency t specs =
            })
          specs)
   in
-  Obs.incr ~by:(Array.length items) t.m.requests;
-  Obs.with_span t.m.pipeline_span (fun sp ->
-      Obs.set_attr sp "count" (Jsonl.int (Array.length items));
-      let rs = drive ?on_latency t items in
-      Array.to_list
-        (Array.map
-           (fun r ->
-             match r with
-             | Error e -> Error e
-             | Ok (Rbin rep) -> Ok rep
-             | Ok (Rraw s) | Ok (Rinj s) -> (
-                 match Codec.reply_of_json s with
-                 | Some rep -> Ok rep
-                 | None -> Error (Protocol "unparseable response")))
-           rs))
+  Array.to_list
+    (Array.map
+       (function
+         | Error e -> Error e
+         | Ok (Rbin rep) -> Ok rep
+         | Ok (Rraw s) -> (
+             match Codec.reply_of_json s with
+             | Some rep -> Ok rep
+             | None -> Error (Protocol "unparseable response")))
+       (drive_all ?on_latency t items))
 
-(* the classic single-shot path, unchanged from v1 for plain clients *)
-let attempt_once t line =
-  let deadline = Obs.monotonic () +. t.timeout_s in
-  let c = ensure_connected t deadline in
-  send_all c.fd
-    (Frame.encode ~max_frame:t.max_frame (with_span_parent line))
-    deadline;
-  recv_one c deadline
-
-let plain_request t line =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
+(* one item through the driver, in its own span: on a V1 connection the
+   span id rides out as "span_parent" (while tracing), so server spans
+   nest under it *)
+let request t line =
+  locked t @@ fun () ->
   Obs.incr t.m.requests;
   Obs.with_span t.m.span_name (fun sp ->
-      Obs.time t.m.request_s (fun () ->
-          let rec go n =
-            match attempt_once t line with
-            | response ->
-                Obs.set_attr sp "attempts" (Jsonl.int (n + 1));
-                Ok response
-            | exception Err e ->
-                disconnect t;
-                if e = Timeout then Obs.incr t.m.timeouts;
-                if is_retryable e && n < t.max_retries then begin
-                  Obs.incr t.m.retries;
-                  Thread.delay (backoff_delay t n);
-                  go (n + 1)
-                end
-                else begin
-                  Obs.incr t.m.errors;
-                  Obs.set_attr sp "attempts" (Jsonl.int (n + 1));
-                  Obs.set_attr sp "error" (Jsonl.Str (error_message e));
-                  Error e
-                end
-            | exception e ->
-                disconnect t;
-                Obs.incr t.m.errors;
-                Error (Connection (Printexc.to_string e))
-          in
-          go 0))
-
-let request t line =
-  if t.codec = `Binary || t.pipeline_depth > 1 then
-    match pipeline t [ line ] with
-    | [ r ] -> r
-    | _ -> Error (Protocol "pipeline arity") (* unreachable *)
-  else plain_request t line
+      let it = item_of_line line in
+      match (drive t [| it |]).(0) with
+      | Ok v ->
+          Obs.set_attr sp "attempts" (Jsonl.int (it.attempts + 1));
+          Ok (line_of it v)
+      | Error e ->
+          Obs.set_attr sp "attempts" (Jsonl.int it.attempts);
+          Obs.set_attr sp "error" (Jsonl.Str (error_message e));
+          Error e)

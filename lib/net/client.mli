@@ -1,5 +1,5 @@
 (** A resilient client for the framed serve protocol, with optional
-    request pipelining and the compact binary codec (wire protocol v2).
+    request pipelining over the compact binary codec (wire protocol v2).
 
     {!request} keeps the classic contract: one frame out, one frame
     back, over a connection that is (re)established on demand, with
@@ -18,19 +18,20 @@
     Server-side [{"ok":false,...}] responses are successful requests at
     this layer; interpreting them is the caller's business.
 
-    {b Pipelining.}  A client created with [pipeline_depth > 1] or
-    [codec `Binary] negotiates protocol v2 on each fresh connection
-    (one [hello] frame; an old server answers with an error and the
-    client quietly falls back to sequential v1 — negotiated, never
-    assumed).  {!pipeline} then keeps up to [pipeline_depth] requests
-    in flight per connection, keying the window on transport request
-    ids it injects into each outgoing request and strips from each
-    response, so callers see exactly the bytes a v1 exchange would
-    have produced.  Hot query ops ([psph], [betti], [connectivity],
-    [model-complex]) are windowed — and, when the server granted the
-    binary codec, translated through {!Codec} so neither side touches
-    JSON; other ops act as barriers (the window drains, they fly
-    alone) because their responses carry no id to match on.
+    {b Pipelining.}  A connection runs in one of two modes.  A client
+    created with [pipeline_depth > 1] or [codec `Binary] asks for the
+    binary codec on each fresh connection (one [hello] frame); when it
+    is granted the connection is binary, otherwise — an old server
+    answering with an error, or one offering anything but binary — it
+    quietly falls back to sequential v1 (negotiated, never assumed).
+    On a binary connection {!pipeline} keeps up to [pipeline_depth]
+    requests in flight, keying the window on transport request ids.
+    Hot query ops ([psph], [betti], [connectivity], [model-complex])
+    are windowed and translated through {!Codec}, and each reply is
+    printed back under the caller's own id, so callers see exactly the
+    bytes a v1 exchange would have produced; other ops ride the JSON
+    escape as barriers (the window drains, they fly alone) because
+    their responses carry no id to match on.
 
     A timed-out pipelined request no longer tears down the connection:
     its id is remembered, the late response is dropped when it arrives
@@ -50,13 +51,12 @@
 
     Observability ([net.client.*]): request/error/retry/reconnect/
     timeout/pipelined/stale_response counters and a latency histogram;
-    {!request} (un-negotiated) runs in a [net.client.request] span
-    whose id is injected into the outgoing JSON as ["span_parent"] —
+    {!request} runs in a [net.client.request] span whose id, on a v1
+    connection, is injected into the outgoing JSON as ["span_parent"] —
     the bridge that makes loopback traces nest across the socket
     (injection only happens while a trace sink is live, so production
     requests go out byte-untouched).  {!pipeline} runs in a single
-    [net.client.pipeline] span; pipelined requests skip span-parent
-    injection. *)
+    [net.client.pipeline] span; binary requests carry no span parent. *)
 
 type error =
   | Timeout
@@ -85,8 +85,8 @@ val create :
     [retries] 3 (so up to 4 attempts), [backoff_ms] 50 doubling per
     retry up to [max_backoff_ms] 2000 with full jitter, [codec] [`Json],
     [pipeline_depth] 1.  With the defaults the client is byte-for-byte
-    the v1 client — no hello, no ids; protocol v2 is only negotiated
-    when [codec `Binary] or [pipeline_depth > 1] asks for it. *)
+    the v1 client — no hello, no ids.  [codec `Binary] negotiates the
+    binary codec even at depth 1, and [pipeline_depth > 1] implies it. *)
 
 val addr : t -> Addr.t
 
@@ -97,9 +97,9 @@ val pending_stale : t -> int
 
 val request : t -> string -> (string, error) result
 (** Send one line, wait for the response line.  Serialized per client
-    (one caller at a time).  On a v2-negotiating client this is
-    [pipeline t [line]]; responses are byte-identical either way.  The
-    returned error is the last attempt's. *)
+    (one caller at a time).  The same driver as [pipeline t [line]],
+    so responses are byte-identical either way.  The returned error is
+    the last attempt's. *)
 
 val pipeline :
   ?on_latency:(int -> float -> unit) ->
@@ -121,8 +121,8 @@ val eval_many :
 (** {!pipeline} for structured hot queries, skipping JSON entirely on a
     binary connection: queries are encoded straight through {!Codec}
     and replies decoded back — the no-allocation-waste path the bench
-    measures.  On a JSON or v1 connection the queries fall back to
-    their {!Codec.json_line_of_query} form transparently. *)
+    measures.  On a v1 connection the queries fall back to their
+    {!Codec.json_line_of_query} form transparently. *)
 
 val close : t -> unit
 (** Drop the connection, if any.  The client stays usable: the next

@@ -517,8 +517,8 @@ let query_of_json req =
       | _ -> None)
   | _ -> None
 
-(* the JSON request a binary query corresponds to — the client's fallback
-   when a server granted only JSON (or v1).  Covers the image of
+(* the JSON request a binary query corresponds to — the client's form on
+   a v1 connection, and the line [of_json_handler] asks.  Covers the image of
    [query_of_json] exactly; the combinations that image never produces
    ([Betti]/[Connectivity] over [Psph]/[Model], [Both] over [Facets]) map
    to the nearest op, which answers a superset/subset of the fields. *)
@@ -700,3 +700,22 @@ let handle ~json engine payload =
           | exception e ->
               encode_reply
                 (Failed { id; message = "internal error: " ^ Printexc.to_string e })))
+
+(* the binary handler of a server that only has a line handler (the
+   router front, a test double): a hot request is answered as its JSON
+   form and the answer translated back, so every server speaks binary *)
+let of_json_handler json payload =
+  match unescape_json payload with
+  | Some line -> escape_json (json line)
+  | None -> (
+      match decode_request payload with
+      | Error m ->
+          encode_reply
+            (Failed { id = request_id_of_payload payload; message = "bad request: " ^ m })
+      | Ok { id; want; query } ->
+          let answer = json (json_line_of_query want query) in
+          encode_reply
+            (match reply_of_json answer with
+            | Some (Result r) -> Result { r with id }
+            | Some (Failed f) -> Failed { f with id }
+            | None -> Failed { id; message = "unparseable answer: " ^ answer }))

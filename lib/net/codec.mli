@@ -102,8 +102,9 @@ val request_id_of_payload : string -> int
     reply for a request it could not decode. *)
 
 val json_line_of_query : ?id:Jsonl.t -> want -> query -> string
-(** The JSON-lines request equivalent to a binary query — the client's
-    fallback when the server granted only JSON (or is a v1 server).
+(** The JSON-lines request equivalent to a binary query — what a client
+    sends on a v1 connection, and what {!of_json_handler} asks its line
+    handler.
     Inverse of {!query_of_json} on its image; combinations that image
     never produces map to the nearest op. *)
 
@@ -132,3 +133,14 @@ val handle :
     Escape-tagged payloads go through [json] (in production
     {!Psph_engine.Serve.handle_line}) and come back escape-tagged.
     Never raises; corrupt input is answered with a binary error reply. *)
+
+val of_json_handler : (string -> string) -> string -> string
+(** The binary handler derived from a line handler alone — what
+    {!Server.listen} installs when it is given no [bin_handler].
+    Escape-tagged payloads go through the line handler as in {!handle};
+    a hot request is sent to it as its {!json_line_of_query} line and
+    the answer parsed back with {!reply_of_json}, re-addressed to the
+    request id.  Fields a {!reply} cannot carry (a router's
+    ["retry_after_ms"]) are dropped; the answer bytes a client rebuilds
+    with {!json_of_reply} are otherwise those of the line handler.
+    Undecodable requests get a binary error reply. *)

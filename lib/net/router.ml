@@ -47,7 +47,6 @@ type cfg = {
   timeout_ms : int;
   retries : int;
   max_frame : int;
-  codec : [ `Json | `Binary ];
   pipeline_depth : int;
 }
 
@@ -65,12 +64,14 @@ type t = {
   m : metrics;
 }
 
+(* request links are binary: hot ops cross as codec bytes and come back
+   as the backend's own JSON bytes (Client rebuilds them) *)
 let mk_backend cfg baddr =
   {
     baddr;
     client =
       Client.create ~metrics:(cfg.metrics ^ ".client") ~timeout_ms:cfg.timeout_ms
-        ~retries:cfg.retries ~max_frame:cfg.max_frame ~codec:cfg.codec
+        ~retries:cfg.retries ~max_frame:cfg.max_frame ~codec:`Binary
         ~pipeline_depth:cfg.pipeline_depth baddr;
     health =
       Client.create ~metrics:(cfg.metrics ^ ".health")
@@ -82,11 +83,9 @@ let mk_backend cfg baddr =
 let create ?(metrics = "net.router") ?(vnodes = 64) ?(replication = 1)
     ?(read_fallback = false) ?(timeout_ms = 5000) ?(retries = 1)
     ?(check_period_ms = 1000) ?(max_frame = Frame.max_frame_default)
-    ?(codec = `Json) ?(pipeline_depth = 16) addrs =
+    ?(pipeline_depth = 16) addrs =
   if addrs = [] then invalid_arg "Router.create: no backends";
-  let cfg =
-    { metrics; timeout_ms; retries; max_frame; codec; pipeline_depth }
-  in
+  let cfg = { metrics; timeout_ms; retries; max_frame; pipeline_depth } in
   let bks = Array.of_list (List.map (mk_backend cfg) addrs) in
   let ring = Ring.make ~vnodes (List.map Addr.to_string addrs) in
   let m =

@@ -45,7 +45,8 @@
     [{"ok":false,"error":"no backend"}] (id echoed) — and while the
     health prober is running the degraded answer carries
     ["retry_after_ms"] (the probe period), because the outage is then a
-    transient the prober is actively working to clear.  A background
+    transient the prober is actively working to clear.  The hint is
+    JSON-only: a binary error reply carries just the message.  A background
     health checker probes every backend with [{"op":"models"}] and
     revives dead ones.
 
@@ -66,7 +67,6 @@ val create :
   ?retries:int ->
   ?check_period_ms:int ->
   ?max_frame:int ->
-  ?codec:[ `Json | `Binary ] ->
   ?pipeline_depth:int ->
   Addr.t list ->
   t
@@ -77,10 +77,12 @@ val create :
     replica-served reads in the [net.replica.*] family;
     [timeout_ms]/[retries] configure the per-backend clients (retries
     default 1 — the ring-level failover is the real retry);
-    [check_period_ms] (default 1000) spaces health probes.  [codec]
-    (default [`Json]) and [pipeline_depth] (default 16) configure the
-    backend links: protocol v2 is negotiated per connection, so v1
-    backends quietly get sequential JSON either way (see {!Client}).
+    [check_period_ms] (default 1000) spaces health probes.  Backend
+    links always ask for the binary codec and keep up to
+    [pipeline_depth] (default 16) requests in flight; v1 backends
+    quietly get sequential JSON (see {!Client}).  A link serves one
+    request at a time ({!Client.request} holds its lock for the round
+    trip), so only a batch fan-out fills the window.
     @raise Invalid_argument on an empty or duplicate backend list. *)
 
 val shard_key : string -> string option

@@ -6,13 +6,16 @@
    the loop, or on [dispatch]); its response is queued back on the
    connection from whatever thread the job ran on.
 
-   Ordering contract: a connection that has not negotiated pipelining
-   gets v1 semantics — responses in request order — even though jobs may
+   Ordering contract, one rule per codec: a JSON-lines connection gets
+   v1 semantics — responses in request order — even though jobs may
    complete out of order on the dispatch pool.  Each such request takes
    a sequence number at decode time (loop thread, so numbering matches
    arrival order) and [complete] holds finished responses until their
-   turn.  Negotiated connections skip the machinery entirely: responses
-   carry ids, order is the client's problem (that's the point).
+   turn.  A connection that negotiated the binary codec skips the
+   machinery entirely: responses carry ids, order is the client's
+   problem (that's the point).  Every server grants binary: without a
+   [bin_handler] it derives one from the line handler
+   ({!Codec.of_json_handler}).
 
    Stop protocol: [request_stop] must be callable from a SIGINT/SIGTERM
    handler, so it only flips an Atomic and shuts down the listening
@@ -40,10 +43,10 @@ type metrics = {
 
 type codec = Cjson | Cbinary
 
-(* per-connection protocol state, hung on the reactor's user slot *)
+(* per-connection protocol state, hung on the reactor's user slot;
+   [Cbinary] connections answer out of order, keyed by request id *)
 type cstate = {
   mutable codec : codec;
-  mutable pipelined : bool;  (** negotiated: out-of-order responses allowed *)
   mutable next_seq : int;  (** loop thread only: arrival order *)
   slk : Mutex.t;  (** guards the ordered-emit state and inflight below *)
   mutable next_emit : int;
@@ -58,7 +61,7 @@ type t = {
   lsock : Unix.file_descr;
   port : int;
   handler : handler;
-  bin_handler : handler option;
+  bin_handler : handler;
   dispatch : ((unit -> unit) -> unit) option;
   max_conns : int;
   deadline_s : float option;
@@ -142,9 +145,19 @@ let frame_of t st ?orig resp =
       (try Frame.encode ~max_frame:t.max_frame (error_for st ?orig msg)
        with Frame.Oversized _ -> "" (* max_frame too small even for errors *))
 
-(* emit a response, honoring the ordered contract for pre-negotiation
-   connections: [seq < 0] means the connection pipelines and the
-   response goes straight out *)
+(* the response slot of the next request: its arrival number on a JSON
+   connection, -1 (no ordering) on a binary one.  Loop thread only. *)
+let take_seq st =
+  match st.codec with
+  | Cbinary -> -1
+  | Cjson ->
+      let s = st.next_seq in
+      st.next_seq <- s + 1;
+      s
+
+(* emit a response, honoring the ordered contract for JSON connections:
+   [seq < 0] means the connection pipelines and the response goes
+   straight out *)
 let complete t conn st ?orig seq resp =
   let bytes = frame_of t st ?orig resp in
   if seq < 0 then Reactor.send conn bytes
@@ -212,11 +225,11 @@ let json_response t payload =
       error_line ~orig:payload (deadline_msg d)
   | _ -> response
 
-let binary_response t st bin payload =
+let binary_response t st payload =
   Obs.incr t.m.binary;
   let t0 = Obs.monotonic () in
   let response =
-    try bin payload
+    try t.bin_handler payload
     with e -> error_for st ~orig:payload ("internal error: " ^ Printexc.to_string e)
   in
   let elapsed = Obs.monotonic () -. t0 in
@@ -257,27 +270,20 @@ let hello_req payload =
 
 let handle_hello t conn st req payload =
   Obs.incr t.m.hello;
-  let requested =
-    Option.value ~default:"json"
-      (Option.bind (Jsonl.member "codec" req) Jsonl.to_string_opt)
-  in
-  let want_pipeline =
-    match Jsonl.member "pipeline" req with
-    | Some (Jsonl.Bool b) -> b
-    | _ -> true
-  in
+  (* the binary codec keys responses by request id, which is what makes
+     them order-free: binary is the one pipelined mode, and a JSON
+     connection stays v1-ordered whatever the hello asked *)
   let codec =
-    if requested = "binary" && t.bin_handler <> None then Cbinary else Cjson
+    match Option.bind (Jsonl.member "codec" req) Jsonl.to_string_opt with
+    | Some "binary" -> Cbinary
+    | _ -> Cjson
   in
-  (* the binary codec keys responses by request id, which already makes
-     them order-free — binary implies pipelining *)
-  let pipelined = want_pipeline || codec = Cbinary in
   let fields =
     [
       ("ok", Jsonl.Bool true);
       ("version", Jsonl.int 2);
       ("codec", Jsonl.Str (match codec with Cbinary -> "binary" | Cjson -> "json"));
-      ("pipeline", Jsonl.Bool pipelined);
+      ("pipeline", Jsonl.Bool (codec = Cbinary));
       ("max_frame", Jsonl.int t.max_frame);
     ]
   in
@@ -290,17 +296,8 @@ let handle_hello t conn st req payload =
   (* the response itself still honors the pre-hello ordering; the mode
      switch applies from the next frame on (the client is required to
      wait for this answer before using what it negotiated) *)
-  let seq =
-    if st.pipelined then -1
-    else begin
-      let s = st.next_seq in
-      st.next_seq <- s + 1;
-      s
-    end
-  in
-  complete t conn st ~orig:payload seq resp;
-  st.codec <- codec;
-  st.pipelined <- pipelined
+  complete t conn st ~orig:payload (take_seq st) resp;
+  st.codec <- codec
 
 (* ------------------------------------------------------------------ *)
 (* reactor callbacks                                                   *)
@@ -315,27 +312,14 @@ let on_frame t conn payload =
       | Some req -> handle_hello t conn st req payload
       | None ->
           Obs.incr t.m.requests;
-          let seq =
-            if st.pipelined then -1
-            else begin
-              let s = st.next_seq in
-              st.next_seq <- s + 1;
-              s
-            end
-          in
+          let seq = take_seq st in
           begin_inflight t st;
           let codec = st.codec in
           run_job t (fun () ->
               let resp =
                 match codec with
                 | Cjson -> json_response t payload
-                | Cbinary -> (
-                    match t.bin_handler with
-                    | Some bin -> binary_response t st bin payload
-                    | None ->
-                        (* unreachable: binary is only granted with a
-                           bin_handler installed *)
-                        error_for st ~orig:payload "binary codec unavailable")
+                | Cbinary -> binary_response t st payload
               in
               complete t conn st ~orig:payload seq resp;
               finish_inflight t conn st))
@@ -353,15 +337,7 @@ let on_failure t conn fail =
           let msg =
             Printf.sprintf "frame too large (%d bytes, max %d)" len t.max_frame
           in
-          let seq =
-            if st.pipelined then -1
-            else begin
-              let s = st.next_seq in
-              st.next_seq <- s + 1;
-              s
-            end
-          in
-          complete t conn st seq (error_for st msg);
+          complete t conn st (take_seq st) (error_for st msg);
           Reactor.close conn)
   | _ -> ()
 
@@ -409,7 +385,9 @@ let listen ?(metrics = "net.server") ?(backlog = 64) ?(max_conns = 64)
               lsock = sock;
               port;
               handler;
-              bin_handler;
+              bin_handler =
+                Option.value bin_handler
+                  ~default:(Codec.of_json_handler handler);
               dispatch;
               max_conns = max 1 max_conns;
               deadline_s;
@@ -450,7 +428,6 @@ let fresh_cstate () =
   Conn
     {
       codec = Cjson;
-      pipelined = false;
       next_seq = 0;
       slk = Mutex.create ();
       next_emit = 0;

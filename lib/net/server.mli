@@ -12,12 +12,13 @@
     protocol v2"): a connection starts in JSON-lines mode with strictly
     ordered responses — byte-compatible with the v1 server, so old
     clients work unchanged.  A client may send
-    [{"op":"hello","version":2,"codec":"binary","pipeline":true}] as a
-    normal request; the server answers with what it granted, and from
-    the next frame on the connection speaks the granted codec with
-    responses keyed by request id and allowed out of order.  The binary
-    codec ({!Codec}) is only offered when [bin_handler] is installed;
-    pipelining and codec are negotiated, never assumed.
+    [{"op":"hello","version":2,"codec":"binary"}] as a normal request;
+    the server grants it (every server speaks binary), and from the next
+    frame on the connection speaks the binary codec ({!Codec}) with
+    responses keyed by request id and allowed out of order.  There is
+    one pipelined mode: a hello asking for ["codec":"json"] is answered
+    [{"ok":true,"version":2,"codec":"json","pipeline":false,...}] and
+    the connection stays v1-ordered.
 
     Robustness mirrors v1: garbage framing, death mid-frame and the
     oversized-frame guard are answered (when possible) and closed —
@@ -60,8 +61,10 @@ val listen :
     read it back with {!port}).  [metrics] prefixes the metric names
     (default ["net.server"]).  [max_conns] defaults to 64,
     [reactor_threads] to 2.  [bin_handler] (typically
-    [Codec.handle ~json:handler engine]) enables the binary codec at
-    hello; without it binary requests are refused at negotiation.
+    [Codec.handle ~json:handler engine], the engine's direct path)
+    answers binary connections; omitted, it is
+    [Codec.of_json_handler handler], so a server with only a line
+    handler (the router front) still grants binary.
     [dispatch] runs request jobs off the event loops (typically
     {!Psph_engine.Engine.dispatch}); omitted, handlers run inline on
     the loop — right for handlers that are fast or that block on their

@@ -353,6 +353,40 @@ let engine_unit_tests =
         let e = Lazy.force engine in
         let r = E.eval e (E.Explicit c) in
         Alcotest.(check (array int)) "betti" (Homology.betti c) r.E.answer.E.betti);
+    Alcotest.test_case "spec memo stays bounded, answers unchanged" `Quick
+      (fun () ->
+        (* an open spec keyspace: 10x the cache capacity in distinct psph
+           specs must not grow the spec memo past 2x capacity *)
+        let capacity = 4 in
+        let specs =
+          List.init (10 * capacity) (fun i ->
+              E.Psph { n = i mod 2; values = 1 + (i / 2) })
+        in
+        let small = E.create ~domains:0 ~capacity () in
+        let reference = E.create ~domains:0 () in
+        Fun.protect
+          ~finally:(fun () -> E.shutdown small; E.shutdown reference)
+        @@ fun () ->
+        (* reference answers first: the gauge is process-wide, so the
+           bounded engine must be the last to touch it *)
+        let expected = List.map (E.eval reference) specs in
+        let same what =
+          List.iter2
+            (fun spec (expect : E.result) ->
+              let r = E.eval small spec in
+              Alcotest.(check bool) (what ^ ": key") true (Key.equal expect.E.key r.E.key);
+              Alcotest.(check (array int)) (what ^ ": betti")
+                expect.E.answer.E.betti r.E.answer.E.betti;
+              Alcotest.(check int) (what ^ ": connectivity")
+                expect.E.answer.E.connectivity r.E.answer.E.connectivity)
+            specs expected
+        in
+        same "first pass";
+        Alcotest.(check bool) "spec memo <= 2x capacity" true
+          (Obs.gauge_value (Obs.gauge "engine.spec_memo")
+          <= float_of_int (2 * capacity));
+        (* a second pass rebuilds what the bound dropped, identically *)
+        same "second pass");
     Alcotest.test_case "stats counters move" `Quick (fun () ->
         let s = E.stats (Lazy.force engine) in
         Alcotest.(check bool) "queries > 0" true (s.E.queries > 0);

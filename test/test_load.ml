@@ -189,7 +189,6 @@ let loadgen_tests =
             Loadgen.rate = 300.;
             conns = 2;
             pipeline_depth = 8;
-            codec = `Binary;
             duration_s = 1.;
             keyspace = 16;
             zipf = 0.8;
@@ -307,7 +306,6 @@ let soak_tests =
                 Loadgen.rate = 150.;
                 conns = 2;
                 pipeline_depth = 8;
-                codec = `Binary;
                 duration_s = 1.2;
                 keyspace = 24;
                 zipf = 1.0;
@@ -350,7 +348,11 @@ let soak_tests =
             let chaos_total =
               List.fold_left ( + ) 0 (List.map snd r.Soak.chaos)
             in
-            check bool "chaos counters moved" true (chaos_total > 0));
+            check bool "chaos counters moved" true (chaos_total > 0);
+            (* the front has only the router's line handler, yet the
+               generator's pipelined clients got the binary codec *)
+            check bool "front served binary" true
+              (counter "soak.front.binary_requests" > 0));
   ]
 
 let suites =

@@ -3,9 +3,9 @@
    the stdio serve loop, deadlines, oversized frames, span nesting
    across the socket), the v2 binary codec (qcheck round-trips, decoder
    fuzz, byte-equivalence with the JSON answers for every registered
-   model), pipelining (ordering, id restoration, v1 fallback, stale
-   responses), and router hashing + failover + batch fan-out with a
-   dying backend. *)
+   model), pipelining (ordering, id restoration, v1 fallback, binary
+   from a line-handler-only server, stale responses), and router
+   hashing + failover + batch fan-out with a dying backend. *)
 
 open Psph_net
 module Obs = Psph_obs.Obs
@@ -188,8 +188,11 @@ let frame_props =
 (* Client/Server loopback                                              *)
 (* ------------------------------------------------------------------ *)
 
-let with_server ?deadline_s ?max_frame ?dispatch handler f =
-  match Server.listen ?deadline_s ?max_frame ?dispatch ~handler (loopback 0) with
+let with_server ?deadline_s ?max_frame ?dispatch ?bin_handler handler f =
+  match
+    Server.listen ?deadline_s ?max_frame ?dispatch ?bin_handler ~handler
+      (loopback 0)
+  with
   | Error m -> fail m
   | Ok srv ->
       Server.start srv;
@@ -588,24 +591,17 @@ let pipeline_tests =
         (* warm, so repeat answers are byte-deterministic *)
         List.iter (fun l -> ignore (Serve.handle_line engine l)) lines;
         let expect = List.map (Serve.handle_line engine) lines in
-        List.iter
-          (fun (codec, label) ->
-            let c = Client.create ~retries:1 ~codec ~pipeline_depth:3 addr in
-            Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-            let got =
-              List.map
-                (function
-                  | Ok s -> s
-                  | Error e -> fail (label ^ ": " ^ Client.error_message e))
-                (Client.pipeline c lines)
-            in
-            List.iteri
-              (fun i (e, g) ->
-                check string (Printf.sprintf "%s line %d" label i) e g)
-              (List.combine expect got))
-          [ (`Json, "json"); (`Binary, "binary") ];
-        (* the binary client's 5 frames (4 hot + the models escape) all
-           rode the binary codec; the json client's none did *)
+        let c = Client.create ~retries:1 ~pipeline_depth:3 addr in
+        Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+        let got =
+          List.map
+            (function Ok s -> s | Error e -> fail (Client.error_message e))
+            (Client.pipeline c lines)
+        in
+        List.iteri
+          (fun i (e, g) -> check string (Printf.sprintf "line %d" i) e g)
+          (List.combine expect got);
+        (* all 5 frames (4 hot + the models escape) rode the binary codec *)
         check int "binary requests seen by the server" 5
           (Obs.counter_value (Obs.counter "t.psrv.binary_requests")));
     Alcotest.test_case "v2 client negotiates down against a v1 server" `Quick
@@ -634,6 +630,110 @@ let pipeline_tests =
           (List.combine expect got);
         check int "nothing was windowed" 0
           (Obs.counter_value (Obs.counter "t.fallback.pipelined")));
+    Alcotest.test_case "old server granting v2 json pipelining gets v1"
+      `Quick
+      (fun () ->
+        with_engine @@ fun engine ->
+        let old_hello = {|{"ok":true,"version":2,"codec":"json","pipeline":true}|} in
+        with_v1_server (fun p ->
+            if contains p {|"op":"hello"|} then old_hello
+            else Serve.handle_line engine p)
+        @@ fun addr ->
+        let c =
+          Client.create ~metrics:"t.oldv2" ~retries:1 ~pipeline_depth:4 addr
+        in
+        Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+        let lines =
+          [ {|{"op":"psph","n":1,"values":2,"id":8}|}; {|{"op":"models"}|};
+            {|{"op":"betti","facets":["0:i0 ; 1:i1"],"id":"x"}|} ]
+        in
+        List.iter (fun l -> ignore (Serve.handle_line engine l)) lines;
+        let expect = List.map (Serve.handle_line engine) lines in
+        let got =
+          List.map
+            (function Ok s -> s | Error e -> fail (Client.error_message e))
+            (Client.pipeline c lines)
+        in
+        List.iteri
+          (fun i (e, g) -> check string (Printf.sprintf "line %d" i) e g)
+          (List.combine expect got);
+        check int "nothing was windowed" 0
+          (Obs.counter_value (Obs.counter "t.oldv2.pipelined")));
+    Alcotest.test_case "line-handler server grants binary, every model"
+      `Quick
+      (fun () ->
+        (* the router front's shape: no bin_handler, so binary requests
+           go through the line handler and back, byte-identically *)
+        with_engine @@ fun engine ->
+        with_server (Serve.handle_line engine) @@ fun _srv addr ->
+        let hot =
+          {|{"op":"psph","n":2,"values":2,"id":1}|}
+          :: {|{"op":"betti","facets":["0:i0 ; 1:i1"],"id":"b"}|}
+          :: {|{"op":"connectivity","facets":["0:i0 ; 1:i1","1:i1 ; 2:i0"]}|}
+          :: {|{"op":"model-complex","model":"nope","n":2,"id":3}|}
+          :: List.mapi
+               (fun i name ->
+                 Printf.sprintf {|{"op":"model-complex","model":%S,"n":2,"id":%d}|}
+                   name (10 + i))
+               (MC.names ())
+        in
+        let lines = hot @ [ {|{"op":"models"}|} ] in
+        (* warm, so repeat answers are byte-deterministic *)
+        List.iter (fun l -> ignore (Serve.handle_line engine l)) lines;
+        let expect = List.map (Serve.handle_line engine) lines in
+        let c =
+          Client.create ~metrics:"t.front" ~retries:1 ~pipeline_depth:4 addr
+        in
+        Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+        let got =
+          List.map
+            (function Ok s -> s | Error e -> fail (Client.error_message e))
+            (Client.pipeline c lines)
+        in
+        List.iteri
+          (fun i (e, g) -> check string (List.nth lines i) e g)
+          (List.combine expect got);
+        check int "every hot op rode the binary window" (List.length hot)
+          (Obs.counter_value (Obs.counter "t.front.pipelined")));
+    Alcotest.test_case "json hello: pipeline:false, request order kept"
+      `Quick
+      (fun () ->
+        (* the first request is slowest, so out-of-order completion on
+           the dispatch threads would reorder an unordered connection *)
+        let handler line =
+          if contains line "slow" then Thread.delay 0.2;
+          line
+        in
+        with_server ~dispatch:(fun job -> ignore (Thread.create job ())) handler
+        @@ fun _srv addr ->
+        let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, addr.Addr.port));
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+        let send s =
+          ignore (Unix.write_substring fd s 0 (String.length s))
+        in
+        let r = Frame.reader () in
+        let buf = Bytes.create 4096 in
+        let rec recv () =
+          match Frame.next r with
+          | Some p -> p
+          | None ->
+              let n = Unix.read fd buf 0 (Bytes.length buf) in
+              if n = 0 then fail "server closed";
+              Frame.feed r buf 0 n;
+              recv ()
+        in
+        send (Frame.encode {|{"op":"hello","version":2,"codec":"json","pipeline":true}|});
+        let hello = recv () in
+        check_contains "json granted" hello {|"codec":"json"|};
+        check_contains "not pipelined" hello {|"pipeline":false|};
+        let lines =
+          [ {|{"op":"slow","id":1}|}; {|{"op":"a","id":2}|}; {|{"op":"b","id":3}|} ]
+        in
+        send (String.concat "" (List.map Frame.encode lines));
+        check (list string) "responses in request order" lines
+          (List.map (fun _ -> recv ()) lines));
     Alcotest.test_case "eval_many: structured replies, JSON fallback in-range"
       `Quick
       (fun () ->
@@ -675,19 +775,23 @@ let pipeline_tests =
     Alcotest.test_case
       "timed-out response dropped and counted, connection kept" `Quick
       (fun () ->
-        (* handler echoes the transport id; n=9 marks the slow request.
-           dispatch threads keep the slow handler from blocking the fast
-           one, so the fast response overtakes it on the wire *)
-        let handler line =
-          let id =
-            match Jsonl.of_string_opt line with
-            | Some o -> Option.value ~default:Jsonl.Null (Jsonl.member "id" o)
-            | None -> Jsonl.Null
-          in
-          if contains line {|"n":9|} then Thread.delay 0.6;
-          Jsonl.to_string (Jsonl.Obj [ ("id", id); ("ok", Jsonl.Bool true) ])
+        (* bin_handler echoes the transport id; n=9 marks the slow
+           request.  dispatch threads keep the slow handler from blocking
+           the fast one, so the fast response overtakes it on the wire *)
+        let bin_handler payload =
+          match Codec.decode_request payload with
+          | Ok { Codec.id; query = Codec.Psph { n; _ }; _ } ->
+              if n = 9 then Thread.delay 0.6;
+              Codec.encode_reply
+                (Codec.Result
+                   { id; key = "k"; cached = false; betti = None;
+                     connectivity = None; solver = None })
+          | _ -> Codec.encode_reply (Codec.Failed { id = 0; message = "?" })
         in
-        with_server ~dispatch:(fun job -> ignore (Thread.create job ())) handler
+        with_server
+          ~dispatch:(fun job -> ignore (Thread.create job ()))
+          ~bin_handler
+          (fun _ -> {|{"ok":false,"error":"binary only"}|})
         @@ fun _srv addr ->
         let c =
           Client.create ~metrics:"t.stale" ~timeout_ms:150 ~retries:0
@@ -943,7 +1047,7 @@ let router_tests =
         with_v2_server engine @@ fun _srv2 a2 ->
         let r =
           Router.create ~metrics:"t.fan" ~timeout_ms:2000 ~retries:0
-            ~check_period_ms:3600_000 ~codec:`Binary ~pipeline_depth:8
+            ~check_period_ms:3600_000 ~pipeline_depth:8
             [ a1; a2 ]
         in
         Fun.protect ~finally:(fun () -> Router.stop r) @@ fun () ->
@@ -1350,7 +1454,7 @@ let cluster_tests =
 (* Client stale-set bound                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* a server that grants v2 json pipelining on the hello and then reads
+(* a server that grants the binary codec on the hello and then reads
    and discards every frame: each windowed request times out and leaves
    a stale-set debt that will never be repaid *)
 let with_sink_server f =
@@ -1378,7 +1482,7 @@ let with_sink_server f =
                        answered := true;
                        let out =
                          Frame.encode
-                           {|{"ok":true,"version":2,"pipeline":true,"codec":"json"}|}
+                           {|{"ok":true,"version":2,"pipeline":true,"codec":"binary"}|}
                        in
                        let n = String.length out in
                        let off = ref 0 in
