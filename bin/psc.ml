@@ -689,19 +689,12 @@ let query_cmd =
           ~pipeline_depth:(max 1 pipeline_depth) connect
       in
       let failures = ref 0 in
-      let error_line e =
-        Psph_obs.Jsonl.to_string
-          (Psph_obs.Jsonl.Obj
-             [
-               ("ok", Psph_obs.Jsonl.Bool false);
-               ("error", Psph_obs.Jsonl.Str (Psph_net.Client.error_message e));
-             ])
-      in
       let emit = function
         | Ok resp -> print_endline resp
         | Error e ->
             incr failures;
-            print_endline (error_line e)
+            print_endline
+              (Psph_engine.Serve.error_line (Psph_net.Client.error_message e))
       in
       (* responses stay in input order either way; pipelining just reads
          stdin in chunks so up to pipeline-depth requests share the wire.

@@ -30,24 +30,17 @@
    holds "results" in request order; its members are evaluated in
    parallel on the engine's pool.
 
-   Robustness: [handle_line] never raises.  Expected failures (parse
-   errors, bad requests, invalid parameters) and unexpected handler
-   exceptions alike produce {"ok":false,"error":...} — echoing the
-   request's "id" when one was parsed — and the loop keeps going.  One
-   bad request must not kill the server.
-
-   Observability: each line runs in a [serve.request] span carrying a
-   process-wide request counter and the parsed op name, and its wall time
-   lands in a per-op [serve.op.<op>] histogram ("invalid" when no op was
-   parsed).  The [metrics] op — and a "metrics" field on [stats] —
-   returns the full {!Obs.snapshot_json}. *)
+   The hot-op grammar ([parse]), evaluator ([answer]) and printer
+   ([reply_obj]) are the only ones in the tree: the binary codec, the
+   client and the router all call them, so JSON and binary answers are
+   one value printed once.  [handle_line] never raises: every failure is
+   an {"ok":false,...} response echoing the request's "id". *)
 
 open Psph_obs
 open Psph_topology
 
-exception Bad_request of string
-
-let bad fmt = Printf.ksprintf (fun s -> raise (Bad_request s)) fmt
+(* a malformed request: the message is the error response's *)
+let bad fmt = Printf.ksprintf failwith fmt
 
 let int_field ?default req name =
   match Jsonl.member name req with
@@ -61,7 +54,23 @@ let int_field ?default req name =
       | None -> bad "missing integer field %S" name)
 
 (* which measurements a request asks for *)
-type want = Betti | Connectivity | Both
+type want = Both | Betti | Connectivity
+
+type query =
+  | Psph of { n : int; values : int }
+  | Facets of string list
+  | Model of { model : string; spec : Pseudosphere.Model_complex.spec }
+
+type reply =
+  | Result of {
+      id : int;
+      key : string;
+      cached : bool;
+      betti : int array option;
+      connectivity : int option;
+      solver : Engine.provenance option;
+    }
+  | Failed of { id : int; message : string }
 
 (* which solver tier the request asks for ("solver" field, default auto) *)
 let mode_of_request req =
@@ -71,6 +80,13 @@ let mode_of_request req =
   | Some "numeric" -> Engine.Numeric_only
   | Some "check" -> Engine.Check
   | Some s -> bad "unknown solver mode %S (auto|symbolic|numeric|check)" s
+
+let find_model name =
+  match Pseudosphere.Model_complex.find name with
+  | Some m -> m
+  | None ->
+      bad "unknown model %S (available: %s)" name
+        (String.concat ", " (Pseudosphere.Model_complex.names ()))
 
 (* a model's declared extension parameters, read from the request by
    declared name: integers directly, or strings through the parameter's
@@ -94,22 +110,18 @@ let ext_of req m =
                   | Error e -> bad "%s" e))))
     (Pseudosphere.Model_complex.ext_params_of m)
 
-let model_spec_of req =
-  let model, m =
+let model_query req =
+  let model =
     match Option.bind (Jsonl.member "model" req) Jsonl.to_string_opt with
     | None -> bad "missing string field \"model\""
-    | Some name -> (
-        match Pseudosphere.Model_complex.find name with
-        | Some m -> (name, m)
-        | None ->
-            bad "unknown model %S (available: %s)" name
-              (String.concat ", " (Pseudosphere.Model_complex.names ())))
+    | Some name -> name
   in
+  let m = find_model model in
   let d = Pseudosphere.Model_complex.default_spec in
-  Engine.Model
+  Model
     {
       model;
-      params =
+      spec =
         {
           Pseudosphere.Model_complex.n = int_field req "n";
           f = int_field ~default:d.Pseudosphere.Model_complex.f req "f";
@@ -120,71 +132,182 @@ let model_spec_of req =
         };
     }
 
-let spec_of_request req =
-  match Option.bind (Jsonl.member "op" req) Jsonl.to_string_opt with
-  | None -> bad "missing \"op\""
-  | Some (("betti" | "connectivity") as op) -> (
-      match Option.bind (Jsonl.member "facets" req) Jsonl.to_list_opt with
-      | Some facets ->
-          let simplexes =
-            List.map
-              (fun f ->
-                match Jsonl.to_string_opt f with
-                | None -> bad "facets entries must be strings"
-                | Some s -> (
-                    try Complex_io.simplex_of_string s
-                    with Failure m -> bad "bad facet: %s" m))
-              facets
-          in
-          ( Engine.Explicit (Complex.of_facets simplexes),
-            if op = "betti" then Betti else Connectivity )
-      | None when op = "connectivity" && Jsonl.member "model" req <> None ->
-          (* the solver-routed symbolic forms: a registered model ... *)
-          (model_spec_of req, Connectivity)
-      | None when op = "connectivity" && Jsonl.member "values" req <> None ->
-          (* ... or a uniform pseudosphere *)
-          ( Engine.Psph { n = int_field req "n"; values = int_field req "values" },
-            Connectivity )
-      | None ->
-          if op = "connectivity" then
-            bad "connectivity needs \"facets\", \"model\", or \"n\"+\"values\""
-          else bad "%s needs a \"facets\" array" op)
-  | Some "psph" ->
-      ( Engine.Psph { n = int_field req "n"; values = int_field req "values" },
-        Both )
-  | Some "model-complex" -> (model_spec_of req, Both)
-  | Some op -> bad "unknown op %S" op
+let psph_query req = Psph { n = int_field req "n"; values = int_field req "values" }
+
+let parse_exn req =
+  let want, query =
+    match Option.bind (Jsonl.member "op" req) Jsonl.to_string_opt with
+    | None -> bad "missing \"op\""
+    | Some (("betti" | "connectivity") as op) -> (
+        match Option.bind (Jsonl.member "facets" req) Jsonl.to_list_opt with
+        | Some facets ->
+            ( (if op = "betti" then Betti else Connectivity),
+              Facets
+                (List.map
+                   (fun f ->
+                     match Jsonl.to_string_opt f with
+                     | Some s -> s
+                     | None -> bad "facets entries must be strings")
+                   facets) )
+        | None when op = "connectivity" && Jsonl.member "model" req <> None ->
+            (* the solver-routed symbolic forms: a registered model ... *)
+            (Connectivity, model_query req)
+        | None when op = "connectivity" && Jsonl.member "values" req <> None ->
+            (* ... or a uniform pseudosphere *)
+            (Connectivity, psph_query req)
+        | None ->
+            if op = "connectivity" then
+              bad "connectivity needs \"facets\", \"model\", or \"n\"+\"values\""
+            else bad "%s needs a \"facets\" array" op)
+    | Some "psph" -> (Both, psph_query req)
+    | Some "model-complex" -> (Both, model_query req)
+    | Some op -> bad "unknown op %S" op
+  in
+  (want, query, mode_of_request req)
+
+let parse req = try Ok (parse_exn req) with Failure m -> Error m
+
+let spec_of_query = function
+  | Psph { n; values } -> Engine.Psph { n; values }
+  | Facets strs ->
+      Engine.Explicit
+        (Complex.of_facets
+           (List.map
+              (fun s ->
+                try Complex_io.simplex_of_string s
+                with Failure m -> bad "bad facet: %s" m)
+              strs))
+  | Model { model; spec } ->
+      ignore (find_model model);
+      Engine.Model { model; params = spec }
 
 (* want=Connectivity goes through the tiered solver; Betti needs the
-   numeric tier, so those wants only honour mode=check *)
-let eval_request engine (spec, want) mode =
-  match want with
-  | Connectivity -> Engine.eval_conn ~mode engine spec
-  | Betti | Both -> Engine.eval ~mode engine spec
+   numeric tier, so those wants only honour mode=check.  Every failure
+   becomes a [Failed] reply: one bad query never takes its peers down. *)
+let answer ?(mode = Engine.Auto) engine want query =
+  match
+    let spec = spec_of_query query in
+    match want with
+    | Connectivity -> Engine.eval_conn ~mode engine spec
+    | Betti | Both -> Engine.eval ~mode engine spec
+  with
+  | r ->
+      Result
+        {
+          id = 0;
+          key = Key.to_hex r.key;
+          cached = r.cached;
+          betti = (if want = Connectivity then None else Some r.answer.betti);
+          connectivity = (if want = Betti then None else Some r.answer.connectivity);
+          solver = Some r.solver;
+        }
+  | exception (Invalid_argument m | Failure m) -> Failed { id = 0; message = m }
+  | exception e -> Failed { id = 0; message = "internal error: " ^ Printexc.to_string e }
 
-let result_fields want (r : Engine.result) =
-  [ ("ok", Jsonl.Bool true); ("key", Jsonl.Str (Key.to_hex r.key)) ]
-  @ (match want with
-    | Betti -> [ ("betti", Jsonl.int_array r.answer.betti) ]
-    | Connectivity -> [ ("connectivity", Jsonl.int r.answer.connectivity) ]
-    | Both ->
-        [
-          ("betti", Jsonl.int_array r.answer.betti);
-          ("connectivity", Jsonl.int r.answer.connectivity);
-        ])
-  @ [
-      ("cached", Jsonl.Bool r.cached);
-      ("solver", Jsonl.Obj (Engine.provenance_fields r.solver));
-    ]
+(* ------------------------------------------------------------------ *)
+(* the response envelope                                               *)
+(* ------------------------------------------------------------------ *)
 
-let with_id req fields =
-  match Jsonl.member "id" req with
-  | Some id -> ("id", id) :: fields
-  | None -> fields
+let echo id fields = match id with Some id -> ("id", id) :: fields | None -> fields
 
-let error_response ?req msg =
-  let fields = [ ("ok", Jsonl.Bool false); ("error", Jsonl.Str msg) ] in
-  Jsonl.Obj (match req with Some r -> with_id r fields | None -> fields)
+let with_id req fields = echo (Jsonl.member "id" req) fields
+
+let error_obj ?(extra = []) id msg =
+  Jsonl.Obj (echo id ([ ("ok", Jsonl.Bool false); ("error", Jsonl.Str msg) ] @ extra))
+
+let error_response ?extra ?req msg =
+  error_obj ?extra (Option.bind req (Jsonl.member "id")) msg
+
+let error_line ?orig msg =
+  Jsonl.to_string (error_response ?req:(Option.bind orig Jsonl.of_string_opt) msg)
+
+let reply_obj ~id = function
+  | Result { key; cached; betti; connectivity; solver; _ } ->
+      let opt name f = function Some v -> [ (name, f v) ] | None -> [] in
+      Jsonl.Obj
+        (echo id
+           ([ ("ok", Jsonl.Bool true); ("key", Jsonl.Str key) ]
+           @ opt "betti" Jsonl.int_array betti
+           @ opt "connectivity" Jsonl.int connectivity
+           @ [ ("cached", Jsonl.Bool cached) ]
+           @ opt "solver" (fun p -> Jsonl.Obj (Engine.provenance_fields p)) solver))
+  | Failed { message; _ } -> error_obj id message
+
+let json_of_reply ~id reply = Jsonl.to_string (reply_obj ~id reply)
+
+let reply_of_json line =
+  match Jsonl.of_string_opt line with
+  | Some (Jsonl.Obj _ as o) -> (
+      let str o name = Option.bind (Jsonl.member name o) Jsonl.to_string_opt in
+      let num o name = Option.bind (Jsonl.member name o) Jsonl.to_int_opt in
+      let id =
+        match num o "id" with Some i when i >= 0 && i <= 0xFFFFFFFF -> i | _ -> 0
+      in
+      match Jsonl.member "ok" o with
+      | Some (Jsonl.Bool true) ->
+          let betti =
+            Option.bind (Option.bind (Jsonl.member "betti" o) Jsonl.to_list_opt)
+              (fun entries ->
+                let ints = List.filter_map Jsonl.to_int_opt entries in
+                if List.length ints = List.length entries then Some (Array.of_list ints)
+                else None)
+          in
+          let solver =
+            match Jsonl.member "solver" o with
+            | Some (Jsonl.Obj _ as s) -> (
+                let tier =
+                  match str s "tier" with
+                  | Some "cached" -> Some Engine.Cached
+                  | Some "symbolic" -> Some Engine.Symbolic
+                  | Some "numeric" -> Some Engine.Numeric
+                  | _ -> None
+                in
+                match tier with
+                | Some tier ->
+                    Some
+                      { Engine.tier; rule = str s "rule"; steps = num s "steps";
+                        cells_removed = num s "cells_removed"; checked = num s "checked" }
+                | None -> None)
+            | _ -> None
+          in
+          Some
+            (Result
+               { id; key = Option.value ~default:"" (str o "key");
+                 cached = Jsonl.member "cached" o = Some (Jsonl.Bool true);
+                 betti; connectivity = num o "connectivity"; solver })
+      | Some (Jsonl.Bool false) ->
+          Some
+            (Failed
+               { id; message = Option.value ~default:"unknown error" (str o "error") })
+      | _ -> None)
+  | _ -> None
+
+(* the JSON request a query denotes.  Covers [parse]'s image exactly;
+   the combinations [parse] never produces ([Betti] over [Psph]/[Model],
+   [Both] over [Facets]) map to the nearest op, which answers a
+   superset/subset of the fields. *)
+let json_line_of_query ?id want query =
+  let op =
+    match (want, query) with
+    | Connectivity, _ -> "connectivity"
+    | _, Facets _ -> "betti"
+    | _, Psph _ -> "psph"
+    | _, Model _ -> "model-complex"
+  in
+  let fields =
+    match query with
+    | Psph { n; values } -> [ ("n", Jsonl.int n); ("values", Jsonl.int values) ]
+    | Facets facets -> [ ("facets", Jsonl.Arr (List.map (fun f -> Jsonl.Str f) facets)) ]
+    | Model { model; spec = { Pseudosphere.Model_complex.n; f; k; p; r; ext } } ->
+        [ ("model", Jsonl.Str model); ("n", Jsonl.int n); ("f", Jsonl.int f);
+          ("k", Jsonl.int k); ("p", Jsonl.int p); ("r", Jsonl.int r) ]
+        @ List.map (fun (key, v) -> (key, Jsonl.int v)) ext
+  in
+  Jsonl.to_string (Jsonl.Obj (echo id (("op", Jsonl.Str op) :: fields)))
+
+(* ------------------------------------------------------------------ *)
+(* the other ops                                                       *)
+(* ------------------------------------------------------------------ *)
 
 let stats_response engine =
   let s = Engine.stats engine in
@@ -311,43 +434,27 @@ let handle_request engine req =
          their slot, rendered exactly as the top-level error would be —
          the router splices batch members verbatim, so a member response
          must be byte-identical to its top-level counterpart. *)
-      let parsed =
+      let jobs =
         List.map
           (fun r ->
-            try Ok (r, spec_of_request r, mode_of_request r)
-            with Bad_request m -> Error (r, m))
+            match parse r with
+            | Ok (want, query, mode) -> fun () -> answer ~mode engine want query
+            | Error message -> fun () -> Failed { id = 0; message })
           requests
       in
-      let thunks =
-        List.filter_map
-          (function
-            | Ok (_, sw, mode) ->
-                Some
-                  (fun () ->
-                    try Ok (eval_request engine sw mode)
-                    with Invalid_argument m | Failure m -> Error m)
-            | Error _ -> None)
-          parsed
-      in
-      let results = Engine.run_all engine thunks in
-      let rec zip parsed results =
-        match (parsed, results) with
-        | [], _ -> []
-        | Error (r, m) :: tl, results -> error_response ~req:r m :: zip tl results
-        | Ok (r, (_, want), _) :: tl, res :: results ->
-            (match res with
-            | Ok res -> Jsonl.Obj (with_id r (result_fields want res))
-            | Error m -> error_response ~req:r m)
-            :: zip tl results
-        | Ok _ :: _, [] -> assert false
-      in
+      let replies = Engine.run_all engine jobs in
       Jsonl.Obj
-        [ ("ok", Jsonl.Bool true); ("results", Jsonl.Arr (zip parsed results)) ]
+        [
+          ("ok", Jsonl.Bool true);
+          ( "results",
+            Jsonl.Arr
+              (List.map2
+                 (fun r reply -> reply_obj ~id:(Jsonl.member "id" r) reply)
+                 requests replies) );
+        ]
   | _ ->
-      let sw = spec_of_request req in
-      let mode = mode_of_request req in
-      Jsonl.Obj
-        (with_id req (result_fields (snd sw) (eval_request engine sw mode)))
+      let want, query, mode = parse_exn req in
+      reply_obj ~id:(Jsonl.member "id" req) (answer ~mode engine want query)
 
 (* process-wide request counter; attached to every [serve.request] span so
    a trace's requests stay distinguishable even without client "id"s *)
@@ -376,7 +483,6 @@ let handle_line engine line =
             | Some o -> op := o
             | None -> ());
             try handle_request engine req with
-            | Bad_request m -> error_response ~req m
             | Invalid_argument m | Failure m -> error_response ~req m
             | e ->
                 (* a handler bug or resource blow-up must answer this

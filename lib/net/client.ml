@@ -356,12 +356,13 @@ let ensure_mode t =
    0, stamped per send), so the per-flight cost is a copy, not an
    encode.  [None] makes it a barrier.  Every form is lazy: a V1
    exchange never parses its line, a binary one never prints it. *)
-type ditem = {
+type prepared = {
   jline : string Lazy.t;
   jobj : Jsonl.t option Lazy.t;
   bin : string option Lazy.t;
-  mutable attempts : int;  (* failed attempts so far *)
 }
+
+type ditem = { req : prepared; mutable attempts : int (* failed attempts so far *) }
 
 (* how a resolved response is represented, so [pipeline] and
    [eval_many] can each convert without an extra round trip through the
@@ -427,7 +428,7 @@ let drive ?on_latency t (items : ditem array) =
           let deadline = t0 +. t.timeout_s in
           send_all c.fd
             (Frame.encode ~max_frame:t.max_frame
-               (with_span_parent (Lazy.force it.jline)))
+               (with_span_parent (Lazy.force it.req.jline)))
             deadline;
           let resp = recv_one c deadline in
           inflight := -1;
@@ -461,7 +462,7 @@ let drive ?on_latency t (items : ditem array) =
         if results.(idx) <> None then ignore (Queue.pop pending)
         else begin
           let it = items.(idx) in
-          match Lazy.force it.bin with
+          match Lazy.force it.req.bin with
           | Some tpl ->
               if !barrier = None && Hashtbl.length window < t.pipeline_depth
               then begin
@@ -481,7 +482,7 @@ let drive ?on_latency t (items : ditem array) =
                 ignore (Queue.pop pending);
                 let now = Obs.monotonic () in
                 Frame.encode_into ~max_frame:t.max_frame out
-                  (Codec.escape_json (Lazy.force it.jline));
+                  (Codec.escape_json (Lazy.force it.req.jline));
                 barrier := Some (idx, now, now +. t.timeout_s)
               end;
               again := false
@@ -674,29 +675,37 @@ let drive ?on_latency t (items : ditem array) =
 (* public entry points                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let item_of_line line =
+(* the binary template of a parsed request: only a hot op under the
+   default solver mode that fits the codec's wire ranges.  Anything else
+   rides the JSON escape as a barrier, with exact JSON semantics — the
+   binary layout carries no solver mode. *)
+let template = function
+  | Ok (want, query, Psph_engine.Engine.Auto) -> (
+      try Some (Codec.encode_request { Codec.id = 0; want; query })
+      with Invalid_argument _ -> None)
+  | Ok _ | Error _ -> None
+
+let prepare line obj parsed =
+  { jline = Lazy.from_val line; jobj = Lazy.from_val obj; bin = lazy (template parsed) }
+
+let prepare_line line =
   let jobj = lazy (Jsonl.of_string_opt line) in
   let bin =
     lazy
       (match Lazy.force jobj with
-      | Some (Jsonl.Obj _ as o) ->
-          Codec.query_of_json o
-          |> Option.map (fun (want, query) ->
-                 Codec.encode_request { Codec.id = 0; want; query })
-      | _ -> None)
+      | Some o -> template (Psph_engine.Serve.parse o)
+      | None -> None)
   in
-  { jline = Lazy.from_val line; jobj; bin; attempts = 0 }
+  { jline = Lazy.from_val line; jobj; bin }
+
+let item req = { req; attempts = 0 }
 
 (* the response line a v1 exchange would have produced: a binary reply
    is printed back under the caller's own id *)
 let line_of it = function
   | Rraw s -> s
   | Rbin rep ->
-      let orig =
-        match Lazy.force it.jobj with
-        | Some o -> Jsonl.member "id" o
-        | None -> None
-      in
+      let orig = Option.bind (Lazy.force it.req.jobj) (Jsonl.member "id") in
       Codec.json_of_reply ~id:orig rep
 
 (* a batch through the driver under one pipeline span *)
@@ -706,11 +715,14 @@ let drive_all ?on_latency t items =
       Obs.set_attr sp "count" (Jsonl.int (Array.length items));
       drive ?on_latency t items)
 
-let pipeline ?on_latency t lines =
+let pipeline_prepared ?on_latency t reqs =
   locked t @@ fun () ->
-  let items = Array.of_list (List.map item_of_line lines) in
+  let items = Array.of_list (List.map item reqs) in
   let rs = drive_all ?on_latency t items in
   Array.to_list (Array.mapi (fun i r -> Result.map (line_of items.(i)) r) rs)
+
+let pipeline ?on_latency t lines =
+  pipeline_prepared ?on_latency t (List.map prepare_line lines)
 
 let eval_many ?on_latency t specs =
   locked t @@ fun () ->
@@ -718,20 +730,13 @@ let eval_many ?on_latency t specs =
     Array.of_list
       (List.map
          (fun (want, query) ->
-           let bin =
-             (* out-of-range queries can't ride the binary codec; let
-                them fall back to plain JSON and the server's answer *)
-             match Codec.encode_request { Codec.id = 0; want; query } with
-             | tpl -> Lazy.from_val (Some tpl)
-             | exception Invalid_argument _ -> Lazy.from_val None
-           in
            let jline = lazy (Codec.json_line_of_query want query) in
-           {
-             jline;
-             jobj = lazy (Jsonl.of_string_opt (Lazy.force jline));
-             bin;
-             attempts = 0;
-           })
+           item
+             {
+               jline;
+               jobj = lazy (Jsonl.of_string_opt (Lazy.force jline));
+               bin = lazy (template (Ok (want, query, Psph_engine.Engine.Auto)));
+             })
          specs)
   in
   Array.to_list
@@ -748,11 +753,11 @@ let eval_many ?on_latency t specs =
 (* one item through the driver, in its own span: on a V1 connection the
    span id rides out as "span_parent" (while tracing), so server spans
    nest under it *)
-let request t line =
+let request_prepared t req =
   locked t @@ fun () ->
   Obs.incr t.m.requests;
   Obs.with_span t.m.span_name (fun sp ->
-      let it = item_of_line line in
+      let it = item req in
       match (drive t [| it |]).(0) with
       | Ok v ->
           Obs.set_attr sp "attempts" (Jsonl.int (it.attempts + 1));
@@ -761,3 +766,5 @@ let request t line =
           Obs.set_attr sp "attempts" (Jsonl.int it.attempts);
           Obs.set_attr sp "error" (Jsonl.Str (error_message e));
           Error e)
+
+let request t line = request_prepared t (prepare_line line)

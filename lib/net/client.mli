@@ -26,12 +26,15 @@
     quietly falls back to sequential v1 (negotiated, never assumed).
     On a binary connection {!pipeline} keeps up to [pipeline_depth]
     requests in flight, keying the window on transport request ids.
-    Hot query ops ([psph], [betti], [connectivity], [model-complex])
-    are windowed and translated through {!Codec}, and each reply is
-    printed back under the caller's own id, so callers see exactly the
-    bytes a v1 exchange would have produced; other ops ride the JSON
-    escape as barriers (the window drains, they fly alone) because
-    their responses carry no id to match on.
+    Hot query ops ([psph], [betti], [connectivity], [model-complex]),
+    read by {!Psph_engine.Serve.parse}, are windowed and translated
+    through {!Codec}, and each reply is printed back under the caller's
+    own id, so callers see exactly the bytes a v1 exchange would have
+    produced.  Everything else rides the JSON escape as a barrier (the
+    window drains, it flies alone) because its response carries no id
+    to match on: other ops, malformed hot ops, hot ops that overflow the
+    codec's wire ranges, and hot ops naming a non-[auto] ["solver"]
+    (the binary layout carries no solver mode).
 
     A timed-out pipelined request no longer tears down the connection:
     its id is remembered, the late response is dropped when it arrives
@@ -113,6 +116,30 @@ val pipeline :
     the bench uses it for percentiles.  Equivalent to sequential
     {!request}s against a v1 server. *)
 
+type prepared
+(** A request line together with its JSON parse and
+    {!Psph_engine.Serve.parse} result. *)
+
+val prepare :
+  string ->
+  Psph_obs.Jsonl.t option ->
+  ( Psph_engine.Serve.want * Psph_engine.Serve.query * Psph_engine.Engine.mode,
+    string )
+  result ->
+  prepared
+(** [prepare line obj parsed] for a caller that has already parsed
+    [line] (to [obj], [None] when it is not JSON) and read it with
+    {!Psph_engine.Serve.parse} — how {!Router} forwards a line it parsed
+    once.  The arguments must describe [line]. *)
+
+val request_prepared : t -> prepared -> (string, error) result
+(** {!request} for a prepared line. *)
+
+val pipeline_prepared :
+  ?on_latency:(int -> float -> unit) ->
+  t -> prepared list -> (string, error) result list
+(** {!pipeline} for prepared lines. *)
+
 val eval_many :
   ?on_latency:(int -> float -> unit) ->
   t ->
@@ -122,7 +149,7 @@ val eval_many :
     binary connection: queries are encoded straight through {!Codec}
     and replies decoded back — the no-allocation-waste path the bench
     measures.  On a v1 connection the queries fall back to their
-    {!Codec.json_line_of_query} form transparently. *)
+    {!Psph_engine.Serve.json_line_of_query} form transparently. *)
 
 val close : t -> unit
 (** Drop the connection, if any.  The client stays usable: the next

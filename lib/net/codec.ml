@@ -1,21 +1,22 @@
 (* Binary codec for the hot query ops.  Layouts are documented in the
-   mli and docs/NET.md; everything here is straight byte shuffling with
-   the one design rule that decoders never raise — a peer speaking
+   mli and docs/NET.md; everything here is straight byte shuffling — the
+   request/answer model itself is Serve's — with the one design rule
+   that decoders never raise — a peer speaking
    garbage gets a decode error (and, via [handle], a well-formed binary
    error reply), not an exception through the event loop. *)
 
-open Psph_obs
+module Serve = Psph_engine.Serve
 
-type want = Both | Betti | Connectivity
+type want = Serve.want = Both | Betti | Connectivity
 
-type query =
+type query = Serve.query =
   | Psph of { n : int; values : int }
   | Facets of string list
   | Model of { model : string; spec : Pseudosphere.Model_complex.spec }
 
 type request = { id : int; want : want; query : query }
 
-type reply =
+type reply = Serve.reply =
   | Result of {
       id : int;
       key : string;
@@ -431,280 +432,16 @@ let request_id_of_payload payload =
   else 0
 
 (* ------------------------------------------------------------------ *)
-(* JSON translation                                                    *)
+(* server handlers                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let int_member req name = Option.bind (Jsonl.member name req) Jsonl.to_int_opt
+let json_line_of_query = Serve.json_line_of_query
+let reply_of_json = Serve.reply_of_json
+let json_of_reply = Serve.json_of_reply
 
-let fits16 v = v >= 0 && v <= 0xffff
-
-let query_of_json req =
-  match Option.bind (Jsonl.member "op" req) Jsonl.to_string_opt with
-  | Some "psph" -> (
-      match (int_member req "n", int_member req "values") with
-      | Some n, Some values when fits16 n && fits16 values ->
-          Some (Both, Psph { n; values })
-      | _ -> None)
-  | Some (("betti" | "connectivity") as op) -> (
-      match Option.bind (Jsonl.member "facets" req) Jsonl.to_list_opt with
-      | Some entries when List.length entries <= 0xffff -> (
-          let strs = List.filter_map Jsonl.to_string_opt entries in
-          if
-            List.length strs = List.length entries
-            && List.for_all (fun s -> String.length s <= 0xffff) strs
-          then
-            Some ((if op = "betti" then Betti else Connectivity), Facets strs)
-          else None)
-      | _ -> None)
-  | Some "model-complex" -> (
-      match
-        (Option.bind (Jsonl.member "model" req) Jsonl.to_string_opt,
-         int_member req "n")
-      with
-      | Some model, Some n when String.length model <= 0xff && fits16 n -> (
-          let d = Pseudosphere.Model_complex.default_spec in
-          let field name dflt =
-            match Jsonl.member name req with
-            | None -> Some dflt
-            | Some v -> (
-                match Jsonl.to_int_opt v with
-                | Some i when fits16 i -> Some i
-                | _ -> None)
-          in
-          (* extension fields by the model's own declaration: ints pack
-             directly, enum-name strings go through the declared parser.
-             Anything that doesn't fit u16 (or an unregistered model with
-             leftover odd fields) keeps exact JSON semantics by falling
-             back to the escape hatch. *)
-          let ext_fields =
-            match Pseudosphere.Model_complex.find model with
-            | None -> Some []
-            | Some m ->
-                List.fold_left
-                  (fun acc ep ->
-                    match acc with
-                    | None -> None
-                    | Some entries -> (
-                        let name = ep.Pseudosphere.Model_complex.ep_name in
-                        match Jsonl.member name req with
-                        | None -> Some entries
-                        | Some v -> (
-                            match Jsonl.to_int_opt v with
-                            | Some i when fits16 i -> Some ((name, i) :: entries)
-                            | Some _ -> None
-                            | None -> (
-                                match Jsonl.to_string_opt v with
-                                | None -> None
-                                | Some s -> (
-                                    match ep.ep_parse s with
-                                    | Ok i when fits16 i ->
-                                        Some ((name, i) :: entries)
-                                    | _ -> None)))))
-                  (Some [])
-                  (Pseudosphere.Model_complex.ext_params_of m)
-                |> Option.map List.rev
-          in
-          match
-            ( field "f" d.Pseudosphere.Model_complex.f,
-              field "k" d.k,
-              field "p" d.p,
-              field "r" d.r,
-              ext_fields )
-          with
-          | Some f, Some k, Some p, Some r, Some ext ->
-              Some (Both, Model { model; spec = { n; f; k; p; r; ext } })
-          | _ -> None)
-      | _ -> None)
-  | _ -> None
-
-(* the JSON request a binary query corresponds to — the client's form on
-   a v1 connection, and the line [of_json_handler] asks.  Covers the image of
-   [query_of_json] exactly; the combinations that image never produces
-   ([Betti]/[Connectivity] over [Psph]/[Model], [Both] over [Facets]) map
-   to the nearest op, which answers a superset/subset of the fields. *)
-let json_line_of_query ?id want query =
-  let idf = match id with Some v -> [ ("id", v) ] | None -> [] in
-  let fields =
-    match query with
-    | Psph { n; values } ->
-        [ ("op", Jsonl.Str "psph"); ("n", Jsonl.int n); ("values", Jsonl.int values) ]
-    | Facets facets ->
-        let op = match want with Connectivity -> "connectivity" | _ -> "betti" in
-        [ ("op", Jsonl.Str op);
-          ("facets", Jsonl.Arr (List.map (fun f -> Jsonl.Str f) facets)) ]
-    | Model { model; spec = { Pseudosphere.Model_complex.n; f; k; p; r; ext } } ->
-        [ ("op", Jsonl.Str "model-complex"); ("model", Jsonl.Str model);
-          ("n", Jsonl.int n); ("f", Jsonl.int f); ("k", Jsonl.int k);
-          ("p", Jsonl.int p); ("r", Jsonl.int r) ]
-        @ List.map (fun (key, v) -> (key, Jsonl.int v)) ext
-  in
-  Jsonl.to_string (Jsonl.Obj (idf @ fields))
-
-let reply_of_json line =
-  match Jsonl.of_string_opt line with
-  | Some (Jsonl.Obj _ as o) -> (
-      let id =
-        match Option.bind (Jsonl.member "id" o) Jsonl.to_int_opt with
-        | Some i when i >= 0 && i <= max_id -> i
-        | _ -> 0
-      in
-      match Jsonl.member "ok" o with
-      | Some (Jsonl.Bool true) ->
-          let key =
-            Option.value ~default:""
-              (Option.bind (Jsonl.member "key" o) Jsonl.to_string_opt)
-          in
-          let betti =
-            match Option.bind (Jsonl.member "betti" o) Jsonl.to_list_opt with
-            | Some entries ->
-                let ints = List.filter_map Jsonl.to_int_opt entries in
-                if List.length ints = List.length entries then
-                  Some (Array.of_list ints)
-                else None
-            | None -> None
-          in
-          let connectivity =
-            Option.bind (Jsonl.member "connectivity" o) Jsonl.to_int_opt
-          in
-          let cached = Jsonl.member "cached" o = Some (Jsonl.Bool true) in
-          let solver =
-            match Jsonl.member "solver" o with
-            | Some (Jsonl.Obj _ as s) -> (
-                let str name =
-                  Option.bind (Jsonl.member name s) Jsonl.to_string_opt
-                in
-                let num name =
-                  Option.bind (Jsonl.member name s) Jsonl.to_int_opt
-                in
-                match str "tier" with
-                | Some tier_s -> (
-                    let tier =
-                      match tier_s with
-                      | "cached" -> Some Psph_engine.Engine.Cached
-                      | "symbolic" -> Some Psph_engine.Engine.Symbolic
-                      | "numeric" -> Some Psph_engine.Engine.Numeric
-                      | _ -> None
-                    in
-                    match tier with
-                    | Some tier ->
-                        Some
-                          { Psph_engine.Engine.tier; rule = str "rule";
-                            steps = num "steps";
-                            cells_removed = num "cells_removed";
-                            checked = num "checked" }
-                    | None -> None)
-                | None -> None)
-            | _ -> None
-          in
-          Some (Result { id; key; cached; betti; connectivity; solver })
-      | Some (Jsonl.Bool false) ->
-          let message =
-            Option.value ~default:"unknown error"
-              (Option.bind (Jsonl.member "error" o) Jsonl.to_string_opt)
-          in
-          Some (Failed { id; message })
-      | _ -> None)
-  | _ -> None
-
-(* serve-shaped response line: field order matches Serve.result_fields /
-   Serve.error_response exactly, so a binary round trip prints the very
-   bytes the JSON protocol would have sent *)
-let json_of_reply ~id reply =
-  let with_id fields =
-    match id with Some id -> ("id", id) :: fields | None -> fields
-  in
-  let obj =
-    match reply with
-    | Result { key; cached; betti; connectivity; solver; _ } ->
-        Jsonl.Obj
-          (with_id
-             ([ ("ok", Jsonl.Bool true); ("key", Jsonl.Str key) ]
-             @ (match betti with
-               | Some b -> [ ("betti", Jsonl.int_array b) ]
-               | None -> [])
-             @ (match connectivity with
-               | Some c -> [ ("connectivity", Jsonl.int c) ]
-               | None -> [])
-             @ [ ("cached", Jsonl.Bool cached) ]
-             @
-             match solver with
-             | Some p ->
-                 [ ("solver",
-                    Jsonl.Obj (Psph_engine.Engine.provenance_fields p)) ]
-             | None -> []))
-    | Failed { message; _ } ->
-        Jsonl.Obj
-          (with_id [ ("ok", Jsonl.Bool false); ("error", Jsonl.Str message) ])
-  in
-  Jsonl.to_string obj
-
-(* ------------------------------------------------------------------ *)
-(* the binary server handler                                           *)
-(* ------------------------------------------------------------------ *)
-
-let spec_of_query = function
-  | Psph { n; values } -> Psph_engine.Engine.Psph { n; values }
-  | Facets strs ->
-      let simplexes =
-        List.map
-          (fun s ->
-            try Psph_topology.Complex_io.simplex_of_string s
-            with Failure m -> failwith ("bad facet: " ^ m))
-          strs
-      in
-      Psph_engine.Engine.Explicit (Psph_topology.Complex.of_facets simplexes)
-  | Model { model; spec } -> (
-      match Pseudosphere.Model_complex.find model with
-      | Some _ -> Psph_engine.Engine.Model { model; params = spec }
-      | None ->
-          failwith
-            (Printf.sprintf "unknown model %S (available: %s)" model
-               (String.concat ", " (Pseudosphere.Model_complex.names ()))))
-
-let handle ~json engine payload =
-  match unescape_json payload with
-  | Some line -> escape_json (json line)
-  | None -> (
-      match decode_request payload with
-      | Error m ->
-          encode_reply
-            (Failed { id = request_id_of_payload payload; message = "bad request: " ^ m })
-      | Ok { id; want; query } -> (
-          match
-            let spec = spec_of_query query in
-            (* connectivity-only queries go through the tiered solver, so
-               a recognized spec can be answered symbolically *)
-            match want with
-            | Connectivity -> Psph_engine.Engine.eval_conn engine spec
-            | Both | Betti -> Psph_engine.Engine.eval engine spec
-          with
-          | r ->
-              encode_reply
-                (Result
-                   {
-                     id;
-                     key = Psph_engine.Key.to_hex r.Psph_engine.Engine.key;
-                     cached = r.cached;
-                     betti =
-                       (match want with
-                       | Connectivity -> None
-                       | Both | Betti -> Some r.answer.betti);
-                     connectivity =
-                       (match want with
-                       | Betti -> None
-                       | Both | Connectivity -> Some r.answer.connectivity);
-                     solver = Some r.solver;
-                   })
-          | exception (Invalid_argument m | Failure m) ->
-              encode_reply (Failed { id; message = m })
-          | exception e ->
-              encode_reply
-                (Failed { id; message = "internal error: " ^ Printexc.to_string e })))
-
-(* the binary handler of a server that only has a line handler (the
-   router front, a test double): a hot request is answered as its JSON
-   form and the answer translated back, so every server speaks binary *)
-let of_json_handler json payload =
+(* decode, [answer], encode under the request's id; escape-tagged
+   payloads go through the line handler *)
+let binary_handler ~json answer payload =
   match unescape_json payload with
   | Some line -> escape_json (json line)
   | None -> (
@@ -713,9 +450,19 @@ let of_json_handler json payload =
           encode_reply
             (Failed { id = request_id_of_payload payload; message = "bad request: " ^ m })
       | Ok { id; want; query } ->
-          let answer = json (json_line_of_query want query) in
           encode_reply
-            (match reply_of_json answer with
-            | Some (Result r) -> Result { r with id }
-            | Some (Failed f) -> Failed { f with id }
-            | None -> Failed { id; message = "unparseable answer: " ^ answer }))
+            (match answer want query with
+            | Result r -> Result { r with id }
+            | Failed f -> Failed { f with id }))
+
+let handle ~json engine = binary_handler ~json (Serve.answer engine)
+
+(* the binary handler of a server that only has a line handler (the
+   router front, a test double): a hot request is answered as its JSON
+   form and the answer translated back, so every server speaks binary *)
+let of_json_handler json =
+  binary_handler ~json (fun want query ->
+      let answer = json (json_line_of_query want query) in
+      match reply_of_json answer with
+      | Some r -> r
+      | None -> Failed { id = 0; message = "unparseable answer: " ^ answer })

@@ -10,8 +10,9 @@
 
     Every payload starts with a one-byte tag.  Tag [0x00] is the JSON
     escape hatch: the rest of the payload is a plain JSON-lines document,
-    so ops without a binary layout ([batch], [stats], [models], ...) flow
-    over a binary connection unchanged.  Integers are big-endian;
+    so ops without a binary layout ([batch], [stats], [models], ...),
+    and hot ops naming a solver mode the layout cannot carry, flow over
+    a binary connection unchanged.  Integers are big-endian;
     request ids are unsigned 32-bit and chosen by the client
     ({!Client.pipeline} keys its in-flight window on them).
 
@@ -46,16 +47,19 @@
 
 open Psph_obs
 
-type want = Both | Betti | Connectivity
+(** The hot-op model is {!Psph_engine.Serve}'s, re-exported here so
+    byte-level code reads [Codec.Both], [Codec.Result], ... *)
 
-type query =
+type want = Psph_engine.Serve.want = Both | Betti | Connectivity
+
+type query = Psph_engine.Serve.query =
   | Psph of { n : int; values : int }
   | Facets of string list  (** {!Psph_topology.Complex_io} simplex strings *)
   | Model of { model : string; spec : Pseudosphere.Model_complex.spec }
 
 type request = { id : int; want : want; query : query }
 
-type reply =
+type reply = Psph_engine.Serve.reply =
   | Result of {
       id : int;
       key : string;  (** canonical content key, lowercase hex *)
@@ -63,8 +67,6 @@ type reply =
       betti : int array option;
       connectivity : int option;
       solver : Psph_engine.Engine.provenance option;
-          (** which solver tier answered; [None] only for replies parsed
-              from a peer that predates the provenance field *)
     }
   | Failed of { id : int; message : string }
 
@@ -74,8 +76,8 @@ val max_id : int
 val encode_request : request -> string
 (** @raise Invalid_argument when a field exceeds its wire range (psph
     parameters and model parameters are u16, model names 255 bytes,
-    facet strings 65535 bytes, ids u32).  {!query_of_json} only produces
-    encodable queries. *)
+    facet strings 65535 bytes, ids u32).  A client sends a query that
+    does not fit as its JSON line instead. *)
 
 val decode_request : string -> (request, string) result
 
@@ -102,34 +104,20 @@ val request_id_of_payload : string -> int
     reply for a request it could not decode. *)
 
 val json_line_of_query : ?id:Jsonl.t -> want -> query -> string
-(** The JSON-lines request equivalent to a binary query — what a client
-    sends on a v1 connection, and what {!of_json_handler} asks its line
-    handler.
-    Inverse of {!query_of_json} on its image; combinations that image
-    never produces map to the nearest op. *)
+(** {!Psph_engine.Serve.json_line_of_query}. *)
 
 val reply_of_json : string -> reply option
-(** Parse a serve-shaped JSON response line back into a {!reply}
-    ([None] when the line is not one).  [id] is the response's "id"
-    member when it is an in-range integer, else 0. *)
-
-val query_of_json : Jsonl.t -> (want * query) option
-(** Translate a parsed hot-op JSON request to its binary query, [None]
-    when the request is not a hot op or does not fit the codec's wire
-    ranges (the caller then falls back to the JSON escape, preserving
-    exact JSON semantics — including error messages — for the oddballs). *)
+(** {!Psph_engine.Serve.reply_of_json}. *)
 
 val json_of_reply : id:Jsonl.t option -> reply -> string
-(** The serve-shaped JSON line of a reply — byte-identical to what
-    {!Psph_engine.Serve.handle_line} answers for the equivalent JSON
-    request — with the transport id replaced by [id] ([None] omits it,
-    mirroring a request that carried no "id"). *)
+(** {!Psph_engine.Serve.json_of_reply}: the serve response line of a
+    reply, so a binary round trip prints the bytes
+    {!Psph_engine.Serve.handle_line} answers. *)
 
 val handle :
   json:(string -> string) -> Psph_engine.Engine.t -> string -> string
-(** The binary server handler: decode, evaluate on the engine
-    (connectivity-only queries through the tiered
-    {!Psph_engine.Engine.eval_conn}), encode.
+(** The binary server handler: decode, {!Psph_engine.Serve.answer},
+    encode under the request's id.
     Escape-tagged payloads go through [json] (in production
     {!Psph_engine.Serve.handle_line}) and come back escape-tagged.
     Never raises; corrupt input is answered with a binary error reply. *)

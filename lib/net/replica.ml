@@ -126,31 +126,19 @@ let connectivity_of_betti betti =
     conn 0
   end
 
-let entry_of_response line =
-  match Jsonl.of_string_opt line with
-  | Some (Jsonl.Obj _ as o) when Jsonl.member "ok" o = Some (Jsonl.Bool true)
-    -> (
-      let hex = Option.bind (Jsonl.member "key" o) Jsonl.to_string_opt in
-      let betti =
-        match Option.bind (Jsonl.member "betti" o) Jsonl.to_list_opt with
-        | None -> None
-        | Some vs ->
-            let ints = List.filter_map Jsonl.to_int_opt vs in
-            if List.length ints = List.length vs then
-              Some (Array.of_list ints)
-            else None
-      in
-      match (Option.bind hex Key.of_hex_opt, betti) with
-      | Some key, Some betti ->
-          let connectivity =
-            match
-              Option.bind (Jsonl.member "connectivity" o) Jsonl.to_int_opt
-            with
-            | Some c -> c
-            | None -> connectivity_of_betti betti
-          in
-          Some (key, { Store.betti; connectivity })
-      | _ -> None)
+let entry_of_response = function
+  | Psph_engine.Serve.Result { key; betti = Some betti; connectivity; _ } ->
+      Option.map
+        (fun key ->
+          ( key,
+            {
+              Store.betti;
+              connectivity =
+                (match connectivity with
+                | Some c -> c
+                | None -> connectivity_of_betti betti);
+            } ))
+        (Key.of_hex_opt key)
   | _ -> None
 
 let populate_line entries =

@@ -48,8 +48,9 @@ val populate_failed : t -> unit
 val rebalanced : t -> int -> unit
 (** Count entries migrated to a joining backend. *)
 
-val entry_of_response : string -> (Psph_engine.Key.t * Psph_engine.Store.entry) option
-(** The store entry carried by a successful serve response line —
+val entry_of_response :
+  Psph_engine.Serve.reply -> (Psph_engine.Key.t * Psph_engine.Store.entry) option
+(** The store entry carried by a successful serve response —
     [key] plus [betti] (connectivity taken from the response, or
     derived from the Betti vector when the op didn't ask for it).
     [None] for errors and responses without a Betti vector (a bare

@@ -17,7 +17,8 @@
    pushed as populate batches). *)
 
 open Psph_obs
-open Psph_topology
+module Engine = Psph_engine.Engine
+module Serve = Psph_engine.Serve
 
 type backend = {
   baddr : Addr.t;
@@ -119,104 +120,43 @@ let create ?(metrics = "net.router") ?(vnodes = 64) ?(replication = 1)
   }
 
 (* ------------------------------------------------------------------ *)
-(* shard keys                                                          *)
+(* shard keys and placement                                            *)
 (* ------------------------------------------------------------------ *)
 
-let int_member name j = Option.bind (Jsonl.member name j) Jsonl.to_int_opt
+(* the engine's own canonical string of the request's spec: psph by
+   parameters, models by the registered model's normalized encoding,
+   explicit facets by their content address — so the router agrees with
+   the backend caches about which requests are "the same".  The solver
+   mode and the want do not move placement; a request the backend will
+   refuse has no affinity. *)
+let key_of_parsed = function
+  | Error _ -> None
+  | Ok (_, query, _) -> (
+      match Serve.spec_of_query query with
+      | Engine.Psph { n; values } -> Some (Printf.sprintf "psph:%d:%d" n values)
+      | Engine.Model { model; params } ->
+          Some (Pseudosphere.Model_complex.(encode (get model) params))
+      | Engine.Explicit c -> Some ("key:" ^ Psph_engine.Key.(to_hex (of_complex c)))
+      | exception _ -> None)
 
-(* mirror of the engine's spec canonicalization (Engine.spec_key_of):
-   psph by parameters, models by the registered model's own normalized
-   encoding, explicit facets by their content address — so the router
-   agrees with the backend caches about which requests are "the same" *)
-let shard_key line =
-  match Jsonl.of_string_opt line with
-  | Some (Jsonl.Obj _ as req) -> (
-      match Option.bind (Jsonl.member "op" req) Jsonl.to_string_opt with
-      | Some "psph" -> (
-          match (int_member "n" req, int_member "values" req) with
-          | Some n, Some v -> Some (Printf.sprintf "psph:%d:%d" n v)
-          | _ -> None)
-      | Some "model-complex" -> (
-          match Option.bind (Jsonl.member "model" req) Jsonl.to_string_opt with
-          | None -> None
-          | Some name -> (
-              match
-                (Pseudosphere.Model_complex.find name, int_member "n" req)
-              with
-              | Some model, Some n ->
-                  let d = Pseudosphere.Model_complex.default_spec in
-                  let get f dflt = Option.value (int_member f req) ~default:dflt in
-                  (* extension fields by the model's declaration, int or
-                     enum-name string — mirroring Serve's parsing, so two
-                     spellings of one request land on one shard *)
-                  let ext =
-                    List.filter_map
-                      (fun ep ->
-                        let pn = ep.Pseudosphere.Model_complex.ep_name in
-                        match Jsonl.member pn req with
-                        | None -> None
-                        | Some v -> (
-                            match Jsonl.to_int_opt v with
-                            | Some i -> Some (pn, i)
-                            | None ->
-                                Option.bind (Jsonl.to_string_opt v) (fun s ->
-                                    match ep.ep_parse s with
-                                    | Ok i -> Some (pn, i)
-                                    | Error _ -> None)))
-                      (Pseudosphere.Model_complex.ext_params_of model)
-                  in
-                  let spec =
-                    {
-                      Pseudosphere.Model_complex.n;
-                      f = get "f" d.Pseudosphere.Model_complex.f;
-                      k = get "k" d.k;
-                      p = get "p" d.p;
-                      r = get "r" d.r;
-                      ext;
-                    }
-                  in
-                  (* encode normalizes via the model; an invalid spec
-                     still shards deterministically on the raw encoding *)
-                  Some
-                    (try Pseudosphere.Model_complex.encode model spec
-                     with _ ->
-                       Printf.sprintf "%s:%d:%d:%d:%d:%d:%s" name spec.n spec.f
-                         spec.k spec.p spec.r
-                         (String.concat ","
-                            (List.map
-                               (fun (kx, v) -> Printf.sprintf "%s=%d" kx v)
-                               spec.ext)))
-              | _ -> None))
-      | Some ("betti" | "connectivity") -> (
-          match Option.bind (Jsonl.member "facets" req) Jsonl.to_list_opt with
-          | None -> None
-          | Some facets -> (
-              let strs = List.filter_map Jsonl.to_string_opt facets in
-              match
-                List.map Complex_io.simplex_of_string strs
-                |> Complex.of_facets |> Psph_engine.Key.of_complex
-                |> Psph_engine.Key.to_hex
-              with
-              | hex -> Some ("key:" ^ hex)
-              | exception _ ->
-                  (* unparseable facets: still pin repeats together *)
-                  Some ("facets:" ^ String.concat ";" strs)))
-      | _ -> None)
-  | _ -> None
+(* a request line parsed once: everything routing reads *)
+type req = { obj : Jsonl.t option; fwd : Client.prepared; key : string option }
 
-(* ------------------------------------------------------------------ *)
-(* placement                                                           *)
-(* ------------------------------------------------------------------ *)
+let req_of line obj =
+  let parsed = match obj with Some o -> Serve.parse o | None -> Error "not JSON" in
+  { obj; fwd = Client.prepare line obj parsed; key = key_of_parsed parsed }
 
-let preference_in t st line =
-  match shard_key line with
+let shard_key line = (req_of line (Jsonl.of_string_opt line)).key
+
+let preference_in t st key =
+  match key with
   | Some key -> Ring.order st.ring key
   | None ->
       let nb = Array.length st.bks in
       let c = Atomic.fetch_and_add t.rr 1 in
       List.init nb (fun i -> (c + i) mod nb)
 
-let preference t line = preference_in t t.state line
+let preference t line = preference_in t t.state (shard_key line)
 
 let backends t =
   Array.to_list (Array.map (fun b -> (b.baddr, b.alive)) t.state.bks)
@@ -244,26 +184,14 @@ let mark t st i alive =
     refresh_up_gauge t
   end
 
-let error_response ?(extra = []) line msg =
-  let fields =
-    [ ("ok", Jsonl.Bool false); ("error", Jsonl.Str msg) ] @ extra
-  in
-  let fields =
-    match Jsonl.of_string_opt line with
-    | Some (Jsonl.Obj _ as o) -> (
-        match Jsonl.member "id" o with
-        | Some id -> ("id", id) :: fields
-        | None -> fields)
-    | _ -> fields
-  in
-  Jsonl.to_string (Jsonl.Obj fields)
+let error_line ?extra req msg = Jsonl.to_string (Serve.error_response ?extra ?req msg)
 
 let prober_running t = t.health_thread <> None && not (Atomic.get t.stopping)
 
 (* all backends refused: while the prober runs this is a transient
    state, so the answer carries backpressure — when to come back —
    instead of just a verdict (docs/NET.md "Error contract") *)
-let degraded t line =
+let degraded t req =
   let extra =
     if prober_running t then
       [
@@ -273,17 +201,7 @@ let degraded t line =
       ]
     else []
   in
-  error_response ~extra line "no backend"
-
-let is_cached resp =
-  match Jsonl.of_string_opt resp with
-  | Some (Jsonl.Obj _ as o) -> Jsonl.member "cached" o = Some (Jsonl.Bool true)
-  | _ -> false
-
-let is_miss resp =
-  match Jsonl.of_string_opt resp with
-  | Some (Jsonl.Obj _ as o) -> Jsonl.member "cached" o = Some (Jsonl.Bool false)
-  | _ -> false
+  error_line ~extra req "no backend"
 
 (* rank of backend [i] in the preference order: 0 = primary, 1..R-1 =
    replicas, beyond = off the owner set *)
@@ -295,29 +213,32 @@ let rank prefs i =
   go 0 prefs
 
 (* a miss answered by one owner is pushed to the others, so hot keys
-   converge to R warm copies without any replica recomputing *)
-let populate_hint t st prefs served resp =
+   converge to R warm copies without any replica recomputing.  [reply]
+   is the backend's answer, parsed (at most once) on demand. *)
+let populate_hint t st prefs served reply =
   let rc = owners_count t st in
-  if rc > 1 && is_miss resp then
-    match Replica.entry_of_response resp with
-    | None -> ()
-    | Some entry ->
-        let owners = List.filteri (fun k _ -> k < rc) prefs in
-        let line = Replica.populate_line [ entry ] in
-        List.iter
-          (fun b ->
-            if b <> served && st.bks.(b).alive then
-              ignore
-                (Replica.async t.rep (fun () ->
-                     match Client.request st.bks.(b).client line with
-                     | Ok _ -> ()
-                     | Error _ -> Replica.populate_failed t.rep)))
-          owners
+  if rc > 1 then
+    match Lazy.force reply with
+    | Some (Serve.Result { cached = false; _ } as r) -> (
+        match Replica.entry_of_response r with
+        | None -> ()
+        | Some entry ->
+            let owners = List.filteri (fun k _ -> k < rc) prefs in
+            let line = Replica.populate_line [ entry ] in
+            List.iter
+              (fun b ->
+                if b <> served && st.bks.(b).alive then
+                  ignore
+                    (Replica.async t.rep (fun () ->
+                         match Client.request st.bks.(b).client line with
+                         | Ok _ -> ()
+                         | Error _ -> Replica.populate_failed t.rep)))
+              owners)
+    | _ -> ()
 
-let route_single t sp line =
+let route_single t sp req =
   let st = t.state in
-  let prefs = preference_in t st line in
-  let keyed = shard_key line <> None in
+  let prefs = preference_in t st req.key in
   (* live backends first, each dead one still gets a last-resort
      try (it may have revived since the prober last looked) *)
   let live, dead = List.partition (fun i -> st.bks.(i).alive) prefs in
@@ -325,21 +246,26 @@ let route_single t sp line =
     | [] ->
         Obs.incr t.m.no_backend;
         Obs.set_attr sp "degraded" (Jsonl.Bool true);
-        degraded t line
+        degraded t req.obj
     | i :: rest -> (
-        match Client.request st.bks.(i).client line with
+        match Client.request_prepared st.bks.(i).client req.fwd with
         | Ok resp ->
             mark t st i true;
             Obs.incr t.m.forwarded;
             Obs.set_attr sp "backend"
               (Jsonl.Str (Addr.to_string st.bks.(i).baddr));
-            if keyed then begin
+            if req.key <> None then begin
+              let reply = lazy (Serve.reply_of_json resp) in
               let r = rank prefs i in
               if t.read_fallback && r > 0 && r < owners_count t st then begin
-                Replica.fallback_read t.rep ~cached:(is_cached resp);
+                Replica.fallback_read t.rep
+                  ~cached:
+                    (match Lazy.force reply with
+                    | Some (Serve.Result { cached; _ }) -> cached
+                    | _ -> false);
                 Obs.set_attr sp "fallback" (Jsonl.Bool true)
               end;
-              populate_hint t st prefs i resp
+              populate_hint t st prefs i reply
             end;
             resp
         | Error e when Client.is_retryable e ->
@@ -355,7 +281,7 @@ let route_single t sp line =
                the error instead of walking the ring marking
                healthy backends dead *)
             Obs.set_attr sp "error" (Jsonl.Str (Client.error_message e));
-            error_response line (Client.error_message e))
+            error_line req.obj (Client.error_message e))
   in
   go true (live @ dead)
 
@@ -373,33 +299,29 @@ let route_single t sp line =
    reproduces exactly the bytes a single backend would have sent.
    Batches with nested/keyless members keep the v1 whole-batch path. *)
 
-let hot_op = function
-  | Jsonl.Obj _ as r -> (
-      match Option.bind (Jsonl.member "op" r) Jsonl.to_string_opt with
-      | Some ("psph" | "betti" | "connectivity" | "model-complex") -> true
-      | _ -> false)
+let hot_op r =
+  match Option.bind (Jsonl.member "op" r) Jsonl.to_string_opt with
+  | Some ("psph" | "betti" | "connectivity" | "model-complex") -> true
   | _ -> false
 
-let fanout_members line =
-  match Jsonl.of_string_opt line with
-  | Some (Jsonl.Obj _ as o)
-    when Option.bind (Jsonl.member "op" o) Jsonl.to_string_opt = Some "batch"
-    -> (
-      match Option.bind (Jsonl.member "requests" o) Jsonl.to_list_opt with
-      | Some members when List.length members > 1 && List.for_all hot_op members
-        ->
-          Some (Array.of_list members)
-      | _ -> None)
-  | _ -> None
+let batch_members o =
+  Option.value ~default:[] (Option.bind (Jsonl.member "requests" o) Jsonl.to_list_opt)
+
+let hot_batch o =
+  let ms = batch_members o in
+  List.length ms > 1 && List.for_all hot_op ms
+
+let fanout_members o =
+  Array.of_list
+    (List.map (fun m -> req_of (Jsonl.to_string m) (Some m)) (batch_members o))
 
 let route_batch t sp members =
   let st = t.state in
   Obs.incr t.m.fanout;
   let n = Array.length members in
   Obs.set_attr sp "fanout" (Jsonl.int n);
-  let mlines = Array.map Jsonl.to_string members in
   let responses = Array.make n None in
-  let all_prefs = Array.map (fun l -> preference_in t st l) mlines in
+  let all_prefs = Array.map (fun m -> preference_in t st m.key) members in
   let prefs = Array.map (fun p -> ref p) all_prefs in
   (* rounds: every unresolved member tries its best untried backend
      (live first, dead as a last resort), one pipelined flight per
@@ -419,7 +341,7 @@ let route_batch t sp members =
         match choice with
         | None ->
             Obs.incr t.m.no_backend;
-            responses.(i) <- Some (degraded t mlines.(i))
+            responses.(i) <- Some (degraded t members.(i).obj)
         | Some b ->
             prefs.(i) := List.filter (fun x -> x <> b) remaining;
             progress := true;
@@ -430,7 +352,8 @@ let route_batch t sp members =
     if !progress then begin
       let run (b, idxs) =
         let rs =
-          Client.pipeline st.bks.(b).client (List.map (fun i -> mlines.(i)) idxs)
+          Client.pipeline_prepared st.bks.(b).client
+            (List.map (fun i -> members.(i).fwd) idxs)
         in
         List.iter2
           (fun i r ->
@@ -438,7 +361,8 @@ let route_batch t sp members =
             | Ok resp ->
                 mark t st b true;
                 Obs.incr t.m.forwarded;
-                populate_hint t st all_prefs.(i) b resp;
+                populate_hint t st all_prefs.(i) b
+                  (lazy (Serve.reply_of_json resp));
                 responses.(i) <- Some resp
             | Error e when Client.is_retryable e ->
                 (* stays unresolved: the next round walks the member's
@@ -447,7 +371,7 @@ let route_batch t sp members =
                 Obs.incr t.m.failover
             | Error e ->
                 responses.(i) <-
-                  Some (error_response mlines.(i) (Client.error_message e)))
+                  Some (error_line members.(i).obj (Client.error_message e)))
           idxs rs
       in
       (match Hashtbl.fold (fun b idxs acc -> (b, idxs) :: acc) groups [] with
@@ -466,7 +390,7 @@ let route_batch t sp members =
   Array.iteri
     (fun i r ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Option.value r ~default:(degraded t mlines.(i))))
+      Buffer.add_string buf (Option.value r ~default:(degraded t members.(i).obj)))
     responses;
   Buffer.add_string buf "]}";
   Buffer.contents buf
@@ -573,19 +497,11 @@ let add_backend ?(rebalance = true) t baddr =
 (* admin ops                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let with_id_of line fields =
-  match Jsonl.of_string_opt line with
-  | Some (Jsonl.Obj _ as o) -> (
-      match Jsonl.member "id" o with
-      | Some id -> ("id", id) :: fields
-      | None -> fields)
-  | _ -> fields
-
-let cluster_response t line =
+let cluster_response t req =
   let st = t.state in
   Jsonl.to_string
     (Jsonl.Obj
-       (with_id_of line
+       (Serve.with_id req
           [
             ("ok", Jsonl.Bool true);
             ("epoch", Jsonl.int st.epoch);
@@ -606,17 +522,17 @@ let cluster_response t line =
 (* the joining side of the ring-epoch handshake: a (re)joining backend
    announces itself and learns the epoch its membership starts at plus
    the peer to stream its warm store from (psc serve --warm-from) *)
-let join_response t req line =
+let join_response t req =
   match Option.bind (Jsonl.member "backend" req) Jsonl.to_string_opt with
-  | None -> error_response line "join needs a \"backend\" address"
+  | None -> error_line (Some req) "join needs a \"backend\" address"
   | Some s -> (
       match Addr.parse s with
-      | Error m -> error_response line m
+      | Error m -> error_line (Some req) m
       | Ok baddr -> (
           let ok joined epoch pred =
             Jsonl.to_string
               (Jsonl.Obj
-                 (with_id_of line
+                 (Serve.with_id req
                     ([
                        ("ok", Jsonl.Bool true);
                        ("joined", Jsonl.Bool joined);
@@ -644,26 +560,22 @@ let join_response t req line =
               in
               ok false st.epoch pred))
 
-let admin_op line =
-  match Jsonl.of_string_opt line with
-  | Some (Jsonl.Obj _ as o) -> (
-      match Option.bind (Jsonl.member "op" o) Jsonl.to_string_opt with
-      | Some "cluster" -> Some (`Cluster o)
-      | Some "join" -> Some (`Join o)
-      | _ -> None)
-  | _ -> None
-
+(* the line is parsed here once; admin ops, fan-out and placement all
+   read that parse *)
 let route t line =
   Obs.incr t.m.requests;
   Obs.with_span t.m.span_name (fun sp ->
       Obs.time t.m.request_s (fun () ->
-          match admin_op line with
-          | Some (`Cluster _) -> cluster_response t line
-          | Some (`Join req) -> join_response t req line
-          | None -> (
-              match fanout_members line with
-              | Some members -> route_batch t sp members
-              | None -> route_single t sp line)))
+          let obj = Jsonl.of_string_opt line in
+          let op =
+            Option.bind (Option.bind obj (Jsonl.member "op")) Jsonl.to_string_opt
+          in
+          match (op, obj) with
+          | Some "cluster", Some o -> cluster_response t o
+          | Some "join", Some o -> join_response t o
+          | Some "batch", Some o when hot_batch o ->
+              route_batch t sp (fanout_members o)
+          | _ -> route_single t sp (req_of line obj)))
 
 (* ------------------------------------------------------------------ *)
 (* health checks                                                       *)

@@ -5,18 +5,22 @@
     The router is itself a serve-protocol peer: put {!route} behind a
     {!Server} and clients talk to it exactly as they would to a single
     backend.  Each request is forwarded to a backend chosen by
-    consistent hashing ({!Ring}) on the request's {b shard key}:
+    consistent hashing ({!Ring}) on the request's {b shard key}, read
+    from its {!Psph_engine.Serve.parse} — the backends' own grammar:
 
-    - [betti]/[connectivity]: the content address ({!Psph_engine.Key})
-      of the complex the facets denote — the same key the backend's memo
-      store will use, so repeats of a shape always land on the backend
-      whose cache is warm for it;
-    - [psph]/[model-complex]: the normalized-spec encoding (the model's
-      own {!Pseudosphere.Model_complex.encode}), which is cheaper than
-      building the complex and canonicalizes exactly as the engine's
-      spec memo does;
-    - everything else ([batch], [stats], ...): no affinity — spread
-      round-robin over live backends.
+    - [betti]/[connectivity] over facets: the content address
+      ({!Psph_engine.Key}) of the complex the facets denote — the same
+      key the backend's memo store will use, so repeats of a shape
+      always land on the backend whose cache is warm for it;
+    - [psph]/[model-complex], and [connectivity] over a model or
+      [n]+[values]: the normalized-spec encoding (the model's own
+      {!Pseudosphere.Model_complex.encode}; [psph:n:values]), which is
+      cheaper than building the complex and canonicalizes exactly as
+      the engine's spec memo does.  The ["solver"] mode does not move
+      placement;
+    - everything else ([batch], [stats], requests the backends would
+      refuse, ...): no affinity — spread round-robin over live
+      backends.
 
     {b Replication.}  With [replication = R > 1] a key's {e owner set}
     is the first R distinct backends of its ring walk.  A cache miss
@@ -113,7 +117,10 @@ val route : t -> string -> string
 (** Forward one request line, failing over as needed; the degraded
     answer if no backend responds.  Never raises — this is the
     {!Server.handler} of [psc route].  [cluster]/[join] are answered by
-    the router itself (see above).
+    the router itself (see above).  The line is parsed once — admin
+    ops, fan-out and placement read that parse, and the backend link
+    sends it without re-parsing — and a backend's answer at most once
+    (for populate hints and fallback-read accounting).
 
     A [batch] whose members are all hot ops ([psph], [betti],
     [connectivity], [model-complex]) {b fans out}: members are grouped

@@ -24,6 +24,7 @@
    and close every connection. *)
 
 open Psph_obs
+module Serve = Psph_engine.Serve
 
 type handler = string -> string
 
@@ -94,20 +95,6 @@ let make_metrics prefix =
 let ignore_sigpipe =
   lazy (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ())
 
-(* an error response in the serve wire shape, echoing the request "id"
-   when the original line parses far enough to have one *)
-let error_line ?orig msg =
-  let fields = [ ("ok", Jsonl.Bool false); ("error", Jsonl.Str msg) ] in
-  let fields =
-    match Option.bind orig Jsonl.of_string_opt with
-    | Some (Jsonl.Obj _ as o) -> (
-        match Jsonl.member "id" o with
-        | Some id -> ("id", id) :: fields
-        | None -> fields)
-    | _ -> fields
-  in
-  Jsonl.to_string (Jsonl.Obj fields)
-
 let span_parent_of line =
   match Jsonl.of_string_opt line with
   | Some (Jsonl.Obj _ as o) ->
@@ -118,10 +105,10 @@ let span_parent_of line =
    request the [orig] payload holds (binary replies need its id) *)
 let error_for st ?orig msg =
   match st.codec with
-  | Cjson -> error_line ?orig msg
+  | Cjson -> Serve.error_line ?orig msg
   | Cbinary -> (
       match Option.bind orig Codec.unescape_json with
-      | Some inner -> Codec.escape_json (error_line ~orig:inner msg)
+      | Some inner -> Codec.escape_json (Serve.error_line ~orig:inner msg)
       | None ->
           let id =
             match orig with
@@ -213,7 +200,7 @@ let json_response t payload =
   in
   let response =
     try Obs.with_parent parent (fun () -> t.handler payload)
-    with e -> error_line ~orig:payload ("internal error: " ^ Printexc.to_string e)
+    with e -> Serve.error_line ~orig:payload ("internal error: " ^ Printexc.to_string e)
   in
   let elapsed = Obs.monotonic () -. t0 in
   Obs.observe t.m.request_s elapsed;
@@ -222,7 +209,7 @@ let json_response t payload =
       (* cooperative: the work already ran, but the contract with the
          client is an error once the deadline has passed *)
       Obs.incr t.m.deadline_exceeded;
-      error_line ~orig:payload (deadline_msg d)
+      Serve.error_line ~orig:payload (deadline_msg d)
   | _ -> response
 
 let binary_response t st payload =

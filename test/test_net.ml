@@ -524,26 +524,33 @@ let codec_tests =
         with_engine @@ fun engine ->
         let json = Serve.handle_line engine in
         let bin = Codec.handle ~json engine in
-        (* only want/query pairs JSON requests can express: psph and
-           model answer both measurements, facets split by op *)
+        (* every want/query pair Serve.parse produces: psph and model
+           under both measurements and under connectivity alone (the
+           tiered solver), facets split by op *)
+        let model name =
+          Codec.Model { model = name; spec = { MC.default_spec with n = 2 } }
+        in
         let cases =
           (Codec.Both, Codec.Psph { n = 2; values = 2 })
+          :: (Codec.Connectivity, Codec.Psph { n = 2; values = 3 })
           :: (Codec.Betti, Codec.Facets [ "0:i0 ; 1:i1" ])
           :: (Codec.Connectivity,
               Codec.Facets [ "0:i0 ; 1:i1"; "1:i1 ; 2:i0" ])
           :: (Codec.Both,
               Codec.Model { model = "nope"; spec = MC.default_spec })
-          :: List.map
+          :: List.concat_map
                (fun name ->
-                 ( Codec.Both,
-                   Codec.Model
-                     { model = name; spec = { MC.default_spec with n = 2 } } ))
+                 [ (Codec.Both, model name); (Codec.Connectivity, model name) ])
                (MC.names ())
         in
         List.iteri
           (fun i (want, query) ->
             let id = Jsonl.int (100 + i) in
             let jline = Codec.json_line_of_query ~id want query in
+            (match (query, Serve.parse (Jsonl.of_string jline)) with
+            | Codec.Model { model = "nope"; _ }, Error _ -> ()
+            | _, Ok (w, q, E.Auto) when w = want && q = query -> ()
+            | _ -> fail ("JSON line does not parse back: " ^ jline));
             (* warm first, so both sides agree on the cached flag *)
             ignore (json jline);
             let expect = json jline in
@@ -604,6 +611,41 @@ let pipeline_tests =
         (* all 5 frames (4 hot + the models escape) rode the binary codec *)
         check int "binary requests seen by the server" 5
           (Obs.counter_value (Obs.counter "t.psrv.binary_requests")));
+    Alcotest.test_case "a solver mode answers alike pipelined and sequential"
+      `Quick
+      (fun () ->
+        (* the binary layout carries no solver mode, so a non-auto
+           "solver" must ride the JSON escape: the same line answers
+           byte-identically pipelined and sequential, from the engine's
+           own binary handler and from a line-handler-only server *)
+        with_engine @@ fun engine ->
+        let lines =
+          [
+            {|{"op":"connectivity","facets":["0:i0 ; 1:i1","1:i1 ; 2:i0"],"solver":"symbolic","id":1}|};
+            {|{"op":"model-complex","model":"sync","n":2,"solver":"check","id":2}|};
+            {|{"op":"psph","n":2,"values":2,"solver":"bogus","id":3}|};
+          ]
+        in
+        (* warm, so repeat answers are byte-deterministic *)
+        List.iter (fun l -> ignore (Serve.handle_line engine l)) lines;
+        let expect = List.map (Serve.handle_line engine) lines in
+        check_contains "symbolic tier refuses facets" (List.nth expect 0)
+          {|"ok":false|};
+        check_contains "check mode checks" (List.nth expect 1) {|"checked":|};
+        check_contains "bad mode refused" (List.nth expect 2) "unknown solver mode";
+        let same what addr =
+          let c = Client.create ~retries:1 ~pipeline_depth:4 addr in
+          Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+          List.iteri
+            (fun i (e, g) ->
+              match g with
+              | Ok g -> check string (what ^ ": " ^ List.nth lines i) e g
+              | Error err -> fail (Client.error_message err))
+            (List.combine expect (Client.pipeline c lines))
+        in
+        with_v2_server engine (fun _ addr -> same "Codec.handle" addr);
+        with_server (Serve.handle_line engine) (fun _ addr ->
+            same "line handler" addr));
     Alcotest.test_case "v2 client negotiates down against a v1 server" `Quick
       (fun () ->
         with_engine @@ fun engine ->
@@ -670,14 +712,28 @@ let pipeline_tests =
           {|{"op":"psph","n":2,"values":2,"id":1}|}
           :: {|{"op":"betti","facets":["0:i0 ; 1:i1"],"id":"b"}|}
           :: {|{"op":"connectivity","facets":["0:i0 ; 1:i1","1:i1 ; 2:i0"]}|}
-          :: {|{"op":"model-complex","model":"nope","n":2,"id":3}|}
-          :: List.mapi
-               (fun i name ->
-                 Printf.sprintf {|{"op":"model-complex","model":%S,"n":2,"id":%d}|}
-                   name (10 + i))
-               (MC.names ())
+          :: {|{"op":"connectivity","n":2,"values":3,"id":4}|}
+          :: List.concat
+               (List.mapi
+                  (fun i name ->
+                    [
+                      Printf.sprintf
+                        {|{"op":"model-complex","model":%S,"n":2,"id":%d}|} name
+                        (10 + i);
+                      Printf.sprintf
+                        {|{"op":"connectivity","model":%S,"n":2,"id":"c%d"}|}
+                        name i;
+                    ])
+                  (MC.names ()))
         in
-        let lines = hot @ [ {|{"op":"models"}|} ] in
+        (* barriers: a non-hot op, and a hot op Serve.parse refuses *)
+        let lines =
+          hot
+          @ [
+              {|{"op":"models"}|};
+              {|{"op":"model-complex","model":"nope","n":2,"id":3}|};
+            ]
+        in
         (* warm, so repeat answers are byte-deterministic *)
         List.iter (fun l -> ignore (Serve.handle_line engine l)) lines;
         let expect = List.map (Serve.handle_line engine) lines in
@@ -954,6 +1010,20 @@ let router_tests =
              {|{"op":"connectivity","facets":["1:i1 ; 2:i0","0:i0 ; 1:i1"]}|});
         check bool "content-addressed" true
           (match k1 with Some s -> String.length s > 4 && String.sub s 0 4 = "key:" | None -> false);
+        (* one grammar: the connectivity-over-spec forms shard with the
+           spec they name, and the solver mode does not move placement *)
+        check (option string) "connectivity+model = model-complex"
+          (Router.shard_key {|{"op":"model-complex","model":"sync","n":3,"r":2}|})
+          (Router.shard_key {|{"op":"connectivity","model":"sync","n":3,"r":2}|});
+        check (option string) "connectivity+values = psph" (Some "psph:2:3")
+          (Router.shard_key {|{"op":"connectivity","n":2,"values":3}|});
+        check (option string) "solver mode ignored"
+          (Router.shard_key {|{"op":"model-complex","model":"sync","n":3}|})
+          (Router.shard_key
+             {|{"op":"model-complex","model":"sync","n":3,"solver":"check"}|});
+        check (option string) "solver mode ignored (facets)" k1
+          (Router.shard_key
+             {|{"op":"connectivity","facets":["0:i0 ; 1:i1","1:i1 ; 2:i0"],"solver":"symbolic"}|});
         check (option string) "stats has no affinity" None
           (Router.shard_key {|{"op":"stats"}|});
         check (option string) "garbage has no affinity" None
@@ -1207,15 +1277,18 @@ let replica_tests =
         let resp =
           Serve.handle_line e {|{"op":"betti","facets":["0:i0 ; 1:i1"]}|}
         in
-        (match Replica.entry_of_response resp with
+        let entry line =
+          Option.bind (Serve.reply_of_json line) Replica.entry_of_response
+        in
+        (match entry resp with
         | Some (key, _) ->
             check bool "key is the stored one" true
               (List.mem_assoc key (E.snapshot e))
         | None -> fail ("no entry from " ^ resp));
         check bool "errors carry no entry" true
-          (Replica.entry_of_response {|{"ok":false,"error":"x"}|} = None);
+          (entry {|{"ok":false,"error":"x"}|} = None);
         check bool "bare connectivity under-determines the entry" true
-          (Replica.entry_of_response
+          (entry
              (Serve.handle_line e
                 {|{"op":"connectivity","facets":["0:i0 ; 1:i1"]}|})
           = None));
