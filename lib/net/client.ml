@@ -10,27 +10,24 @@
    Binary connections change exactly that last rule.  The client stamps
    a transport request id on every windowed request and keys the
    in-flight window on it, so a late response is identifiable — and
-   therefore harmless.  A timed-out request keeps the connection: its id
-   moves to the connection's stale set, the retry flies with a fresh id,
-   and when the orphaned response eventually lands it is dropped and
-   counted ([net.client.stale_response]) instead of poisoning the
-   stream.  The stale set is bounded: entries age out after a TTL of a
-   few timeouts (a server that never answered by then never will), and
-   a hard cap evicts the oldest debt first — safe because correctness
-   never depends on stale membership: every windowed id is >= tid_base,
-   so a window miss with a transport-range id is a late response by
-   construction, whatever the set remembers.  Only transport-level
-   failures (torn frames, oversized frames, dead sockets, barrier
-   timeouts) tear the connection down.
+   therefore harmless.  A timed-out request keeps the connection: the
+   retry flies with a fresh id, and when the orphaned response
+   eventually lands it misses the window and is dropped and counted
+   ([net.client.stale_response]) instead of poisoning the stream.  No
+   ledger of timed-out ids is needed: every windowed id is >= tid_base,
+   so a response the window does not know is late by construction.
+   Only transport-level failures (torn frames, oversized frames, dead
+   sockets, barrier timeouts) tear the connection down.
 
    The driver below runs every request — {!request} included — through
-   one state machine with two per-connection modes: binary (negotiated
-   by a hello frame on fresh connections; hot ops as {!Codec} bytes,
+   one pump over two per-connection modes: binary (negotiated by a
+   hello frame on fresh connections; hot ops as {!Codec} bytes,
    everything else escape-tagged JSON) and V1 (plain clients, and old
-   servers: sequential, one in flight, byte-identical to the old
-   client).  Requests whose responses carry no id to match on — batch,
-   stats, anything not a hot op — are "barriers": the window drains and
-   they fly alone, so positional matching is unambiguous. *)
+   servers).  Requests whose responses carry no id to match on — batch,
+   stats, anything not a hot op, and every request on a V1 connection —
+   are "barriers": the window drains and they fly alone, so positional
+   matching is unambiguous.  A V1 connection is thus the sequential v1
+   client, byte for byte. *)
 
 open Psph_obs
 
@@ -65,7 +62,7 @@ type conn = {
   fd : Unix.file_descr;
   reader : Frame.reader;  (* persistent: frames can span reads *)
   rbuf : Bytes.t;  (* socket read buffer, reused by every exchange *)
-  stale : (int, float) Hashtbl.t;  (* timed-out id -> expiry of the debt *)
+  wbuf : Buffer.t;  (* frames staged for one write; empty between drives *)
   mutable mode : mode option;
 }
 
@@ -94,18 +91,11 @@ let ignore_sigpipe =
 (* transport ids start far above any plausible user-chosen integer id,
    so a barrier response carrying a user id can never be mistaken for a
    late windowed response (see the barrier-matching rule in [pump]).
-   A caller who does pick an id >= tid_base gets that response dropped
-   as stale and the barrier times out — documented in the mli. *)
+   On a binary connection a caller who does pick an id >= tid_base gets
+   that response dropped as stale and the barrier times out —
+   documented in the mli.  V1 connections carry no transport ids and
+   never apply the rule. *)
 let tid_base = 0x40000000
-
-(* bound on timed-out ids still owed a late response: beyond the cap the
-   oldest debts are forgotten (their late responses will still be
-   dropped by the tid_base rule, just counted without a table hit) *)
-let stale_cap = 1024
-
-(* a response this late is never coming; a few timeouts of grace keeps
-   slow-but-alive servers from leaking entries under tiny timeouts *)
-let stale_ttl t = Float.max (8. *. t.timeout_s) 0.5
 
 let create ?(metrics = "net.client") ?(timeout_ms = 5000) ?(retries = 3)
     ?(backoff_ms = 50) ?(max_backoff_ms = 2000)
@@ -146,10 +136,6 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let pending_stale t =
-  locked t @@ fun () ->
-  match t.conn with Some c -> Hashtbl.length c.stale | None -> 0
-
 let next_tid t =
   let v = t.tid in
   t.tid <- (if v >= 0x7FFFFFFF then tid_base else v + 1);
@@ -165,6 +151,8 @@ let disconnect t =
 let close t = locked t (fun () -> disconnect t)
 
 let connection fmt = Printf.ksprintf (fun m -> raise (Err (Connection m))) fmt
+
+let as_error = function Err e -> e | e -> Connection (Printexc.to_string e)
 
 (* the peer (or a chaos proxy between us and it) killed the connection
    under us mid-request.  Named explicitly rather than left to the
@@ -226,7 +214,7 @@ let ensure_connected t deadline =
           fd;
           reader = Frame.reader ~max_frame:t.max_frame ();
           rbuf = Bytes.create 65536;
-          stale = Hashtbl.create 8;
+          wbuf = Buffer.create 4096;
           mode = None;
         }
       in
@@ -259,37 +247,35 @@ let send_all fd s deadline =
   in
   go 0
 
-(* read whole frames from the connection's reader until one payload is
-   complete or the deadline runs out.  Any failure discards the whole
-   connection (reader included), so a half-frame can never leak into the
-   next exchange. *)
-let recv_one c deadline =
-  let buf = c.rbuf in
-  let rec go () =
-    match Frame.next c.reader with
-    | Some payload -> payload
-    | None -> (
-        let budget = deadline -. Obs.monotonic () in
-        if budget <= 0. then raise (Err Timeout);
-        set_timeout c.fd Unix.SO_RCVTIMEO budget;
-        match Unix.read c.fd buf 0 (Bytes.length buf) with
-        | 0 -> connection "connection closed by server (torn frame)"
-        | n -> (
-            match Frame.feed c.reader buf 0 n with
-            | () -> go ()
-            | exception Frame.Oversized len ->
-                raise
-                  (Err
-                     (Protocol
-                        (Printf.sprintf "oversized frame from server (%d bytes)"
-                           len))))
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-          ->
-            raise (Err Timeout)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-        | exception Unix.Unix_error (e, _, _) -> connection_io "receive" e)
-  in
-  go ()
+(* one read (waiting at most [budget] seconds) into the connection's
+   reader.  Any failure discards the whole connection (reader included),
+   so a half-frame can never leak into the next exchange. *)
+let read_into c budget =
+  set_timeout c.fd Unix.SO_RCVTIMEO budget;
+  match Unix.read c.fd c.rbuf 0 (Bytes.length c.rbuf) with
+  | 0 -> connection "connection closed by server (torn frame)"
+  | n -> (
+      match Frame.feed c.reader c.rbuf 0 n with
+      | () -> ()
+      | exception Frame.Oversized len ->
+          raise
+            (Err
+               (Protocol
+                  (Printf.sprintf "oversized frame from server (%d bytes)" len))))
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      raise (Err Timeout)
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  | exception Unix.Unix_error (e, _, _) -> connection_io "receive" e
+
+(* read until one payload is complete or the deadline runs out *)
+let rec recv_one c deadline =
+  match Frame.next c.reader with
+  | Some payload -> payload
+  | None ->
+      let budget = deadline -. Obs.monotonic () in
+      if budget <= 0. then raise (Err Timeout);
+      read_into c budget;
+      recv_one c deadline
 
 (* carry the ambient span id across the wire (only while tracing: the
    rewrite costs a parse, and span ids only mean something to a trace) *)
@@ -403,55 +389,28 @@ let drive ?on_latency t (items : ditem array) =
     Array.iteri (fun i r -> if r = None then Queue.add i pending) results
   in
   let streak = ref 0 in
-  (* could not even get a negotiated connection: everyone unfinished
-     pays an attempt, then back off before trying again *)
-  let conn_failure e =
+  (* the connection is unusable: each victim pays an attempt (fatal
+     errors resolve them outright), the survivors re-fly on a fresh
+     connection after a backoff *)
+  let teardown e victims =
     disconnect t;
     if e = Timeout then Obs.incr t.m.timeouts;
-    Array.iteri (fun i r -> if r = None then bump e i) results;
+    List.iter (bump e) victims;
     if unresolved () then begin
       Thread.delay (backoff_delay t !streak);
       incr streak
     end
   in
 
-  (* ------------------- V1: the sequential exchange ----------------- *)
-  let v1_drain c =
-    let inflight = ref (-1) in
-    try
-      while not (Queue.is_empty pending) do
-        let idx = Queue.pop pending in
-        if results.(idx) = None then begin
-          let it = items.(idx) in
-          inflight := idx;
-          let t0 = Obs.monotonic () in
-          let deadline = t0 +. t.timeout_s in
-          send_all c.fd
-            (Frame.encode ~max_frame:t.max_frame
-               (with_span_parent (Lazy.force it.req.jline)))
-            deadline;
-          let resp = recv_one c deadline in
-          inflight := -1;
-          resolve ~latency:(Obs.monotonic () -. t0) idx (Ok (Rraw resp))
-        end
-      done
-    with e ->
-      let e = match e with Err e -> e | e -> Connection (Printexc.to_string e) in
-      disconnect t;
-      if e = Timeout then Obs.incr t.m.timeouts;
-      if !inflight >= 0 then bump e !inflight;
-      if unresolved () then begin
-        Thread.delay (backoff_delay t !streak);
-        incr streak
-      end
-  in
-
-  (* -------------------- binary: the windowed pump ------------------- *)
-  let pump c =
+  (* the one pump.  On a binary connection hot ops are windowed by
+     transport id; on a V1 connection every item is a barrier sent as
+     its plain line, so the exchange is strictly sequential. *)
+  let pump c mode =
+    let binary = mode = Binary in
     (* tid -> (item index, sent_at, deadline) *)
     let window = Hashtbl.create (2 * t.pipeline_depth) in
     let barrier = ref None in
-    let out = Buffer.create 4096 in
+    let out = c.wbuf in
     let inflight () =
       Hashtbl.length window + match !barrier with Some _ -> 1 | None -> 0
     in
@@ -462,7 +421,7 @@ let drive ?on_latency t (items : ditem array) =
         if results.(idx) <> None then ignore (Queue.pop pending)
         else begin
           let it = items.(idx) in
-          match Lazy.force it.req.bin with
+          match if binary then Lazy.force it.req.bin else None with
           | Some tpl ->
               if !barrier = None && Hashtbl.length window < t.pipeline_depth
               then begin
@@ -480,9 +439,11 @@ let drive ?on_latency t (items : ditem array) =
                  match on, so they must be the only frame in flight *)
               if inflight () = 0 then begin
                 ignore (Queue.pop pending);
+                let line = Lazy.force it.req.jline in
                 let now = Obs.monotonic () in
                 Frame.encode_into ~max_frame:t.max_frame out
-                  (Codec.escape_json (Lazy.force it.req.jline));
+                  (if binary then Codec.escape_json line
+                   else with_span_parent line);
                 barrier := Some (idx, now, now +. t.timeout_s)
               end;
               again := false
@@ -496,16 +457,12 @@ let drive ?on_latency t (items : ditem array) =
         send_all c.fd data (Obs.monotonic () +. t.timeout_s)
       end
     in
-    let resolve_window tid idx sent v =
-      Hashtbl.remove window tid;
-      resolve ~latency:(Obs.monotonic () -. sent) idx (Ok v)
-    in
-    let drop_stale id_opt =
-      (match id_opt with Some i -> Hashtbl.remove c.stale i | None -> ());
-      Obs.incr t.m.stale
-    in
+    (* a binary frame answers the window slot its id names; a JSON line
+       (escaped on a binary connection, plain on V1) answers the barrier
+       — unless, on a binary connection, its id is in the transport
+       range, which makes it a windowed request's late response *)
     let handle_payload payload =
-      match Codec.unescape_json payload with
+      match if binary then Codec.unescape_json payload else Some payload with
       | None -> (
           match Codec.decode_reply payload with
           | Error m -> raise (Err (Protocol ("undecodable reply: " ^ m)))
@@ -515,23 +472,26 @@ let drive ?on_latency t (items : ditem array) =
                 | Codec.Result { id; _ } | Codec.Failed { id; _ } -> id
               in
               match Hashtbl.find_opt window id with
-              | Some (idx, sent, _) -> resolve_window id idx sent (Rbin r)
-              | None -> drop_stale (Some id)))
+              | Some (idx, sent, _) ->
+                  Hashtbl.remove window id;
+                  resolve ~latency:(Obs.monotonic () -. sent) idx (Ok (Rbin r))
+              | None -> Obs.incr t.m.stale))
       | Some line -> (
-          (* an escaped JSON frame answers the barrier — unless its id
-             names a request we timed out, in which case it is that
-             request's late response *)
-          let id =
+          let late =
+            binary
+            &&
             match Jsonl.of_string_opt line with
-            | Some o -> Option.bind (Jsonl.member "id" o) Jsonl.to_int_opt
-            | None -> None
+            | Some o -> (
+                match Option.bind (Jsonl.member "id" o) Jsonl.to_int_opt with
+                | Some i -> i >= tid_base
+                | None -> false)
+            | None -> false
           in
           match !barrier with
-          | Some (idx, sent, _)
-            when (match id with Some i -> i < tid_base | None -> true) ->
+          | Some (idx, sent, _) when not late ->
               barrier := None;
               resolve ~latency:(Obs.monotonic () -. sent) idx (Ok (Rraw line))
-          | _ -> drop_stale id)
+          | _ -> Obs.incr t.m.stale)
     in
     let nearest_deadline () =
       let d =
@@ -541,53 +501,25 @@ let drive ?on_latency t (items : ditem array) =
       in
       match !barrier with Some (_, _, dl) -> Float.min dl d | None -> d
     in
-    (* expire overdue window slots in place: the id goes to the stale
-       set (stamped with its own expiry), the retry gets a fresh id, the
-       connection lives on.  An overdue barrier can only be resolved by
-       tearing the connection down (its response is matched
+    (* expire overdue window slots in place: the retry gets a fresh id,
+       the connection lives on.  An overdue barrier can only be resolved
+       by tearing the connection down (its response is matched
        positionally). *)
     let expire () =
       let now = Obs.monotonic () in
       (match !barrier with
       | Some (_, _, dl) when now >= dl -> raise (Err Timeout)
       | _ -> ());
-      let dead =
-        Hashtbl.fold
-          (fun tid (idx, _, dl) acc ->
-            if now >= dl then (tid, idx) :: acc else acc)
-          window []
-      in
-      List.iter
-        (fun (tid, idx) ->
-          Hashtbl.remove window tid;
-          Hashtbl.replace c.stale tid (now +. stale_ttl t);
-          Obs.incr t.m.timeouts;
-          bump Timeout idx;
-          if results.(idx) = None then Queue.add idx pending)
-        dead;
-      (* age out debts whose response is never coming... *)
-      let expired =
-        Hashtbl.fold
-          (fun tid dl acc -> if now >= dl then tid :: acc else acc)
-          c.stale []
-      in
-      List.iter (Hashtbl.remove c.stale) expired;
-      (* ...and under a pathological server, forget the oldest debts
-         rather than tearing down a connection that still works: the
-         tid_base rule keeps their late responses harmless anyway *)
-      while Hashtbl.length c.stale > stale_cap do
-        let oldest =
-          Hashtbl.fold
-            (fun tid dl acc ->
-              match acc with
-              | Some (_, best) when best <= dl -> acc
-              | _ -> Some (tid, dl))
-            c.stale None
-        in
-        match oldest with
-        | Some (tid, _) -> Hashtbl.remove c.stale tid
-        | None -> ()
-      done
+      Hashtbl.filter_map_inplace
+        (fun _ ((idx, _, dl) as slot) ->
+          if now < dl then Some slot
+          else begin
+            Obs.incr t.m.timeouts;
+            bump Timeout idx;
+            if results.(idx) = None then Queue.add idx pending;
+            None
+          end)
+        window
     in
     let rec go () =
       fill ();
@@ -606,44 +538,21 @@ let drive ?on_latency t (items : ditem array) =
         let now = Obs.monotonic () in
         let dl = nearest_deadline () in
         if dl <= now then expire ()
-        else begin
-          set_timeout c.fd Unix.SO_RCVTIMEO (dl -. now);
-          match Unix.read c.fd c.rbuf 0 (Bytes.length c.rbuf) with
-          | 0 -> connection "connection closed by server (torn frame)"
-          | n -> (
-              match Frame.feed c.reader c.rbuf 0 n with
-              | () -> ()
-              | exception Frame.Oversized len ->
-                  raise
-                    (Err
-                       (Protocol
-                          (Printf.sprintf
-                             "oversized frame from server (%d bytes)" len))))
-          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-            ->
-              expire ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          | exception Unix.Unix_error (e, _, _) -> connection_io "receive" e
-        end;
+        else (
+          (* a read timeout here is a slot's deadline, not the
+             connection's: expire the overdue slots in place *)
+          try read_into c (dl -. now) with Err Timeout -> expire ());
         go ()
       end
       else if not (Queue.is_empty pending) then go ()
     in
     try go ()
     with e ->
-      (* transport-level failure: the connection is unusable.  Fatal
-         errors resolve every in-flight request; retryable ones cost
-         each an attempt and the survivors re-fly on a fresh
-         connection. *)
-      let e = match e with Err e -> e | e -> Connection (Printexc.to_string e) in
-      disconnect t;
-      if e = Timeout then Obs.incr t.m.timeouts;
-      Hashtbl.iter (fun _ (idx, _, _) -> bump e idx) window;
-      (match !barrier with Some (idx, _, _) -> bump e idx | None -> ());
-      if unresolved () then begin
-        Thread.delay (backoff_delay t !streak);
-        incr streak
-      end
+      let victims =
+        Hashtbl.fold (fun _ (idx, _, _) acc -> idx :: acc) window
+          (match !barrier with Some (idx, _, _) -> [ idx ] | None -> [])
+      in
+      teardown (as_error e) victims
   in
 
   let rec session () =
@@ -651,16 +560,12 @@ let drive ?on_latency t (items : ditem array) =
       rebuild_pending ();
       (match ensure_mode t with
       | exception e ->
-          let e =
-            match e with Err e -> e | e -> Connection (Printexc.to_string e)
-          in
-          conn_failure e
-      | c, V1 ->
+          (* could not even get a negotiated connection: everyone
+             unfinished pays an attempt *)
+          teardown (as_error e) (List.of_seq (Queue.to_seq pending))
+      | c, mode ->
           streak := 0;
-          v1_drain c
-      | c, Binary ->
-          streak := 0;
-          pump c);
+          pump c mode);
       session ()
     end
   in
@@ -753,11 +658,11 @@ let eval_many ?on_latency t specs =
 (* one item through the driver, in its own span: on a V1 connection the
    span id rides out as "span_parent" (while tracing), so server spans
    nest under it *)
-let request_prepared t req =
+let request t line =
   locked t @@ fun () ->
   Obs.incr t.m.requests;
   Obs.with_span t.m.span_name (fun sp ->
-      let it = item req in
+      let it = item (prepare_line line) in
       match (drive t [| it |]).(0) with
       | Ok v ->
           Obs.set_attr sp "attempts" (Jsonl.int (it.attempts + 1));
@@ -766,5 +671,3 @@ let request_prepared t req =
           Obs.set_attr sp "attempts" (Jsonl.int it.attempts);
           Obs.set_attr sp "error" (Jsonl.Str (error_message e));
           Error e)
-
-let request t line = request_prepared t (prepare_line line)

@@ -24,6 +24,8 @@
     is granted the connection is binary, otherwise — an old server
     answering with an error, or one offering anything but binary — it
     quietly falls back to sequential v1 (negotiated, never assumed).
+    Both modes run through one pump: on a v1 connection every request
+    is a barrier sent as its plain line, one in flight at a time.
     On a binary connection {!pipeline} keeps up to [pipeline_depth]
     requests in flight, keying the window on transport request ids.
     Hot query ops ([psph], [betti], [connectivity], [model-complex]),
@@ -36,21 +38,20 @@
     codec's wire ranges, and hot ops naming a non-[auto] ["solver"]
     (the binary layout carries no solver mode).
 
-    A timed-out pipelined request no longer tears down the connection:
-    its id is remembered, the late response is dropped when it arrives
-    (counted as [net.client.stale_response]) and the retry flies with
-    a fresh id — ids make late responses harmless, which is the whole
-    point of keying the window on them.  Responses matching no
-    in-flight id are likewise dropped and counted, never misdelivered.
-    The remembered-id set is {b bounded}: each entry ages out after
-    [max (8 * timeout) 0.5s] (a response that late is never coming) and
-    a 1024-entry cap evicts oldest-first, so a server that times out
-    forever cannot grow client memory without bound.  Eviction is safe
-    because barrier matching never trusts the set: transport ids live
-    at [0x40000000] and above, and a barrier only accepts a response
-    whose id is below that range (or that has none) — a caller who
-    picks an id of [0x40000000]+ for a barrier op forfeits that
-    response (dropped as stale, the request times out).
+    A timed-out pipelined request does not tear down the connection:
+    the retry flies with a fresh id, and the late response, when it
+    arrives, matches no in-flight id and is dropped (counted as
+    [net.client.stale_response]) — ids make late responses harmless,
+    which is the whole point of keying the window on them.  The client
+    keeps no record of timed-out ids, so a server that times out forever
+    costs no client memory.  Barrier matching on a binary connection
+    relies on the id range instead: transport ids live at [0x40000000]
+    and above, and a barrier only accepts a response whose id is below
+    that range (or that has none) — a caller who picks an id of
+    [0x40000000]+ for a barrier op on a binary connection forfeits that
+    response (dropped as stale, the request times out).  A v1
+    connection carries no transport ids, so its answers are accepted
+    whatever their id.
 
     Observability ([net.client.*]): request/error/retry/reconnect/
     timeout/pipelined/stale_response counters and a latency histogram;
@@ -59,7 +60,8 @@
     the bridge that makes loopback traces nest across the socket
     (injection only happens while a trace sink is live, so production
     requests go out byte-untouched).  {!pipeline} runs in a single
-    [net.client.pipeline] span; binary requests carry no span parent. *)
+    [net.client.pipeline] span, whose id is the one a v1 connection
+    injects; binary requests carry no span parent. *)
 
 type error =
   | Timeout
@@ -92,11 +94,6 @@ val create :
     binary codec even at depth 1, and [pipeline_depth > 1] implies it. *)
 
 val addr : t -> Addr.t
-
-val pending_stale : t -> int
-(** Timed-out request ids still owed a late response on the current
-    connection (0 when disconnected).  Bounded by the age-out/cap rules
-    above; exposed for tests and monitoring. *)
 
 val request : t -> string -> (string, error) result
 (** Send one line, wait for the response line.  Serialized per client
@@ -131,9 +128,6 @@ val prepare :
     [line] (to [obj], [None] when it is not JSON) and read it with
     {!Psph_engine.Serve.parse} — how {!Router} forwards a line it parsed
     once.  The arguments must describe [line]. *)
-
-val request_prepared : t -> prepared -> (string, error) result
-(** {!request} for a prepared line. *)
 
 val pipeline_prepared :
   ?on_latency:(int -> float -> unit) ->

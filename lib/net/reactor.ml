@@ -175,9 +175,11 @@ let read_step t buf c =
       match Frame.feed c.reader buf 0 n with
       | () -> Obs.observe t.m.frames_per_read (float_of_int (drain_frames t c))
       | exception Frame.Oversized len ->
-          (* the stream is desynced past this point: report, let the
-             layer above answer, and take no more input *)
+          (* the stream is desynced past this point: deliver the frames
+             decoded before the bad header, report, let the layer above
+             answer, and take no more input *)
           c.rclosed <- true;
+          ignore (drain_frames t c);
           (try t.on_failure c (Oversized len) with _ -> ()))
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     -> ()

@@ -33,7 +33,9 @@ type user += No_user
 type failure =
   | Oversized of int
       (** the peer advertised a frame over [max_frame]; the byte stream
-          is desynced and the connection must be closed after answering *)
+          is desynced and the connection must be closed after answering.
+          Frames completed ahead of the bad header are delivered to
+          [on_frame] first. *)
   | Torn  (** the peer hung up mid-frame *)
 
 val create :

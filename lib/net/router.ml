@@ -236,68 +236,129 @@ let populate_hint t st prefs served reply =
               owners)
     | _ -> ()
 
-let route_single t sp req =
+(* ------------------------------------------------------------------ *)
+(* the walk                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A forwarded request — a single line, or one member of a fanned-out
+   batch — walks its preference order in rounds: every unresolved
+   member tries its best untried backend (live first, a dead one as a
+   last resort — it may have revived since the prober last looked),
+   members bound for the same backend share one pipelined flight, and
+   flights run in parallel.  Preferences only shrink, so the walk ends
+   in degraded answers at worst.  A single request is a one-member
+   walk: one flight, run inline. *)
+
+type member = {
+  req : req;
+  prefs : int list;  (** full preference order: rank and owner set *)
+  mutable untried : int list;
+  mutable tries : int;
+  mutable resp : string option;
+  mutable attrs : (string * Jsonl.t) list;  (** span attrs, one-member walks *)
+}
+
+(* one member's answer from backend [b].  Runs on the flight's thread:
+   it writes only to its own member. *)
+let answered t st m b resp =
+  mark t st b true;
+  Obs.incr t.m.forwarded;
+  m.attrs <- ("backend", Jsonl.Str (Addr.to_string st.bks.(b).baddr)) :: m.attrs;
+  if m.req.key <> None then begin
+    let reply = lazy (Serve.reply_of_json resp) in
+    let r = rank m.prefs b in
+    if t.read_fallback && r > 0 && r < owners_count t st then begin
+      Replica.fallback_read t.rep
+        ~cached:
+          (match Lazy.force reply with
+          | Some (Serve.Result { cached; _ }) -> cached
+          | _ -> false);
+      m.attrs <- ("fallback", Jsonl.Bool true) :: m.attrs
+    end;
+    populate_hint t st m.prefs b reply
+  end;
+  m.resp <- Some resp
+
+let walk t sp reqs =
   let st = t.state in
-  let prefs = preference_in t st req.key in
-  (* live backends first, each dead one still gets a last-resort
-     try (it may have revived since the prober last looked) *)
-  let live, dead = List.partition (fun i -> st.bks.(i).alive) prefs in
-  let rec go first = function
-    | [] ->
-        Obs.incr t.m.no_backend;
-        Obs.set_attr sp "degraded" (Jsonl.Bool true);
-        degraded t req.obj
-    | i :: rest -> (
-        match Client.request_prepared st.bks.(i).client req.fwd with
-        | Ok resp ->
-            mark t st i true;
-            Obs.incr t.m.forwarded;
-            Obs.set_attr sp "backend"
-              (Jsonl.Str (Addr.to_string st.bks.(i).baddr));
-            if req.key <> None then begin
-              let reply = lazy (Serve.reply_of_json resp) in
-              let r = rank prefs i in
-              if t.read_fallback && r > 0 && r < owners_count t st then begin
-                Replica.fallback_read t.rep
-                  ~cached:
-                    (match Lazy.force reply with
-                    | Some (Serve.Result { cached; _ }) -> cached
-                    | _ -> false);
-                Obs.set_attr sp "fallback" (Jsonl.Bool true)
-              end;
-              populate_hint t st prefs i reply
-            end;
-            resp
-        | Error e when Client.is_retryable e ->
-            (* transport failure: the backend (not the request)
-               is the problem — mark it down and fail over *)
-            mark t st i false;
-            if not first then Obs.incr t.m.failover;
-            go false rest
-        | Error e ->
-            (* fatal Protocol errors are request-specific (e.g.
-               a response over the client's max_frame): every
-               backend would fail it identically, so answer with
-               the error instead of walking the ring marking
-               healthy backends dead *)
-            Obs.set_attr sp "error" (Jsonl.Str (Client.error_message e));
-            error_line req.obj (Client.error_message e))
+  let members =
+    Array.map
+      (fun req ->
+        let prefs = preference_in t st req.key in
+        { req; prefs; untried = prefs; tries = 0; resp = None; attrs = [] })
+      reqs
   in
-  go true (live @ dead)
+  let flight (b, ms) =
+    let rs =
+      Client.pipeline_prepared st.bks.(b).client (List.map (fun m -> m.req.fwd) ms)
+    in
+    List.iter2
+      (fun m r ->
+        match r with
+        | Ok resp -> answered t st m b resp
+        | Error e when Client.is_retryable e ->
+            (* transport failure: the backend (not the request) is the
+               problem — mark it down; the next round walks on *)
+            mark t st b false
+        | Error e ->
+            (* fatal Protocol errors are request-specific (e.g. a
+               response over the client's max_frame): every backend
+               would fail it identically, so answer with the error
+               instead of walking the ring marking healthy backends
+               dead *)
+            let msg = Client.error_message e in
+            m.attrs <- ("error", Jsonl.Str msg) :: m.attrs;
+            m.resp <- Some (error_line m.req.obj msg))
+      ms rs
+  in
+  let rec round () =
+    let groups = Hashtbl.create 8 in
+    for i = Array.length members - 1 downto 0 do
+      let m = members.(i) in
+      if m.resp = None then
+        let choice =
+          match List.find_opt (fun b -> st.bks.(b).alive) m.untried with
+          | Some b -> Some b
+          | None -> ( match m.untried with b :: _ -> Some b | [] -> None)
+        in
+        match choice with
+        | None ->
+            Obs.incr t.m.no_backend;
+            m.attrs <- ("degraded", Jsonl.Bool true) :: m.attrs;
+            m.resp <- Some (degraded t m.req.obj)
+        | Some b ->
+            m.untried <- List.filter (fun x -> x <> b) m.untried;
+            m.tries <- m.tries + 1;
+            if m.tries = 2 then Obs.incr t.m.failover;
+            Hashtbl.replace groups b
+              (m :: Option.value ~default:[] (Hashtbl.find_opt groups b))
+    done;
+    match Hashtbl.fold (fun b ms acc -> (b, ms) :: acc) groups [] with
+    | [] -> ()
+    | [ one ] ->
+        flight one;
+        round ()
+    | work ->
+        List.iter Thread.join (List.map (fun w -> Thread.create flight w) work);
+        round ()
+  in
+  round ();
+  if Array.length members = 1 then
+    List.iter (fun (k, v) -> Obs.set_attr sp k v) (List.rev members.(0).attrs);
+  Array.map (fun m -> Option.get m.resp) members
 
 (* ------------------------------------------------------------------ *)
 (* batch fan-out                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* A batch of hot-op members fans out: members group by their preferred
-   backend (so each still lands on the cache that is warm for it) and
-   each group flies down that backend's pipelined connection, groups in
-   parallel.  Only hot ops qualify because the fan-out forwards members
+(* A batch of hot-op members fans out: each member walks as above, so
+   it still lands on the cache that is warm for it and fails over on
+   its own.  Only hot ops qualify because the fan-out forwards members
    as top-level requests, and for hot ops a member's slot in a backend
    batch response is byte-identical to the backend's top-level response
-   — so splicing the group results back together in request order
+   — so splicing the member responses back together in request order
    reproduces exactly the bytes a single backend would have sent.
-   Batches with nested/keyless members keep the v1 whole-batch path. *)
+   Batches with nested/keyless members are forwarded whole. *)
 
 let hot_op r =
   match Option.bind (Jsonl.member "op" r) Jsonl.to_string_opt with
@@ -311,87 +372,20 @@ let hot_batch o =
   let ms = batch_members o in
   List.length ms > 1 && List.for_all hot_op ms
 
-let fanout_members o =
-  Array.of_list
-    (List.map (fun m -> req_of (Jsonl.to_string m) (Some m)) (batch_members o))
-
-let route_batch t sp members =
-  let st = t.state in
-  Obs.incr t.m.fanout;
-  let n = Array.length members in
-  Obs.set_attr sp "fanout" (Jsonl.int n);
-  let responses = Array.make n None in
-  let all_prefs = Array.map (fun m -> preference_in t st m.key) members in
-  let prefs = Array.map (fun p -> ref p) all_prefs in
-  (* rounds: every unresolved member tries its best untried backend
-     (live first, dead as a last resort), one pipelined flight per
-     backend, flights in parallel.  Preferences only shrink, so the
-     loop terminates in degraded answers at worst. *)
-  let rec round () =
-    let groups = Hashtbl.create 8 in
-    let progress = ref false in
-    for i = n - 1 downto 0 do
-      if responses.(i) = None then begin
-        let remaining = !(prefs.(i)) in
-        let choice =
-          match List.find_opt (fun b -> st.bks.(b).alive) remaining with
-          | Some b -> Some b
-          | None -> ( match remaining with b :: _ -> Some b | [] -> None)
-        in
-        match choice with
-        | None ->
-            Obs.incr t.m.no_backend;
-            responses.(i) <- Some (degraded t members.(i).obj)
-        | Some b ->
-            prefs.(i) := List.filter (fun x -> x <> b) remaining;
-            progress := true;
-            Hashtbl.replace groups b
-              (i :: (try Hashtbl.find groups b with Not_found -> []))
-      end
-    done;
-    if !progress then begin
-      let run (b, idxs) =
-        let rs =
-          Client.pipeline_prepared st.bks.(b).client
-            (List.map (fun i -> members.(i).fwd) idxs)
-        in
-        List.iter2
-          (fun i r ->
-            match r with
-            | Ok resp ->
-                mark t st b true;
-                Obs.incr t.m.forwarded;
-                populate_hint t st all_prefs.(i) b
-                  (lazy (Serve.reply_of_json resp));
-                responses.(i) <- Some resp
-            | Error e when Client.is_retryable e ->
-                (* stays unresolved: the next round walks the member's
-                   remaining preference *)
-                mark t st b false;
-                Obs.incr t.m.failover
-            | Error e ->
-                responses.(i) <-
-                  Some (error_line members.(i).obj (Client.error_message e)))
-          idxs rs
-      in
-      (match Hashtbl.fold (fun b idxs acc -> (b, idxs) :: acc) groups [] with
-      | [ one ] -> run one
-      | work ->
-          let threads = List.map (fun w -> Thread.create run w) work in
-          List.iter Thread.join threads);
-      round ()
-    end
+let route_batch t sp o =
+  let reqs =
+    Array.of_list
+      (List.map (fun m -> req_of (Jsonl.to_string m) (Some m)) (batch_members o))
   in
-  round ();
-  (* splice the member responses verbatim: they are already the exact
-     bytes of the corresponding batch-result slots *)
+  Obs.incr t.m.fanout;
+  Obs.set_attr sp "fanout" (Jsonl.int (Array.length reqs));
   let buf = Buffer.create 256 in
   Buffer.add_string buf {|{"ok":true,"results":[|};
   Array.iteri
     (fun i r ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Option.value r ~default:(degraded t members.(i).obj)))
-    responses;
+      Buffer.add_string buf r)
+    (walk t sp reqs);
   Buffer.add_string buf "]}";
   Buffer.contents buf
 
@@ -573,9 +567,8 @@ let route t line =
           match (op, obj) with
           | Some "cluster", Some o -> cluster_response t o
           | Some "join", Some o -> join_response t o
-          | Some "batch", Some o when hot_batch o ->
-              route_batch t sp (fanout_members o)
-          | _ -> route_single t sp (req_of line obj)))
+          | Some "batch", Some o when hot_batch o -> route_batch t sp o
+          | _ -> (walk t sp [| req_of line obj |]).(0)))
 
 (* ------------------------------------------------------------------ *)
 (* health checks                                                       *)

@@ -42,8 +42,10 @@
     factor and per-backend liveness.
 
     {b Error contract.}  A request tries backends in ring order, live
-    ones first: a retryable failure marks the backend dead and fails
-    over to the next; a fatal protocol error is request-specific, so it
+    ones first and dead ones as a last resort: a retryable failure marks
+    the backend dead and fails over to the next (counted once, in
+    [net.router.failover], when the request reaches its second
+    backend); a fatal protocol error is request-specific, so it
     is answered as [{"ok":false,"error":...}] without touching backend
     health; when nothing answers, the router degrades to
     [{"ok":false,"error":"no backend"}] (id echoed) — and while the
@@ -85,8 +87,8 @@ val create :
     links always ask for the binary codec and keep up to
     [pipeline_depth] (default 16) requests in flight; v1 backends
     quietly get sequential JSON (see {!Client}).  A link serves one
-    request at a time ({!Client.request} holds its lock for the round
-    trip), so only a batch fan-out fills the window.
+    flight at a time ({!Client.pipeline_prepared} holds its lock for the
+    round trip), so only a batch fan-out fills the window.
     @raise Invalid_argument on an empty or duplicate backend list. *)
 
 val shard_key : string -> string option
@@ -122,16 +124,17 @@ val route : t -> string -> string
     sends it without re-parsing — and a backend's answer at most once
     (for populate hints and fallback-read accounting).
 
-    A [batch] whose members are all hot ops ([psph], [betti],
-    [connectivity], [model-complex]) {b fans out}: members are grouped
-    by their preferred backend (cache affinity preserved per member),
-    each group rides that backend's pipelined connection, groups run in
-    parallel, and failover happens per member.  The reassembled
+    Every forwarded request takes one walk.  A single line is a
+    one-member walk; a [batch] whose members are all hot ops ([psph],
+    [betti], [connectivity], [model-complex]) {b fans out} as a
+    many-member one.  In rounds, each unresolved member tries its best
+    untried backend; members bound for one backend share its pipelined
+    connection, and the flights run in parallel.  Failover, populate
+    hints and read-fallback accounting are per member.  The spliced
     response is byte-identical to a single backend's batch answer;
     members are answered [{"ok":false,"error":"no backend"}] in place
-    when nothing will take them.  Batches with other member ops keep
-    the forward-whole behavior.  Fanned batches count in
-    [net.router.fanout]. *)
+    when nothing will take them.  Batches with other member ops are
+    forwarded whole.  Fanned batches count in [net.router.fanout]. *)
 
 val start_health_checks : t -> unit
 (** Spawn the background prober (idempotent). *)

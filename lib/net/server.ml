@@ -312,6 +312,16 @@ let on_frame t conn payload =
               finish_inflight t conn st))
   | _ -> ()
 
+(* the peer will send nothing more (or nothing we can read): finish
+   what is in flight, then close — the reactor flushes queued output
+   first, and [finish_inflight] closes if a job is still running *)
+let close_when_drained conn st =
+  Mutex.lock st.slk;
+  st.eof <- true;
+  let idle = st.cinflight = 0 in
+  Mutex.unlock st.slk;
+  if idle then Reactor.close conn
+
 let on_failure t conn fail =
   match Reactor.user conn with
   | Conn st -> (
@@ -319,25 +329,20 @@ let on_failure t conn fail =
       | Reactor.Torn -> Obs.incr t.m.torn
       | Reactor.Oversized len ->
           (* the stream is desynced: answer (the client's reader stays
-             coherent — frames survive a poisoned peer) and hang up *)
+             coherent — frames survive a poisoned peer) after the
+             requests that preceded the bad header, and hang up *)
           Obs.incr t.m.frame_errors;
           let msg =
             Printf.sprintf "frame too large (%d bytes, max %d)" len t.max_frame
           in
           complete t conn st (take_seq st) (error_for st msg);
-          Reactor.close conn)
+          close_when_drained conn st)
   | _ -> ()
 
+(* half-closed peers still read *)
 let on_eof _t conn =
   match Reactor.user conn with
-  | Conn st ->
-      Mutex.lock st.slk;
-      st.eof <- true;
-      let idle = st.cinflight = 0 in
-      Mutex.unlock st.slk;
-      (* half-closed peers still read: finish what is in flight, then
-         close (the reactor flushes queued output first) *)
-      if idle then Reactor.close conn
+  | Conn st -> close_when_drained conn st
   | _ -> Reactor.close conn
 
 let on_close t _conn =

@@ -22,7 +22,11 @@
 
     Robustness mirrors v1: garbage framing, death mid-frame and the
     oversized-frame guard are answered (when possible) and closed —
-    the server never crashes and other connections never notice.
+    the server never crashes and other connections never notice.  An
+    oversized header costs none of the requests that arrived complete
+    ahead of it: they are answered first (on a JSON connection, in
+    order before the framing error) and the connection closes once
+    their responses are out.
     [max_conns] bounds the pool; excess connections wait in the kernel
     backlog.  [deadline_s] stays cooperative: a request whose handler
     ran past it is answered with a deadline error instead of its (late)
