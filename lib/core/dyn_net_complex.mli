@@ -13,7 +13,6 @@
     - {!All}: unrestricted — any digraph with self-loops. *)
 
 open Psph_topology
-open Psph_model
 
 type adversary = Rooted | Strong | All
 
@@ -22,19 +21,28 @@ val int_of_adversary : adversary -> int
 val adversary_name : adversary -> string
 val adversary_of_string : string -> adversary option
 
-val allowed : adversary -> Round_schedule.digraph -> bool
-(** Whether the class permits this round digraph. *)
-
-val facet_of : Simplex.t -> Round_schedule.digraph -> Simplex.t
-(** The global state after one round under digraph [g]: process [p]'s new
-    label pairs its previous state with the sorted [(pid, state)] list of
-    its in-neighborhood. *)
+val allows : adversary -> int array -> bool
+(** [allows adv ins]: whether the class permits the digraph on processes
+    [0 .. m-1] in which process [i] hears from the index set whose bitmask
+    is [ins.(i)] (bit [i] always set).  Agrees with
+    [Round_schedule.rooted] / [Round_schedule.strongly_connected] on every
+    digraph. *)
 
 val one_round : adversary -> Simplex.t -> Complex.t
-(** One facet per digraph the adversary may choose. *)
+(** The one-round complex: one facet per digraph the class allows, in
+    which process [p]'s new label pairs its previous state with the sorted
+    [(pid, state)] list of its in-neighbourhood.  Built as a filtered
+    pseudosphere product: under {!All} it is exactly
+    [psi(s; heard-set labels)], each process choosing its in-neighbourhood
+    independently; {!Rooted} and {!Strong} keep the closure of the choice
+    tuples whose digraph they allow.
+    @raise Invalid_argument if [s] has so many processes that a face of
+    the product cannot be coded in one [int]. *)
 
 val rounds : adversary -> r:int -> Simplex.t -> Complex.t
-(** [r]-fold composition via {!Carrier.compose}. *)
+(** [r]-fold composition via {!Carrier.compose}, with {!one_round} as
+    the single branch: every facet keeps full dimension, so the facets of
+    a round complex are exactly its digraph facets. *)
 
 val over_inputs : adversary -> r:int -> Complex.t -> Complex.t
 

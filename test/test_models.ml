@@ -358,6 +358,35 @@ let reference_compose ~branches r s =
   in
   go r s
 
+(* The dynamic-network reference, one digraph at a time: the class
+   filters [Round_schedule.digraphs], and the global state after a round
+   under digraph [g] gives process [p] the label pairing its previous
+   state with the sorted [(pid, state)] list of its in-neighbourhood. *)
+let dyn_allowed adv g =
+  let open Psph_model in
+  match adv with
+  | Dyn_net_complex.All -> true
+  | Rooted -> Round_schedule.rooted g
+  | Strong -> Round_schedule.strongly_connected g
+
+let dyn_facet_of s g =
+  let state q = Option.get (Simplex.label_of q s) in
+  Simplex.of_procs
+    (Pid.Map.fold
+       (fun p qs acc ->
+         let heard =
+           List.map
+             (fun q -> Label.Pair (Label.Pid q, state q))
+             (Pid.Set.elements qs)
+         in
+         (p, Label.Pair (state p, Label.List heard)) :: acc)
+       g [])
+
+let dyn_reference_facets adv s =
+  Psph_model.Round_schedule.digraphs ~alive:(Simplex.ids s)
+  |> List.filter (dyn_allowed adv)
+  |> List.map (dyn_facet_of s)
+
 (* each registered model's branch generator, rebuilt from the model
    modules' public one-round pieces *)
 let reference_branches name (spec : MC.spec) =
@@ -388,10 +417,7 @@ let reference_branches name (spec : MC.spec) =
   | "dyn" ->
       let adv = Option.get (Dyn_net_complex.adversary_of_int (ext "adv")) in
       Some
-        (fun s ->
-          Psph_model.Round_schedule.digraphs ~alive:(Simplex.ids s)
-          |> List.filter (Dyn_net_complex.allowed adv)
-          |> List.map (fun g -> Complex.of_simplex (Dyn_net_complex.facet_of s g)))
+        (fun s -> List.map Complex.of_simplex (dyn_reference_facets adv s))
   | _ -> None
 
 let compose_tests =
@@ -401,11 +427,17 @@ let compose_tests =
       (fun () ->
         List.iter
           (fun (module M : MC.MODEL) ->
+            (* every adversary class of a model that has one *)
+            let exts =
+              if M.name = "dyn" then
+                List.map (fun adv -> [ ("adv", adv) ]) [ 0; 1; 2 ]
+              else [ [] ]
+            in
             List.iter
-              (fun n ->
+              (fun (n, ext) ->
                 let s = input_simplex n in
                 let spec r =
-                  match M.validate { MC.default_spec with n; r } with
+                  match M.validate { MC.default_spec with n; r; ext } with
                   | Ok spec -> spec
                   | Error msg -> Alcotest.fail (M.name ^ ": " ^ msg)
                 in
@@ -416,7 +448,9 @@ let compose_tests =
                 in
                 let check r =
                   Alcotest.(check bool)
-                    (Printf.sprintf "%s n=%d r=%d" M.name n r)
+                    (Printf.sprintf "%s n=%d r=%d ext=%s" M.name n r
+                       (String.concat ","
+                          (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) ext)))
                     true
                     (Complex.equal (M.rounds (spec r) s)
                        (reference_compose ~branches r s))
@@ -426,7 +460,7 @@ let compose_tests =
                    has at most 1024 facets *)
                 if List.length (Complex.facets (M.rounds (spec 1) s)) <= 1024
                 then check 2)
-              [ 2; 3 ])
+              (List.concat_map (fun n -> List.map (fun e -> (n, e)) exts) [ 2; 3 ]))
           (real_models ()));
     Alcotest.test_case "content keys match the pinned golden values" `Quick
       (fun () ->
@@ -444,6 +478,15 @@ let compose_tests =
             ( "dyn",
               { MC.default_spec with n = 3; r = 1; ext = [ ("adv", 0) ] },
               "0a5bdfff093048073200560862f6d7f9" );
+            ( "dyn",
+              { MC.default_spec with n = 3; r = 1; ext = [ ("adv", 1) ] },
+              "3f6a906d8c36ff0f2d748a4caf911369" );
+            ( "dyn",
+              { MC.default_spec with n = 3; r = 1; ext = [ ("adv", 2) ] },
+              "295970e07d53670532b36c3d30301581" );
+            ( "dyn",
+              { MC.default_spec with n = 2; r = 2; ext = [ ("adv", 2) ] },
+              "2c56ef08d86223c12745db145d9bc595" );
           ]);
   ]
 
@@ -799,6 +842,97 @@ let dyn_tests =
             (1, Round_schedule.strongly_connected);
             (2, fun _ -> true);
           ]);
+    Alcotest.test_case "bitmask class predicate agrees on every digraph (1-4 processes)"
+      `Quick (fun () ->
+        let open Psph_model in
+        List.iter
+          (fun m ->
+            let alive = Pid.Set.of_range 0 (m - 1) in
+            List.iter
+              (fun g ->
+                let ins =
+                  Array.init m (fun i ->
+                      Pid.Set.fold
+                        (fun q acc -> acc lor (1 lsl Pid.to_int q))
+                        (Pid.Map.find (Pid.of_int i) g) 0)
+                in
+                List.iter
+                  (fun adv ->
+                    Alcotest.(check bool)
+                      (Printf.sprintf "m=%d %s" m
+                         (Dyn_net_complex.adversary_name adv))
+                      (dyn_allowed adv g)
+                      (Dyn_net_complex.allows adv ins))
+                  [ Rooted; Strong; All ])
+              (Round_schedule.digraphs ~alive))
+          [ 1; 2; 3; 4 ]);
+    Alcotest.test_case "adv=all is one pseudosphere of heard sets per round"
+      `Quick (fun () ->
+        let open Psph_model in
+        List.iter
+          (fun (n, simplices, top_betti) ->
+            let s = input_simplex n in
+            let ids = Simplex.ids s in
+            let state q = Option.get (Simplex.label_of q s) in
+            let heard p =
+              Failure.power_set (Pid.Set.remove p ids)
+              |> List.map (fun m ->
+                     Label.List
+                       (List.map
+                          (fun q -> Label.Pair (Label.Pid q, state q))
+                          (Pid.Set.elements (Pid.Set.add p m))))
+            in
+            let psi = Psph.create ~base:s ~values:heard in
+            let c = Dyn_net_complex.one_round All s in
+            Alcotest.(check bool)
+              (Printf.sprintf "n=%d equals psi(s; heard sets)" n)
+              true
+              (Complex.equal c (Psph.realize psi));
+            Alcotest.(check int)
+              (Printf.sprintf "n=%d simplices" n)
+              simplices (Complex.num_simplices c);
+            Alcotest.(check (array int))
+              (Printf.sprintf "n=%d reduced betti" n)
+              (Array.init (n + 1) (fun d -> if d = n then top_betti else 0))
+              (Homology.reduced_betti c))
+          [ (2, 124, 27); (3, 6560, 2401) ]);
+    Alcotest.test_case "one round equals the digraph reference (n=0,1; every class)"
+      `Quick (fun () ->
+        List.iter
+          (fun n ->
+            let s = input_simplex n in
+            List.iter
+              (fun adv ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "n=%d %s" n (Dyn_net_complex.adversary_name adv))
+                  true
+                  (Complex.equal
+                     (Dyn_net_complex.one_round adv s)
+                     (Complex.of_facets (dyn_reference_facets adv s))))
+              [ Rooted; Strong; All ])
+          [ 0; 1 ];
+        Alcotest.(check bool) "empty carrier" true
+          (Complex.is_empty (Dyn_net_complex.one_round All Simplex.empty)));
+    Alcotest.test_case "heard-set vertices are shared physically" `Quick
+      (fun () ->
+        let c = Dyn_net_complex.one_round All (input_simplex 2) in
+        let vs = Complex.vertices c in
+        Alcotest.(check int) "2^(m-1) vertices per process" 12 (List.length vs);
+        List.iter
+          (fun f ->
+            List.iter
+              (fun v ->
+                Alcotest.(check bool) "physically one vertex" true
+                  (List.exists (fun w -> w == v) vs))
+              (Simplex.vertices f))
+          (Complex.facets c));
+    Alcotest.test_case "face codes that would overflow int are refused" `Quick
+      (fun () ->
+        (* 9 processes: (2^8 + 1)^9 codes exceed max_int; refused before
+           any of the 2^72 digraphs is enumerated *)
+        match Dyn_net_complex.one_round All (input_simplex 8) with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.fail "built a complex whose face codes overflow");
     Alcotest.test_case "adversary classes nest as subcomplexes" `Quick
       (fun () ->
         let (module D : MC.MODEL) = MC.get "dyn" in
