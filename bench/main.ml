@@ -318,7 +318,7 @@ let registry_tests =
 
 (* S^2(S^4): 5 processes, 2 synchronous rounds, k = 1 — 6371 simplices.
    Under the list-based engine this construction and its connectivity
-   check were out of reach in practice; the interned, bit-packed pipeline
+   check were out of reach in practice; the indexed, bit-packed pipeline
    handles both in well under a second. *)
 let engine_tests =
   let s4 = input_simplex 4 in

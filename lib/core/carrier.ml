@@ -33,20 +33,29 @@ let iterate step r s =
    Distinct branches of the recursion reach identical (round, state)
    pairs — e.g. the failure-free facet of every branch in which all
    survivors heard everything — so results are memoized per call on
-   [(r, Intern.simplex_id s)] (the branch generator is fixed for the
-   whole call).
+   [(r, s)] (the branch generator is fixed for the whole call).
 
    In the last round the continuation of every facet is the facet's own
    closure, and a complex is the union of its facets' closures, so [r = 1]
    unions the branch complexes themselves instead of re-closing each
    facet. *)
+(* vertex labels may hold [Pid.Set]s, so hash structurally, not
+   polymorphically *)
+module Memo = Hashtbl.Make (struct
+  type t = int * Simplex.t
+
+  let equal (r, s) (r', s') = r = r' && Simplex.equal s s'
+
+  let hash (r, s) = Array.fold_left Intern.vertex_hash r (Simplex.vertex_array s)
+end)
+
 let compose ~branches r s =
-  let memo : (int * int, Complex.t) Hashtbl.t = Hashtbl.create 97 in
+  let memo = Memo.create 97 in
   let rec go r s =
     if r <= 0 then Complex.of_simplex s
     else
-      let key = (r, Intern.simplex_id s) in
-      match Hashtbl.find_opt memo key with
+      let key = (r, s) in
+      match Memo.find_opt memo key with
       | Some c -> c
       | None ->
           (* one trace event per distinct (rounds-remaining, state) node
@@ -62,7 +71,7 @@ let compose ~branches r s =
                     acc (Complex.facets b))
               Complex.empty (branches s)
           in
-          Hashtbl.add memo key c;
+          Memo.add memo key c;
           c
   in
   go r s

@@ -27,6 +27,7 @@ val compose : branches:(Simplex.t -> Complex.t list) -> int -> Simplex.t -> Comp
     for the non-monotone models, where an exact-failure facet can be a
     face of the failure-free facet yet have continuations of its own.
     For a monotone model, pass a single branch (the one-round complex).
-    Results are memoized on [(r, Intern.simplex_id s)], collapsing the
+    Results are memoized per call on [(r, s)], collapsing the
     exponentially many recursion branches that revisit the same (round,
-    global-state) pair.  [compose ~branches 0 s] is the solid [s]. *)
+    global-state) pair; the memo is dropped when the call returns.
+    [compose ~branches 0 s] is the solid [s]. *)

@@ -35,9 +35,10 @@
    instance in the process.
 
    Thread-safety: the engine lock guards both tables.  The underlying
-   computations are safe to run on worker domains because [Intern]'s
-   tables are mutex-guarded and everything else on the path is immutable
-   (a racing duplicate miss computes the same answer twice and the second
+   computations are safe to run on worker domains because every table
+   they use is built per call (the {!Simplex_index} of one complex, a
+   compose memo) and everything else on the path is immutable (a racing
+   duplicate miss computes the same answer twice and the second
    [Lru.add] is a no-op overwrite — wasteful, never wrong). *)
 
 open Psph_obs
@@ -193,30 +194,7 @@ let provenance_fields p =
   ]
   @ (match p.rule with Some r -> [ ("rule", Jsonl.Str r) ] | None -> [])
   @ (match p.steps with Some s -> [ ("steps", Jsonl.int s) ] | None -> [])
-  @ (match p.cells_removed with
-    | Some n -> [ ("cells_removed", Jsonl.int n) ]
-    | None -> [])
   @ match p.checked with Some b -> [ ("checked", Jsonl.int b) ] | None -> []
-
-(* Betti vector and connectivity from the boundary ranks of [c],
-   mirroring [Homology.reduced_betti]/[betti]/[connectivity] (the property
-   tests in test/test_engine.ml hold this mirror to the original). *)
-let answer_of_ranks c r =
-  let dim = Complex.dim c in
-  if dim < 0 then { betti = [||]; connectivity = -2 }
-  else begin
-    let reduced =
-      Array.init (dim + 1) (fun d ->
-          Complex.count_of_dim c d - r.(d)
-          - (if d + 1 <= dim then r.(d + 1) else 0))
-    in
-    let betti = Array.copy reduced in
-    betti.(0) <- betti.(0) + 1;
-    let rec conn k =
-      if k > dim then dim else if reduced.(k) <> 0 then k - 1 else conn (k + 1)
-    in
-    { betti; connectivity = conn 0 }
-  end
 
 (* Z/2 elimination straight over the built complex, with no
    discrete-Morse precollapse: on the served model specs
@@ -233,7 +211,9 @@ let compute t c =
     List.iter (fun (d, fut) -> r.(d) <- Pool.await fut) futures
   end
   else List.iter (fun (d, job) -> r.(d) <- job ()) jobs;
-  answer_of_ranks c r
+  let betti, connectivity = Homology.of_ranks ~top:(Complex.dim c) c r in
+  if betti <> [||] then betti.(0) <- betti.(0) + 1;
+  { betti; connectivity }
 
 (* bind a spec key to its content key, keeping the table within twice the
    LRU's capacity: a binding whose answer was evicted only saves a build

@@ -42,9 +42,10 @@ type provenance = {
           Corollary 6"], ["Lemma 16/17"]) *)
   steps : int option;  (** symbolic: derivation size *)
   cells_removed : int option;
-      (** simplices eliminated by a Morse precollapse.  The engine no
-          longer precollapses, so its answers leave this [None]; the
-          field stays so that provenance from older peers still decodes. *)
+      (** Unused: always [None].  It counted simplices eliminated by a
+          Morse precollapse, which the engine no longer runs; it is neither
+          rendered nor encoded, and decoders drop it.  It remains only so
+          that record literals naming it still compile. *)
   checked : int option;
       (** {!mode} [Check]: the symbolic lower bound the numeric answer was
           verified against *)
@@ -131,9 +132,9 @@ val run_all : t -> (unit -> 'a) list -> 'a list
 
 val provenance_fields : provenance -> (string * Psph_obs.Jsonl.t) list
 (** The wire rendering of a provenance (the "solver" response field), in
-    fixed field order: [tier], then [rule]/[steps]/[cells_removed]/
-    [checked] when present.  Shared by Serve and the binary codec's JSON
-    mirror so the two renderings stay byte-identical. *)
+    fixed field order: [tier], then [rule]/[steps]/[checked] when
+    present.  Shared by Serve and the binary codec's JSON mirror so the
+    two renderings stay byte-identical. *)
 
 val dispatch : t -> (unit -> unit) -> unit
 (** Run [f] on the engine's worker pool without awaiting it — inline

@@ -3,8 +3,8 @@
    Two complexes that are structurally equal (same simplex set) must map to
    the same key no matter how they were built, so the key is derived by
    folding over the whole simplex set in its canonical [Simplex.compare]
-   order, hashing each vertex with [Intern.vertex_hash] — the pure
-   structural hash, not the process-local intern id, so keys survive
+   order, hashing each vertex with [Intern.vertex_hash] — a pure
+   structural hash that no process state enters, so keys survive
    serialization and are stable across processes (the on-disk store
    depends on this).
 

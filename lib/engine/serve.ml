@@ -266,7 +266,7 @@ let reply_of_json line =
                 | Some tier ->
                     Some
                       { Engine.tier; rule = str s "rule"; steps = num s "steps";
-                        cells_removed = num s "cells_removed"; checked = num s "checked" }
+                        cells_removed = None; checked = num s "checked" }
                 | None -> None)
             | _ -> None
           in

@@ -53,7 +53,7 @@ let fl_solver = 8
 (* solver-block presence bits (second flag byte inside the block) *)
 let sp_rule = 1
 let sp_steps = 2
-let sp_cells = 4
+let sp_cells = 4 (* retired cells_removed: decoded and skipped *)
 let sp_checked = 8
 
 (* ------------------------------------------------------------------ *)
@@ -285,12 +285,11 @@ let encode_reply = function
             betti
       | None -> ());
       (match solver with
-      | Some { Psph_engine.Engine.tier; rule; steps; cells_removed; checked } ->
+      | Some { Psph_engine.Engine.tier; rule; steps; checked; _ } ->
           u8 b (tier_code tier);
           let present =
             (match rule with Some _ -> sp_rule | None -> 0)
             lor (match steps with Some _ -> sp_steps | None -> 0)
-            lor (match cells_removed with Some _ -> sp_cells | None -> 0)
             lor (match checked with Some _ -> sp_checked | None -> 0)
           in
           u8 b present;
@@ -303,11 +302,6 @@ let encode_reply = function
           (match steps with
           | Some v ->
               range "solver steps" v max_id;
-              u32 b v
-          | None -> ());
-          (match cells_removed with
-          | Some v ->
-              range "solver cells_removed" v max_id;
               u32 b v
           | None -> ());
           (match checked with
@@ -380,11 +374,10 @@ let decode_reply payload =
                   if present land sp_steps <> 0 then Some (r32 c "solver steps")
                   else None
                 in
-                let cells_removed =
-                  if present land sp_cells <> 0 then
-                    Some (r32 c "solver cells_removed")
-                  else None
-                in
+                (* retired cells_removed field: skipped, so replies from
+                   older peers still decode *)
+                if present land sp_cells <> 0 then
+                  ignore (r32 c "solver cells_removed");
                 let checked =
                   if present land sp_checked <> 0 then begin
                     let raw = r32 c "solver checked" in
@@ -392,7 +385,8 @@ let decode_reply payload =
                   end
                   else None
                 in
-                Some { Psph_engine.Engine.tier; rule; steps; cells_removed; checked }
+                Some
+                  { Psph_engine.Engine.tier; rule; steps; cells_removed = None; checked }
               end
               else None
             in

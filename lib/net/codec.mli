@@ -38,10 +38,12 @@
     [flags] has bit 0 = cached, bit 1 = betti present, bit 2 =
     connectivity present, bit 3 = solver provenance present.  The
     [solver] block is [tier:u8] (0 cached, 1 symbolic, 2 numeric) then a
-    presence byte (bit 0 rule, bit 1 steps, bit 2 cells_removed, bit 3
-    checked) then the present fields in that order: rule as [len:u16 +
-    bytes], steps and cells_removed as u32, checked as i32 (a
-    connectivity bound, so it can be negative).  Decoders never raise:
+    presence byte (bit 0 rule, bit 1 steps, bit 3 checked) then the
+    present fields in that order: rule as [len:u16 + bytes], steps as
+    u32, checked as i32 (a connectivity bound, so it can be negative).
+    Bit 2 is retired (it flagged the dropped [cells_removed] count):
+    encoders never set it, and decoders skip the u32 it announces, which
+    sits between steps and checked.  Decoders never raise:
     corrupt or truncated payloads come back as [Error _], and {!handle}
     answers them with a well-formed binary error response. *)
 

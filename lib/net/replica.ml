@@ -113,8 +113,8 @@ let rebalanced t n = if n > 0 then Obs.incr ~by:n t.m.rebalanced
 (* ------------------------------------------------------------------ *)
 
 (* connectivity is determined by the Betti vector (mirror of
-   Engine.answer_of_ranks: reduced ranks are the Betti numbers except
-   beta_0 - 1): derive it when the response didn't carry one *)
+   Homology.of_ranks: the reduced Betti numbers are the Betti numbers
+   except beta_0 - 1): derive it when the response didn't carry one *)
 let connectivity_of_betti betti =
   let dim = Array.length betti - 1 in
   if dim < 0 then -2

@@ -1,16 +1,16 @@
 (* Discrete-Morse collapse over dense integer ids.
 
-   The complex is indexed once: every simplex gets a dense id (via its
-   canonical interned vertex-id key), and one pass over the simplices
-   records, for each simplex, the ids of its (dim+1)-cofaces and of its
-   facets.  Because a complex is closed under containment, a simplex with
-   exactly one (dim+1)-coface has exactly one proper coface overall — it is
-   a free face, and its unique coface is maximal.  Removing such a pair
-   keeps the survivor set a complex, so the same criterion stays valid
-   throughout; the coface counts are maintained incrementally (each removal
-   decrements the counts of the facets of both removed simplices), and a
-   worklist of count-1 candidates drives the collapse to a fixpoint with no
-   per-sweep recomputation. *)
+   The complex is indexed once: every simplex gets a dense id (its
+   {!Simplex_index} row, offset past the lower dimensions), and one pass
+   over the simplices records, for each simplex, the ids of its
+   (dim+1)-cofaces and of its facets.  Because a complex is closed under
+   containment, a simplex with exactly one (dim+1)-coface has exactly one
+   proper coface overall — it is a free face, and its unique coface is
+   maximal.  Removing such a pair keeps the survivor set a complex, so the
+   same criterion stays valid throughout; the coface counts are maintained
+   incrementally (each removal decrements the counts of the facets of both
+   removed simplices), and a worklist of count-1 candidates drives the
+   collapse to a fixpoint with no per-sweep recomputation. *)
 
 type state = {
   sx : Simplex.t array;  (* id -> simplex *)
@@ -21,30 +21,31 @@ type state = {
 }
 
 let index c =
-  let n = Complex.num_simplices c in
-  let sx = Array.make n Simplex.empty in
-  let ids : (int array, int) Hashtbl.t = Hashtbl.create (2 * n) in
-  let i = ref 0 in
-  Complex.iter
-    (fun s ->
-      sx.(!i) <- s;
-      Hashtbl.replace ids (Intern.key s) !i;
-      incr i)
-    c;
+  let sx = Array.of_list (Complex.simplices c) in
+  let n = Array.length sx in
+  let idx = Simplex_index.create c in
   let cofaces = Array.make n [] in
   let facet_ids = Array.make n [] in
   let count = Array.make n 0 in
-  Array.iteri
-    (fun t s ->
-      if Simplex.dim s > 0 then
-        List.iter
-          (fun face ->
-            let f = Hashtbl.find ids (Intern.key face) in
+  (* ids run through the dimensions in order: a simplex's id is its row
+     plus the id of the first simplex of its dimension *)
+  let first = ref 0 and below = ref 0 in
+  for d = 0 to Complex.dim c do
+    let keys = Simplex_index.keys idx d in
+    if d > 0 then
+      Array.iteri
+        (fun row k ->
+          let t = !first + row in
+          for i = 0 to d do
+            let f = !below + Simplex_index.face_row idx k i in
             cofaces.(f) <- t :: cofaces.(f);
             count.(f) <- count.(f) + 1;
-            facet_ids.(t) <- f :: facet_ids.(t))
-          (Simplex.facets s))
-    sx;
+            facet_ids.(t) <- f :: facet_ids.(t)
+          done)
+        keys;
+    below := !first;
+    first := !first + Array.length keys
+  done;
   { sx; cofaces; facet_ids; count; alive = Array.make n true }
 
 (* Run the worklist to a fixpoint; returns the Morse matching as id pairs

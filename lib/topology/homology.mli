@@ -19,12 +19,21 @@ val rank_jobs :
     [r.(0)] already filled in (the augmentation rank), and [jobs] is one
     [(d, compute)] pair per remaining dimension, where [compute ()] is the
     rank of the boundary operator from [d]-chains to [(d-1)]-chains.  The
-    thunks close over immutable per-dimension key lists built eagerly, so
+    thunks close over one immutable {!Simplex_index} built eagerly, so
     they may be evaluated in any order — including concurrently on separate
     domains, which is how the query engine parallelizes one large homology
     computation.  The caller stores [compute ()] into [r.(d)].  Each thunk
     runs in a [homology.rank] span (attr [dim]) in the {!Psph_obs.Obs}
     substrate, so per-dimension elimination cost shows up in traces. *)
+
+val of_ranks : top:int -> Complex.t -> int array -> int array * int
+(** [of_ranks ~top c r], for [r] the boundary ranks of [c] filled in from
+    [rank_jobs ~max_dim:top c], is [(reduced, k)]: the reduced Betti numbers
+    of dimensions [0 .. min top (dim c)] and the connectivity they show,
+    searched up to [top] — the first [d] with [reduced.(d) <> 0] gives
+    [d - 1], and [top] if there is none.  The empty complex gives
+    [([||], -2)].  {!reduced_betti}, {!connectivity} and the query engine
+    all derive their answers here. *)
 
 val reduced_betti : ?max_dim:int -> Complex.t -> int array
 (** [reduced_betti c] is the array of reduced Z/2 Betti numbers

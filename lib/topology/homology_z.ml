@@ -7,42 +7,28 @@ let group_to_string g =
   let tors = List.map (Printf.sprintf "Z/%d") g.torsion in
   match free @ tors with [] -> "0" | parts -> String.concat " + " parts
 
-(* Row index keyed by interned vertex-id arrays (Hashtbl, not
-   Map.Make(Simplex)): rank and torsion are invariant under row order, so
-   any fixed enumeration of the (d-1)-simplexes works. *)
-let index_of_dim c d =
-  let idx : (int array, int) Hashtbl.t = Hashtbl.create 256 in
-  let n = ref 0 in
-  Complex.iter
-    (fun s ->
-      if Simplex.dim s = d then begin
-        Hashtbl.replace idx (Intern.key s) !n;
-        incr n
-      end)
-    c;
-  (idx, !n)
-
-let boundary_matrix_z c d =
-  if d <= 0 then invalid_arg "Homology_z.boundary_matrix_z: dimension must be >= 1";
-  let rows_idx, nrows = index_of_dim c (d - 1) in
-  let cols = Complex.simplices_of_dim c d in
-  let ncols = List.length cols in
-  let m = Array.make_matrix nrows ncols 0 in
-  List.iteri
-    (fun j s ->
-      let a = Intern.key s in
-      let n = Array.length a in
-      (* facets in vertex-deletion order, so the i-th facet carries sign
-         (-1)^i *)
-      for i = 0 to n - 1 do
-        let f = Array.make (n - 1) 0 in
-        Array.blit a 0 f 0 i;
-        Array.blit a (i + 1) f i (n - 1 - i);
-        let r = Hashtbl.find rows_idx f in
-        m.(r).(j) <- (if i mod 2 = 0 then 1 else -1)
+(* rows and columns in {!Simplex_index} order: rank and torsion are
+   invariant under row order, so any fixed enumeration works *)
+let boundary_of_index idx d =
+  let cols = Simplex_index.keys idx d in
+  let m =
+    Array.make_matrix
+      (Array.length (Simplex_index.keys idx (d - 1)))
+      (Array.length cols) 0
+  in
+  Array.iteri
+    (fun j k ->
+      (* the facet omitting vertex i carries sign (-1)^i *)
+      for i = 0 to d do
+        m.(Simplex_index.face_row idx k i).(j) <- (if i mod 2 = 0 then 1 else -1)
       done)
     cols;
   m
+
+let boundary_matrix_z c d =
+  if d <= 0 then invalid_arg "Homology_z.boundary_matrix_z: dimension must be >= 1";
+  if d > Complex.dim c then Array.make_matrix (Complex.count_of_dim c (d - 1)) 0 0
+  else boundary_of_index (Simplex_index.create ~max_dim:d c) d
 
 (* diag_d = smith diagonal of boundary_d (with boundary_0 = augmentation of
    rank 1 on nonempty complexes, torsion-free).  Then
@@ -53,9 +39,10 @@ let homology_gen ~reduced ?max_dim c =
   if dim < 0 then [||]
   else begin
     let upper = min (top + 1) dim in
+    let idx = Simplex_index.create ~max_dim:upper c in
     let diag = Array.make (upper + 1) [] in
     for d = 1 to upper do
-      diag.(d) <- Snf.smith_diagonal (boundary_matrix_z c d)
+      diag.(d) <- Snf.smith_diagonal (boundary_of_index idx d)
     done;
     let rank_of d =
       if d = 0 then if reduced && not (Complex.is_empty c) then 1 else 0

@@ -1,22 +1,10 @@
-(* Hash-consing of vertices and simplexes to dense integer ids.
+(* Structural hashing of labels and vertices.
 
    Polymorphic [Hashtbl.hash]/[(=)] are not usable on [Vertex.t]: labels may
    contain [Pid.Set.t] values whose balanced-tree shape depends on
    construction order.  We therefore hash by structure-aware recursion (sets
-   are folded over their canonical element order) and compare with
-   [Vertex.equal].
-
-   Tables are global and grow monotonically; ids are stable within a
-   process.  This is safe because vertices and simplexes are immutable.
-
-   All table accesses are serialized by a single mutex so that the query
-   engine's worker domains can intern concurrently: OCaml hashtables are
-   not safe under parallel mutation (a resize racing a find can loop), and
-   ids must be assigned exactly once per structural value.  The lock is a
-   plain futex; uncontended it costs a few tens of nanoseconds, which is
-   noise next to the structural hash it protects. *)
-
-let lock = Mutex.create ()
+   are folded over their canonical element order); tables keyed on vertices
+   pair this hash with [Vertex.equal]. *)
 
 let mix h x = (h * 0x01000193) lxor (x land max_int)
 
@@ -37,73 +25,3 @@ let rec vertex_hash h v =
   | Proc (p, l) -> label_hash (mix (mix h 17) (Pid.to_int p)) l
   | Anon i -> mix (mix h 18) i
   | Bary vs -> List.fold_left vertex_hash (mix h 19) vs
-
-module VH = Hashtbl.Make (struct
-  type t = Vertex.t
-
-  let equal = Vertex.equal
-
-  let hash v = vertex_hash 0x811c9dc5 v
-end)
-
-let vertex_tbl : int VH.t = VH.create 1024
-
-let vertex_store : Vertex.t array ref = ref (Array.make 1024 (Vertex.anon 0))
-
-let vertex_count = ref 0
-
-let vertex_id v =
-  Mutex.lock lock;
-  (* VH.find rather than find_opt: the hit path allocates nothing *)
-  let id =
-    match VH.find vertex_tbl v with
-    | i -> i
-    | exception Not_found ->
-        let i = !vertex_count in
-        incr vertex_count;
-        if i >= Array.length !vertex_store then begin
-          let bigger = Array.make (2 * Array.length !vertex_store) v in
-          Array.blit !vertex_store 0 bigger 0 i;
-          vertex_store := bigger
-        end;
-        !vertex_store.(i) <- v;
-        VH.add vertex_tbl v i;
-        i
-  in
-  Mutex.unlock lock;
-  id
-
-let vertex_of_id i =
-  Mutex.lock lock;
-  let v =
-    if i < 0 || i >= !vertex_count then begin
-      Mutex.unlock lock;
-      invalid_arg "Intern.vertex_of_id"
-    end
-    else !vertex_store.(i)
-  in
-  Mutex.unlock lock;
-  v
-
-let key s = Array.map vertex_id (Simplex.vertex_array s)
-
-(* int-array keys are safe for the polymorphic hashtable: hashing and
-   equality on immediate ints are structural *)
-let simplex_tbl : (int array, int) Hashtbl.t = Hashtbl.create 1024
-
-let simplex_count = ref 0
-
-let simplex_id s =
-  let k = key s in
-  Mutex.lock lock;
-  let id =
-    match Hashtbl.find_opt simplex_tbl k with
-    | Some i -> i
-    | None ->
-        let i = !simplex_count in
-        incr simplex_count;
-        Hashtbl.add simplex_tbl k i;
-        i
-  in
-  Mutex.unlock lock;
-  id

@@ -1,41 +1,18 @@
-(** Hash-consing of vertices and simplexes to dense integer ids.
+(** Pure structural hashes of labels and vertices.
 
     Vertex labels can contain [Pid.Set.t] values, so polymorphic hashing
-    and equality are unsound on {!Vertex.t}; this module hashes by
-    structure-aware recursion and compares with {!Vertex.equal}.  Ids are
-    assigned in first-seen order from global tables, so they are dense,
-    stable within a process, and identical for structurally equal values.
-
-    Hot paths use these ids to replace deep structural comparison:
-    {!Homology} keys its boundary-row index by interned vertex ids, and the
-    round-recursion memo tables in the protocol-complex modules key on
-    {!simplex_id}.
-
-    The tables are guarded by a mutex, so interning is safe to call from
-    multiple domains (the query engine's worker pool relies on this).  Ids
-    remain process-local: anything persisted across processes must use the
-    pure structural hashes instead. *)
-
-val vertex_id : Vertex.t -> int
-(** The dense id of a vertex (allocating one on first sight). *)
-
-val vertex_of_id : int -> Vertex.t
-(** Inverse of {!vertex_id}.  @raise Invalid_argument on unknown ids. *)
-
-val key : Simplex.t -> int array
-(** The vertex ids of a simplex, in the simplex's canonical (sorted) vertex
-    order — a canonical key: two simplexes are equal iff their keys are
-    structurally equal int arrays. *)
-
-val simplex_id : Simplex.t -> int
-(** A dense id for the whole simplex (via {!key}). *)
+    and equality are unsound on {!Vertex.t}; these hashes recurse by
+    structure, folding sets in canonical element order, and are meant to
+    be paired with {!Vertex.equal}.  No state is kept: equal values hash
+    equally in every process, so the hashes serve both per-computation
+    tables ({!Simplex_index}) and content addressing that must survive
+    serialization (see [Psph_engine.Key]). *)
 
 val label_hash : int -> Label.t -> int
 (** [label_hash seed l]: pure structural hash of a label, folding [Pid.Set]
     values in canonical element order.  Equal labels hash equally for every
-    seed; no global state is touched. *)
+    seed. *)
 
 val vertex_hash : int -> Vertex.t -> int
 (** [vertex_hash seed v]: pure structural hash of a vertex (via
-    {!label_hash}).  Process-independent, hence usable for content
-    addressing that must survive serialization (see [Psph_engine.Key]). *)
+    {!label_hash}). *)

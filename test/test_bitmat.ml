@@ -1,8 +1,9 @@
 (* Oracle tests for the fast homology engine: the bit-packed Bitmat rank
    must agree with the list-based Z2_matrix reference on random sparse
-   matrices, and Homology's interned/bit-packed Betti pipeline must agree
+   matrices, and Homology's Simplex_index/Bitmat Betti pipeline must agree
    with the rank formula computed through the reference oracle on random
-   pseudospheres. *)
+   pseudospheres and on a complex wide enough to leave the packed-key
+   path. *)
 
 open Psph_topology
 open Pseudosphere
@@ -136,9 +137,40 @@ let psph_props =
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
+(* One 7-simplex plus 1017 isolated vertices: 1025 vertices need 11-bit
+   ids, so keys of 5 or more vertices no longer pack into a word.  The
+   ranks of boundary_6 and boundary_7 then look rows up through the
+   Hashtbl fallback while boundary_1..5 pack — decided by the complex
+   alone, whatever else the process computed first. *)
+let wide_key_tests =
+  [
+    Alcotest.test_case "wide keys take the Hashtbl rows, same Betti" `Quick
+      (fun () ->
+        let c =
+          Complex.of_facets
+            (Simplex.of_list (List.init 8 Vertex.anon)
+            :: List.init 1017 (fun i -> Simplex.of_list [ Vertex.anon (8 + i) ]))
+        in
+        Alcotest.(check int) "vertices" 1025 (Complex.num_vertices c);
+        let idx = Simplex_index.create c in
+        Alcotest.(check (list bool))
+          "rows packed through dim 4, hashed in dims 5 and 6"
+          [ true; true; true; true; true; false; false ]
+          (List.init 7 (Simplex_index.packed idx));
+        let expect = Array.init 8 (fun d -> if d = 0 then 1017 else 0) in
+        Alcotest.(check (array int)) "reduced betti" expect (Homology.reduced_betti c);
+        Alcotest.(check (array int)) "oracle" expect (oracle_reduced_betti c);
+        Alcotest.(check (array int)) "integral" expect
+          (Array.map
+             (fun (g : Homology_z.group) -> g.rank)
+             (Homology_z.reduced_homology c));
+        Alcotest.(check bool) "torsion-free" true (Homology_z.is_torsion_free c));
+  ]
+
 let suites =
   [
     ("bitmat.unit", unit_tests);
+    ("bitmat.wide_keys", wide_key_tests);
     ("bitmat.matrix_oracle", matrix_props);
     ("bitmat.psph_oracle", psph_props);
   ]

@@ -529,7 +529,7 @@ let solver_tier_tests =
         in
         Alcotest.(check (list string))
           "field order"
-          [ "tier"; "rule"; "steps"; "cells_removed"; "checked" ]
+          [ "tier"; "rule"; "steps"; "checked" ]
           (List.map fst (E.provenance_fields p)));
   ]
 

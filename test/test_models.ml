@@ -336,13 +336,19 @@ let real_models () =
 (* Round composition facet by facet, with no last-round shortcut: every
    facet of every branch is recursed on down to [r = 0], where it is
    re-closed. *)
+module Round_state = Map.Make (struct
+  type t = int * Simplex.t
+
+  let compare (r, s) (r', s') =
+    match Int.compare r r' with 0 -> Simplex.compare s s' | c -> c
+end)
+
 let reference_compose ~branches r s =
-  let memo = Hashtbl.create 97 in
+  let memo = ref Round_state.empty in
   let rec go r s =
     if r <= 0 then Complex.of_simplex s
     else
-      let key = (r, Intern.simplex_id s) in
-      match Hashtbl.find_opt memo key with
+      match Round_state.find_opt (r, s) !memo with
       | Some c -> c
       | None ->
           let c =
@@ -353,7 +359,7 @@ let reference_compose ~branches r s =
                   acc (Complex.facets b))
               Complex.empty (branches s)
           in
-          Hashtbl.add memo key c;
+          memo := Round_state.add (r, s) c !memo;
           c
   in
   go r s

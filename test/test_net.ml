@@ -493,17 +493,15 @@ let gen_request =
 let gen_provenance =
   let open QCheck2.Gen in
   map
-    (fun (tier, (rule, (steps, (cells_removed, checked)))) ->
-      { E.tier; rule; steps; cells_removed; checked })
+    (fun (tier, (rule, (steps, checked))) ->
+      { E.tier; rule; steps; cells_removed = None; checked })
     (pair
        (oneofl [ E.Cached; E.Symbolic; E.Numeric ])
        (pair
           (option (string_size (0 -- 40)))
           (pair
              (option (int_range 0 0xFFFFFFFF))
-             (pair
-                (option (int_range 0 0xFFFFFFFF))
-                (option (int_range (-0x80000000) 0x7FFFFFFF))))))
+             (option (int_range (-0x80000000) 0x7FFFFFFF)))))
 
 let gen_reply =
   let open QCheck2.Gen in
@@ -611,6 +609,34 @@ let codec_tests =
                   expect
                   (Codec.json_of_reply ~id:(Some id) reply))
           cases);
+    Alcotest.test_case "retired cells_removed bit still decodes, skipped"
+      `Quick (fun () ->
+        let reply =
+          Codec.Result
+            {
+              id = 9;
+              key = "k";
+              cached = false;
+              betti = None;
+              connectivity = None;
+              solver =
+                Some
+                  { E.tier = E.Numeric; rule = None; steps = Some 5;
+                    cells_removed = None; checked = Some (-1) };
+            }
+        in
+        let wire = Codec.encode_reply reply in
+        (* tag, id:u32, flags, key length, "k", tier, presence byte at
+           offset 9, then steps:u32 and checked:i32 *)
+        check int "presence: steps and checked" 0b1010 (Char.code wire.[9]);
+        check int "length" 18 (String.length wire);
+        let old_peer =
+          String.sub wire 0 9 ^ "\x0e" ^ String.sub wire 10 4
+          ^ "\x00\x00\x00\x07" ^ String.sub wire 14 4
+        in
+        Alcotest.(check bool) "same reply, with or without bit 2" true
+          (Codec.decode_reply old_peer = Ok reply
+          && Codec.decode_reply wire = Ok reply));
     Alcotest.test_case "corrupt binary request answered in kind" `Quick
       (fun () ->
         with_engine @@ fun engine ->

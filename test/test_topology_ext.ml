@@ -1,5 +1,6 @@
 (* Tests for the extended topology substrate: integral homology (Smith
-   normal form), cones/suspensions, and shellability. *)
+   normal form), cones/suspensions, shellability, and the memory behaviour
+   of per-complex simplex indexing. *)
 
 open Psph_topology
 
@@ -221,8 +222,38 @@ let shelling_tests =
         Alcotest.(check bool) "point" true (Shelling.is_shellable (Constructions.solid 0)));
   ]
 
+(* Homology keeps no state between calls: numbering a complex's simplexes
+   must not leave anything behind, even when every complex brings vertices
+   the process has never seen (as salted [facets] queries do). *)
+let index_tests =
+  [
+    Alcotest.test_case "fresh labels leave no live words behind" `Quick
+      (fun () ->
+        let edge tag i =
+          Complex.of_simplex
+            (Simplex.of_procs
+               [ (0, Label.Str (Printf.sprintf "%s%d" tag i));
+                 (1, Label.Str (Printf.sprintf "%s%d'" tag i)) ])
+        in
+        let run tag n =
+          for i = 1 to n do
+            if Homology.reduced_betti (edge tag i) <> [| 0; 0 |] then
+              Alcotest.fail "an edge is contractible"
+          done
+        in
+        run "warm" 1_000;
+        Gc.full_major ();
+        let before = (Gc.stat ()).live_words in
+        run "fresh" 20_000;
+        Gc.full_major ();
+        let grown = (Gc.stat ()).live_words - before in
+        if grown >= 20_000 then
+          Alcotest.failf "live heap grew by %d words over 20000 complexes" grown);
+  ]
+
 let suites =
   [
+    ("topology.simplex_index", index_tests);
     ("topology.snf", snf_tests);
     ("topology.homology_z", homology_z_tests);
     ("topology.constructions", construction_tests);
