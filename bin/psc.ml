@@ -338,7 +338,7 @@ let mv_cmd =
           M.name;
         exit 2
     | Some pieces ->
-        let pss = pieces spec (input_simplex n) in
+        let pss = List.of_seq (pieces spec (input_simplex n)) in
         let proof = Mayer_vietoris.union_connectivity pss in
         Format.printf "%a@.@." Mayer_vietoris.pp proof;
         Format.printf "derived connectivity >= %d (%d inference steps)@."

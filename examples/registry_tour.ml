@@ -45,7 +45,7 @@ let () =
           Format.printf
             "  pseudosphere decomposition: %d pieces; union isomorphic to one \
              round: %b@."
-            (List.length (pieces spec s))
+            (Seq.length (pieces spec s))
             (Model_complex.decomposition_holds m spec s)
       | None ->
           Format.printf "  not a union of pseudospheres (a subdivision)@.");

@@ -12,51 +12,65 @@ let conn = function
   | Disjoint _ -> -1
   | Glue { conn; _ } -> conn
 
-(* Drop pseudospheres subsumed by another element: the union is unchanged
-   and derivations stay small. *)
-let prune ?(subsume = true) pss =
-  let pss = List.filter (fun ps -> not (Psph.is_empty ps)) pss in
+(* Drop empty pseudospheres, repeats, and pieces strictly subsumed by
+   another element: the union is unchanged and derivations stay small.
+   Each piece is normalized once and the pairwise tests compare the
+   normalized forms; the original pieces are what the proof keeps. *)
+let prune ~subsume pss =
+  let normal =
+    List.filter_map
+      (fun ps ->
+        let n = Psph.normalize ps in
+        if Psph.is_empty n then None else Some (n, ps))
+      pss
+  in
   (* dedupe equal elements, keeping first occurrences *)
   let deduped =
     List.fold_left
-      (fun acc ps ->
-        if List.exists (Psph.equal ps) acc then acc else ps :: acc)
-      [] pss
+      (fun acc ((n, _) as x) ->
+        if List.exists (fun (m, _) -> Psph.equal n m) acc then acc else x :: acc)
+      [] normal
     |> List.rev
   in
-  if not subsume then deduped
-  else
-    (* drop elements strictly subsumed by another remaining element *)
-    List.filter
-      (fun ps ->
-        not
-          (List.exists
-             (fun other -> (not (Psph.equal other ps)) && Psph.subsumes other ps)
-             deduped))
-      deduped
+  let kept =
+    if not subsume then deduped
+    else
+      (* the survivors are pairwise unequal, so "strictly subsumed" is
+         "subsumed by another survivor" *)
+      List.filter
+        (fun ((n, _) as x) ->
+          not (List.exists (fun ((m, _) as y) -> y != x && Psph.subsumes m n) deduped))
+        deduped
+  in
+  List.map snd kept
 
-let rec union_connectivity ?(prune_subsumed = true) pss =
-  match prune ~subsume:prune_subsumed pss with
-  | [] -> Empty
-  | [ ps ] -> Axiom { ps; conn = Psph.connectivity_bound ps }
-  | pss -> (
-      let rec split_last acc = function
-        | [] -> assert false
-        | [ x ] -> (List.rev acc, x)
-        | x :: rest -> split_last (x :: acc) rest
-      in
-      let prefix, last = split_last [] pss in
-      let left = union_connectivity ~prune_subsumed prefix in
-      let right = Axiom { ps = last; conn = Psph.connectivity_bound last } in
-      let inters =
-        prune ~subsume:prune_subsumed (List.map (fun ps -> Psph.inter ps last) prefix)
-      in
-      match inters with
-      | [] -> Disjoint { left; right }
-      | _ :: _ ->
-          let inter = union_connectivity ~prune_subsumed inters in
-          let c = min (min (conn left) (conn right)) (conn inter + 1) in
-          Glue { conn = c; left; right; inter })
+let union_connectivity ?(prune_subsumed = true) pss =
+  let prune = prune ~subsume:prune_subsumed in
+  let axiom ps = Axiom { ps; conn = Psph.connectivity_bound ps } in
+  let rec split_last acc = function
+    | [] -> assert false
+    | [ x ] -> (List.rev acc, x)
+    | x :: rest -> split_last (x :: acc) rest
+  in
+  (* [derive] takes a pruned list.  A prefix of a pruned list is pruned
+     already — pruning drops a piece only for an equal earlier piece or a
+     strict superset, and a prefix holds fewer of both — so only the
+     intersection lists, which are new, get pruned on the way down. *)
+  let rec derive = function
+    | [] -> Empty
+    | [ ps ] -> axiom ps
+    | pss -> (
+        let prefix, last = split_last [] pss in
+        let left = derive prefix in
+        let right = axiom last in
+        match prune (List.map (fun ps -> Psph.inter ps last) prefix) with
+        | [] -> Disjoint { left; right }
+        | inters ->
+            let inter = derive inters in
+            let c = min (min (conn left) (conn right)) (conn inter + 1) in
+            Glue { conn = c; left; right; inter })
+  in
+  derive (prune pss)
 
 let union_realize ?vertex pss =
   List.fold_left

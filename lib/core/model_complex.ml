@@ -81,7 +81,7 @@ module type MODEL = sig
   val one_round : spec -> Simplex.t -> Complex.t
   val rounds : spec -> Simplex.t -> Complex.t
   val over_inputs : spec -> Complex.t -> Complex.t
-  val pseudosphere_decomposition : (spec -> Simplex.t -> Psph.t list) option
+  val pseudosphere_decomposition : (spec -> Simplex.t -> Psph.t Seq.t) option
   val expected_connectivity : spec -> m:int -> int option
   val connectivity_lemma : string
 end
@@ -183,7 +183,7 @@ let decomposition_holds (module M : MODEL) spec s =
   | Some pieces ->
       let lhs = M.one_round spec s in
       let rhs =
-        List.fold_left
+        Seq.fold_left
           (fun acc ps ->
             Complex.union acc (Psph.realize ~vertex:Psph.default_vertex ps))
           Complex.empty (pieces spec s)
@@ -220,7 +220,7 @@ module Async_model = struct
   let over_inputs { n; f; r; _ } c = Async_complex.over_inputs ~n ~f ~r c
 
   let pseudosphere_decomposition =
-    Some (fun { n; f; _ } s -> [ Async_complex.pseudosphere ~n ~f s ])
+    Some (fun { n; f; _ } s -> Seq.return (Async_complex.pseudosphere ~n ~f s))
 
   (* Lemma 12: no hypothesis beyond the parameters themselves *)
   let expected_connectivity { n; f; _ } ~m =
@@ -244,7 +244,7 @@ module Sync_model = struct
   let over_inputs { k; r; _ } c = Sync_complex.over_inputs ~k ~r c
 
   let pseudosphere_decomposition =
-    Some (fun { k; _ } s -> List.map snd (Sync_complex.pseudospheres ~k s))
+    Some (fun { k; _ } s -> Seq.map snd (Sync_complex.pseudosphere_seq ~k s))
 
   (* Lemma 16/17: needs n >= rk + k *)
   let expected_connectivity { n; k; r; _ } ~m =
@@ -274,7 +274,7 @@ module Semi_sync_model = struct
   let pseudosphere_decomposition =
     Some
       (fun { n; k; p; _ } s ->
-        List.map snd (Semi_sync_complex.pseudospheres ~k ~p ~n s))
+        Seq.map snd (Semi_sync_complex.pseudosphere_seq ~k ~p ~n s))
 
   (* Lemma 21: needs n >= (r + 1) k *)
   let expected_connectivity { n; k; r; _ } ~m =

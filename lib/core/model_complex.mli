@@ -107,10 +107,13 @@ module type MODEL = sig
   val over_inputs : spec -> Complex.t -> Complex.t
   (** Union of {!rounds} over the facets of an input complex. *)
 
-  val pseudosphere_decomposition : (spec -> Simplex.t -> Psph.t list) option
+  val pseudosphere_decomposition : (spec -> Simplex.t -> Psph.t Seq.t) option
   (** The model's symbolic decomposition: pseudospheres (with intrinsic
       value labels) whose union realizes the one-round complex up to the
       relabelling {!intrinsic_map} — Lemmas 11, 14 and 19 in one shape.
+      The sequence is in the paper's order and builds each piece only when
+      it is reached, so a consumer that stops early (the solver, at
+      {!Solver.mv_piece_cap}) pays only for the pieces it read.
       [None] for models that are not pseudosphere unions (IIS: a
       subdivision, hence contractible, unlike any pseudosphere union) or
       whose pieces carry intrinsic labels already ([byz], [dyn]). *)

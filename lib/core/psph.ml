@@ -23,9 +23,11 @@ let base t = t.base
 let values t = t.values
 
 let normalize t =
-  let keep = List.filter (fun (_, us) -> us <> []) t.values in
-  let keep_pids = Pid.Set.of_list (List.map fst keep) in
-  { base = Simplex.restrict_ids keep_pids t.base; values = keep }
+  if List.for_all (fun (_, us) -> us <> []) t.values then t
+  else
+    let keep = List.filter (fun (_, us) -> us <> []) t.values in
+    let keep_pids = Pid.Set.of_list (List.map fst keep) in
+    { base = Simplex.restrict_ids keep_pids t.base; values = keep }
 
 let dim t = List.length (List.filter (fun (_, us) -> us <> []) t.values) - 1
 

@@ -34,7 +34,9 @@ val values : t -> (Pid.t * Label.t list) list
 
 val normalize : t -> t
 (** Remove base vertices whose value set is empty (Lemma 4.2: the complex
-    is unchanged). *)
+    is unchanged).  A pseudosphere with no empty value set is returned as
+    it is, so {!equal} and {!subsumes} on normalized forms do no further
+    normalizing work. *)
 
 val dim : t -> int
 (** Dimension of the realized complex: (number of nonempty value sets) - 1. *)

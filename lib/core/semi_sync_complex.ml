@@ -12,13 +12,14 @@ let pseudosphere_pattern ~p ~n s pat =
   in
   Psph.create ~base:(Simplex.without_ids k s) ~values
 
-let pseudospheres ~k ~p ~n s =
-  Failure.subsets_of_size_at_most (Simplex.ids s) k
-  |> List.concat_map (fun fk ->
-         Failure.all_patterns ~p fk
-         |> List.filter_map (fun pat ->
-                let ps = pseudosphere_pattern ~p ~n s pat in
-                if Psph.is_empty ps then None else Some (pat, ps)))
+let pseudosphere_seq ~k ~p ~n s =
+  List.to_seq (Failure.subsets_of_size_at_most (Simplex.ids s) k)
+  |> Seq.concat_map (fun fk -> List.to_seq (Failure.all_patterns ~p fk))
+  |> Seq.filter_map (fun pat ->
+         let ps = pseudosphere_pattern ~p ~n s pat in
+         if Psph.is_empty ps then None else Some (pat, ps))
+
+let pseudospheres ~k ~p ~n s = List.of_seq (pseudosphere_seq ~k ~p ~n s)
 
 let view_vertex ~p s q base_label = function
   | Label.Vec vec ->

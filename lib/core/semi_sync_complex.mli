@@ -38,6 +38,12 @@ val pseudospheres :
 (** The symbolic decomposition of [M^1(S)] in the paper's order (by [K]
     size-then-lex, then by [F] reverse-lex). *)
 
+val pseudosphere_seq :
+  k:int -> p:int -> n:int -> Simplex.t -> (Failure.pattern * Psph.t) Seq.t
+(** {!pseudospheres} on demand: each piece is built when the sequence
+    reaches it, so a consumer that stops early pays only for what it
+    read. *)
+
 val lemma19_rhs : p:int -> n:int -> Simplex.t -> Failure.pattern -> Complex.t
 (** [psi(S \ K; [F])] with plain view-vector labels. *)
 

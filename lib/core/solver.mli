@@ -39,17 +39,20 @@ val mv_piece_cap : int
     symbolic win and the solver falls through to the lemma tier. *)
 
 val pieces :
-  Model_complex.model -> Model_complex.spec -> Psph.t list option
+  Model_complex.model -> Model_complex.spec -> Psph.t Seq.t option
 (** The model's pseudosphere decomposition over {!standard_input}, when
-    registered and [spec.r = 1] (the decomposition describes one round). *)
+    registered and [spec.r = 1] (the decomposition describes one round).
+    Pieces are built as the sequence is read. *)
 
 val symbolic_model :
   Model_complex.model -> Model_complex.spec -> symbolic option
 (** Try the symbolic tiers for a model query, best rule first: [r = 0] is
     the solid (contractible) input; at [r = 1] a registered decomposition
     of at most {!mv_piece_cap} pieces gets a full Theorem 2 + Corollary 6
-    derivation; otherwise the model's closed-form lemma, when its
-    hypothesis holds.  [None] when no rule applies.
+    derivation (at most [mv_piece_cap + 1] pieces are ever built, so a
+    larger decomposition costs no more than the cap); otherwise the
+    model's closed-form lemma, when its hypothesis holds.  [None] when no
+    rule applies.
     @raise Invalid_argument when the spec fails the model's [validate]. *)
 
 val symbolic_psph : n:int -> values:int -> symbolic option

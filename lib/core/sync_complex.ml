@@ -16,11 +16,13 @@ let pseudosphere_failing s k =
   in
   Psph.create ~base:(Simplex.without_ids k s) ~values
 
-let pseudospheres ~k s =
-  Failure.subsets_of_size_at_most (Simplex.ids s) k
-  |> List.filter_map (fun fk ->
+let pseudosphere_seq ~k s =
+  List.to_seq (Failure.subsets_of_size_at_most (Simplex.ids s) k)
+  |> Seq.filter_map (fun fk ->
          let ps = pseudosphere_failing s fk in
          if Psph.is_empty ps then None else Some (fk, ps))
+
+let pseudospheres ~k s = List.of_seq (pseudosphere_seq ~k s)
 
 let view_vertex s p base_label = function
   | Label.Pid_set m ->

@@ -31,6 +31,11 @@ val pseudospheres : k:int -> Simplex.t -> (Pid.Set.t * Psph.t) list
     global states coincide across different [K].  Ordered by the paper's
     size-then-lex order on [K]. *)
 
+val pseudosphere_seq : k:int -> Simplex.t -> (Pid.Set.t * Psph.t) Seq.t
+(** {!pseudospheres} on demand: each piece is built when the sequence
+    reaches it, so a consumer that stops early pays only for what it
+    read. *)
+
 val pseudosphere_failing : Simplex.t -> Pid.Set.t -> Psph.t
 (** The single symbolic pseudosphere for failure set [K]. *)
 

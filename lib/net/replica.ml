@@ -112,20 +112,6 @@ let rebalanced t n = if n > 0 then Obs.incr ~by:n t.m.rebalanced
 (* wire translations                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* connectivity is determined by the Betti vector (mirror of
-   Homology.of_ranks: the reduced Betti numbers are the Betti numbers
-   except beta_0 - 1): derive it when the response didn't carry one *)
-let connectivity_of_betti betti =
-  let dim = Array.length betti - 1 in
-  if dim < 0 then -2
-  else begin
-    let reduced d = if d = 0 then betti.(0) - 1 else betti.(d) in
-    let rec conn k =
-      if k > dim then dim else if reduced k <> 0 then k - 1 else conn (k + 1)
-    in
-    conn 0
-  end
-
 let entry_of_response = function
   | Psph_engine.Serve.Result { key; betti = Some betti; connectivity; _ } ->
       Option.map
@@ -136,7 +122,7 @@ let entry_of_response = function
               connectivity =
                 (match connectivity with
                 | Some c -> c
-                | None -> connectivity_of_betti betti);
+                | None -> Psph_topology.Homology.connectivity_of_betti betti);
             } ))
         (Key.of_hex_opt key)
   | _ -> None

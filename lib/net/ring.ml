@@ -13,15 +13,27 @@ type t = {
   ring : (int * int) array;  (* (point, node index), sorted by point *)
 }
 
-(* FNV-1a, folded to a nonnegative OCaml int — deterministic across
-   processes and runs, unlike Hashtbl.hash's unspecified evolution *)
+(* Murmur3's fmix64: FNV-1a alone leaves names that differ only in their
+   last characters ("127.0.0.1:40001#3", "...#4") on nearby points, so one
+   node's vnodes bunch on one arc; the finalizer spreads every input bit
+   over the whole word *)
+let fmix64 h =
+  let h = Int64.logxor h (Int64.shift_right_logical h 33) in
+  let h = Int64.mul h 0xff51afd7ed558ccdL in
+  let h = Int64.logxor h (Int64.shift_right_logical h 33) in
+  let h = Int64.mul h 0xc4ceb9fe1a85ec53L in
+  Int64.logxor h (Int64.shift_right_logical h 33)
+
+(* FNV-1a then fmix64, folded to a nonnegative OCaml int — deterministic
+   across processes and runs, unlike Hashtbl.hash's unspecified
+   evolution *)
 let hash s =
   let h = ref 0xcbf29ce484222325L in
   String.iter
     (fun c ->
       h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
     s;
-  Int64.to_int (Int64.shift_right_logical !h 2)
+  Int64.to_int (Int64.shift_right_logical (fmix64 !h) 2)
 
 let points vnodes name i =
   Array.init vnodes (fun v -> (hash (Printf.sprintf "%s#%d" name v), i))

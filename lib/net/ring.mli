@@ -2,13 +2,13 @@
 
     A ring is built from an ordered list of node names (for the router:
     backend ["host:port"] strings): each node contributes [vnodes]
-    virtual points — the FNV-1a hashes of ["name#i"] — and the sorted
+    virtual points — the {!hash}es of ["name#i"] — and the sorted
     point array is the ring.  A key hashes to a point and walks
     clockwise; the sequence of {b distinct} nodes met on that walk is
     the key's preference order, so the first node is its primary and
     the next [R-1] are its replicas.
 
-    Everything here is immutable and deterministic (FNV-1a, not
+    Everything here is immutable and deterministic (a fixed hash, not
     [Hashtbl.hash], so placement agrees across processes and runs),
     which is what makes replica placement testable as plain arithmetic:
     the qcheck suite checks distinctness, stability under unrelated
@@ -43,7 +43,10 @@ val name : t -> int -> string
 val index : t -> string -> int option
 
 val hash : string -> int
-(** FNV-1a folded to a nonnegative OCaml int. *)
+(** FNV-1a with Murmur3's [fmix64] finalizer, folded to a nonnegative
+    OCaml int.  The finalizer is what spreads a node's ["name#i"] points
+    around the ring: raw FNV-1a puts names that differ only in their last
+    characters on nearby points. *)
 
 val order : t -> string -> int list
 (** All node indexes in clockwise-walk order from [hash key]: the

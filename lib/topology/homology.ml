@@ -93,6 +93,16 @@ let ranks ?max_dim c =
   List.iter (fun (d, job) -> r.(d) <- job ()) jobs;
   r
 
+(* the one Betti-to-connectivity rule: one less than the first dimension
+   with nonzero reduced homology, [top] when every listed one vanishes *)
+let connectivity_of_reduced ~top reduced =
+  let rec conn k =
+    if k >= Array.length reduced then top
+    else if reduced.(k) <> 0 then k - 1
+    else conn (k + 1)
+  in
+  conn 0
+
 let of_ranks ~top c r =
   let dim = Complex.dim c in
   if dim < 0 then ([||], -2)
@@ -101,13 +111,15 @@ let of_ranks ~top c r =
       Array.init (min top dim + 1) (fun d ->
           Complex.count_of_dim c d - r.(d) - if d + 1 <= dim then r.(d + 1) else 0)
     in
-    let rec conn k =
-      if k >= Array.length reduced then top
-      else if reduced.(k) <> 0 then k - 1
-      else conn (k + 1)
-    in
-    (reduced, conn 0)
+    (reduced, connectivity_of_reduced ~top reduced)
   end
+
+let connectivity_of_betti betti =
+  let dim = Array.length betti - 1 in
+  if dim < 0 then -2
+  else
+    connectivity_of_reduced ~top:dim
+      (Array.mapi (fun d b -> if d = 0 then b - 1 else b) betti)
 
 let reduced_betti ?max_dim c =
   let top = Option.value max_dim ~default:(Complex.dim c) in

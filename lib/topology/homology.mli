@@ -52,6 +52,14 @@ val connectivity : ?cap:int -> Complex.t -> int
     dimension); a complex whose reduced homology vanishes through its
     dimension is reported with connectivity [cap]. *)
 
+val connectivity_of_betti : int array -> int
+(** The connectivity shown by a full unreduced Betti vector, as {!betti}
+    returns it for dimensions [0 .. dim c]: [-2] for the empty vector,
+    otherwise the rule of {!of_ranks} on the reduced numbers (beta_0 - 1,
+    then the rest) searched up to [dim c].  For any complex [c],
+    [connectivity_of_betti (betti c) = connectivity c]; this is how a
+    reply that carries Betti numbers but no connectivity is completed. *)
+
 val is_k_connected : Complex.t -> int -> bool
 (** [is_k_connected c k]: homologically [k]-connected in the paper's sense —
     [k <= -2] always holds, [k = -1] means nonempty, and [k >= 0] means

@@ -6,5 +6,6 @@ let () =
     @ Test_extensions.suites @ Test_extensions2.suites @ Test_iis.suites
     @ Test_carrier_map.suites @ Test_connectivity_cert.suites
     @ Test_integration.suites @ Test_coverage.suites @ Test_complex_io.suites
-    @ Test_models.suites @ Test_engine.suites @ Test_obs.suites
+    @ Test_models.suites @ Test_solver_tier.suites @ Test_engine.suites
+    @ Test_obs.suites
     @ Test_net.suites @ Test_load.suites)

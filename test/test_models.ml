@@ -520,7 +520,7 @@ let solver_tests =
       `Quick (fun () ->
         List.iter
           (fun ((module M : MC.MODEL) as m) ->
-            match Solver.pieces m spec2 with
+            match Option.map List.of_seq (Solver.pieces m spec2) with
             | None -> () (* no registered decomposition (iis) *)
             | Some ps -> (
                 Alcotest.(check bool)

@@ -1270,6 +1270,44 @@ let ring_props =
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
+(* Placement balance over the rings a test cluster actually builds: three
+   loopback backends on random ephemeral ports, R = 2.  On a fair ring
+   each key lands on a given node with probability 2/3, so the node owns
+   at most 2 of 12 keys with probability 289/3^12 — about one triple in
+   2000.  Vnodes bunched on one arc starve a node far more often. *)
+let ring_balance_test =
+  Alcotest.test_case "placement: no node starved over 2000 port triples"
+    `Quick (fun () ->
+      let rng = Random.State.make [| 24 |] in
+      let triples = 2000 and keys = 12 in
+      let starved = ref 0 and empty = ref 0 in
+      for _ = 1 to triples do
+        let ports = List.init 3 (fun _ -> 32768 + Random.State.int rng 28000) in
+        if List.length (List.sort_uniq compare ports) = 3 then begin
+          let ring =
+            Ring.make (List.map (Printf.sprintf "127.0.0.1:%d") ports)
+          in
+          let owned =
+            List.length
+              (List.filter
+                 (fun _ ->
+                   let hex =
+                     String.init 32 (fun _ ->
+                         "0123456789abcdef".[Random.State.int rng 16])
+                   in
+                   List.mem 2 (Ring.owners ring ~r:2 ("key:" ^ hex)))
+                 (List.init keys Fun.id))
+          in
+          if owned <= 2 then incr starved;
+          if owned = 0 then incr empty
+        end
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "triples owning <= 2 of %d keys: %d (fair ~1)" keys
+           !starved)
+        true (!starved <= 8);
+      Alcotest.(check int) "triples owning no key" 0 !empty)
+
 (* ------------------------------------------------------------------ *)
 (* Replica: snapshot/populate wire ops, cache warming                  *)
 (* ------------------------------------------------------------------ *)
@@ -1368,6 +1406,42 @@ let replica_tests =
              (Serve.handle_line e
                 {|{"op":"connectivity","facets":["0:i0 ; 1:i1"]}|})
           = None));
+    Alcotest.test_case "betti-only replies complete connectivity as Homology"
+      `Quick (fun () ->
+        let open Psph_topology in
+        let point = Constructions.solid 0 in
+        let two_points =
+          Complex.of_facets
+            [ Simplex.of_list [ Vertex.proc 0 Label.Unit ];
+              Simplex.of_list [ Vertex.proc 1 Label.Unit ] ]
+        in
+        List.iter
+          (fun (name, c) ->
+            let line =
+              Jsonl.to_string
+                (Jsonl.Obj
+                   [
+                     ("ok", Jsonl.Bool true);
+                     ( "key",
+                       Jsonl.Str Psph_engine.Key.(to_hex (of_string name)) );
+                     ( "betti",
+                       Jsonl.Arr
+                         (List.map Jsonl.int (Array.to_list (Homology.betti c)))
+                     );
+                   ])
+            in
+            match Option.bind (Serve.reply_of_json line) Replica.entry_of_response with
+            | Some (_, entry) ->
+                check int name (Homology.connectivity c)
+                  entry.Psph_engine.Store.connectivity
+            | None -> fail (name ^ ": no entry from " ^ line))
+          [
+            ("point", point);
+            ("two points", two_points);
+            ("circle", Constructions.sphere 1);
+            ("2-sphere", Constructions.sphere 2);
+            ("solid simplex", Constructions.solid 3);
+          ]);
     Alcotest.test_case "warm_from streams a peer's cache over TCP" `Quick
       (fun () ->
         with_engine @@ fun a ->
@@ -1764,7 +1838,7 @@ let suites =
     ("net pipeline", pipeline_tests);
     ("net reset taxonomy", reset_tests);
     ("net router", router_tests);
-    ("net ring", ring_props);
+    ("net ring", ring_props @ [ ring_balance_test ]);
     ("net replica", replica_tests);
     ("net cluster", cluster_tests);
     ("net late response", late_response_tests);
