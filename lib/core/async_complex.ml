@@ -25,15 +25,14 @@ let pseudosphere ~n ~f s =
 
 let view_vertex s p base_label = function
   | Label.Pid_set m ->
-      let prev = View.of_label base_label in
       let heard =
         Pid.Set.elements m
         |> List.map (fun q ->
                match Simplex.label_of q s with
-               | Some l -> (q, View.of_label l)
+               | Some l -> (q, l)
                | None -> invalid_arg "Async_complex: heard pid outside simplex")
       in
-      Vertex.proc p (View.to_label (View.round ~prev ~heard))
+      Vertex.proc p (View.round_label ~prev:base_label ~heard)
   | _ -> invalid_arg "Async_complex: value is not a pid set"
 
 let one_round ~n ~f s =

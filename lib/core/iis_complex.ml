@@ -4,17 +4,17 @@ open Psph_model
 let view_of s q seen =
   let prev =
     match Simplex.label_of q s with
-    | Some l -> View.of_label l
+    | Some l -> l
     | None -> invalid_arg "Iis_complex: pid outside simplex"
   in
   let heard =
     Pid.Set.elements seen
     |> List.map (fun r ->
            match Simplex.label_of r s with
-           | Some l -> (r, View.of_label l)
+           | Some l -> (r, l)
            | None -> invalid_arg "Iis_complex: seen pid outside simplex")
   in
-  View.round ~prev ~heard
+  View.round_label ~prev ~heard
 
 let one_round s =
   let participants = Simplex.ids s in
@@ -25,7 +25,7 @@ let one_round s =
            Simplex.of_list
              (List.map
                 (fun (q, seen) ->
-                  Vertex.proc q (View.to_label (view_of s q seen)))
+                  Vertex.proc q (view_of s q seen))
                 (Pid.Map.bindings views)))
   in
   Complex.of_facets facets

@@ -26,15 +26,14 @@ let realize_round ~universe ~base structure =
   let ps = Psph.create ~base ~values in
   let vertex q base_label = function
     | Label.Pid_set heard_set ->
-        let prev = View.of_label base_label in
         let heard =
           Pid.Set.elements heard_set
           |> List.map (fun r ->
                  match Simplex.label_of r universe with
-                 | Some l -> (r, View.of_label l)
+                 | Some l -> (r, l)
                  | None -> invalid_arg "Rrfd: heard pid outside simplex")
         in
-        Vertex.proc q (View.to_label (View.round ~prev ~heard))
+        Vertex.proc q (View.round_label ~prev:base_label ~heard)
     | _ -> assert false
   in
   Psph.realize ~vertex ps

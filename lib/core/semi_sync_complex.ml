@@ -23,18 +23,17 @@ let pseudospheres ~k ~p ~n s = List.of_seq (pseudosphere_seq ~k ~p ~n s)
 
 let view_vertex ~p s q base_label = function
   | Label.Vec vec ->
-      let prev = View.of_label base_label in
       let heard =
         Array.to_list (Array.mapi (fun r mu -> (r, mu)) vec)
         |> List.filter_map (fun (r, mu) ->
                if mu >= 1 then
                  match Simplex.label_of r s with
-                 | Some l -> Some (r, mu, View.of_label l)
+                 | Some l -> Some (r, mu, l)
                  | None ->
                      invalid_arg "Semi_sync_complex: heard pid outside simplex"
                else None)
       in
-      Vertex.proc q (View.to_label (View.timed_round ~p ~prev ~heard))
+      Vertex.proc q (View.timed_round_label ~p ~prev:base_label ~heard)
   | _ -> invalid_arg "Semi_sync_complex: value is not a view vector"
 
 let one_round_pattern ~p ~n s pat =

@@ -200,8 +200,8 @@ let provenance_fields p =
    discrete-Morse precollapse: on the served model specs
    {!Collapse.reduce} costs more than the elimination it saves (see the
    numbers in docs/TOPOLOGY.md). *)
-let compute t c =
-  let r, jobs = Homology.rank_jobs c in
+let compute t index c =
+  let r, jobs = Homology.rank_jobs ~index c in
   if
     Pool.size t.pool > 1
     && List.length jobs > 1
@@ -230,13 +230,15 @@ let remember_spec t sk key =
   end;
   Obs.gauge_set spec_memo_g (float_of_int (Hashtbl.length t.spec_memo))
 
-(* slow path: build the complex, derive its content key, consult the LRU.
-   [sk_opt] is the caller's spec key, recorded so the next occurrence of
-   the same spec takes the fast path. *)
+(* slow path: build the complex, index it, key the index, consult the LRU;
+   a miss eliminates over the same index.  [sk_opt] is the caller's spec
+   key, recorded so the next occurrence of the same spec takes the fast
+   path. *)
 let eval_uncached t sk_opt spec =
   let t0 = Obs.monotonic () in
   let c = build spec in
-  let key = Key.of_complex c in
+  let index = Simplex_index.create c in
+  let key = Key.of_index index in
   let t1 = Obs.monotonic () in
   Obs.observe build_h (t1 -. t0);
   Mutex.lock t.lock;
@@ -246,7 +248,7 @@ let eval_uncached t sk_opt spec =
   match hit with
   | Some answer -> { key; answer; cached = true; solver = cached_prov }
   | None ->
-      let answer = Obs.time compute_h (fun () -> compute t c) in
+      let answer = Obs.time compute_h (fun () -> compute t index c) in
       Mutex.lock t.lock;
       Lru.add t.cache key answer;
       Mutex.unlock t.lock;

@@ -3,10 +3,15 @@
    Two complexes that are structurally equal (same simplex set) must map to
    the same key no matter how they were built, so the key is derived by
    folding over the whole simplex set in its canonical [Simplex.compare]
-   order, hashing each vertex with [Intern.vertex_hash] — a pure
+   order, mixing in each vertex's [Intern.vertex_hash] — a pure
    structural hash that no process state enters, so keys survive
    serialization and are stable across processes (the on-disk store
    depends on this).
+
+   The fold runs over a {!Simplex_index}: its keys of each dimension are
+   the simplexes in exactly that order, and it has already hashed each
+   vertex once while numbering it, so the fold reads one int per vertex
+   occurrence instead of walking the vertex's label again.
 
    Hashing every simplex rather than just the facets is deliberate: the
    simplex set determines the complex (and vice versa), and extracting
@@ -31,21 +36,28 @@ let compare a b =
 
 let hash a = a.h1 lxor (a.h2 * 0x9e3779b1)
 
-let of_complex c =
+let of_index idx =
+  if not (Simplex_index.complete idx) then
+    invalid_arg "Key.of_index: the index omits dimensions";
+  let hashes = Simplex_index.vertex_hashes idx in
   let h1 = ref 0x811c9dc5 and h2 = ref 0x2545f491 in
-  Complex.iter
-    (fun s ->
-      (* simplex separator: keeps [{01},{2}] distinct from [{012}] *)
-      h1 := (!h1 * 0x01000193) lxor 0x3b;
-      h2 := (!h2 * 0x9e3779b1) lxor 0x67;
-      Array.iter
-        (fun v ->
-          let vh = Intern.vertex_hash 0x811c9dc5 v in
-          h1 := (!h1 * 0x01000193) lxor (vh land max_int);
-          h2 := (!h2 * 0x9e3779b1) lxor (vh land max_int))
-        (Simplex.vertex_array s))
-    c;
+  for d = 0 to Simplex_index.dim idx do
+    Array.iter
+      (fun k ->
+        (* simplex separator: keeps [{01},{2}] distinct from [{012}] *)
+        h1 := (!h1 * 0x01000193) lxor 0x3b;
+        h2 := (!h2 * 0x9e3779b1) lxor 0x67;
+        Array.iter
+          (fun id ->
+            let vh = Array.unsafe_get hashes id land max_int in
+            h1 := (!h1 * 0x01000193) lxor vh;
+            h2 := (!h2 * 0x9e3779b1) lxor vh)
+          k)
+      (Simplex_index.keys idx d)
+  done;
   { h1 = !h1 land max_int; h2 = !h2 land max_int }
+
+let of_complex c = of_index (Simplex_index.create c)
 
 (* Same double-accumulator scheme over a canonical spec string — used to
    give symbolic (never-realized) answers a stable identifier without

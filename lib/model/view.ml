@@ -12,19 +12,21 @@ let check_distinct_senders senders =
   if List.length sorted <> List.length senders then
     invalid_arg "View: duplicate senders in heard list"
 
-let round ~prev ~heard =
+let sort_heard heard =
   check_distinct_senders (List.map fst heard);
-  let heard = List.sort (fun (p, _) (q, _) -> Pid.compare p q) heard in
-  Round { prev; heard }
+  List.sort (fun (p, _) (q, _) -> Pid.compare p q) heard
 
-let timed_round ~p ~prev ~heard =
+let sort_timed ~p heard =
   check_distinct_senders (List.map (fun (q, _, _) -> q) heard);
   List.iter
     (fun (_, mu, _) ->
       if mu < 0 || mu > p then invalid_arg "View.timed_round: mu out of range")
     heard;
-  let heard = List.sort (fun (q, _, _) (r, _, _) -> Pid.compare q r) heard in
-  Timed_round { p; prev; heard }
+  List.sort (fun (q, _, _) (r, _, _) -> Pid.compare q r) heard
+
+let round ~prev ~heard = Round { prev; heard = sort_heard heard }
+
+let timed_round ~p ~prev ~heard = Timed_round { p; prev; heard = sort_timed ~p heard }
 
 let rank = function Init _ -> 0 | Round _ -> 1 | Timed_round _ -> 2
 
@@ -122,22 +124,32 @@ let rec seen_pids = function
         (fun acc (q, _, s) -> Pid.Set.add q (Pid.Set.union acc (seen_pids s)))
         (seen_pids prev) heard
 
+(* The one encoding of a round, over labels already encoded and [heard]
+   already sorted.  The sub-labels go into the result as they are, so a
+   round built from the previous round's vertex labels shares them
+   physically instead of copying the whole history. *)
+let encode_round prev heard =
+  let heard_l = Label.List (List.map (fun (q, l) -> Label.Pair (Label.Pid q, l)) heard) in
+  Label.Pair (Label.Int 1, Label.Pair (prev, heard_l))
+
+let encode_timed p prev heard =
+  let heard_l =
+    Label.List
+      (List.map (fun (q, mu, l) -> Label.List [ Label.Pid q; Label.Int mu; l ]) heard)
+  in
+  Label.Pair (Label.Int 2, Label.Pair (Label.Int p, Label.Pair (prev, heard_l)))
+
+let round_label ~prev ~heard = encode_round prev (sort_heard heard)
+
+let timed_round_label ~p ~prev ~heard = encode_timed p prev (sort_timed ~p heard)
+
 let rec to_label = function
   | Init v -> Label.Pair (Label.Int 0, Value.to_label v)
   | Round { prev; heard } ->
-      let heard_l =
-        Label.List
-          (List.map (fun (q, s) -> Label.Pair (Label.Pid q, to_label s)) heard)
-      in
-      Label.Pair (Label.Int 1, Label.Pair (to_label prev, heard_l))
+      encode_round (to_label prev) (List.map (fun (q, s) -> (q, to_label s)) heard)
   | Timed_round { p; prev; heard } ->
-      let heard_l =
-        Label.List
-          (List.map
-             (fun (q, mu, s) -> Label.List [ Label.Pid q; Label.Int mu; to_label s ])
-             heard)
-      in
-      Label.Pair (Label.Int 2, Label.Pair (Label.Int p, Label.Pair (to_label prev, heard_l)))
+      encode_timed p (to_label prev)
+        (List.map (fun (q, mu, s) -> (q, mu, to_label s)) heard)
 
 let rec of_label = function
   | Label.Pair (Label.Int 0, v) -> Init (Value.of_label v)

@@ -62,3 +62,15 @@ val to_label : t -> Label.t
 
 val of_label : Label.t -> t
 (** Inverse of {!to_label}.  @raise Invalid_argument on foreign labels. *)
+
+val round_label : prev:Label.t -> heard:(Pid.t * Label.t) list -> Label.t
+(** [round_label ~prev:(to_label v) ~heard:[(q, to_label w); ...]] is
+    [to_label (round ~prev:v ~heard:[(q, w); ...])], built without decoding
+    or copying: [prev] and the heard labels become sub-labels of the
+    result as they are, so a round's vertex labels share the previous
+    round's labels physically.  Checks and sorts [heard] as {!round}
+    does. *)
+
+val timed_round_label :
+  p:int -> prev:Label.t -> heard:(Pid.t * int * Label.t) list -> Label.t
+(** The same for {!timed_round}. *)

@@ -37,8 +37,9 @@ let boundary_matrix c d =
    thunks: the index is built once in the calling domain, and each
    returned closure only reads it — safe to run on any domain.  The query
    engine schedules these on its worker pool for large complexes; [ranks]
-   just runs them in order. *)
-let rank_jobs ?max_dim c =
+   just runs them in order.  A caller that already holds an index of [c]
+   (the engine keys through one) passes it as [index]. *)
+let rank_jobs ?max_dim ?index c =
   let dim = Complex.dim c in
   let top = match max_dim with None -> dim | Some m -> min m dim in
   if dim < 0 then ([||], [])
@@ -49,7 +50,14 @@ let rank_jobs ?max_dim c =
     r.(0) <- 1;
     if upper < 1 then (r, [])
     else begin
-      let idx = Simplex_index.create ~max_dim:upper c in
+      let idx =
+        match index with
+        | None -> Simplex_index.create ~max_dim:upper c
+        | Some idx ->
+            if Simplex_index.dim idx < upper then
+              invalid_arg "Homology.rank_jobs: index stops below the needed dimension";
+            idx
+      in
       let rank_of_dim d =
         let cols = Simplex_index.keys idx d in
         let nrows = Array.length (Simplex_index.keys idx (d - 1)) in

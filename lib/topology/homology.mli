@@ -14,7 +14,10 @@ val boundary_matrix : Complex.t -> int -> Z2_matrix.col list
     rows by [(d-1)]-simplexes (both in {!Simplex.compare} order). *)
 
 val rank_jobs :
-  ?max_dim:int -> Complex.t -> int array * (int * (unit -> int)) list
+  ?max_dim:int ->
+  ?index:Simplex_index.t ->
+  Complex.t ->
+  int array * (int * (unit -> int)) list
 (** [rank_jobs c] is [(r, jobs)]: [r] is the boundary-rank array with
     [r.(0)] already filled in (the augmentation rank), and [jobs] is one
     [(d, compute)] pair per remaining dimension, where [compute ()] is the
@@ -24,7 +27,11 @@ val rank_jobs :
     domains, which is how the query engine parallelizes one large homology
     computation.  The caller stores [compute ()] into [r.(d)].  Each thunk
     runs in a [homology.rank] span (attr [dim]) in the {!Psph_obs.Obs}
-    substrate, so per-dimension elimination cost shows up in traces. *)
+    substrate, so per-dimension elimination cost shows up in traces.
+    [index], when given, must be an index of [c] (as
+    {!Simplex_index.create} builds it) reaching the dimensions needed; it
+    is used instead of building a new one.  @raise Invalid_argument if it
+    stops below them. *)
 
 val of_ranks : top:int -> Complex.t -> int array -> int array * int
 (** [of_ranks ~top c r], for [r] the boundary ranks of [c] filled in from

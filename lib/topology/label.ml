@@ -33,9 +33,11 @@ let compare_array a b =
     in
     loop 0
 
-(* Round labels share their sub-labels physically with the previous round's
-   vertices; labels are immutable, so a physically equal pair is equal and
-   the identity check skips walking the shared part. *)
+(* The round builders put the previous round's vertex labels into a
+   round's label by reference ([View.round_label]), so labels of one
+   complex share their history physically; labels are immutable, so
+   physically equal labels are equal and the identity check skips walking
+   the shared part. *)
 let rec compare a b =
   if a == b then 0
   else

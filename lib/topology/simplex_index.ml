@@ -14,15 +14,21 @@
    keys fall back to an int-array [Hashtbl] (hashing and equality on
    immediate ints are structural).
 
+   Each vertex's structural hash is computed once, when it is numbered,
+   and kept by id: a content key folds those instead of hashing every
+   vertex occurrence again.
+
    The index is built eagerly and never mutated afterwards, so any number
    of domains may read it concurrently. *)
+
+let vertex_hash v = Intern.vertex_hash 0x811c9dc5 v
 
 module VH = Hashtbl.Make (struct
   type t = Vertex.t
 
   let equal = Vertex.equal
 
-  let hash v = Intern.vertex_hash 0x811c9dc5 v
+  let hash = vertex_hash
 end)
 
 type rows = Packed of int array | Table of (int array, int) Hashtbl.t
@@ -31,6 +37,8 @@ type t = {
   bits : int;  (* bits per packed vertex id *)
   keys : int array array array;  (* keys.(d).(row) *)
   rows : rows array;  (* face lookup, for dimensions below the top *)
+  hashes : int array;  (* hashes.(id) = vertex_hash of vertex [id] *)
+  complete : bool;  (* no dimension was cut by [max_dim] *)
 }
 
 let pack_skip bits k skip =
@@ -53,6 +61,7 @@ let create ?max_dim c =
     Array.init (top + 1) (fun d -> Array.make (Complex.count_of_dim c d) [||])
   in
   let filled = Array.make (top + 1) 0 in
+  let hashes = Array.make nv 0 in
   let ids = VH.create (2 * nv) in
   let id v = VH.find ids v in
   (try
@@ -63,7 +72,9 @@ let create ?max_dim c =
          let row = filled.(d) in
          let k =
            if d = 0 then begin
-             VH.add ids (Simplex.vertex_array s).(0) row;
+             let v = (Simplex.vertex_array s).(0) in
+             hashes.(row) <- vertex_hash v;
+             VH.add ids v row;
              [| row |]
            end
            else Array.map id (Simplex.vertex_array s)
@@ -82,9 +93,15 @@ let create ?max_dim c =
           Table tbl
         end)
   in
-  { bits; keys; rows }
+  { bits; keys; rows; hashes; complete = top = dim }
 
 let keys t d = t.keys.(d)
+
+let dim t = Array.length t.keys - 1
+
+let complete t = t.complete
+
+let vertex_hashes t = t.hashes
 
 let packed t d = match t.rows.(d) with Packed _ -> true | Table _ -> false
 

@@ -22,6 +22,19 @@ val keys : t -> int -> int array array
 (** [keys t d]: the keys of the [d]-simplexes, indexed by row.  The
     caller must not mutate them. *)
 
+val dim : t -> int
+(** The highest indexed dimension ([-1] when nothing is indexed). *)
+
+val complete : t -> bool
+(** Whether every simplex of the complex is indexed: [max_dim] cut no
+    dimension off. *)
+
+val vertex_hashes : t -> int array
+(** [vertex_hashes t]: [Intern.vertex_hash 0x811c9dc5 v] of each vertex
+    [v], indexed by its id — computed once per vertex while numbering, so
+    a content key can fold them without hashing each vertex occurrence
+    again.  The caller must not mutate it. *)
+
 val face_row : t -> int array -> int -> int
 (** [face_row t k i]: the row of the facet of the simplex with key [k]
     that omits its [i]-th vertex.  [k] must be the key of an indexed

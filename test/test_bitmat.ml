@@ -142,15 +142,16 @@ let psph_props =
    ranks of boundary_6 and boundary_7 then look rows up through the
    Hashtbl fallback while boundary_1..5 pack — decided by the complex
    alone, whatever else the process computed first. *)
+let wide_complex () =
+  Complex.of_facets
+    (Simplex.of_list (List.init 8 Vertex.anon)
+    :: List.init 1017 (fun i -> Simplex.of_list [ Vertex.anon (8 + i) ]))
+
 let wide_key_tests =
   [
     Alcotest.test_case "wide keys take the Hashtbl rows, same Betti" `Quick
       (fun () ->
-        let c =
-          Complex.of_facets
-            (Simplex.of_list (List.init 8 Vertex.anon)
-            :: List.init 1017 (fun i -> Simplex.of_list [ Vertex.anon (8 + i) ]))
-        in
+        let c = wide_complex () in
         Alcotest.(check int) "vertices" 1025 (Complex.num_vertices c);
         let idx = Simplex_index.create c in
         Alcotest.(check (list bool))

@@ -71,6 +71,68 @@ let view_tests =
           (Pid.Set.equal (View.seen_pids v) (Pid.Set.of_list [ 0; 1 ])));
   ]
 
+(* The round builders encode a round straight from the previous round's
+   labels; that must be exactly the label of the decoded view's round.
+   Heard lists come in random order with distinct senders, so the
+   encoders' sorting is exercised too. *)
+let gen_senders =
+  QCheck2.Gen.(
+    pair (shuffle_l [ 0; 1; 2; 3 ]) (int_range 0 4)
+    |> map (fun (ps, k) -> List.filteri (fun i _ -> i < k) ps))
+
+let rec gen_view depth =
+  let open QCheck2.Gen in
+  let init = map View.init (int_range 0 2) in
+  if depth = 0 then init
+  else
+    let sub = gen_view (depth - 1) in
+    frequency
+      [
+        (1, init);
+        (2, map2 (fun prev heard -> View.round ~prev ~heard) sub (gen_heard sub));
+        ( 2,
+          int_range 0 3 >>= fun p ->
+          map2 (fun prev heard -> View.timed_round ~p ~prev ~heard) sub (gen_timed ~p sub)
+        );
+      ]
+
+and gen_heard sub =
+  QCheck2.Gen.(
+    gen_senders >>= fun ps ->
+    flatten_l (List.map (fun q -> map (fun s -> (q, s)) sub) ps))
+
+and gen_timed ~p sub =
+  QCheck2.Gen.(
+    gen_senders >>= fun ps ->
+    flatten_l (List.map (fun q -> map2 (fun mu s -> (q, mu, s)) (int_range 0 p) sub) ps))
+
+let encoding_props =
+  let open QCheck2 in
+  let print_views (prev, heard) =
+    Format.asprintf "%a | %a" View.pp prev
+      (Format.pp_print_list (fun ppf (q, s) -> Format.fprintf ppf "%d<-%a" q View.pp s))
+      heard
+  in
+  [
+    Test.make ~count:200 ~name:"round_label = to_label (round ..)" ~print:print_views
+      Gen.(pair (gen_view 2) (gen_heard (gen_view 2)))
+      (fun (prev, heard) ->
+        Label.equal
+          (View.round_label ~prev:(View.to_label prev)
+             ~heard:(List.map (fun (q, s) -> (q, View.to_label s)) heard))
+          (View.to_label (View.round ~prev ~heard)));
+    Test.make ~count:200 ~name:"timed_round_label = to_label (timed_round ..)"
+      Gen.(
+        int_range 0 3 >>= fun p ->
+        map2 (fun prev heard -> (p, prev, heard)) (gen_view 2) (gen_timed ~p (gen_view 2)))
+      (fun (p, prev, heard) ->
+        Label.equal
+          (View.timed_round_label ~p ~prev:(View.to_label prev)
+             ~heard:(List.map (fun (q, mu, s) -> (q, mu, View.to_label s)) heard))
+          (View.to_label (View.timed_round ~p ~prev ~heard)));
+  ]
+  |> List.map QCheck_alcotest.to_alcotest
+
 (* ------------------------------------------------------------------ *)
 (* Failure patterns                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -514,7 +576,7 @@ let prop_tests =
 
 let suites =
   [
-    ("model.view", view_tests);
+    ("model.view", view_tests @ encoding_props);
     ("model.failure", failure_tests);
     ("model.schedule", schedule_tests);
     ("model.execution", execution_tests);
