@@ -495,20 +495,13 @@ let reactor_threads_arg =
           "Event-loop threads multiplexing the TCP connections (see \
            docs/NET.md).")
 
-(* route handlers block on backend sockets, so they must not run on the
-   reactor loops: give each request its own thread, bounded; past the
-   bound, run inline (the loop briefly backpressures, which is the
-   point) *)
-let threaded_dispatch = Psph_net.Server.threaded_dispatch
-
 let serve_cmd =
   let run trace metrics listen max_conns deadline_ms domains cache_size persist
-      par_threshold reactor_threads warm_from =
+      reactor_threads warm_from =
     let code =
       with_trace trace @@ fun () ->
       let engine =
-        Psph_engine.Engine.create ~domains ~capacity:cache_size ?persist
-          ~par_threshold ()
+        Psph_engine.Engine.create ~domains ~capacity:cache_size ?persist ()
       in
       (* warm before accepting traffic, so the first requests already hit;
          best-effort — a dead peer must not stop the server from starting *)
@@ -582,7 +575,11 @@ let serve_cmd =
     Arg.(
       value & opt int 2
       & info [ "domains" ] ~docv:"D"
-          ~doc:"Worker domains for parallel evaluation (0: sequential).")
+          ~doc:
+            "Worker domains that run TCP requests off the event loops \
+             (0: requests run on the loops).  Each request is evaluated \
+             whole on one domain; on stdin/stdout requests are evaluated \
+             in order in the main thread.")
   in
   let cache_arg =
     Arg.(
@@ -595,14 +592,6 @@ let serve_cmd =
       & opt (some string) None
       & info [ "persist" ] ~docv:"FILE"
           ~doc:"Load the memo store from $(docv) on start and write it back on exit.")
-  in
-  let par_threshold_arg =
-    Arg.(
-      value & opt int 2048
-      & info [ "par-threshold" ] ~docv:"S"
-          ~doc:
-            "Fan a single query's per-dimension rank jobs onto the pool once \
-             the complex has at least $(docv) simplexes.")
   in
   let listen_arg =
     Arg.(
@@ -650,7 +639,7 @@ let serve_cmd =
     Term.(
       const run $ trace_arg $ metrics_arg $ listen_arg $ max_conns_arg
       $ deadline_arg $ domains_arg $ cache_arg $ persist_arg
-      $ par_threshold_arg $ reactor_threads_arg $ warm_from_arg)
+      $ reactor_threads_arg $ warm_from_arg)
 
 let connect_arg =
   Arg.(
@@ -765,7 +754,7 @@ let route_cmd =
       match
         Psph_net.Server.listen ~max_conns
           ~reactor_threads:(max 1 reactor_threads)
-          ~dispatch:(threaded_dispatch ())
+          ~dispatch:(Psph_net.Server.threaded_dispatch ())
           ~handler:(Psph_net.Router.route router)
           listen
       with

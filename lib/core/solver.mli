@@ -8,12 +8,12 @@
     registered model and spec (or a raw pseudosphere query) it produces a
     connectivity {e lower bound} in O(formula) time, without realizing the
     complex — the fast path the query engine tries before falling back to
-    Morse-reduced numeric elimination.
+    Z/2 elimination over the built complex.
 
     Because every rule here bounds from below, a numeric cross-check must
-    assert [numeric >= symbolic], not equality: e.g. the async one-round
-    complex at [f >= 1] is contractible while its pseudosphere-union bound
-    is [n - 1]. *)
+    assert [numeric >= symbolic], not equality: e.g. the one-round [dyn]
+    complex at [n = 2] (default adversary) has Betti numbers [1,0,17] and
+    is 1-connected, while its rooted-adversary bound is 0. *)
 
 type symbolic = {
   connectivity : int;  (** the derived lower bound *)

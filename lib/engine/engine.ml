@@ -1,13 +1,13 @@
-(* The query engine: canonicalize -> cache -> (maybe) parallelize.
+(* The query engine: canonicalize -> cache -> compute.
 
    A query names a complex either explicitly or symbolically (pseudosphere
    or protocol-complex parameters).  Evaluation is content-addressed: the
    complex's canonical {!Key.t} selects the slot in the LRU memo store, so
    structurally-equal queries coalesce no matter how they were phrased.
-   On a miss the reduced-homology ranks are computed — per-dimension rank
-   jobs go to the Domain pool when the complex is large enough to pay for
-   the fan-out — and the answer (Betti vector + connectivity) is cached
-   under the key.
+   On a miss the reduced-homology ranks are computed in the calling
+   thread and the answer (Betti vector + connectivity) is cached under
+   the key.  The engine's Domain pool runs whole requests ([dispatch]),
+   never parts of one.
 
    Symbolic specs get a second, cheaper canonicalization layer in front:
    a normalized spec (model specs canonicalized by the registered model's
@@ -115,13 +115,12 @@ type t = {
   spec_memo : (spec_key, Key.t) Hashtbl.t;
   lock : Mutex.t;
   persist : string option;
-  par_threshold : int;
 }
 
 let default_domains () =
   min 4 (max 1 (Domain.recommended_domain_count () - 1))
 
-let create ?domains ?(capacity = 4096) ?persist ?(par_threshold = 2048) () =
+let create ?domains ?(capacity = 4096) ?persist () =
   let domains = match domains with Some d -> d | None -> default_domains () in
   let t =
     {
@@ -130,7 +129,6 @@ let create ?domains ?(capacity = 4096) ?persist ?(par_threshold = 2048) () =
       spec_memo = Hashtbl.create 64;
       lock = Mutex.create ();
       persist;
-      par_threshold;
     }
   in
   Option.iter
@@ -200,17 +198,9 @@ let provenance_fields p =
    discrete-Morse precollapse: on the served model specs
    {!Collapse.reduce} costs more than the elimination it saves (see the
    numbers in docs/TOPOLOGY.md). *)
-let compute t index c =
+let compute index c =
   let r, jobs = Homology.rank_jobs ~index c in
-  if
-    Pool.size t.pool > 1
-    && List.length jobs > 1
-    && Complex.num_simplices c >= t.par_threshold
-  then begin
-    let futures = List.map (fun (d, job) -> (d, Pool.submit t.pool job)) jobs in
-    List.iter (fun (d, fut) -> r.(d) <- Pool.await fut) futures
-  end
-  else List.iter (fun (d, job) -> r.(d) <- job ()) jobs;
+  List.iter (fun (d, job) -> r.(d) <- job ()) jobs;
   let betti, connectivity = Homology.of_ranks ~top:(Complex.dim c) c r in
   if betti <> [||] then betti.(0) <- betti.(0) + 1;
   { betti; connectivity }
@@ -248,7 +238,7 @@ let eval_uncached t sk_opt spec =
   match hit with
   | Some answer -> { key; answer; cached = true; solver = cached_prov }
   | None ->
-      let answer = Obs.time compute_h (fun () -> compute t index c) in
+      let answer = Obs.time compute_h (fun () -> compute index c) in
       Mutex.lock t.lock;
       Lru.add t.cache key answer;
       Mutex.unlock t.lock;
@@ -311,8 +301,8 @@ let symbolic_result spec (s : Solver.symbolic) =
 (* check mode: the numeric answer must satisfy the symbolic lower bound.
    Symbolic rules bound connectivity from below (Theorem 2 derivations
    and the round lemmas are one-sided), so the assertion is [>=], not
-   equality — e.g. the one-round async complex at f >= 1 is contractible
-   while its pseudosphere-union bound is n - 1. *)
+   equality — e.g. the one-round dyn complex at n = 2 is 1-connected
+   while its derived bound is 0. *)
 let check_against_symbolic spec (r : result) =
   match symbolic_of_spec spec with
   | None -> r
@@ -374,23 +364,7 @@ let eval_conn ?(mode = Auto) t spec =
               | Some s -> symbolic_result spec s
               | None -> eval_numeric t spec)))
 
-let eval_batch t specs =
-  if Pool.size t.pool = 0 then List.map (eval t) specs
-  else Pool.run_all t.pool (List.map (fun spec () -> eval t spec) specs)
-
-let run_all t thunks =
-  if Pool.size t.pool = 0 then List.map (fun f -> f ()) thunks
-  else Pool.run_all t.pool thunks
-
-let dispatch t f =
-  if Pool.size t.pool = 0 then f ()
-  else
-    (* fire-and-forget: the job carries its own completion path (the
-       serve transport writes the response), so nobody awaits the
-       future.  A pool torn down mid-request degrades to inline. *)
-    match Pool.submit t.pool f with
-    | (_ : unit Pool.future) -> ()
-    | exception Invalid_argument _ -> f ()
+let dispatch t f = Pool.dispatch t.pool f
 
 (* replication support: warming inserts finished answers straight into
    the memo cache (content addressing makes a stale peer entry

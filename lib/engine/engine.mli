@@ -1,14 +1,13 @@
-(** The query engine: canonicalized, cached, batched, parallel topology
-    queries.
+(** The query engine: canonicalized, cached topology queries.
 
     Millions of pseudosphere/protocol-complex questions repeat structure —
     the same [psi(S^m; U)] shapes recur across models, rounds and failure
     budgets — so evaluation goes content-address first: build the complex,
     derive its canonical {!Key.t}, and only compute homology on a miss.
-    Misses run their per-dimension boundary-rank eliminations on a
-    {!Pool.t} of worker domains when the complex is large enough to pay
-    for the fan-out; batches additionally evaluate independent queries in
-    parallel.  Every {!eval} runs in an [engine.query] span carrying the
+    A query is evaluated start to finish in the calling thread; the
+    engine's {!Pool.t} of worker domains only runs whole requests handed
+    to it by {!dispatch} (the network server's way off its event loops).
+    Every {!eval} runs in an [engine.query] span carrying the
     content key and hit/miss outcome (see docs/OBSERVABILITY.md).  See
     docs/ENGINE.md for policies and the wire protocol. *)
 
@@ -84,17 +83,14 @@ val create :
   ?domains:int ->
   ?capacity:int ->
   ?persist:string ->
-  ?par_threshold:int ->
   unit ->
   t
-(** [domains] defaults to [min 4 (recommended_domain_count - 1)], at least
-    1; pass [0] for a purely sequential engine.  [capacity] (default 4096)
-    bounds the LRU, and at twice that the spec memo in front of it (its
-    size is the [engine.spec_memo] gauge).  [persist] names a {!Store}
-    file loaded now and written by {!flush}/{!shutdown}.
-    [par_threshold] (default 2048) is
-    the simplex count above which a single query's rank computations are
-    fanned out per dimension. *)
+(** [domains] is the number of worker domains that run {!dispatch}ed
+    requests; it defaults to [min 4 (recommended_domain_count - 1)], at
+    least 1, and [0] runs every dispatched request inline.  [capacity]
+    (default 4096) bounds the LRU, and at twice that the spec memo in
+    front of it (its size is the [engine.spec_memo] gauge).  [persist]
+    names a {!Store} file loaded now and written by {!flush}/{!shutdown}. *)
 
 val build : spec -> Complex.t
 (** The complex a spec denotes (no caching, no homology).
@@ -119,17 +115,6 @@ val eval_conn : ?mode:mode -> t -> spec -> result
     tier-irrelevant.  [Symbolic_only] raises [Failure] when no derivation
     applies. *)
 
-val eval_batch : t -> spec list -> result list
-(** Evaluate independent queries of a batch in parallel on the pool,
-    preserving order.  Duplicate specs within a batch may race to compute
-    the same key; both arrive at the same answer and the cache coalesces
-    them. *)
-
-val run_all : t -> (unit -> 'a) list -> 'a list
-(** Run independent thunks in parallel on the pool (inline when
-    sequential), preserving order — how the serve layer evaluates a batch
-    whose members mix wants and solver modes. *)
-
 val provenance_fields : provenance -> (string * Psph_obs.Jsonl.t) list
 (** The wire rendering of a provenance (the "solver" response field), in
     fixed field order: [tier], then [rule]/[steps]/[checked] when
@@ -137,10 +122,11 @@ val provenance_fields : provenance -> (string * Psph_obs.Jsonl.t) list
     two renderings stay byte-identical. *)
 
 val dispatch : t -> (unit -> unit) -> unit
-(** Run [f] on the engine's worker pool without awaiting it — inline
-    when the engine is sequential ([domains = 0]) or the pool is already
-    shut down.  The network server uses this to keep its event loops
-    free of CPU-bound handler work; [f] must handle its own errors. *)
+(** {!Pool.dispatch} on the engine's worker pool: run the request [f] on
+    a worker without awaiting it — inline when the engine has no workers
+    ([domains = 0]) or is already shut down.  The network server uses
+    this to keep its event loops free of CPU-bound handler work; [f] must
+    handle its own errors. *)
 
 val warm : t -> (Key.t * Store.entry) list -> int
 (** Insert finished answers straight into the memo cache (the wire-side

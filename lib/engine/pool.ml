@@ -1,28 +1,22 @@
 (* A fixed-size Domain worker pool with a plain FIFO job queue guarded by
-   one mutex and one condition variable.  No work stealing: jobs here are
-   coarse (a whole query, or one dimension's boundary-matrix elimination),
-   so a single contended queue is nowhere near the bottleneck.
-
-   Deadlock safety: [submit] called from inside a worker runs the job
-   inline instead of enqueuing.  Without this, a query job that fans out
-   per-dimension rank jobs and awaits them could fill every worker with
-   waiters and leave nobody to run the inner jobs.
+   one mutex and one condition variable.  No work stealing: a job here is
+   a whole request, so a single contended queue is nowhere near the
+   bottleneck.  Jobs are fire-and-forget — the caller never waits on one,
+   so there is no result to hand back and no way for a job to deadlock
+   the queue by waiting on another.
 
    Observability: queue depth and busy-worker gauges, dequeued/inline job
    counters and a per-job latency histogram are registered in {!Obs} under
    the [metrics] prefix.  Each queued job runs inside a [<metrics>.job]
-   span whose parent is the span that was current at [submit] time — the
-   bridge that keeps a worker's rank eliminations nested under the request
-   that asked for them. *)
+   span whose parent is the span that was current at [dispatch] time, so
+   a worker's spans stay nested under whatever handed it the request. *)
 
 open Psph_obs
-
-type job = { run : unit -> unit }
 
 type metrics = {
   span_name : string;
   jobs : Obs.counter;  (** dequeued by a worker *)
-  inline : Obs.counter;  (** ran inline: zero domains or nested submit *)
+  inline : Obs.counter;  (** ran inline: zero domains or a stopped pool *)
   depth : Obs.gauge;  (** jobs currently queued *)
   busy : Obs.gauge;  (** workers currently running a job *)
   job_s : Obs.histogram;  (** per-dequeued-job wall time *)
@@ -31,22 +25,15 @@ type metrics = {
 type t = {
   m : Mutex.t;
   nonempty : Condition.t;
-  queue : job Queue.t;
+  queue : (unit -> unit) Queue.t;
   mutable stopping : bool;
   mutable workers : unit Domain.t array;
-  mutable worker_ids : Domain.id list;
   metrics : metrics;
 }
-
-type 'a state = Pending | Done of 'a | Failed of exn
-
-type 'a future = { fm : Mutex.t; fc : Condition.t; mutable state : 'a state }
 
 let size t = Array.length t.workers
 
 let jobs_run t = Obs.counter_value t.metrics.jobs
-
-let in_worker t = List.mem (Domain.self ()) t.worker_ids
 
 let rec worker_loop t =
   Mutex.lock t.m;
@@ -60,8 +47,9 @@ let rec worker_loop t =
     Obs.incr t.metrics.jobs;
     Obs.gauge_add t.metrics.depth (-1.0);
     Obs.gauge_add t.metrics.busy 1.0;
-    Fun.protect ~finally:(fun () -> Obs.gauge_add t.metrics.busy (-1.0))
-      (fun () -> Obs.time t.metrics.job_s job.run);
+    (* a raising job must not take its worker down with it *)
+    (try Obs.time t.metrics.job_s job with _ -> ());
+    Obs.gauge_add t.metrics.busy (-1.0);
     worker_loop t
   end
 
@@ -73,7 +61,6 @@ let create ?(metrics = "pool") ~domains () =
       queue = Queue.create ();
       stopping = false;
       workers = [||];
-      worker_ids = [];
       metrics =
         {
           span_name = metrics ^ ".job";
@@ -85,68 +72,30 @@ let create ?(metrics = "pool") ~domains () =
         };
     }
   in
-  let n = max 0 domains in
-  let workers = Array.init n (fun _ -> Domain.spawn (fun () -> worker_loop t)) in
-  t.workers <- workers;
-  t.worker_ids <- Array.to_list (Array.map Domain.get_id workers);
+  t.workers <-
+    Array.init (max 0 domains) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
-let run_inline t f =
-  Obs.incr t.metrics.inline;
-  match f () with
-  | v -> { fm = Mutex.create (); fc = Condition.create (); state = Done v }
-  | exception e ->
-      { fm = Mutex.create (); fc = Condition.create (); state = Failed e }
-
-let submit t f =
-  if Array.length t.workers = 0 || in_worker t then run_inline t f
-  else begin
-    let fut = { fm = Mutex.create (); fc = Condition.create (); state = Pending } in
-    (* re-root the job's spans under whatever span is submitting, so the
-       trace nests request -> pool job -> the work, across domains *)
-    let parent = Obs.current_span_id () in
-    let run () =
-      let outcome =
-        match
-          Obs.with_parent parent (fun () ->
-              Obs.with_span t.metrics.span_name (fun _ -> f ()))
-        with
-        | v -> Done v
-        | exception e -> Failed e
-      in
-      Mutex.lock fut.fm;
-      fut.state <- outcome;
-      Condition.broadcast fut.fc;
-      Mutex.unlock fut.fm
-    in
-    Mutex.lock t.m;
-    if t.stopping then begin
-      Mutex.unlock t.m;
-      invalid_arg "Pool.submit: pool is shut down"
-    end;
-    Queue.push { run } t.queue;
-    Obs.gauge_add t.metrics.depth 1.0;
-    Condition.signal t.nonempty;
-    Mutex.unlock t.m;
-    fut
-  end
-
-let await fut =
-  Mutex.lock fut.fm;
-  let rec settled () =
-    (* match, not (=): polymorphic equality on ['a state] could dive into
-       arbitrary payloads *)
-    match fut.state with
-    | Pending ->
-        Condition.wait fut.fc fut.fm;
-        settled ()
-    | s -> s
+let dispatch t f =
+  (* re-root the job's spans under whatever span is dispatching, so the
+     trace nests the request's spans under its pool job, across domains *)
+  let parent = Obs.current_span_id () in
+  let job () =
+    Obs.with_parent parent (fun () ->
+        Obs.with_span t.metrics.span_name (fun _ -> f ()))
   in
-  let state = settled () in
-  Mutex.unlock fut.fm;
-  match state with Done v -> v | Failed e -> raise e | Pending -> assert false
-
-let run_all t fs = List.map (submit t) fs |> List.map await
+  Mutex.lock t.m;
+  let queued = Array.length t.workers > 0 && not t.stopping in
+  if queued then begin
+    Queue.push job t.queue;
+    Obs.gauge_add t.metrics.depth 1.0;
+    Condition.signal t.nonempty
+  end;
+  Mutex.unlock t.m;
+  if not queued then begin
+    Obs.incr t.metrics.inline;
+    f ()
+  end
 
 let shutdown t =
   Mutex.lock t.m;
@@ -154,5 +103,4 @@ let shutdown t =
   Condition.broadcast t.nonempty;
   Mutex.unlock t.m;
   Array.iter Domain.join t.workers;
-  t.workers <- [||];
-  t.worker_ids <- []
+  t.workers <- [||]

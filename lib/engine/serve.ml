@@ -27,8 +27,8 @@
    parameters default like the psc flags (f=1, k=1, p=2, r=1).  Responses
    echo "id" when present, carry "ok", and on success the canonical "key",
    the requested measurements, "cached", and "solver".  A batch response
-   holds "results" in request order; its members are evaluated in
-   parallel on the engine's pool.
+   holds "results" in request order; its members are evaluated in order
+   in the calling thread.
 
    The hot-op grammar ([parse]), evaluator ([answer]) and printer
    ([reply_obj]) are the only ones in the tree: the binary codec, the
@@ -428,30 +428,22 @@ let handle_request engine req =
         | Some rs -> rs
         | None -> bad "batch needs a \"requests\" array"
       in
-      (* parse everything first so one bad member fails its slot, not the
-         whole batch; then evaluate the good ones in parallel.  Evaluation
+      (* each member is parsed and answered on its own, in order, so one
+         bad member fails its slot, not the whole batch.  Evaluation
          errors (invalid parameters, a failed solver check) also fail only
          their slot, rendered exactly as the top-level error would be —
          the router splices batch members verbatim, so a member response
          must be byte-identical to its top-level counterpart. *)
-      let jobs =
-        List.map
-          (fun r ->
-            match parse r with
-            | Ok (want, query, mode) -> fun () -> answer ~mode engine want query
-            | Error message -> fun () -> Failed { id = 0; message })
-          requests
+      let member r =
+        let reply =
+          match parse r with
+          | Ok (want, query, mode) -> answer ~mode engine want query
+          | Error message -> Failed { id = 0; message }
+        in
+        reply_obj ~id:(Jsonl.member "id" r) reply
       in
-      let replies = Engine.run_all engine jobs in
       Jsonl.Obj
-        [
-          ("ok", Jsonl.Bool true);
-          ( "results",
-            Jsonl.Arr
-              (List.map2
-                 (fun r reply -> reply_obj ~id:(Jsonl.member "id" r) reply)
-                 requests replies) );
-        ]
+        [ ("ok", Jsonl.Bool true); ("results", Jsonl.Arr (List.map member requests)) ]
   | _ ->
       let want, query, mode = parse_exn req in
       reply_obj ~id:(Jsonl.member "id" req) (answer ~mode engine want query)
@@ -463,6 +455,19 @@ let request_ids = Atomic.make 0
 (* eager, like the engine's handles: worker domains serve requests
    concurrently, and a lazy handle forced twice at once raises *)
 let requests_c = Obs.counter "serve.requests"
+
+(* the ops with their own [serve.op.<op>] latency histogram: the ones
+   [handle_request] answers, plus "invalid" for a line with no op.  Any
+   other client-chosen op name shares [serve.op.unknown], so the metric
+   registry cannot grow with the names clients send. *)
+let known_ops =
+  [
+    "betti"; "connectivity"; "psph"; "model-complex"; "batch"; "models";
+    "stats"; "metrics"; "snapshot"; "populate"; "invalid";
+  ]
+
+let op_metric op =
+  "serve.op." ^ if List.mem op known_ops then op else "unknown"
 
 let handle_line engine line =
   let rid = Atomic.fetch_and_add request_ids 1 in
@@ -490,7 +495,7 @@ let handle_line engine line =
                 error_response ~req ("internal error: " ^ Printexc.to_string e))
       in
       Obs.set_attr sp "op" (Jsonl.Str !op);
-      Obs.observe (Obs.histogram ("serve.op." ^ !op)) (Obs.monotonic () -. t0);
+      Obs.observe (Obs.histogram (op_metric !op)) (Obs.monotonic () -. t0);
       Jsonl.to_string response)
 
 let run engine ic oc =

@@ -3,7 +3,7 @@
 
     One request object per input line, one response object per output
     line.  Ops: [betti], [connectivity], [psph], [model-complex], [batch]
-    (members evaluated in parallel), [models], [stats], [metrics]
+    (members evaluated in order), [models], [stats], [metrics]
     (the full {!Psph_obs.Obs.snapshot_json} of counters, gauges,
     histograms and span totals; [stats] carries the same snapshot in a
     "metrics" field), and the replication pair [snapshot] (page the memo
@@ -21,7 +21,9 @@
 
     Every request runs in a [serve.request] span (attrs: a process-wide
     request counter and the op name) and is timed into a per-op
-    [serve.op.<op>] histogram.
+    [serve.op.<op>] histogram — one per op listed above, [invalid] for a
+    line without an op, and a shared [serve.op.unknown] for every other
+    op name, so clients cannot grow the metric registry.
 
     Malformed requests — and any unexpected exception a handler raises —
     produce [{"ok":false,"error":...}] responses, echoing the request's

@@ -194,12 +194,18 @@ let json_response t payload =
   let t0 = Obs.monotonic () in
   (* re-root under the span id the client put on the wire, so a loopback
      trace nests net.client.request -> serve.request across the socket;
-     only meaningful (and only looked for) when a sink is live *)
+     only meaningful (and only looked for) when a sink is live.  Without
+     one the handler stays under the ambient span (its pool job). *)
   let parent =
     if Obs.current_sink () = Obs.Null then None else span_parent_of payload
   in
+  let handle () =
+    match parent with
+    | None -> t.handler payload
+    | Some _ -> Obs.with_parent parent (fun () -> t.handler payload)
+  in
   let response =
-    try Obs.with_parent parent (fun () -> t.handler payload)
+    try handle ()
     with e -> Serve.error_line ~orig:payload ("internal error: " ^ Printexc.to_string e)
   in
   let elapsed = Obs.monotonic () -. t0 in

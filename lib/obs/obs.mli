@@ -113,8 +113,8 @@ val current_span_id : unit -> int option
 
 val with_parent : int option -> (unit -> 'a) -> 'a
 (** Run the thunk with the ambient parent re-rooted to the given span
-    id: the bridge that keeps pool jobs nested under the request span
-    that submitted them. *)
+    id: the bridge that keeps a pool job nested under the span that
+    dispatched it. *)
 
 type span_stats = { spans : int; total_s : float }
 

@@ -21,9 +21,14 @@ let sx l = Simplex.of_list (List.map v l)
 
 let cx ls = Complex.of_facets (List.map sx ls)
 
+let obj_field name line =
+  match Jsonl.of_string line with
+  | Jsonl.Obj _ as o -> Jsonl.member name o
+  | _ -> None
+
 (* one shared engine with real worker domains; shut down by the last case *)
 let engine =
-  lazy (E.create ~domains:2 ~capacity:256 ~par_threshold:64 ())
+  lazy (E.create ~domains:2 ~capacity:256 ())
 
 (* ------------------------------------------------------------------ *)
 (* canonical keys                                                      *)
@@ -105,31 +110,35 @@ let lru_tests =
 (* ------------------------------------------------------------------ *)
 
 let pool_tests =
+  let inline_c = Obs.counter "pool.inline" in
   [
-    Alcotest.test_case "run_all preserves order across domains" `Quick (fun () ->
-        let p = Pool.create ~domains:2 () in
-        let results = Pool.run_all p (List.init 20 (fun i () -> i * i)) in
-        Pool.shutdown p;
-        Alcotest.(check (list int)) "squares" (List.init 20 (fun i -> i * i)) results);
-    Alcotest.test_case "exceptions propagate through await" `Quick (fun () ->
-        let p = Pool.create ~domains:1 () in
-        let fut = Pool.submit p (fun () -> failwith "boom") in
-        Alcotest.check_raises "boom" (Failure "boom") (fun () -> Pool.await fut);
-        Pool.shutdown p);
-    Alcotest.test_case "zero domains runs inline" `Quick (fun () ->
-        let p = Pool.create ~domains:0 () in
-        Alcotest.(check int) "inline" 7 (Pool.await (Pool.submit p (fun () -> 7)));
-        Pool.shutdown p);
-    Alcotest.test_case "nested submit from a worker does not deadlock" `Quick
+    Alcotest.test_case "a raising job does not kill its worker" `Quick
       (fun () ->
         let p = Pool.create ~domains:1 () in
-        let outer =
-          Pool.submit p (fun () ->
-              (* the single worker is busy with us; inner must run inline *)
-              Pool.await (Pool.submit p (fun () -> 41)) + 1)
-        in
-        Alcotest.(check int) "nested" 42 (Pool.await outer);
+        let jobs0 = Pool.jobs_run p in
+        let ran = Atomic.make false in
+        Pool.dispatch p (fun () -> failwith "boom");
+        Pool.dispatch p (fun () -> Atomic.set ran true);
+        (* shutdown drains the queue, and re-raises if a worker died *)
+        Pool.shutdown p;
+        Alcotest.(check bool) "the next job ran" true (Atomic.get ran);
+        Alcotest.(check int) "both dequeued" 2 (Pool.jobs_run p - jobs0));
+    Alcotest.test_case "zero domains runs inline" `Quick (fun () ->
+        let p = Pool.create ~domains:0 () in
+        let inline0 = Obs.counter_value inline_c in
+        let r = ref 0 in
+        Pool.dispatch p (fun () -> r := 7);
+        Alcotest.(check int) "ran before dispatch returned" 7 !r;
+        Alcotest.(check int) "counted inline" 1
+          (Obs.counter_value inline_c - inline0);
         Pool.shutdown p);
+    Alcotest.test_case "dispatch after shutdown runs inline" `Quick (fun () ->
+        let p = Pool.create ~domains:2 () in
+        Pool.shutdown p;
+        let r = ref 0 in
+        Pool.dispatch p (fun () -> r := 7);
+        Alcotest.(check int) "ran inline" 7 !r;
+        Alcotest.(check int) "no workers left" 0 (Pool.size p));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -330,25 +339,45 @@ let engine_unit_tests =
     Alcotest.test_case "batch answers match solo answers, in order" `Quick
       (fun () ->
         let e = Lazy.force engine in
-        let specs =
+        let members =
           [
-            E.Psph { n = 2; values = 2 };
-            E.Psph { n = 3; values = 2 };
-            E.Psph { n = 2; values = 2 };
-            E.Explicit (cx [ [ 0; 1 ]; [ 1; 2 ] ]);
+            ({|{"op":"psph","n":2,"values":2}|}, E.Psph { n = 2; values = 2 });
+            ({|{"op":"psph","n":3,"values":2}|}, E.Psph { n = 3; values = 2 });
+            ({|{"op":"psph","n":2,"values":2}|}, E.Psph { n = 2; values = 2 });
+            ( {|{"op":"betti","facets":["0:i0 ; 1:i1","1:i1 ; 2:i0"]}|},
+              E.Explicit
+                (Complex.of_facets
+                   (List.map Complex_io.simplex_of_string
+                      [ "0:i0 ; 1:i1"; "1:i1 ; 2:i0" ])) );
           ]
         in
-        let batch = E.eval_batch e specs in
-        Alcotest.(check int) "length" 4 (List.length batch);
+        let resp =
+          Serve.handle_line e
+            (Printf.sprintf {|{"op":"batch","requests":[%s]}|}
+               (String.concat "," (List.map fst members)))
+        in
+        let results =
+          match Option.bind (obj_field "results" resp) Jsonl.to_list_opt with
+          | Some rs -> rs
+          | None -> Alcotest.fail ("no batch results: " ^ resp)
+        in
+        Alcotest.(check int) "length" 4 (List.length results);
         List.iter2
-          (fun spec (br : E.result) ->
+          (fun (_, spec) member ->
             let solo = E.eval e spec in
-            Alcotest.(check (array int)) "betti" solo.E.answer.E.betti br.E.answer.E.betti;
-            Alcotest.(check bool) "key" true (Key.equal solo.E.key br.E.key))
-          specs batch);
-    Alcotest.test_case "parallel rank fan-out agrees on a large complex" `Quick
+            Alcotest.(check (option (list int)))
+              "betti"
+              (Some (Array.to_list solo.E.answer.E.betti))
+              (Option.map
+                 (List.filter_map Jsonl.to_int_opt)
+                 (Option.bind (Jsonl.member "betti" member) Jsonl.to_list_opt));
+            Alcotest.(check (option string))
+              "key"
+              (Some (Key.to_hex solo.E.key))
+              (Option.bind (Jsonl.member "key" member) Jsonl.to_string_opt))
+          members results);
+    Alcotest.test_case "Betti agrees with Homology on a large complex" `Quick
       (fun () ->
-        (* par_threshold is 64 here, so this goes through the pool path *)
         let c = Psph.realize ~vertex:Psph.default_vertex (Psph.binary 4) in
         let e = Lazy.force engine in
         let r = E.eval e (E.Explicit c) in
@@ -431,6 +460,22 @@ let solver_tier_tests =
         Alcotest.(check string) "still symbolic" "symbolic"
           (tier_name r2.E.solver.E.tier);
         Alcotest.(check bool) "stable key" true (Key.equal r1.E.key r2.E.key));
+    Alcotest.test_case "check mode passes a strict one-sided bound" `Quick
+      (fun () ->
+        (* the example in solver.mli: one-round dyn at n = 2 is
+           1-connected, its symbolic bound only 0 *)
+        with_solver_engine @@ fun e ->
+        let dyn2 =
+          E.Model
+            {
+              model = "dyn";
+              params = { Model_complex.default_spec with n = 2; r = 1 };
+            }
+        in
+        let r = E.eval ~mode:E.Check e dyn2 in
+        Alcotest.(check (array int)) "betti" [| 1; 0; 17 |] r.E.answer.E.betti;
+        Alcotest.(check int) "connectivity" 1 r.E.answer.E.connectivity;
+        Alcotest.(check (option int)) "checked bound" (Some 0) r.E.solver.E.checked);
     Alcotest.test_case "numeric tier provenance has no collapse count, then the cache"
       `Quick (fun () ->
         with_solver_engine @@ fun e ->
@@ -537,11 +582,6 @@ let solver_tier_tests =
 (* wire protocol                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let obj_field name line =
-  match Jsonl.of_string line with
-  | Jsonl.Obj _ as o -> Jsonl.member name o
-  | _ -> None
-
 let serve_tests =
   [
     Alcotest.test_case "psph request answers with betti + connectivity" `Quick
@@ -572,6 +612,26 @@ let serve_tests =
         Alcotest.(check (option int)) "id" (Some 3)
           (Option.bind (obj_field "id" resp) Jsonl.to_int_opt);
         Alcotest.(check bool) "error present" true (obj_field "error" resp <> None));
+    Alcotest.test_case "client-chosen op names cannot grow the registry" `Quick
+      (fun () ->
+        let e = Lazy.force engine in
+        let op_histograms () =
+          List.filter
+            (fun (name, _) -> String.starts_with ~prefix:"serve.op." name)
+            (Obs.snapshot ()).Obs.histograms
+        in
+        let before = List.length (op_histograms ()) in
+        for i = 1 to 1000 do
+          ignore (Serve.handle_line e (Printf.sprintf {|{"op":"zz%d"}|} i))
+        done;
+        let after = op_histograms () in
+        Alcotest.(check bool)
+          "at most one new serve.op.* entry" true
+          (List.length after - before <= 1);
+        match List.assoc_opt "serve.op.unknown" after with
+        | Some st ->
+            Alcotest.(check bool) "every bogus op timed" true (st.Obs.count >= 1000)
+        | None -> Alcotest.fail "no serve.op.unknown histogram");
     Alcotest.test_case "batch mixes successes and per-slot errors" `Quick
       (fun () ->
         let e = Lazy.force engine in
@@ -850,11 +910,12 @@ let serve_tests =
         Alcotest.(check (option bool))
           "not ok" (Some true)
           (Option.map (fun v -> v = Jsonl.Bool false) (obj_field "ok" resp)));
-    Alcotest.test_case "trace nests serve -> engine -> pool -> homology" `Quick
+    Alcotest.test_case "trace nests pool -> serve -> engine -> homology" `Quick
       (fun () ->
-        (* dedicated engine with real workers and a zero-ish parallel
-           threshold, so a cold query must fan rank jobs to the pool *)
-        let e = E.create ~domains:2 ~capacity:16 ~par_threshold:1 () in
+        (* dedicated engine with real workers; the request is dispatched
+           to the pool the way the TCP server does, so the worker's spans
+           must re-root under the pool job across the domain boundary *)
+        let e = E.create ~domains:2 ~capacity:16 () in
         Obs.set_sink Obs.Memory;
         Obs.clear_records ();
         Fun.protect
@@ -863,7 +924,12 @@ let serve_tests =
             Obs.clear_records ();
             E.shutdown e)
           (fun () ->
-            let resp = Serve.handle_line e {|{"op":"psph","n":3,"values":2}|} in
+            let resp = ref "" in
+            E.dispatch e (fun () ->
+                resp := Serve.handle_line e {|{"op":"psph","n":3,"values":2}|});
+            (* shutdown drains the queue and joins the workers *)
+            E.shutdown e;
+            let resp = !resp in
             Alcotest.(check (option bool))
               "ok" (Some true)
               (Option.map (fun v -> v = Jsonl.Bool true) (obj_field "ok" resp));
@@ -893,8 +959,8 @@ let serve_tests =
                 Alcotest.(check (list string))
                   "nesting"
                   [
-                    "homology.rank"; "engine.pool.job"; "engine.query";
-                    "serve.request";
+                    "homology.rank"; "engine.query"; "serve.request";
+                    "engine.pool.job";
                   ]
                   c)
               rank_chains));
@@ -908,46 +974,58 @@ let serve_tests =
 (* ------------------------------------------------------------------ *)
 
 (* The metric handles are process-global, so only a fresh process
-   exercises their first use.  A batch makes the pool's two worker
-   domains start queries together; each query is a distinct tiny miss or
-   a symbolic connectivity answer, so both workers reach every handle
-   (query counter, build and compute histograms, symbolic-hit counter)
-   for the first time at about the same moment. *)
+   exercises their first use.  Pipelined requests over TCP make the
+   server's two worker domains start requests together; each request is
+   a distinct tiny miss or a symbolic connectivity answer, so both
+   workers reach every handle (query counter, build and compute
+   histograms, symbolic-hit counter, per-op latency) for the first time
+   at about the same moment. *)
 let psc_exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/psc.exe"
 
-let first_batch =
-  let queries =
-    List.concat_map
-      (fun v ->
-        [
-          Printf.sprintf {|{"op":"psph","n":0,"values":%d}|} v;
-          Printf.sprintf {|{"op":"connectivity","model":"sync","n":%d}|} v;
-        ])
-      [ 1; 2; 3; 4; 5; 6; 7; 8 ]
-  in
-  Printf.sprintf {|{"op":"batch","requests":[%s]}|} (String.concat "," queries)
+let first_queries =
+  List.concat_map
+    (fun v ->
+      [
+        Printf.sprintf {|{"op":"psph","n":0,"values":%d}|} v;
+        Printf.sprintf {|{"op":"connectivity","model":"sync","n":%d}|} v;
+      ])
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
+(* a [psc serve --listen] child on a kernel-chosen port, read back from
+   its readiness line on stderr *)
 let spawn_serve () =
-  let in_r, in_w = Unix.pipe ~cloexec:true () in
-  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let err_r, err_w = Unix.pipe ~cloexec:true () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
   let pid =
     Unix.create_process psc_exe
-      [| psc_exe; "serve"; "--domains"; "2" |]
-      in_r out_w Unix.stderr
+      [| psc_exe; "serve"; "--listen"; "127.0.0.1:0"; "--domains"; "2" |]
+      null null err_w
   in
-  Unix.close in_r;
-  Unix.close out_w;
-  let oc = Unix.out_channel_of_descr in_w in
-  output_string oc (first_batch ^ "\n");
-  close_out oc;
-  (pid, Unix.in_channel_of_descr out_r)
+  Unix.close null;
+  Unix.close err_w;
+  let ic = Unix.in_channel_of_descr err_r in
+  match input_line ic with
+  | exception End_of_file -> Alcotest.fail "psc serve died before listening"
+  | ready ->
+      let colon = String.rindex ready ':' in
+      let port =
+        int_of_string (String.sub ready (colon + 1) (String.length ready - colon - 1))
+      in
+      (pid, ic, { Psph_net.Addr.host = "127.0.0.1"; port })
 
-let finish (pid, ic) =
-  let out = In_channel.input_all ic in
+let query_and_stop (pid, ic, addr) =
+  let c = Psph_net.Client.create ~timeout_ms:10_000 ~retries:0 ~pipeline_depth:16 addr in
+  let replies =
+    Fun.protect
+      ~finally:(fun () -> Psph_net.Client.close c)
+      (fun () -> Psph_net.Client.pipeline c first_queries)
+  in
+  Unix.kill pid Sys.sigterm;
+  let status = snd (Unix.waitpid [] pid) in
   close_in ic;
-  match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> out
-  | _ -> Alcotest.fail "psc serve did not exit cleanly"
+  if status <> Unix.WEXITED 143 then
+    Alcotest.fail "psc serve did not stop cleanly on SIGTERM";
+  replies
 
 let fresh_process_tests =
   [
@@ -957,19 +1035,15 @@ let fresh_process_tests =
            handles were created eagerly: 64 processes, 2 alive at a time *)
         for _ = 1 to 32 do
           List.init 2 (fun _ -> spawn_serve ())
-          |> List.map finish
-          |> List.iter (fun out ->
-                 let results =
-                   match Option.bind (obj_field "results" out) Jsonl.to_list_opt with
-                   | Some rs -> rs
-                   | None -> Alcotest.fail ("no batch results: " ^ out)
-                 in
-                 Alcotest.(check int) "one answer per query" 16 (List.length results);
+          |> List.map query_and_stop
+          |> List.iter (fun replies ->
+                 Alcotest.(check int) "one answer per query" 16 (List.length replies);
                  List.iter
-                   (fun r ->
-                     if Jsonl.member "ok" r <> Some (Jsonl.Bool true) then
-                       Alcotest.fail ("error reply: " ^ Jsonl.to_string r))
-                   results)
+                   (function
+                     | Ok r when obj_field "ok" r = Some (Jsonl.Bool true) -> ()
+                     | Ok r -> Alcotest.fail ("error reply: " ^ r)
+                     | Error e -> Alcotest.fail (Psph_net.Client.error_message e))
+                   replies)
         done);
   ]
 

@@ -201,10 +201,10 @@ let with_server ?deadline_s ?max_frame ?dispatch ?bin_handler handler f =
         (fun () -> f srv (loopback (Server.port srv)))
 
 (* the engine server as [psc serve] runs it: binary codec installed *)
-let with_v2_server ?metrics engine f =
+let with_v2_server ?metrics ?dispatch engine f =
   let handler = Serve.handle_line engine in
   match
-    Server.listen ?metrics ~handler
+    Server.listen ?metrics ?dispatch ~handler
       ~bin_handler:(Codec.handle ~json:handler engine)
       (loopback 0)
   with
@@ -685,6 +685,47 @@ let pipeline_tests =
         (* all 5 frames (4 hot + the models escape) rode the binary codec *)
         check int "binary requests seen by the server" 5
           (Obs.counter_value (Obs.counter "t.psrv.binary_requests")));
+    Alcotest.test_case "the pool runs each request whole, answers unchanged"
+      `Quick
+      (fun () ->
+        (* [psc serve --listen --domains 2]: every request is one pool
+           job, and nothing inside a request (a miss's elimination, a
+           batch's members) goes back to the pool *)
+        let requests (n, v) =
+          [
+            Printf.sprintf {|{"op":"model-complex","model":"sync","n":%d,"r":1,"id":1}|} n;
+            Printf.sprintf {|{"op":"psph","n":%d,"values":%d,"id":2}|} (n + 1) v;
+            Printf.sprintf
+              {|{"op":"batch","id":3,"requests":[{"op":"psph","n":%d,"values":%d},{"op":"model-complex","model":"semi","n":%d},{"op":"betti","facets":["0:i0 ; 1:i1","1:i1 ; 2:i%d"]}]}|}
+              n (v + 1) n v;
+          ]
+        in
+        (* distinct specs per transport, so both passes are cold misses *)
+        let json_lines = requests (2, 2) and bin_lines = requests (1, 3) in
+        let expect =
+          with_engine @@ fun reference ->
+          List.map (Serve.handle_line reference) (json_lines @ bin_lines)
+        in
+        let engine = E.create ~domains:2 () in
+        Fun.protect ~finally:(fun () -> E.shutdown engine) @@ fun () ->
+        let jobs = Obs.counter "engine.pool.jobs"
+        and inline = Obs.counter "engine.pool.inline" in
+        let jobs0 = Obs.counter_value jobs and inline0 = Obs.counter_value inline in
+        let got =
+          with_v2_server ~dispatch:(E.dispatch engine) engine @@ fun _srv addr ->
+          let seq = with_client addr (fun c -> List.map (request_ok c) json_lines) in
+          let c = Client.create ~retries:1 ~pipeline_depth:3 addr in
+          Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+          seq
+          @ List.map
+              (function Ok s -> s | Error e -> fail (Client.error_message e))
+              (Client.pipeline c bin_lines)
+        in
+        List.iteri
+          (fun i (e, g) -> check string (Printf.sprintf "line %d" i) e g)
+          (List.combine expect got);
+        check int "one pool job per request" 6 (Obs.counter_value jobs - jobs0);
+        check int "nothing ran inline" 0 (Obs.counter_value inline - inline0));
     Alcotest.test_case "a solver mode answers alike pipelined and sequential"
       `Quick
       (fun () ->
