@@ -367,7 +367,7 @@ let solver_arg =
           "Solver policy: $(b,auto) (warm cache, then symbolic, then \
            numeric), $(b,symbolic) (Theorem 2 + Corollary 6 or a round \
            lemma; fails when no derivation applies), $(b,numeric) \
-           (Morse-precollapsed elimination), or $(b,check) (compute \
+           (Z/2 elimination over the built complex), or $(b,check) (compute \
            numerically and verify the symbolic lower bound holds; exits \
            nonzero on disagreement).")
 
@@ -500,6 +500,8 @@ let serve_cmd =
       reactor_threads warm_from =
     let code =
       with_trace trace @@ fun () ->
+      (* on stdin/stdout nothing is dispatched, so no worker domains *)
+      let domains = if listen = None then 0 else domains in
       let engine =
         Psph_engine.Engine.create ~domains ~capacity:cache_size ?persist ()
       in
@@ -578,8 +580,9 @@ let serve_cmd =
           ~doc:
             "Worker domains that run TCP requests off the event loops \
              (0: requests run on the loops).  Each request is evaluated \
-             whole on one domain; on stdin/stdout requests are evaluated \
-             in order in the main thread.")
+             whole on one domain.  Applies to $(b,--listen) only: on \
+             stdin/stdout requests are evaluated in order in the main \
+             thread and no worker domain is started.")
   in
   let cache_arg =
     Arg.(

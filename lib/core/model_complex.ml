@@ -213,7 +213,9 @@ module Async_model = struct
 
   let validate spec =
     let* spec = check_common spec in
-    if spec.f < 0 then Error "f must be >= 0" else Ok (normalize spec)
+    if spec.f < 0 then Error "f must be >= 0"
+    else if spec.f > spec.n then Error "f must be <= n"
+    else Ok (normalize spec)
 
   let one_round { n; f; _ } s = Async_complex.one_round ~n ~f s
   let rounds { n; f; r; _ } s = Async_complex.rounds ~n ~f ~r s

@@ -7,27 +7,23 @@
    failed attempt discards the socket, because on an id-less connection
    a late response would be mistaken for the answer to the next request.
 
-   Binary connections change exactly that last rule.  The client stamps
-   a transport request id on every windowed request and keys the
-   in-flight window on it, so a late response is identifiable — and
-   therefore harmless.  A timed-out request keeps the connection: the
-   retry flies with a fresh id, and when the orphaned response
+   Binary connections change exactly that last rule.  Every binary
+   frame, JSON escape included, carries a transport id, and the client
+   keys its in-flight window on it, so a late response is identifiable
+   — and therefore harmless.  A timed-out request keeps the connection:
+   the retry flies with a fresh id, and when the orphaned response
    eventually lands it misses the window and is dropped and counted
-   ([net.client.stale_response]) instead of poisoning the stream.  No
-   ledger of timed-out ids is needed: every windowed id is >= tid_base,
-   so a response the window does not know is late by construction.
-   Only transport-level failures (torn frames, oversized frames, dead
-   sockets, barrier timeouts) tear the connection down.
+   ([net.client.stale_response]) instead of poisoning the stream.  Only
+   transport-level failures (torn frames, oversized frames, dead
+   sockets) tear a binary connection down.
 
    The driver below runs every request — {!request} included — through
    one pump over two per-connection modes: binary (negotiated by a
    hello frame on fresh connections; hot ops as {!Codec} bytes,
-   everything else escape-tagged JSON) and V1 (plain clients, and old
-   servers).  Requests whose responses carry no id to match on — batch,
-   stats, anything not a hot op, and every request on a V1 connection —
-   are "barriers": the window drains and they fly alone, so positional
-   matching is unambiguous.  A V1 connection is thus the sequential v1
-   client, byte for byte. *)
+   everything else escape-tagged JSON, all matched by id) and V1 (plain
+   clients, and old servers): a window of one slot, matched by
+   position, whose overdue slot tears the connection down.  A V1
+   connection is thus the sequential v1 client, byte for byte. *)
 
 open Psph_obs
 
@@ -88,15 +84,6 @@ type t = {
 let ignore_sigpipe =
   lazy (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ())
 
-(* transport ids start far above any plausible user-chosen integer id,
-   so a barrier response carrying a user id can never be mistaken for a
-   late windowed response (see the barrier-matching rule in [pump]).
-   On a binary connection a caller who does pick an id >= tid_base gets
-   that response dropped as stale and the barrier times out —
-   documented in the mli.  V1 connections carry no transport ids and
-   never apply the rule. *)
-let tid_base = 0x40000000
-
 let create ?(metrics = "net.client") ?(timeout_ms = 5000) ?(retries = 3)
     ?(backoff_ms = 50) ?(max_backoff_ms = 2000)
     ?(max_frame = Frame.max_frame_default) ?(codec = `Json)
@@ -114,7 +101,7 @@ let create ?(metrics = "net.client") ?(timeout_ms = 5000) ?(retries = 3)
     rng = Random.State.make_self_init ();
     lock = Mutex.create ();
     conn = None;
-    tid = tid_base;
+    tid = 0;
     m =
       {
         requests = Obs.counter (metrics ^ ".requests");
@@ -138,7 +125,7 @@ let locked t f =
 
 let next_tid t =
   let v = t.tid in
-  t.tid <- (if v >= 0x7FFFFFFF then tid_base else v + 1);
+  t.tid <- (v + 1) land Codec.max_id;
   v
 
 let disconnect t =
@@ -336,12 +323,11 @@ let ensure_mode t =
 (* the pipelined driver                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* one request through the driver.  [bin] is [Some] for a windowable
-   request — a hot op, whose binary reply (result or error) always
-   echoes the transport id — holding its pre-encoded binary request (id
-   0, stamped per send), so the per-flight cost is a copy, not an
-   encode.  [None] makes it a barrier.  Every form is lazy: a V1
-   exchange never parses its line, a binary one never prints it. *)
+(* one request through the driver.  [bin] is [Some] for a hot op,
+   holding its pre-encoded binary request (id 0, stamped per send), so
+   the per-flight cost is a copy, not an encode; [None] sends the line
+   as a JSON escape.  Every form is lazy: a V1 exchange never parses
+   its line, a binary one never prints it. *)
 type prepared = {
   jline : string Lazy.t;
   jobj : Jsonl.t option Lazy.t;
@@ -355,7 +341,7 @@ type ditem = { req : prepared; mutable attempts : int (* failed attempts so far 
    other's format *)
 type rv =
   | Rbin of Codec.reply  (* binary reply, ids already transport-level *)
-  | Rraw of string  (* verbatim response line (barrier or v1) *)
+  | Rraw of string  (* verbatim response line (escaped or v1) *)
 
 let drive ?on_latency t (items : ditem array) =
   let n = Array.length items in
@@ -402,51 +388,33 @@ let drive ?on_latency t (items : ditem array) =
     end
   in
 
-  (* the one pump.  On a binary connection hot ops are windowed by
-     transport id; on a V1 connection every item is a barrier sent as
-     its plain line, so the exchange is strictly sequential. *)
+  (* the one pump.  On a binary connection every request is windowed by
+     transport id; a V1 connection is a window of one slot, sent as its
+     plain line and answered by whatever comes back next. *)
   let pump c mode =
     let binary = mode = Binary in
+    let depth = if binary then t.pipeline_depth else 1 in
     (* tid -> (item index, sent_at, deadline) *)
-    let window = Hashtbl.create (2 * t.pipeline_depth) in
-    let barrier = ref None in
+    let window = Hashtbl.create (2 * depth) in
     let out = c.wbuf in
-    let inflight () =
-      Hashtbl.length window + match !barrier with Some _ -> 1 | None -> 0
-    in
     let fill () =
-      let again = ref true in
-      while !again && not (Queue.is_empty pending) do
-        let idx = Queue.peek pending in
-        if results.(idx) <> None then ignore (Queue.pop pending)
-        else begin
+      while Hashtbl.length window < depth && not (Queue.is_empty pending) do
+        let idx = Queue.pop pending in
+        if results.(idx) = None then begin
           let it = items.(idx) in
-          match if binary then Lazy.force it.req.bin else None with
-          | Some tpl ->
-              if !barrier = None && Hashtbl.length window < t.pipeline_depth
-              then begin
-                ignore (Queue.pop pending);
-                let tid = next_tid t in
-                let now = Obs.monotonic () in
-                Frame.encode_into ~max_frame:t.max_frame out
-                  (Codec.request_with_id tpl tid);
-                Hashtbl.replace window tid (idx, now, now +. t.timeout_s);
-                Obs.incr t.m.pipelined
-              end
-              else again := false
-          | None ->
-              (* barriers fly alone: their responses carry nothing to
-                 match on, so they must be the only frame in flight *)
-              if inflight () = 0 then begin
-                ignore (Queue.pop pending);
-                let line = Lazy.force it.req.jline in
-                let now = Obs.monotonic () in
-                Frame.encode_into ~max_frame:t.max_frame out
-                  (if binary then Codec.escape_json line
-                   else with_span_parent line);
-                barrier := Some (idx, now, now +. t.timeout_s)
-              end;
-              again := false
+          let tid = next_tid t in
+          let payload =
+            if not binary then with_span_parent (Lazy.force it.req.jline)
+            else
+              match Lazy.force it.req.bin with
+              | Some tpl ->
+                  Obs.incr t.m.pipelined;
+                  Codec.request_with_id tpl tid
+              | None -> Codec.escape_json ~id:tid (Lazy.force it.req.jline)
+          in
+          let now = Obs.monotonic () in
+          Frame.encode_into ~max_frame:t.max_frame out payload;
+          Hashtbl.replace window tid (idx, now, now +. t.timeout_s)
         end
       done
     in
@@ -457,69 +425,52 @@ let drive ?on_latency t (items : ditem array) =
         send_all c.fd data (Obs.monotonic () +. t.timeout_s)
       end
     in
-    (* a binary frame answers the window slot its id names; a JSON line
-       (escaped on a binary connection, plain on V1) answers the barrier
-       — unless, on a binary connection, its id is in the transport
-       range, which makes it a windowed request's late response *)
+    let answer tid v =
+      match Hashtbl.find_opt window tid with
+      | Some (idx, sent, _) ->
+          Hashtbl.remove window tid;
+          resolve ~latency:(Obs.monotonic () -. sent) idx (Ok v)
+      | None -> Obs.incr t.m.stale
+    in
+    (* a binary frame, escaped or not, answers the slot its id names; a
+       V1 line answers the one slot in flight *)
     let handle_payload payload =
-      match if binary then Codec.unescape_json payload else Some payload with
-      | None -> (
-          match Codec.decode_reply payload with
-          | Error m -> raise (Err (Protocol ("undecodable reply: " ^ m)))
-          | Ok r -> (
-              let id =
-                match r with
-                | Codec.Result { id; _ } | Codec.Failed { id; _ } -> id
-              in
-              match Hashtbl.find_opt window id with
-              | Some (idx, sent, _) ->
-                  Hashtbl.remove window id;
-                  resolve ~latency:(Obs.monotonic () -. sent) idx (Ok (Rbin r))
-              | None -> Obs.incr t.m.stale))
-      | Some line -> (
-          let late =
-            binary
-            &&
-            match Jsonl.of_string_opt line with
-            | Some o -> (
-                match Option.bind (Jsonl.member "id" o) Jsonl.to_int_opt with
-                | Some i -> i >= tid_base
-                | None -> false)
-            | None -> false
-          in
-          match !barrier with
-          | Some (idx, sent, _) when not late ->
-              barrier := None;
-              resolve ~latency:(Obs.monotonic () -. sent) idx (Ok (Rraw line))
-          | _ -> Obs.incr t.m.stale)
+      if not binary then
+        match Hashtbl.fold (fun tid _ _ -> Some tid) window None with
+        | Some tid -> answer tid (Rraw payload)
+        | None -> Obs.incr t.m.stale
+      else
+        match Codec.unescape_json payload with
+        | Some (tid, line) -> answer tid (Rraw line)
+        | None -> (
+            match Codec.decode_reply payload with
+            | Error m -> raise (Err (Protocol ("undecodable reply: " ^ m)))
+            | Ok (Codec.Result { id; _ } as r) | Ok (Codec.Failed { id; _ } as r) ->
+                answer id (Rbin r))
     in
     let nearest_deadline () =
-      let d =
-        Hashtbl.fold
-          (fun _ (_, _, dl) acc -> Float.min dl acc)
-          window infinity
-      in
-      match !barrier with Some (_, _, dl) -> Float.min dl d | None -> d
+      Hashtbl.fold (fun _ (_, _, dl) acc -> Float.min dl acc) window infinity
     in
-    (* expire overdue window slots in place: the retry gets a fresh id,
-       the connection lives on.  An overdue barrier can only be resolved
-       by tearing the connection down (its response is matched
+    (* expire overdue slots in place: the retry gets a fresh id, the
+       connection lives on.  An overdue V1 slot can only be resolved by
+       tearing the connection down (its response is matched
        positionally). *)
     let expire () =
       let now = Obs.monotonic () in
-      (match !barrier with
-      | Some (_, _, dl) when now >= dl -> raise (Err Timeout)
-      | _ -> ());
-      Hashtbl.filter_map_inplace
-        (fun _ ((idx, _, dl) as slot) ->
-          if now < dl then Some slot
-          else begin
-            Obs.incr t.m.timeouts;
-            bump Timeout idx;
-            if results.(idx) = None then Queue.add idx pending;
-            None
-          end)
-        window
+      if not binary then begin
+        if nearest_deadline () <= now then raise (Err Timeout)
+      end
+      else
+        Hashtbl.filter_map_inplace
+          (fun _ ((idx, _, dl) as slot) ->
+            if now < dl then Some slot
+            else begin
+              Obs.incr t.m.timeouts;
+              bump Timeout idx;
+              if results.(idx) = None then Queue.add idx pending;
+              None
+            end)
+          window
     in
     let rec go () =
       fill ();
@@ -534,7 +485,7 @@ let drive ?on_latency t (items : ditem array) =
       in
       drain ();
       flush ();
-      if inflight () > 0 then begin
+      if Hashtbl.length window > 0 then begin
         let now = Obs.monotonic () in
         let dl = nearest_deadline () in
         if dl <= now then expire ()
@@ -548,11 +499,7 @@ let drive ?on_latency t (items : ditem array) =
     in
     try go ()
     with e ->
-      let victims =
-        Hashtbl.fold (fun _ (idx, _, _) acc -> idx :: acc) window
-          (match !barrier with Some (idx, _, _) -> [ idx ] | None -> [])
-      in
-      teardown (as_error e) victims
+      teardown (as_error e) (Hashtbl.fold (fun _ (idx, _, _) acc -> idx :: acc) window [])
   in
 
   let rec session () =
@@ -582,8 +529,8 @@ let drive ?on_latency t (items : ditem array) =
 
 (* the binary template of a parsed request: only a hot op under the
    default solver mode that fits the codec's wire ranges.  Anything else
-   rides the JSON escape as a barrier, with exact JSON semantics — the
-   binary layout carries no solver mode. *)
+   rides the JSON escape, with exact JSON semantics — the binary layout
+   carries no solver mode. *)
 let template = function
   | Ok (want, query, Psph_engine.Engine.Auto) -> (
       try Some (Codec.encode_request { Codec.id = 0; want; query })

@@ -24,34 +24,28 @@
     is granted the connection is binary, otherwise — an old server
     answering with an error, or one offering anything but binary — it
     quietly falls back to sequential v1 (negotiated, never assumed).
-    Both modes run through one pump: on a v1 connection every request
-    is a barrier sent as its plain line, one in flight at a time.
-    On a binary connection {!pipeline} keeps up to [pipeline_depth]
-    requests in flight, keying the window on transport request ids.
-    Hot query ops ([psph], [betti], [connectivity], [model-complex]),
-    read by {!Psph_engine.Serve.parse}, are windowed and translated
-    through {!Codec}, and each reply is printed back under the caller's
-    own id, so callers see exactly the bytes a v1 exchange would have
-    produced.  Everything else rides the JSON escape as a barrier (the
-    window drains, it flies alone) because its response carries no id
-    to match on: other ops, malformed hot ops, hot ops that overflow the
-    codec's wire ranges, and hot ops naming a non-[auto] ["solver"]
-    (the binary layout carries no solver mode).
+    Both modes run through one pump, with one ordering rule each.  A v1
+    connection is a window of one slot: each request is sent as its
+    plain line and answered by the next response.  On a binary
+    connection {!pipeline} keeps up to [pipeline_depth] requests in
+    flight and matches every reply by transport request id.  Hot query
+    ops ([psph], [betti], [connectivity], [model-complex]), read by
+    {!Psph_engine.Serve.parse}, are translated through {!Codec};
+    everything else rides the JSON escape under its own transport id:
+    other ops, malformed hot ops, hot ops that overflow the codec's wire
+    ranges, and hot ops naming a non-[auto] ["solver"] (the binary
+    layout carries no solver mode).  Each reply is printed back under
+    the caller's own id, so callers see exactly the bytes a v1 exchange
+    would have produced.
 
-    A timed-out pipelined request does not tear down the connection:
-    the retry flies with a fresh id, and the late response, when it
-    arrives, matches no in-flight id and is dropped (counted as
-    [net.client.stale_response]) — ids make late responses harmless,
-    which is the whole point of keying the window on them.  The client
-    keeps no record of timed-out ids, so a server that times out forever
-    costs no client memory.  Barrier matching on a binary connection
-    relies on the id range instead: transport ids live at [0x40000000]
-    and above, and a barrier only accepts a response whose id is below
-    that range (or that has none) — a caller who picks an id of
-    [0x40000000]+ for a barrier op on a binary connection forfeits that
-    response (dropped as stale, the request times out).  A v1
-    connection carries no transport ids, so its answers are accepted
-    whatever their id.
+    A timed-out request on a binary connection, escaped or not, does not
+    tear down the connection: the retry flies with a fresh id, and the
+    late response, when it arrives, matches no in-flight id and is
+    dropped (counted as [net.client.stale_response]) — ids make late
+    responses harmless, which is the whole point of keying the window on
+    them.  The client keeps no record of timed-out ids, so a server that
+    times out forever costs no client memory.  On a v1 connection an
+    overdue request still tears the connection down.
 
     Observability ([net.client.*]): request/error/retry/reconnect/
     timeout/pipelined/stale_response counters and a latency histogram;
@@ -110,8 +104,10 @@ val pipeline :
     independently under the client's retry budget; a connection-level
     failure costs every unfinished line one attempt.  [on_latency i s]
     reports each successful line's send-to-receive latency (seconds) —
-    the bench uses it for percentiles.  Equivalent to sequential
-    {!request}s against a v1 server. *)
+    the bench uses it for percentiles.  On a binary connection the
+    requests of one call may run concurrently on the server, escaped
+    ones included (none is a fence), so the call equals sequential
+    {!request}s when its requests do not depend on each other. *)
 
 type prepared
 (** A request line together with its JSON parse and

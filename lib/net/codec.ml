@@ -408,22 +408,24 @@ let decode_reply payload =
 (* JSON escape hatch                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let escape_json line =
-  let b = Buffer.create (String.length line + 1) in
+(* [0x00 id:u32 json]: the id sits where every binary payload keeps it *)
+let escape_json ~id line =
+  range "id" id max_id;
+  let b = Buffer.create (String.length line + 5) in
   Buffer.add_char b tag_json;
+  u32 b id;
   Buffer.add_string b line;
   Buffer.contents b
 
 let unescape_json payload =
-  if payload <> "" && payload.[0] = tag_json then
-    Some (String.sub payload 1 (String.length payload - 1))
+  if String.length payload >= 5 && payload.[0] = tag_json then
+    let c = { s = payload; pos = 1 } in
+    let id = r32 c "id" in
+    Some (id, String.sub payload 5 (String.length payload - 5))
   else None
 
 let request_id_of_payload payload =
-  if String.length payload >= 5 && payload.[0] <> tag_json then
-    let c = { s = payload; pos = 1 } in
-    try r32 c "id" with Short _ -> 0
-  else 0
+  if String.length payload >= 5 then r32 { s = payload; pos = 1 } "id" else 0
 
 (* ------------------------------------------------------------------ *)
 (* server handlers                                                     *)
@@ -434,10 +436,10 @@ let reply_of_json = Serve.reply_of_json
 let json_of_reply = Serve.json_of_reply
 
 (* decode, [answer], encode under the request's id; escape-tagged
-   payloads go through the line handler *)
+   payloads go through the line handler and come back under theirs *)
 let binary_handler ~json answer payload =
   match unescape_json payload with
-  | Some line -> escape_json (json line)
+  | Some (id, line) -> escape_json ~id (json line)
   | None -> (
       match decode_request payload with
       | Error m ->

@@ -8,15 +8,17 @@
     the hello handshake (see docs/NET.md "Wire protocol v2"), never
     assumed.
 
-    Every payload starts with a one-byte tag.  Tag [0x00] is the JSON
-    escape hatch: the rest of the payload is a plain JSON-lines document,
-    so ops without a binary layout ([batch], [stats], [models], ...),
-    and hot ops naming a solver mode the layout cannot carry, flow over
-    a binary connection unchanged.  Integers are big-endian;
-    request ids are unsigned 32-bit and chosen by the client
-    ({!Client.pipeline} keys its in-flight window on them).
+    Every payload starts with a one-byte tag and a transport id.  Tag
+    [0x00] is the JSON escape hatch: after the id, the rest of the
+    payload is a plain JSON-lines document, so ops without a binary layout ([batch], [stats],
+    [models], ...), and hot ops naming a solver mode the layout cannot
+    carry, flow over a binary connection unchanged.  Integers are
+    big-endian; ids are unsigned 32-bit, chosen by the client and
+    echoed by the server in both directions ({!Client.pipeline} keys
+    its in-flight window on them, escapes included).
 
     {v
+    both      0x00 json    id:u32 json-line
     request   0x01 psph    id:u32 want:u8 n:u16 values:u16
               0x02 facets  id:u32 want:u8 count:u16 (len:u16 bytes)*count
               0x03 model   id:u32 want:u8 nlen:u8 name n:u16 f:u16 k:u16 p:u16 r:u16
@@ -94,14 +96,16 @@ val encode_reply : reply -> string
 
 val decode_reply : string -> (reply, string) result
 
-val escape_json : string -> string
-(** Wrap a JSON-lines document in the [0x00] escape tag. *)
+val escape_json : id:int -> string -> string
+(** Wrap a JSON-lines document in the [0x00] escape under transport id
+    [id].  @raise Invalid_argument when [id] is not a u32. *)
 
-val unescape_json : string -> string option
-(** The JSON document of an escape-tagged payload, [None] otherwise. *)
+val unescape_json : string -> (int * string) option
+(** The transport id and JSON document of an escape payload; [None] for
+    any other tag, and for a [0x00] payload too short to hold an id. *)
 
 val request_id_of_payload : string -> int
-(** Best-effort id of a possibly-corrupt binary request payload (0 when
+(** Best-effort id of a possibly-corrupt payload under any tag (0 when
     even the id bytes are missing) — lets the server address an error
     reply for a request it could not decode. *)
 
@@ -121,8 +125,9 @@ val handle :
 (** The binary server handler: decode, {!Psph_engine.Serve.answer},
     encode under the request's id.
     Escape-tagged payloads go through [json] (in production
-    {!Psph_engine.Serve.handle_line}) and come back escape-tagged.
-    Never raises; corrupt input is answered with a binary error reply. *)
+    {!Psph_engine.Serve.handle_line}) and come back escape-tagged under
+    the same id.  Never raises; corrupt input (a [0x00] frame too short
+    for an id included) is answered with a binary error reply. *)
 
 val of_json_handler : (string -> string) -> string -> string
 (** The binary handler derived from a line handler alone — what

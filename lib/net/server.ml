@@ -102,13 +102,13 @@ let span_parent_of line =
   | _ -> None
 
 (* the error shape the connection's codec calls for, addressed to the
-   request the [orig] payload holds (binary replies need its id) *)
+   request the [orig] payload holds: every binary frame carries its id *)
 let error_for st ?orig msg =
   match st.codec with
   | Cjson -> Serve.error_line ?orig msg
   | Cbinary -> (
       match Option.bind orig Codec.unescape_json with
-      | Some inner -> Codec.escape_json (Serve.error_line ~orig:inner msg)
+      | Some (id, inner) -> Codec.escape_json ~id (Serve.error_line ~orig:inner msg)
       | None ->
           let id =
             match orig with

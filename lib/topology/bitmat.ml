@@ -1,6 +1,6 @@
 (* Dense bit-packed Z/2 matrices.  A column is an [int array] of
    [Sys.int_size]-bit words; word [w] bit [b] encodes row [w * bits + b].
-   Rank uses the same low-based column reduction as {!Z2_matrix}, but with
+   Rank uses the low-based column reduction of persistent homology, with
    word-level XOR and an O(1) pivot table indexed by row. *)
 
 let bits = Sys.int_size

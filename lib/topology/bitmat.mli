@@ -3,9 +3,9 @@
     Columns are arrays of [Sys.int_size]-bit words, so the column sum
     (symmetric difference) runs word-at-a-time, and the rank computation
     keeps an O(1) pivot table indexed by row instead of re-scanning column
-    lists.  This is the engine behind {!Homology}; the list-based
-    {!Z2_matrix} is kept as a reference oracle and the two are
-    property-tested against each other. *)
+    lists.  This is the engine behind {!Homology}; the tests keep a
+    list-based reference elimination and property-test the two against
+    each other. *)
 
 type t
 
@@ -20,15 +20,15 @@ val set : t -> row:int -> col:int -> unit
 
 val get : t -> row:int -> col:int -> bool
 
-val of_columns : rows:int -> Z2_matrix.col list -> t
-(** Build from sparse columns (lists of nonzero row indices, as in
-    {!Z2_matrix}). *)
+val of_columns : rows:int -> int list list -> t
+(** Build from sparse columns, each the list of its nonzero row
+    indices. *)
 
 val rank : t -> int
 (** Rank over Z/2.  The matrix is not modified (reduction works on a
     copy). *)
 
-val rank_of_columns : rows:int -> Z2_matrix.col list -> int
+val rank_of_columns : rows:int -> int list list -> int
 (** [rank_of_columns ~rows cols = rank (of_columns ~rows cols)]. *)
 
 val rank_words : rows:int -> int array -> int

@@ -75,8 +75,9 @@ let is_boundary_in complex c =
     else begin
       (* c is a boundary iff adding it to the column space does not raise
          the rank *)
-      let rank_without = Z2_matrix.rank cols in
-      let rank_with = Z2_matrix.rank (cols @ [ target ]) in
+      let rows = List.length rows in
+      let rank_without = Bitmat.rank_of_columns ~rows cols in
+      let rank_with = Bitmat.rank_of_columns ~rows (cols @ [ target ]) in
       rank_with = rank_without
     end
   end

@@ -1047,6 +1047,53 @@ let fresh_process_tests =
         done);
   ]
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+(* a [psc] child run to completion: exit status and stdout *)
+let run_psc args input =
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+  let pid = Unix.create_process psc_exe (Array.of_list (psc_exe :: args)) in_r out_w null in
+  List.iter Unix.close [ in_r; out_w; null ];
+  let oc = Unix.out_channel_of_descr in_w in
+  output_string oc input;
+  close_out oc;
+  let ic = Unix.in_channel_of_descr out_r in
+  let out = In_channel.input_all ic in
+  close_in ic;
+  (snd (Unix.waitpid [] pid), out)
+
+let cli_tests =
+  [
+    Alcotest.test_case "async refuses f > n, served and on the command line"
+      `Quick (fun () ->
+        (* Lemma 12 holds only for f <= n: accepting f > n let the
+           symbolic tier claim a bound the built complex refutes *)
+        let engine = E.create ~domains:0 () in
+        Fun.protect ~finally:(fun () -> E.shutdown engine) @@ fun () ->
+        List.iter
+          (fun line ->
+            let resp = Serve.handle_line engine line in
+            Alcotest.(check bool) line true
+              (obj_field "ok" resp = Some (Jsonl.Bool false));
+            Alcotest.(check bool) ("names the rule: " ^ resp) true
+              (contains resp "f must be <= n"))
+          [ {|{"op":"connectivity","model":"async","n":1,"f":2,"r":2}|};
+            {|{"op":"model-complex","model":"async","n":1,"f":2}|} ];
+        let status, _ = run_psc [ "async"; "-n"; "1"; "-f"; "2" ] "" in
+        Alcotest.(check bool) "psc async -n 1 -f 2 exits 2" true
+          (status = Unix.WEXITED 2));
+    Alcotest.test_case "stdin serve starts no worker domain" `Quick (fun () ->
+        let status, out = run_psc [ "serve"; "--domains"; "2" ] "{\"op\":\"stats\"}\n" in
+        Alcotest.(check bool) "exits 0" true (status = Unix.WEXITED 0);
+        Alcotest.(check bool) ("domains 0: " ^ out) true
+          (contains out {|"domains":0|}));
+  ]
+
 let suites =
   [
     ("engine keys", key_tests);
@@ -1055,6 +1102,6 @@ let suites =
     ("engine store", store_tests);
     ("engine vs homology", engine_unit_tests @ engine_props);
     ("engine solver", solver_tier_tests);
-    ("engine serve process", fresh_process_tests);
+    ("engine serve process", fresh_process_tests @ cli_tests);
     ("engine serve", serve_tests);
   ]

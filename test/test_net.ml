@@ -281,6 +281,27 @@ let with_client ?(timeout_ms = 5000) ?(retries = 1) ?(backoff_ms = 1) addr f =
   let c = Client.create ~timeout_ms ~retries ~backoff_ms addr in
   Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
 
+(* a bare loopback socket: [send] writes raw bytes, [recv] reads one
+   frame's payload *)
+let with_raw_conn addr f =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, addr.Addr.port));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+  let send s = ignore (Unix.write_substring fd s 0 (String.length s)) in
+  let r = Frame.reader () in
+  let buf = Bytes.create 4096 in
+  let rec recv () =
+    match Frame.next r with
+    | Some p -> p
+    | None ->
+        let n = Unix.read fd buf 0 (Bytes.length buf) in
+        if n = 0 then fail "server closed";
+        Frame.feed r buf 0 n;
+        recv ()
+  in
+  f send recv
+
 let with_engine f =
   let engine = E.create ~domains:0 () in
   Fun.protect ~finally:(fun () -> E.shutdown engine) (fun () -> f engine)
@@ -552,13 +573,23 @@ let codec_props =
       (fun s ->
         (match Codec.decode_request s with Ok _ | Error _ -> true)
         && match Codec.decode_reply s with Ok _ | Error _ -> true);
-    Test.make ~name:"json escape hatch round-trips" ~count:200
-      Gen.(string_size (0 -- 80))
-      (fun s ->
-        Codec.unescape_json (Codec.escape_json s) = Some s
+    Test.make ~name:"json escape round-trips its id over the u32 range"
+      ~count:500
+      Gen.(
+        pair
+          (oneof [ pure 0; pure Codec.max_id; 0 -- Codec.max_id ])
+          (string_size (0 -- 80)))
+      (fun (id, s) ->
+        let wire = Codec.escape_json ~id s in
+        Codec.unescape_json wire = Some (id, s)
+        && Codec.request_id_of_payload wire = id
+        && Codec.request_with_id (Codec.escape_json ~id:0 s) id = wire
         && Codec.unescape_json
-             (Codec.encode_reply (Codec.Failed { id = 1; message = s }))
-           = None);
+             (Codec.encode_reply (Codec.Failed { id; message = s }))
+           = None
+        && (match Codec.escape_json ~id:(Codec.max_id + 1) s with
+           | _ -> false
+           | exception Invalid_argument _ -> true));
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
@@ -637,6 +668,38 @@ let codec_tests =
         Alcotest.(check bool) "same reply, with or without bit 2" true
           (Codec.decode_reply old_peer = Ok reply
           && Codec.decode_reply wire = Ok reply));
+    Alcotest.test_case "a 0x00 frame too short for an id gets a 0x81" `Quick
+      (fun () ->
+        with_engine @@ fun engine ->
+        let json = Serve.handle_line engine in
+        let handlers =
+          [ ("Codec.handle", Codec.handle ~json engine);
+            ("of_json_handler", Codec.of_json_handler json) ]
+        in
+        List.iter
+          (fun (what, bin) ->
+            List.iter
+              (fun short ->
+                match Codec.decode_reply (bin short) with
+                | Ok (Codec.Failed { id = 0; message }) ->
+                    check_contains what message "bad request"
+                | Ok _ -> fail (what ^ ": expected a Failed reply with id 0")
+                | Error m -> fail (what ^ ": reply must stay well-formed: " ^ m))
+              [ "\x00"; "\x00\x00"; "\x00\x00\x00\x07" ])
+          handlers;
+        (* and over a live binary connection, which stays usable *)
+        with_v2_server engine @@ fun _srv addr ->
+        with_raw_conn addr @@ fun send recv ->
+        send (Frame.encode {|{"op":"hello","version":2,"codec":"binary"}|});
+        check_contains "binary granted" (recv ()) {|"codec":"binary"|};
+        send (Frame.encode "\x00ab");
+        (match Codec.decode_reply (recv ()) with
+        | Ok (Codec.Failed { id = 0; _ }) -> ()
+        | _ -> fail "expected a 0x81 reply with id 0");
+        send (Frame.encode (Codec.escape_json ~id:77 {|{"op":"models"}|}));
+        match Codec.unescape_json (recv ()) with
+        | Some (77, line) -> check_contains "answered after" line {|"ok":true|}
+        | _ -> fail "expected the escape answered under id 77");
     Alcotest.test_case "corrupt binary request answered in kind" `Quick
       (fun () ->
         with_engine @@ fun engine ->
@@ -841,7 +904,7 @@ let pipeline_tests =
                     ])
                   (MC.names ()))
         in
-        (* barriers: a non-hot op, and a hot op Serve.parse refuses *)
+        (* escapes: a non-hot op, and a hot op Serve.parse refuses *)
         let lines =
           hot
           @ [
@@ -877,24 +940,7 @@ let pipeline_tests =
         in
         with_server ~dispatch:(fun job -> ignore (Thread.create job ())) handler
         @@ fun _srv addr ->
-        let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, addr.Addr.port));
-        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
-        let send s =
-          ignore (Unix.write_substring fd s 0 (String.length s))
-        in
-        let r = Frame.reader () in
-        let buf = Bytes.create 4096 in
-        let rec recv () =
-          match Frame.next r with
-          | Some p -> p
-          | None ->
-              let n = Unix.read fd buf 0 (Bytes.length buf) in
-              if n = 0 then fail "server closed";
-              Frame.feed r buf 0 n;
-              recv ()
-        in
+        with_raw_conn addr @@ fun send recv ->
         send (Frame.encode {|{"op":"hello","version":2,"codec":"json","pipeline":true}|});
         let hello = recv () in
         check_contains "json granted" hello {|"codec":"json"|};
@@ -1227,6 +1273,37 @@ let router_tests =
         let degraded = Router.route r line in
         check_contains "degrades, never crashes" degraded "no backend";
         check_contains "id still echoed" degraded {|"id":3|});
+    Alcotest.test_case "an escaped request answers under any id" `Quick
+      (fun () ->
+        (* a "solver" rides the JSON escape on the binary backend links;
+           its answer is matched by transport id, whatever id the caller
+           chose, so a big one neither times out nor poisons a backend *)
+        with_engine @@ fun engine ->
+        with_v2_server engine @@ fun _srv1 a1 ->
+        with_v2_server engine @@ fun _srv2 a2 ->
+        let r =
+          Router.create ~metrics:"t.bigid" ~timeout_ms:1000 ~retries:0
+            ~check_period_ms:3600_000 [ a1; a2 ]
+        in
+        Fun.protect ~finally:(fun () -> Router.stop r) @@ fun () ->
+        let line =
+          {|{"op":"psph","n":2,"values":2,"solver":"check","id":1073741825}|}
+        in
+        ignore (Serve.handle_line engine line);
+        let expect = Serve.handle_line engine line in
+        check_contains "check answers" expect {|"ok":true|};
+        (* connect the link the line will take *)
+        check_contains "plain line routes"
+          (Router.route r {|{"op":"psph","n":2,"values":2,"id":1}|})
+          {|"ok":true|};
+        let reconnects = Obs.counter "t.bigid.client.reconnects" in
+        let before = Obs.counter_value reconnects in
+        let got = Router.route r line in
+        check string "answered as the backend answers" expect got;
+        check_contains "its own id echoed" got {|"id":1073741825|};
+        check bool "both backends alive" true
+          (List.for_all snd (Router.backends r));
+        check int "no reconnect" before (Obs.counter_value reconnects));
     Alcotest.test_case "all-hot batch fans out byte-identically" `Quick
       (fun () ->
         with_engine @@ fun engine ->
@@ -1832,11 +1909,12 @@ let late_response_tests =
           (Obs.counter_value (Obs.counter "t.flood.stale_response"));
         check int "the connection survived" 1
           (Obs.counter_value (Obs.counter "t.flood.reconnects")));
-    Alcotest.test_case "a late windowed response never answers a barrier"
+    Alcotest.test_case "a late windowed response never answers an escape"
       `Quick (fun () ->
         (* the slow hot op (n=9) times out at 0.5s and its answer lands
-           at 0.6s, while the barrier sent after it is still waiting for
-           its own answer (due at about 0.8s, deadline 1.0s) *)
+           at 0.6s, while the escaped request sent after it is still
+           waiting for its own answer (due at about 0.8s, deadline
+           1.0s) *)
         with_engine @@ fun engine ->
         with_server
           ~dispatch:(fun job -> ignore (Thread.create job ()))
@@ -1847,7 +1925,7 @@ let late_response_tests =
             end
             else begin
               Thread.delay 0.3;
-              {|{"ok":true,"barrier":true}|}
+              {|{"ok":true,"escaped":true}|}
             end)
         @@ fun _srv addr ->
         let c =
@@ -1860,14 +1938,51 @@ let late_response_tests =
         | _ -> fail "the slow request should time out");
         (match Client.pipeline c [ {|{"op":"echo"}|} ] with
         | [ Ok resp ] ->
-            check string "the barrier gets its own answer"
-              {|{"ok":true,"barrier":true}|} resp
+            check string "the escape gets its own answer"
+              {|{"ok":true,"escaped":true}|} resp
         | [ Error e ] -> fail (Client.error_message e)
         | _ -> fail "wrong arity");
         check int "the late answer was dropped as stale" 1
           (Obs.counter_value (Obs.counter "t.latebar.stale_response"));
         check int "the connection survived" 1
           (Obs.counter_value (Obs.counter "t.latebar.reconnects")));
+    Alcotest.test_case "a timed-out escape keeps the connection" `Quick
+      (fun () ->
+        (* the slow escape times out at 0.5s in place; its late answer
+           (0.6s) is stale, and the next escape (answered at about
+           0.8s) gets its own answer on the same connection *)
+        with_server
+          ~dispatch:(fun job -> ignore (Thread.create job ()))
+          (fun line ->
+            if contains line {|"op":"slow"|} then begin
+              Thread.delay 0.6;
+              {|{"ok":true,"slow":true}|}
+            end
+            else begin
+              Thread.delay 0.3;
+              {|{"ok":true,"echo":true}|}
+            end)
+        @@ fun _srv addr ->
+        let c =
+          Client.create ~metrics:"t.lateesc" ~timeout_ms:500 ~retries:0
+            ~backoff_ms:1 ~pipeline_depth:2 addr
+        in
+        Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+        (match Client.pipeline c [ {|{"op":"slow","id":1}|} ] with
+        | [ Error Client.Timeout ] -> ()
+        | _ -> fail "the slow escape should time out");
+        (match Client.pipeline c [ {|{"op":"echo","id":2}|} ] with
+        | [ Ok resp ] ->
+            check string "the next escape gets its own answer"
+              {|{"ok":true,"echo":true}|} resp
+        | [ Error e ] -> fail (Client.error_message e)
+        | _ -> fail "wrong arity");
+        check int "the late escaped answer was dropped as stale" 1
+          (Obs.counter_value (Obs.counter "t.lateesc.stale_response"));
+        check int "one timeout" 1
+          (Obs.counter_value (Obs.counter "t.lateesc.timeouts"));
+        check int "the connection survived" 1
+          (Obs.counter_value (Obs.counter "t.lateesc.reconnects")));
   ]
 
 let suites =
