@@ -487,17 +487,21 @@ let stop_server_on_signals server code =
   graceful Sys.sigint 130;
   graceful Sys.sigterm 143
 
-let reactor_threads_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "reactor-threads" ] ~docv:"N"
-        ~doc:
-          "Event-loop threads multiplexing the TCP connections (see \
-           docs/NET.md).")
+(* flags several net subcommands share, each defined once *)
+let listen_info doc = Arg.info [ "listen" ] ~docv:"HOST:PORT" ~doc
+
+let max_conns_arg doc =
+  Arg.(value & opt int 64 & info [ "max-conns" ] ~docv:"N" ~doc)
+
+let replicas_arg default doc =
+  Arg.(value & opt int default & info [ "replicas" ] ~docv:"R" ~doc)
+
+let pipeline_depth_arg default doc =
+  Arg.(value & opt int default & info [ "pipeline-depth" ] ~docv:"N" ~doc)
 
 let serve_cmd =
   let run trace metrics listen max_conns deadline_ms domains cache_size persist
-      reactor_threads warm_from =
+      warm_from =
     let code =
       with_trace trace @@ fun () ->
       (* on stdin/stdout nothing is dispatched, so no worker domains *)
@@ -541,7 +545,6 @@ let serve_cmd =
           let handler = Psph_engine.Serve.handle_line engine in
           match
             Psph_net.Server.listen ~max_conns ?deadline_s
-              ~reactor_threads:(max 1 reactor_threads)
               ~bin_handler:(Psph_net.Codec.handle ~json:handler engine)
               ?dispatch:
                 (if domains > 0 then Some (Psph_engine.Engine.dispatch engine)
@@ -600,17 +603,10 @@ let serve_cmd =
     Arg.(
       value
       & opt (some addr_conv) None
-      & info [ "listen" ] ~docv:"HOST:PORT"
-          ~doc:
-            "Serve the same protocol over TCP (length-prefixed JSONL frames, \
-             see docs/NET.md) instead of stdin/stdout.  Port 0 picks a free \
-             port (announced on stderr).")
-  in
-  let max_conns_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "max-conns" ] ~docv:"N"
-          ~doc:"Bound on concurrent TCP connections (excess waits in the backlog).")
+      & listen_info
+          "Serve the same protocol over TCP (length-prefixed JSONL frames, \
+           see docs/NET.md) instead of stdin/stdout.  Port 0 picks a free \
+           port (announced on stderr).")
   in
   let deadline_arg =
     Arg.(
@@ -640,9 +636,10 @@ let serve_cmd =
           model-complex, batch, models, stats, metrics, snapshot, populate; \
           see docs/ENGINE.md and docs/NET.md).")
     Term.(
-      const run $ trace_arg $ metrics_arg $ listen_arg $ max_conns_arg
-      $ deadline_arg $ domains_arg $ cache_arg $ persist_arg
-      $ reactor_threads_arg $ warm_from_arg)
+      const run $ trace_arg $ metrics_arg $ listen_arg
+      $ max_conns_arg
+          "Bound on concurrent TCP connections (excess waits in the backlog)."
+      $ deadline_arg $ domains_arg $ cache_arg $ persist_arg $ warm_from_arg)
 
 let connect_arg =
   Arg.(
@@ -662,15 +659,6 @@ let retries_arg =
         ~doc:
           "Retries on retryable failures (refused connection, timeout, torn \
            frame), with exponential backoff and jitter.")
-
-let pipeline_depth_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "pipeline-depth" ] ~docv:"N"
-        ~doc:
-          "Keep up to $(docv) requests in flight per connection (protocol \
-           v2 pipelining over the binary codec, negotiated — a v1 server \
-           gets sequential JSON; 1 = classic request/response).")
 
 let query_cmd =
   let run trace connect timeout_ms retries pipeline_depth =
@@ -730,33 +718,25 @@ let query_cmd =
           {\"ok\":false,...} responses pass through).")
     Term.(
       const run $ trace_arg $ connect_arg $ timeout_ms_arg $ retries_arg
-      $ pipeline_depth_arg)
-
-(* the router's backend links default to a real window: fanning a batch
-   out is the point of the command *)
-let route_pipeline_depth_arg =
-  Arg.(
-    value & opt int 16
-    & info [ "pipeline-depth" ] ~docv:"N"
-        ~doc:
-          "In-flight requests per backend connection (protocol v2 \
-           pipelining over the binary codec, negotiated per backend).")
+      $ pipeline_depth_arg 1
+          "Keep up to $(docv) requests in flight per connection (protocol \
+           v2 pipelining over the binary codec; 1 = classic \
+           request/response).")
 
 let route_cmd =
-  let run trace listen backends max_conns replicas vnodes read_fallback
-      timeout_ms retries check_period_ms pipeline_depth reactor_threads =
+  let run trace listen backends max_conns replicas timeout_ms retries
+      check_period_ms pipeline_depth =
     let code =
       with_trace trace @@ fun () ->
       let router =
-        Psph_net.Router.create ~vnodes ~replication:replicas ~read_fallback
-          ~timeout_ms ~retries ~check_period_ms
+        Psph_net.Router.create ~replication:replicas ~timeout_ms ~retries
+          ~check_period_ms
           ~pipeline_depth:(max 1 pipeline_depth)
           backends
       in
       Psph_net.Router.start_health_checks router;
       match
         Psph_net.Server.listen ~max_conns
-          ~reactor_threads:(max 1 reactor_threads)
           ~dispatch:(Psph_net.Server.threaded_dispatch ())
           ~handler:(Psph_net.Router.route router)
           listen
@@ -781,7 +761,7 @@ let route_cmd =
     Arg.(
       required
       & opt (some addr_conv) None
-      & info [ "listen" ] ~docv:"HOST:PORT" ~doc:"Address to accept clients on.")
+      & listen_info "Address to accept clients on.")
   in
   let backend_arg =
     Arg.(
@@ -791,35 +771,6 @@ let route_cmd =
           ~doc:
             "A backend $(b,psc serve --listen) endpoint; repeatable.  \
              Requests shard across backends by content key (docs/NET.md).")
-  in
-  let max_conns_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "max-conns" ] ~docv:"N" ~doc:"Bound on concurrent client connections.")
-  in
-  let replicas_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "replicas" ] ~docv:"R"
-          ~doc:
-            "Replication factor: each key's answers are kept warm on the \
-             first $(docv) distinct backends of its ring walk (populate \
-             hints push cache misses to the other owners asynchronously).")
-  in
-  let vnodes_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "vnodes" ] ~docv:"N"
-          ~doc:"Virtual nodes per backend on the consistent-hash ring.")
-  in
-  let read_fallback_arg =
-    Arg.(
-      value & flag
-      & info [ "read-fallback" ]
-          ~doc:
-            "Count reads served by a non-primary owner after primary failure \
-             in the net.router.replica.* metrics (fallback_read/fallback_hit); \
-             the failover itself always happens.")
   in
   let check_period_arg =
     Arg.(
@@ -841,10 +792,18 @@ let route_cmd =
           shards in parallel.  Clients may speak JSON lines or the binary \
           codec.")
     Term.(
-      const run $ trace_arg $ listen_arg $ backend_arg $ max_conns_arg
-      $ replicas_arg $ vnodes_arg $ read_fallback_arg $ timeout_ms_arg
-      $ retries_arg $ check_period_arg $ route_pipeline_depth_arg
-      $ reactor_threads_arg)
+      const run $ trace_arg $ listen_arg $ backend_arg
+      $ max_conns_arg "Bound on concurrent client connections."
+      $ replicas_arg 1
+          "Replication factor: each key's answers are kept warm on the \
+           first $(docv) distinct backends of its ring walk (populate \
+           hints push cache misses to the other owners asynchronously)."
+      $ timeout_ms_arg $ retries_arg $ check_period_arg
+      (* the backend links default to a real window: fanning a batch out
+         is the point of the command *)
+      $ pipeline_depth_arg 16
+          "In-flight requests per backend connection (protocol v2 \
+           pipelining over the binary codec).")
 
 let sim_cmd =
   let run trace c1 c2 d n until slow_solo after_step validate =
@@ -962,19 +921,51 @@ let seed_arg =
           "Seed for every random choice (arrival times, key skew, chaos \
            schedule).  The same seed replays the same schedule.")
 
-let faults_of (dlo, dhi) throttle reset torn corrupt =
-  {
-    Psph_load.Chaos.delay_ms = (if dhi = 0 then None else Some (dlo, dhi));
-    throttle_bps = (if throttle > 0 then Some throttle else None);
-    reset_ppc = reset;
-    torn_ppc = torn;
-    corrupt_ppc = corrupt;
-  }
+(* the five chaos fault flags, as one term for [Chaos.faults]: [psc
+   chaos] names them bare, [psc load] with the [chaos-] prefix for its
+   soak's chaos phase *)
+let faults_arg ~prefix (delay, throttle, reset, torn, corrupt) =
+  let soak = prefix <> "" in
+  let fault_info name docv doc =
+    Arg.info [ prefix ^ name ] ~docv
+      ~doc:(if soak then "($(b,--soak)) " ^ doc else doc)
+  in
+  let chunks = if soak then "forwarded chunks" else "chunks" in
+  let ppc name default doc =
+    Arg.(value & opt int default & fault_info name "PPC" doc)
+  in
+  let faults (dlo, dhi) throttle reset torn corrupt =
+    {
+      Psph_load.Chaos.delay_ms = (if dhi = 0 then None else Some (dlo, dhi));
+      throttle_bps = (if throttle > 0 then Some throttle else None);
+      reset_ppc = reset;
+      torn_ppc = torn;
+      corrupt_ppc = corrupt;
+    }
+  in
+  Term.(
+    const faults
+    $ Arg.(
+        value & opt span_conv delay
+        & fault_info "delay" "LO:HI"
+            ("Added per-chunk latency range in ms"
+            ^ (if soak then " during the chaos phase" else "")
+            ^ "; 0:0 disables."))
+    $ Arg.(
+        value & opt int throttle
+        & fault_info "throttle-bps" "BPS"
+            "Bandwidth cap per direction; 0 disables.")
+    $ ppc "reset-ppc" reset "Connection resets per thousand forwarded chunks."
+    $ ppc "torn-ppc" torn
+        (if soak then "Torn frames per thousand forwarded chunks."
+         else "Torn frames (truncate then reset) per thousand chunks.")
+    $ ppc "corrupt-ppc" corrupt
+        ("Single-byte corruptions per thousand " ^ chunks ^ "."))
 
 let load_cmd =
   let run trace connect soak out rate conns pipeline_depth duration
       keyspace zipf seed timeout_ms retries backends replicas warm_s slo_ms
-      warm_floor no_kill delay throttle reset torn corrupt =
+      warm_floor no_kill faults =
     let lcfg =
       {
         Psph_load.Loadgen.rate;
@@ -996,7 +987,7 @@ let load_cmd =
             Psph_load.Soak.backends;
             replicas;
             load = lcfg;
-            faults = faults_of delay throttle reset torn corrupt;
+            faults;
             seed;
             warm_s;
             slo_p99_ms = slo_ms;
@@ -1105,12 +1096,6 @@ let load_cmd =
       value & opt int 4
       & info [ "conns" ] ~docv:"N" ~doc:"Generator connections (one thread each).")
   in
-  let load_depth_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "pipeline-depth" ] ~docv:"N"
-          ~doc:"In-flight requests per generator connection.")
-  in
   let duration_arg =
     Arg.(
       value & opt float 10.
@@ -1147,12 +1132,6 @@ let load_cmd =
       & info [ "backends" ] ~docv:"N"
           ~doc:"($(b,--soak)) Backend processes to spawn.")
   in
-  let soak_replicas_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "replicas" ] ~docv:"R"
-          ~doc:"($(b,--soak)) Replication factor of the router's memo tier.")
-  in
   let warm_arg =
     Arg.(
       value & opt float 3.
@@ -1183,42 +1162,6 @@ let load_cmd =
             "($(b,--soak)) Skip the mid-chaos SIGKILL + restart of one \
              backend.")
   in
-  let chaos_delay_arg =
-    Arg.(
-      value
-      & opt span_conv (2, 20)
-      & info [ "chaos-delay" ] ~docv:"LO:HI"
-          ~doc:
-            "($(b,--soak)) Added per-chunk latency range in ms during the \
-             chaos phase; 0:0 disables.")
-  in
-  let chaos_throttle_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "chaos-throttle-bps" ] ~docv:"BPS"
-          ~doc:"($(b,--soak)) Bandwidth cap per direction; 0 disables.")
-  in
-  let chaos_reset_arg =
-    Arg.(
-      value & opt int 20
-      & info [ "chaos-reset-ppc" ] ~docv:"PPC"
-          ~doc:
-            "($(b,--soak)) Connection resets per thousand forwarded chunks.")
-  in
-  let chaos_torn_arg =
-    Arg.(
-      value & opt int 5
-      & info [ "chaos-torn-ppc" ] ~docv:"PPC"
-          ~doc:"($(b,--soak)) Torn frames per thousand forwarded chunks.")
-  in
-  let chaos_corrupt_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "chaos-corrupt-ppc" ] ~docv:"PPC"
-          ~doc:
-            "($(b,--soak)) Single-byte corruptions per thousand forwarded \
-             chunks.")
-  in
   Cmd.v
     (Cmd.info "load"
        ~doc:
@@ -1228,19 +1171,20 @@ let load_cmd =
           invariant.  See docs/LOAD.md.")
     Term.(
       const run $ trace_arg $ connect_opt_arg $ soak_arg $ out_arg $ rate_arg
-      $ conns_arg $ load_depth_arg $ duration_arg
-      $ keyspace_arg $ zipf_arg $ seed_arg $ load_timeout_arg
-      $ load_retries_arg $ backends_arg $ soak_replicas_arg $ warm_arg
-      $ slo_arg $ warm_floor_arg $ no_kill_arg $ chaos_delay_arg
-      $ chaos_throttle_arg $ chaos_reset_arg $ chaos_torn_arg
-      $ chaos_corrupt_arg)
+      $ conns_arg
+      $ pipeline_depth_arg 16 "In-flight requests per generator connection."
+      $ duration_arg $ keyspace_arg $ zipf_arg $ seed_arg $ load_timeout_arg
+      $ load_retries_arg $ backends_arg
+      $ replicas_arg 2
+          "($(b,--soak)) Replication factor of the router's memo tier."
+      $ warm_arg $ slo_arg $ warm_floor_arg $ no_kill_arg
+      $ faults_arg ~prefix:"chaos-" ((2, 20), 0, 20, 5, 0))
 
 let chaos_cmd =
-  let run trace listen upstream seed delay throttle reset torn corrupt
-      disabled partition_every partition_for =
+  let run trace listen upstream seed faults disabled partition_every
+      partition_for =
     let code =
       with_trace trace @@ fun () ->
-      let faults = faults_of delay throttle reset torn corrupt in
       match Psph_load.Chaos.create ~seed ~faults ~upstream listen with
       | Error m ->
           Format.eprintf "psc chaos: %s@." m;
@@ -1280,10 +1224,7 @@ let chaos_cmd =
     if code <> 0 then exit code
   in
   let listen_arg =
-    Arg.(
-      required
-      & opt (some addr_conv) None
-      & info [ "listen" ] ~docv:"HOST:PORT" ~doc:"Address to listen on.")
+    Arg.(required & opt (some addr_conv) None & listen_info "Address to listen on.")
   in
   let upstream_arg =
     Arg.(
@@ -1291,36 +1232,6 @@ let chaos_cmd =
       & opt (some addr_conv) None
       & info [ "upstream" ] ~docv:"HOST:PORT"
           ~doc:"Real server the proxy forwards to.")
-  in
-  let delay_arg =
-    Arg.(
-      value & opt span_conv (0, 0)
-      & info [ "delay" ] ~docv:"LO:HI"
-          ~doc:"Added per-chunk latency range in ms; 0:0 disables.")
-  in
-  let throttle_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "throttle-bps" ] ~docv:"BPS"
-          ~doc:"Bandwidth cap per direction; 0 disables.")
-  in
-  let reset_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "reset-ppc" ] ~docv:"PPC"
-          ~doc:"Connection resets per thousand forwarded chunks.")
-  in
-  let torn_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "torn-ppc" ] ~docv:"PPC"
-          ~doc:"Torn frames (truncate then reset) per thousand chunks.")
-  in
-  let corrupt_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "corrupt-ppc" ] ~docv:"PPC"
-          ~doc:"Single-byte corruptions per thousand chunks.")
   in
   let disabled_arg =
     Arg.(
@@ -1349,7 +1260,7 @@ let chaos_cmd =
           docs/LOAD.md.")
     Term.(
       const run $ trace_arg $ listen_arg $ upstream_arg $ seed_arg
-      $ delay_arg $ throttle_arg $ reset_arg $ torn_arg $ corrupt_arg
+      $ faults_arg ~prefix:"" ((0, 0), 0, 0, 0, 0)
       $ disabled_arg $ partition_every_arg $ partition_for_arg)
 
 let () =

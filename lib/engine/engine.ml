@@ -61,8 +61,8 @@ type provenance = {
   rule : string option;  (* symbolic: the rule that concluded the bound *)
   steps : int option;  (* symbolic: proof size *)
   cells_removed : int option;
-      (* no longer set (numeric misses skip the Morse precollapse); kept so
-         older peers' provenance still decodes *)
+      (* never set, rendered or encoded (numeric misses skip the Morse
+         precollapse); kept only so record literals naming it compile *)
   checked : int option;  (* check mode: the symbolic bound verified against *)
 }
 
@@ -120,6 +120,35 @@ type t = {
 let default_domains () =
   min 4 (max 1 (Domain.recommended_domain_count () - 1))
 
+(* warming inserts finished answers straight into the memo cache
+   (content addressing makes a stale entry harmless — it can only be the
+   same answer), snapshot exports the cache in store-entry form.  The
+   on-disk store ([create]/[flush]) and replication (streaming to a
+   peer) both go through them. *)
+let warm t entries =
+  Mutex.lock t.lock;
+  let n =
+    List.fold_left
+      (fun n (key, (e : Store.entry)) ->
+        Lru.add t.cache key
+          { betti = e.Store.betti; connectivity = e.Store.connectivity };
+        n + 1)
+      0 entries
+  in
+  Mutex.unlock t.lock;
+  n
+
+let snapshot t =
+  Mutex.lock t.lock;
+  let entries =
+    List.map
+      (fun (key, a) ->
+        (key, { Store.betti = a.betti; connectivity = a.connectivity }))
+      (Lru.to_list t.cache)
+  in
+  Mutex.unlock t.lock;
+  entries
+
 let create ?domains ?(capacity = 4096) ?persist () =
   let domains = match domains with Some d -> d | None -> default_domains () in
   let t =
@@ -131,14 +160,7 @@ let create ?domains ?(capacity = 4096) ?persist () =
       persist;
     }
   in
-  Option.iter
-    (fun path ->
-      List.iter
-        (fun (key, (e : Store.entry)) ->
-          Lru.add t.cache key
-            { betti = e.Store.betti; connectivity = e.Store.connectivity })
-        (Store.load path))
-    persist;
+  Option.iter (fun path -> ignore (warm t (Store.load path))) persist;
   t
 
 (* ------------------------------------------------------------------ *)
@@ -366,36 +388,6 @@ let eval_conn ?(mode = Auto) t spec =
 
 let dispatch t f = Pool.dispatch t.pool f
 
-(* replication support: warming inserts finished answers straight into
-   the memo cache (content addressing makes a stale peer entry
-   harmless — it can only be the same answer), snapshot exports the
-   cache in store-entry form for streaming to a peer.  Both are what
-   [create]/[flush] already do against the on-disk store, aimed at the
-   wire instead. *)
-let warm t entries =
-  Mutex.lock t.lock;
-  let n =
-    List.fold_left
-      (fun n (key, (e : Store.entry)) ->
-        Lru.add t.cache key
-          { betti = e.Store.betti; connectivity = e.Store.connectivity };
-        n + 1)
-      0 entries
-  in
-  Mutex.unlock t.lock;
-  n
-
-let snapshot t =
-  Mutex.lock t.lock;
-  let entries =
-    List.map
-      (fun (key, a) ->
-        (key, { Store.betti = a.betti; connectivity = a.connectivity }))
-      (Lru.to_list t.cache)
-  in
-  Mutex.unlock t.lock;
-  entries
-
 let stats t =
   Mutex.lock t.lock;
   let cache_len = Lru.length t.cache in
@@ -412,19 +404,7 @@ let stats t =
     compute_s = (Obs.histogram_stats compute_h).Obs.sum;
   }
 
-let flush t =
-  Option.iter
-    (fun path ->
-      Mutex.lock t.lock;
-      let entries =
-        List.map
-          (fun (key, a) ->
-            (key, { Store.betti = a.betti; connectivity = a.connectivity }))
-          (Lru.to_list t.cache)
-      in
-      Mutex.unlock t.lock;
-      Store.save path entries)
-    t.persist
+let flush t = Option.iter (fun path -> Store.save path (snapshot t)) t.persist
 
 let shutdown t =
   flush t;

@@ -43,8 +43,8 @@ type provenance = {
   cells_removed : int option;
       (** Unused: always [None].  It counted simplices eliminated by a
           Morse precollapse, which the engine no longer runs; it is neither
-          rendered nor encoded, and decoders drop it.  It remains only so
-          that record literals naming it still compile. *)
+          rendered nor encoded.  It remains only so that record literals
+          naming it still compile. *)
   checked : int option;
       (** {!mode} [Check]: the symbolic lower bound the numeric answer was
           verified against *)

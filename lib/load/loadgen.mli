@@ -2,7 +2,7 @@
 
     [conns] worker threads each own one pipelined {!Psph_net.Client}
     (binary codec, which every {!Psph_net.Server} grants — a router
-    front included; v1 when the peer predates it) and fire requests on a
+    front included) and fire requests on a
     Poisson arrival schedule drawn from a seeded RNG — {b open-loop}:
     the schedule is independent of how fast the server answers, and
     each request's latency is measured from its {e intended} arrival

@@ -263,8 +263,7 @@ let run cfg =
           let proxies = List.filter_map Fun.id proxies in
           let router =
             Router.create ~metrics:"soak.router" ~replication:cfg.replicas
-              ~read_fallback:true ~timeout_ms:1500 ~retries:0
-              ~check_period_ms:250
+              ~timeout_ms:1500 ~retries:0 ~check_period_ms:250
               (List.map Chaos.addr proxies)
           in
           defer (fun () -> Router.stop router);

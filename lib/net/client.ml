@@ -18,12 +18,13 @@
    sockets) tear a binary connection down.
 
    The driver below runs every request — {!request} included — through
-   one pump over two per-connection modes: binary (negotiated by a
-   hello frame on fresh connections; hot ops as {!Codec} bytes,
-   everything else escape-tagged JSON, all matched by id) and V1 (plain
-   clients, and old servers): a window of one slot, matched by
-   position, whose overdue slot tears the connection down.  A V1
-   connection is thus the sequential v1 client, byte for byte. *)
+   one pump, whose mode is the client's: binary (a hello frame on each
+   fresh connection; hot ops as {!Codec} bytes, everything else
+   escape-tagged JSON, all matched by id) or v1 (plain clients): a
+   window of one slot, matched by position, whose overdue slot tears
+   the connection down.  A v1 connection is thus the sequential v1
+   client, byte for byte.  A hello that is not granted fails the
+   attempt; a binary client never speaks v1. *)
 
 open Psph_obs
 
@@ -51,15 +52,12 @@ type metrics = {
   pipeline_span : string;
 }
 
-(* how a fresh connection turned out after the hello exchange *)
-type mode = V1 | Binary
-
 type conn = {
   fd : Unix.file_descr;
   reader : Frame.reader;  (* persistent: frames can span reads *)
   rbuf : Bytes.t;  (* socket read buffer, reused by every exchange *)
   wbuf : Buffer.t;  (* frames staged for one write; empty between drives *)
-  mutable mode : mode option;
+  mutable granted : bool;  (* binary clients: the hello was granted *)
 }
 
 type t = {
@@ -67,7 +65,6 @@ type t = {
   timeout_s : float;
   max_retries : int;
   backoff_s : float;
-  max_backoff_s : float;
   max_frame : int;
   binary : bool;  (* negotiate the binary codec on fresh connections *)
   pipeline_depth : int;
@@ -85,8 +82,7 @@ let ignore_sigpipe =
   lazy (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ())
 
 let create ?(metrics = "net.client") ?(timeout_ms = 5000) ?(retries = 3)
-    ?(backoff_ms = 50) ?(max_backoff_ms = 2000)
-    ?(max_frame = Frame.max_frame_default) ?(codec = `Json)
+    ?(backoff_ms = 50) ?(max_frame = Frame.max_frame_default) ?(codec = `Json)
     ?(pipeline_depth = 1) addr =
   Lazy.force ignore_sigpipe;
   {
@@ -94,7 +90,6 @@ let create ?(metrics = "net.client") ?(timeout_ms = 5000) ?(retries = 3)
     timeout_s = float_of_int timeout_ms /. 1000.;
     max_retries = max 0 retries;
     backoff_s = float_of_int backoff_ms /. 1000.;
-    max_backoff_s = float_of_int max_backoff_ms /. 1000.;
     max_frame;
     binary = codec = `Binary || pipeline_depth > 1;
     pipeline_depth = max 1 pipeline_depth;
@@ -202,7 +197,7 @@ let ensure_connected t deadline =
           reader = Frame.reader ~max_frame:t.max_frame ();
           rbuf = Bytes.create 65536;
           wbuf = Buffer.create 4096;
-          mode = None;
+          granted = false;
         }
       in
       t.conn <- Some c;
@@ -275,8 +270,10 @@ let with_span_parent line =
       | _ -> line)
   | _ -> line
 
+let max_backoff_s = 2.
+
 let backoff_delay t n =
-  let cap = Float.min t.max_backoff_s (t.backoff_s *. (2. ** float_of_int n)) in
+  let cap = Float.min max_backoff_s (t.backoff_s *. (2. ** float_of_int n)) in
   Random.State.float t.rng cap
 
 (* ------------------------------------------------------------------ *)
@@ -285,39 +282,30 @@ let backoff_delay t n =
 
 let hello_line = {|{"op":"hello","version":2,"codec":"binary"}|}
 
-(* binary only when granted: an old server answers hello with an
-   unknown-op error, and one that grants v2 JSON pipelining instead is
-   spoken to in v1 *)
+(* every server grants binary, so anything else is a grant damaged in
+   transit.  The server may already have switched to binary, so the
+   connection cannot carry on in v1: fail the attempt (retryable), and
+   the retry renegotiates on a fresh connection. *)
 let negotiate t c deadline =
   send_all c.fd (Frame.encode ~max_frame:t.max_frame hello_line) deadline;
   let resp = recv_one c deadline in
-  let mode =
-    match Jsonl.of_string_opt resp with
-    | Some o
-      when Jsonl.member "ok" o = Some (Jsonl.Bool true)
-           && Option.bind (Jsonl.member "version" o) Jsonl.to_int_opt = Some 2
-           && Option.bind (Jsonl.member "codec" o) Jsonl.to_string_opt
-              = Some "binary" ->
-        Binary
-    | _ -> V1
-  in
-  c.mode <- Some mode;
-  mode
+  match Jsonl.of_string_opt resp with
+  | Some o
+    when Jsonl.member "ok" o = Some (Jsonl.Bool true)
+         && Option.bind (Jsonl.member "version" o) Jsonl.to_int_opt = Some 2
+         && Option.bind (Jsonl.member "codec" o) Jsonl.to_string_opt
+            = Some "binary" ->
+      c.granted <- true
+  | _ -> connection "hello not granted: %S" resp
 
-(* connect if needed, negotiate if the connection is fresh.  Plain
-   clients (no binary, depth 1) never send a hello: they stay
+(* connect if needed; a binary client negotiates each fresh connection.
+   Plain clients (no binary, depth 1) never send a hello: they stay
    byte-for-byte the v1 client. *)
-let ensure_mode t =
+let ensure_ready t =
   let deadline = Obs.monotonic () +. t.timeout_s in
   let c = ensure_connected t deadline in
-  match c.mode with
-  | Some m -> (c, m)
-  | None ->
-      if t.binary then (c, negotiate t c deadline)
-      else begin
-        c.mode <- Some V1;
-        (c, V1)
-      end
+  if t.binary && not c.granted then negotiate t c deadline;
+  c
 
 (* ------------------------------------------------------------------ *)
 (* the pipelined driver                                                *)
@@ -326,7 +314,7 @@ let ensure_mode t =
 (* one request through the driver.  [bin] is [Some] for a hot op,
    holding its pre-encoded binary request (id 0, stamped per send), so
    the per-flight cost is a copy, not an encode; [None] sends the line
-   as a JSON escape.  Every form is lazy: a V1 exchange never parses
+   as a JSON escape.  Every form is lazy: a v1 exchange never parses
    its line, a binary one never prints it. *)
 type prepared = {
   jline : string Lazy.t;
@@ -389,10 +377,10 @@ let drive ?on_latency t (items : ditem array) =
   in
 
   (* the one pump.  On a binary connection every request is windowed by
-     transport id; a V1 connection is a window of one slot, sent as its
+     transport id; a v1 connection is a window of one slot, sent as its
      plain line and answered by whatever comes back next. *)
-  let pump c mode =
-    let binary = mode = Binary in
+  let pump c =
+    let binary = t.binary in
     let depth = if binary then t.pipeline_depth else 1 in
     (* tid -> (item index, sent_at, deadline) *)
     let window = Hashtbl.create (2 * depth) in
@@ -433,7 +421,7 @@ let drive ?on_latency t (items : ditem array) =
       | None -> Obs.incr t.m.stale
     in
     (* a binary frame, escaped or not, answers the slot its id names; a
-       V1 line answers the one slot in flight *)
+       v1 line answers the one slot in flight *)
     let handle_payload payload =
       if not binary then
         match Hashtbl.fold (fun tid _ _ -> Some tid) window None with
@@ -452,7 +440,7 @@ let drive ?on_latency t (items : ditem array) =
       Hashtbl.fold (fun _ (_, _, dl) acc -> Float.min dl acc) window infinity
     in
     (* expire overdue slots in place: the retry gets a fresh id, the
-       connection lives on.  An overdue V1 slot can only be resolved by
+       connection lives on.  An overdue v1 slot can only be resolved by
        tearing the connection down (its response is matched
        positionally). *)
     let expire () =
@@ -505,14 +493,14 @@ let drive ?on_latency t (items : ditem array) =
   let rec session () =
     if unresolved () then begin
       rebuild_pending ();
-      (match ensure_mode t with
+      (match ensure_ready t with
       | exception e ->
           (* could not even get a negotiated connection: everyone
              unfinished pays an attempt *)
           teardown (as_error e) (List.of_seq (Queue.to_seq pending))
-      | c, mode ->
+      | c ->
           streak := 0;
-          pump c mode);
+          pump c);
       session ()
     end
   in
@@ -602,7 +590,7 @@ let eval_many ?on_latency t specs =
              | None -> Error (Protocol "unparseable response")))
        (drive_all ?on_latency t items))
 
-(* one item through the driver, in its own span: on a V1 connection the
+(* one item through the driver, in its own span: on a v1 connection the
    span id rides out as "span_parent" (while tracing), so server spans
    nest under it *)
 let request t line =

@@ -18,13 +18,15 @@
     Server-side [{"ok":false,...}] responses are successful requests at
     this layer; interpreting them is the caller's business.
 
-    {b Pipelining.}  A connection runs in one of two modes.  A client
+    {b Pipelining.}  A client runs in one of two modes.  A client
     created with [pipeline_depth > 1] or [codec `Binary] asks for the
-    binary codec on each fresh connection (one [hello] frame); when it
-    is granted the connection is binary, otherwise — an old server
-    answering with an error, or one offering anything but binary — it
-    quietly falls back to sequential v1 (negotiated, never assumed).
-    Both modes run through one pump, with one ordering rule each.  A v1
+    binary codec on each fresh connection (one [hello] frame), and every
+    server grants it.  Any other answer means the grant was damaged in
+    transit: the attempt fails with a retryable
+    [Connection "hello not granted: ..."], and the retry renegotiates
+    on a fresh connection.  A plain client (the defaults) never sends a
+    hello and speaks v1.  Both modes run through one pump, with one
+    ordering rule each.  A v1
     connection is a window of one slot: each request is sent as its
     plain line and answered by the next response.  On a binary
     connection {!pipeline} keeps up to [pipeline_depth] requests in
@@ -73,7 +75,6 @@ val create :
   ?timeout_ms:int ->
   ?retries:int ->
   ?backoff_ms:int ->
-  ?max_backoff_ms:int ->
   ?max_frame:int ->
   ?codec:[ `Json | `Binary ] ->
   ?pipeline_depth:int ->
@@ -82,7 +83,7 @@ val create :
 (** No I/O happens here; the first request connects.  Defaults:
     [timeout_ms] 5000 (per attempt, covering connect + send + receive),
     [retries] 3 (so up to 4 attempts), [backoff_ms] 50 doubling per
-    retry up to [max_backoff_ms] 2000 with full jitter, [codec] [`Json],
+    retry up to a fixed 2000 ms cap with full jitter, [codec] [`Json],
     [pipeline_depth] 1.  With the defaults the client is byte-for-byte
     the v1 client — no hello, no ids.  [codec `Binary] negotiates the
     binary codec even at depth 1, and [pipeline_depth > 1] implies it. *)
@@ -138,8 +139,8 @@ val eval_many :
 (** {!pipeline} for structured hot queries, skipping JSON entirely on a
     binary connection: queries are encoded straight through {!Codec}
     and replies decoded back — the no-allocation-waste path the bench
-    measures.  On a v1 connection the queries fall back to their
-    {!Psph_engine.Serve.json_line_of_query} form transparently. *)
+    measures.  A plain client (v1) sends them as their
+    {!Psph_engine.Serve.json_line_of_query} lines. *)
 
 val close : t -> unit
 (** Drop the connection, if any.  The client stays usable: the next

@@ -53,7 +53,6 @@ let fl_solver = 8
 (* solver-block presence bits (second flag byte inside the block) *)
 let sp_rule = 1
 let sp_steps = 2
-let sp_cells = 4 (* retired cells_removed: decoded and skipped *)
 let sp_checked = 8
 
 (* ------------------------------------------------------------------ *)
@@ -363,6 +362,8 @@ let decode_reply payload =
                   | None -> raise (Short "bad solver tier byte")
                 in
                 let present = r8 c "solver presence flags" in
+                if present land lnot (sp_rule lor sp_steps lor sp_checked) <> 0
+                then raise (Short "unknown solver presence bits");
                 let rule =
                   if present land sp_rule <> 0 then begin
                     let len = r16 c "solver rule length" in
@@ -374,10 +375,6 @@ let decode_reply payload =
                   if present land sp_steps <> 0 then Some (r32 c "solver steps")
                   else None
                 in
-                (* retired cells_removed field: skipped, so replies from
-                   older peers still decode *)
-                if present land sp_cells <> 0 then
-                  ignore (r32 c "solver cells_removed");
                 let checked =
                   if present land sp_checked <> 0 then begin
                     let raw = r32 c "solver checked" in

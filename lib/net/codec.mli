@@ -43,9 +43,8 @@
     presence byte (bit 0 rule, bit 1 steps, bit 3 checked) then the
     present fields in that order: rule as [len:u16 + bytes], steps as
     u32, checked as i32 (a connectivity bound, so it can be negative).
-    Bit 2 is retired (it flagged the dropped [cells_removed] count):
-    encoders never set it, and decoders skip the u32 it announces, which
-    sits between steps and checked.  Decoders never raise:
+    Any other presence bit (bit 2 once flagged the dropped
+    [cells_removed] count) makes the reply undecodable.  Decoders never raise:
     corrupt or truncated payloads come back as [Error _], and {!handle}
     answers them with a well-formed binary error response. *)
 

@@ -294,10 +294,10 @@ let loop_main t loop =
 (* lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let create ?(metrics = "net.reactor") ?(loops = 2)
-    ?(max_frame = Frame.max_frame_default) ~on_frame ?on_failure ?on_eof
-    ?on_close () =
-  let loops = max 1 loops in
+let n_loops = 2
+
+let create ?(metrics = "net.reactor") ?(max_frame = Frame.max_frame_default)
+    ~on_frame ?on_failure ?on_eof ?on_close () =
   let m =
     {
       loops_g = Obs.gauge (metrics ^ ".loops");
@@ -323,9 +323,9 @@ let create ?(metrics = "net.reactor") ?(loops = 2)
       wakeups = m.wakeups;
     }
   in
-  Obs.gauge_set m.loops_g (float_of_int loops);
+  Obs.gauge_set m.loops_g (float_of_int n_loops);
   {
-    loops = Array.init loops mk_loop;
+    loops = Array.init n_loops mk_loop;
     rr = Atomic.make 0;
     on_frame;
     on_failure = Option.value on_failure ~default:(fun _ _ -> ());

@@ -40,7 +40,6 @@ type failure =
 
 val create :
   ?metrics:string ->
-  ?loops:int ->
   ?max_frame:int ->
   on_frame:(conn -> string -> unit) ->
   ?on_failure:(conn -> failure -> unit) ->
@@ -48,7 +47,7 @@ val create :
   ?on_close:(conn -> unit) ->
   unit ->
   t
-(** [loops] (default 2) event-loop threads, started by {!start}.
+(** Two event-loop threads, started by {!start}.
     [on_eof] fires when the peer stops sending (default: {!close} the
     connection — override to finish in-flight responses first; the peer
     may have only shut down its write side).  [on_close] fires exactly

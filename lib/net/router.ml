@@ -56,7 +56,6 @@ type t = {
   state_lock : Mutex.t;
   cfg : cfg;
   replication : int;
-  read_fallback : bool;
   rep : Replica.t;
   rr : int Atomic.t;  (** rotation for keyless requests *)
   check_period_s : float;
@@ -81,14 +80,13 @@ let mk_backend cfg baddr =
     alive = true;
   }
 
-let create ?(metrics = "net.router") ?(vnodes = 64) ?(replication = 1)
-    ?(read_fallback = false) ?(timeout_ms = 5000) ?(retries = 1)
-    ?(check_period_ms = 1000) ?(max_frame = Frame.max_frame_default)
-    ?(pipeline_depth = 16) addrs =
+let create ?(metrics = "net.router") ?(replication = 1) ?(timeout_ms = 5000)
+    ?(retries = 1) ?(check_period_ms = 1000)
+    ?(max_frame = Frame.max_frame_default) ?(pipeline_depth = 16) addrs =
   if addrs = [] then invalid_arg "Router.create: no backends";
   let cfg = { metrics; timeout_ms; retries; max_frame; pipeline_depth } in
   let bks = Array.of_list (List.map (mk_backend cfg) addrs) in
-  let ring = Ring.make ~vnodes (List.map Addr.to_string addrs) in
+  let ring = Ring.make (List.map Addr.to_string addrs) in
   let m =
     {
       requests = Obs.counter (metrics ^ ".requests");
@@ -110,7 +108,6 @@ let create ?(metrics = "net.router") ?(vnodes = 64) ?(replication = 1)
     state_lock = Mutex.create ();
     cfg;
     replication = max 1 replication;
-    read_fallback;
     rep = Replica.create ~metrics:(metrics ^ ".replica") ();
     rr = Atomic.make 0;
     check_period_s = float_of_int check_period_ms /. 1000.;
@@ -267,7 +264,7 @@ let answered t st m b resp =
   if m.req.key <> None then begin
     let reply = lazy (Serve.reply_of_json resp) in
     let r = rank m.prefs b in
-    if t.read_fallback && r > 0 && r < owners_count t st then begin
+    if r > 0 && r < owners_count t st then begin
       Replica.fallback_read t.rep
         ~cached:
           (match Lazy.force reply with

@@ -28,8 +28,8 @@
     [populate] hint carrying the finished answer, so hot keys converge
     to R warm copies; a dead primary's reads fail over — in ring
     order, which is exactly owner order — onto those warm replicas.
-    With [read_fallback] such replica-served reads are counted
-    ([net.replica.fallback_read]/[fallback_hit]).
+    Such replica-served reads are counted
+    ([net.router.replica.fallback_read]/[fallback_hit]).
 
     {b Membership.}  The ring, backend array and an {e epoch} form one
     immutable snapshot; every request captures the snapshot once and
@@ -66,9 +66,7 @@ type t
 
 val create :
   ?metrics:string ->
-  ?vnodes:int ->
   ?replication:int ->
-  ?read_fallback:bool ->
   ?timeout_ms:int ->
   ?retries:int ->
   ?check_period_ms:int ->
@@ -77,16 +75,15 @@ val create :
   Addr.t list ->
   t
 (** No I/O; backends are assumed alive until a probe or request says
-    otherwise.  [vnodes] (default 64) virtual points per backend on the
-    ring; [replication] (default 1, clamped to the backend count per
-    request) replicas per key; [read_fallback] (default false) counts
-    replica-served reads in the [net.replica.*] family;
+    otherwise.  Each backend has 64 virtual points on the ring
+    ({!Ring.make}'s default); [replication] (default 1, clamped to the
+    backend count per request) replicas per key;
     [timeout_ms]/[retries] configure the per-backend clients (retries
     default 1 — the ring-level failover is the real retry);
     [check_period_ms] (default 1000) spaces health probes.  Backend
-    links always ask for the binary codec and keep up to
-    [pipeline_depth] (default 16) requests in flight; v1 backends
-    quietly get sequential JSON (see {!Client}).  A link serves one
+    links always speak the binary codec and keep up to
+    [pipeline_depth] (default 16) requests in flight (see {!Client}).
+    A link serves one
     flight at a time ({!Client.pipeline_prepared} holds its lock for the
     round trip), so only a batch fan-out fills the window.
     @raise Invalid_argument on an empty or duplicate backend list. *)
@@ -130,7 +127,7 @@ val route : t -> string -> string
     many-member one.  In rounds, each unresolved member tries its best
     untried backend; members bound for one backend share its pipelined
     connection, and the flights run in parallel.  Failover, populate
-    hints and read-fallback accounting are per member.  The spliced
+    hints and replica-read accounting are per member.  The spliced
     response is byte-identical to a single backend's batch answer;
     members are answered [{"ok":false,"error":"no backend"}] in place
     when nothing will take them.  Batches with other member ops are

@@ -359,9 +359,10 @@ let on_close t _conn =
 (* lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let listen ?(metrics = "net.server") ?(backlog = 64) ?(max_conns = 64)
-    ?deadline_s ?(max_frame = Frame.max_frame_default) ?(reactor_threads = 2)
-    ?bin_handler ?dispatch ~handler addr =
+let backlog = 64
+
+let listen ?(metrics = "net.server") ?(max_conns = 64) ?deadline_s
+    ?(max_frame = Frame.max_frame_default) ?bin_handler ?dispatch ~handler addr =
   Lazy.force ignore_sigpipe;
   match Addr.resolve addr with
   | Error _ as e -> e
@@ -391,9 +392,7 @@ let listen ?(metrics = "net.server") ?(backlog = 64) ?(max_conns = 64)
               deadline_s;
               max_frame;
               reactor =
-                Reactor.create
-                  ~metrics:(metrics ^ ".reactor")
-                  ~loops:reactor_threads ~max_frame
+                Reactor.create ~metrics:(metrics ^ ".reactor") ~max_frame
                   ~on_frame:(fun conn payload ->
                     on_frame (Lazy.force t) conn payload)
                   ~on_failure:(fun conn fail ->

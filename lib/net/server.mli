@@ -2,7 +2,7 @@
     puts {!Psph_engine.Serve.handle_line} behind a socket.
 
     v2 architecture (PR 6): accepted connections are multiplexed by a
-    small fixed pool of event-loop threads ([reactor_threads]) instead
+    small fixed pool of event-loop threads (two) instead
     of one thread per socket.  Each completed {!Frame} becomes a job —
     run inline on the loop when the handler is cheap, or handed to
     [dispatch] (in production {!Psph_engine.Engine.dispatch}, the
@@ -51,11 +51,9 @@ type t
 
 val listen :
   ?metrics:string ->
-  ?backlog:int ->
   ?max_conns:int ->
   ?deadline_s:float ->
   ?max_frame:int ->
-  ?reactor_threads:int ->
   ?bin_handler:handler ->
   ?dispatch:((unit -> unit) -> unit) ->
   handler:handler ->
@@ -63,8 +61,9 @@ val listen :
   (t, string) result
 (** Bind and listen ([SO_REUSEADDR] set; port 0 lets the kernel pick —
     read it back with {!port}).  [metrics] prefixes the metric names
-    (default ["net.server"]).  [max_conns] defaults to 64,
-    [reactor_threads] to 2.  [bin_handler] (typically
+    (default ["net.server"]).  [max_conns] defaults to 64; the listen
+    backlog is 64 and two event-loop threads serve the connections.
+    [bin_handler] (typically
     [Codec.handle ~json:handler engine], the engine's direct path)
     answers binary connections; omitted, it is
     [Codec.of_json_handler handler], so a server with only a line

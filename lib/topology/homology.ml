@@ -1,29 +1,5 @@
 open Psph_obs
 
-module SMap = Simplex_sets.SMap
-
-(* Reference (slow-path) index and boundary-matrix construction, kept for
-   the public [boundary_matrix] API and as the oracle the fast engine is
-   tested against. *)
-let index_of_dim c d =
-  List.sort Simplex.compare (Complex.simplices_of_dim c d)
-  |> List.mapi (fun i s -> (s, i))
-  |> List.to_seq |> SMap.of_seq
-
-let boundary_matrix c d =
-  if d <= 0 then
-    (* d = 0: the augmentation map handles this case in [ranks] *)
-    invalid_arg "Homology.boundary_matrix: dimension must be >= 1"
-  else
-    let rows = index_of_dim c (d - 1) in
-    let cols = List.sort Simplex.compare (Complex.simplices_of_dim c d) in
-    List.map
-      (fun s ->
-        Simplex.facets s
-        |> List.map (fun f -> SMap.find f rows)
-        |> List.sort Int.compare)
-      cols
-
 (* ranks.(d) = rank of the boundary operator from d-chains to (d-1)-chains,
    where the operator at d = 0 is the augmentation (so its rank is 1 on any
    nonempty complex).
@@ -35,10 +11,9 @@ let boundary_matrix c d =
 
    [rank_jobs] exposes the per-dimension eliminations as independent
    thunks: the index is built once in the calling domain, and each
-   returned closure only reads it — safe to run on any domain.  The query
-   engine schedules these on its worker pool for large complexes; [ranks]
-   just runs them in order.  A caller that already holds an index of [c]
-   (the engine keys through one) passes it as [index]. *)
+   returned closure only reads it — safe to run on any domain.  [ranks]
+   and the query engine run them in order.  A caller that already holds
+   an index of [c] (the engine keys through one) passes it as [index]. *)
 let rank_jobs ?max_dim ?index c =
   let dim = Complex.dim c in
   let top = match max_dim with None -> dim | Some m -> min m dim in

@@ -8,12 +8,6 @@
     notions agree, and the Mayer–Vietoris engine ({!Mayer_vietoris})
     independently replays the paper's genuine connectivity proofs. *)
 
-val boundary_matrix : Complex.t -> int -> int list list
-(** [boundary_matrix c d] is the matrix of the boundary operator from
-    [d]-chains to [(d-1)]-chains, with columns indexed by [d]-simplexes and
-    rows by [(d-1)]-simplexes (both in {!Simplex.compare} order); a column
-    is the increasing list of its nonzero rows. *)
-
 val rank_jobs :
   ?max_dim:int ->
   ?index:Simplex_index.t ->

@@ -91,8 +91,8 @@ let matrix_props =
 (* random-pseudosphere oracle: new engine = reference rank formula     *)
 (* ------------------------------------------------------------------ *)
 
-(* reduced Betti numbers computed through the exported boundary_matrix and
-   the list-based Z2_matrix elimination — the pre-Bitmat engine *)
+(* reduced Betti numbers computed through the list-based Z2_matrix
+   boundary matrices and elimination — the pre-Bitmat engine *)
 let oracle_reduced_betti c =
   let dim = Complex.dim c in
   if dim < 0 then [||]
@@ -100,7 +100,7 @@ let oracle_reduced_betti c =
     let r = Array.make (dim + 2) 0 in
     r.(0) <- (if Complex.is_empty c then 0 else 1);
     for d = 1 to dim do
-      r.(d) <- Z2_matrix.rank (Homology.boundary_matrix c d)
+      r.(d) <- Z2_matrix.rank (Z2_matrix.boundary_matrix c d)
     done;
     Array.init (dim + 1) (fun d ->
         Complex.count_of_dim c d - r.(d) - r.(d + 1))

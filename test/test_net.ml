@@ -215,66 +215,94 @@ let with_v2_server ?metrics ?dispatch engine f =
         ~finally:(fun () -> Server.stop srv)
         (fun () -> f srv (loopback (Server.port srv)))
 
-(* a faithful PR 5 server: one thread, strictly sequential frames, every
-   payload (hello included) through the handler — for testing that v2
-   clients negotiate down instead of assuming *)
-let with_v1_server handler f =
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  Unix.listen fd 8;
+(* a relay in front of [upstream] that garbles the first frame its first
+   connection gets back — the hello grant, whose ["binary"] turns into
+   ["binarz"] — and passes every other byte through *)
+let with_garbling_relay upstream f =
+  let lfd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt lfd Unix.SO_REUSEADDR true;
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 8;
   let port =
-    match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> 0
+    match Unix.getsockname lfd with Unix.ADDR_INET (_, p) -> p | _ -> 0
   in
   let stop = Atomic.make false in
+  let garble s =
+    let rec find i =
+      if i + 8 > String.length s then s
+      else if String.sub s i 8 = {|"binary"|} then
+        String.mapi (fun j c -> if j = i + 6 then 'z' else c) s
+      else find (i + 1)
+    in
+    find 0
+  in
+  let write fd s =
+    let off = ref 0 in
+    while !off < String.length s do
+      off := !off + Unix.write_substring fd s !off (String.length s - !off)
+    done
+  in
+  (* the client sends nothing after its hello until the grant arrives,
+     so the first frame back is the first downstream payload whole *)
+  let relay cfd ufd ~first =
+    let buf = Bytes.create 4096 in
+    let grant = ref (if first then Some (Frame.reader ()) else None) in
+    let forward fd =
+      let n = Unix.read fd buf 0 (Bytes.length buf) in
+      (if n > 0 then
+         if fd == cfd then write ufd (Bytes.sub_string buf 0 n)
+         else
+           match !grant with
+           | None -> write cfd (Bytes.sub_string buf 0 n)
+           | Some r -> (
+               Frame.feed r buf 0 n;
+               match Frame.next r with
+               | Some p ->
+                   grant := None;
+                   write cfd (Frame.encode (garble p))
+               | None -> ()));
+      n > 0
+    in
+    let rec loop () =
+      if not (Atomic.get stop) then
+        match Unix.select [ cfd; ufd ] [] [] 0.1 with
+        | [], _, _ -> loop ()
+        | ready, _, _ -> if List.for_all forward ready then loop ()
+    in
+    (try loop () with Unix.Unix_error _ -> ());
+    List.iter
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      [ cfd; ufd ]
+  in
   let th =
     Thread.create
       (fun () ->
+        let first = ref true in
+        let relays = ref [] in
         while not (Atomic.get stop) do
-          match Unix.accept fd with
+          match Unix.accept lfd with
+          | exception Unix.Unix_error _ -> Atomic.set stop true
           | cfd, _ ->
-              let r = Frame.reader () in
-              let buf = Bytes.create 4096 in
-              (try
-                 let rec loop () =
-                   match Frame.next r with
-                   | Some p ->
-                       let out = Frame.encode (handler p) in
-                       let n = String.length out in
-                       let off = ref 0 in
-                       while !off < n do
-                         off :=
-                           !off + Unix.write_substring cfd out !off (n - !off)
-                       done;
-                       loop ()
-                   | None ->
-                       let n = Unix.read cfd buf 0 (Bytes.length buf) in
-                       if n > 0 then begin
-                         Frame.feed r buf 0 n;
-                         loop ()
-                       end
-                 in
-                 loop ()
-               with _ -> ());
-              (try Unix.close cfd with _ -> ())
-          | exception _ -> ()
-        done)
+              let ufd =
+                Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0
+              in
+              Unix.connect ufd
+                (Unix.ADDR_INET (Unix.inet_addr_loopback, upstream.Addr.port));
+              let first_conn = !first in
+              first := false;
+              relays :=
+                Thread.create (fun () -> relay cfd ufd ~first:first_conn) ()
+                :: !relays
+        done;
+        List.iter Thread.join !relays)
       ()
   in
   Fun.protect
     ~finally:(fun () ->
       Atomic.set stop true;
-      (* closing fd won't interrupt a thread parked in accept; kick it
-         awake with a throwaway connection instead *)
-      (try
-         let k = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-         (try
-            Unix.connect k (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-          with _ -> ());
-         try Unix.close k with _ -> ()
-       with _ -> ());
-      Thread.join th;
-      try Unix.close fd with _ -> ())
+      (try Unix.shutdown lfd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+      (try Unix.close lfd with Unix.Unix_error _ -> ());
+      Thread.join th)
     (fun () -> f (loopback port))
 
 let with_client ?(timeout_ms = 5000) ?(retries = 1) ?(backoff_ms = 1) addr f =
@@ -640,8 +668,8 @@ let codec_tests =
                   expect
                   (Codec.json_of_reply ~id:(Some id) reply))
           cases);
-    Alcotest.test_case "retired cells_removed bit still decodes, skipped"
-      `Quick (fun () ->
+    Alcotest.test_case "retired cells_removed bit is refused" `Quick
+      (fun () ->
         let reply =
           Codec.Result
             {
@@ -661,13 +689,17 @@ let codec_tests =
            offset 9, then steps:u32 and checked:i32 *)
         check int "presence: steps and checked" 0b1010 (Char.code wire.[9]);
         check int "length" 18 (String.length wire);
-        let old_peer =
-          String.sub wire 0 9 ^ "\x0e" ^ String.sub wire 10 4
-          ^ "\x00\x00\x00\x07" ^ String.sub wire 14 4
-        in
-        Alcotest.(check bool) "same reply, with or without bit 2" true
-          (Codec.decode_reply old_peer = Ok reply
-          && Codec.decode_reply wire = Ok reply));
+        check bool "decodes without bit 2" true (Codec.decode_reply wire = Ok reply);
+        (* bit 2 with the u32 it used to announce, and bit 2 alone *)
+        List.iter
+          (fun (what, bad) ->
+            match Codec.decode_reply bad with
+            | Error _ -> ()
+            | Ok _ -> fail (what ^ ": a reply with bit 2 set decoded"))
+          [ ( "with cells_removed",
+              String.sub wire 0 9 ^ "\x0e" ^ String.sub wire 10 4
+              ^ "\x00\x00\x00\x07" ^ String.sub wire 14 4 );
+            ("bit alone", String.sub wire 0 9 ^ "\x0e" ^ String.sub wire 10 8) ]);
     Alcotest.test_case "a 0x00 frame too short for an id gets a 0x81" `Quick
       (fun () ->
         with_engine @@ fun engine ->
@@ -824,61 +856,36 @@ let pipeline_tests =
         with_v2_server engine (fun _ addr -> same "Codec.handle" addr);
         with_server (Serve.handle_line engine) (fun _ addr ->
             same "line handler" addr));
-    Alcotest.test_case "v2 client negotiates down against a v1 server" `Quick
-      (fun () ->
-        with_engine @@ fun engine ->
-        ignore (Serve.handle_line engine {|{"op":"psph","n":1,"values":2}|});
-        with_v1_server (Serve.handle_line engine) @@ fun addr ->
-        let c =
-          Client.create ~metrics:"t.fallback" ~retries:1 ~codec:`Binary
-            ~pipeline_depth:4 addr
-        in
-        Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-        let lines =
-          [ {|{"op":"psph","n":1,"values":2,"id":8}|}; {|{"op":"models"}|} ]
-        in
-        let expect = List.map (Serve.handle_line engine) lines in
-        let got =
-          List.map
-            (function
-              | Ok s -> s
-              | Error e -> fail (Client.error_message e))
-            (Client.pipeline c lines)
-        in
-        List.iteri
-          (fun i (e, g) -> check string (Printf.sprintf "line %d" i) e g)
-          (List.combine expect got);
-        check int "nothing was windowed" 0
-          (Obs.counter_value (Obs.counter "t.fallback.pipelined")));
-    Alcotest.test_case "old server granting v2 json pipelining gets v1"
+    Alcotest.test_case "a garbled hello grant is retried, never spoken v1 to"
       `Quick
       (fun () ->
         with_engine @@ fun engine ->
-        let old_hello = {|{"ok":true,"version":2,"codec":"json","pipeline":true}|} in
-        with_v1_server (fun p ->
-            if contains p {|"op":"hello"|} then old_hello
-            else Serve.handle_line engine p)
-        @@ fun addr ->
-        let c =
-          Client.create ~metrics:"t.oldv2" ~retries:1 ~pipeline_depth:4 addr
-        in
+        let line = {|{"op":"psph","n":1,"values":2,"id":7}|} in
+        ignore (Serve.handle_line engine line);
+        let expect = Serve.handle_line engine line in
+        with_v2_server engine @@ fun _srv addr ->
+        with_garbling_relay addr (fun relay ->
+            let c =
+              Client.create ~metrics:"t.garble" ~retries:1 ~codec:`Binary relay
+            in
+            Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+            check string "answered on a fresh, granted connection" expect
+              (request_ok c line);
+            let count name =
+              Obs.counter_value (Obs.counter ("t.garble." ^ name))
+            in
+            check int "the first connection and one reconnect" 2
+              (count "reconnects");
+            check int "one retry" 1 (count "retries"));
+        with_garbling_relay addr @@ fun relay ->
+        let c = Client.create ~retries:0 ~codec:`Binary relay in
         Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-        let lines =
-          [ {|{"op":"psph","n":1,"values":2,"id":8}|}; {|{"op":"models"}|};
-            {|{"op":"betti","facets":["0:i0 ; 1:i1"],"id":"x"}|} ]
-        in
-        List.iter (fun l -> ignore (Serve.handle_line engine l)) lines;
-        let expect = List.map (Serve.handle_line engine) lines in
-        let got =
-          List.map
-            (function Ok s -> s | Error e -> fail (Client.error_message e))
-            (Client.pipeline c lines)
-        in
-        List.iteri
-          (fun i (e, g) -> check string (Printf.sprintf "line %d" i) e g)
-          (List.combine expect got);
-        check int "nothing was windowed" 0
-          (Obs.counter_value (Obs.counter "t.oldv2.pipelined")));
+        match Client.request c line with
+        | Ok r -> fail ("expected a refused hello, got " ^ r)
+        | Error e ->
+            check bool "retryable" true (Client.is_retryable e);
+            check_contains "names the hello" (Client.error_message e)
+              "hello not granted");
     Alcotest.test_case "line-handler server grants binary, every model"
       `Quick
       (fun () ->
@@ -1304,6 +1311,29 @@ let router_tests =
         check bool "both backends alive" true
           (List.for_all snd (Router.backends r));
         check int "no reconnect" before (Obs.counter_value reconnects));
+    Alcotest.test_case "a garbled backend grant is retried, never spliced"
+      `Quick
+      (fun () ->
+        (* backend links are binary clients, and the router splices what
+           they return: a link whose grant was damaged must renegotiate,
+           not hand a binary frame back as the JSON answer *)
+        with_engine @@ fun engine ->
+        let line = {|{"op":"psph","n":1,"values":2,"id":7}|} in
+        ignore (Serve.handle_line engine line);
+        let expect = Serve.handle_line engine line in
+        with_v2_server engine @@ fun _srv addr ->
+        with_garbling_relay addr @@ fun relay ->
+        let r =
+          Router.create ~metrics:"t.rgarble" ~timeout_ms:2000 ~retries:1
+            ~check_period_ms:3600_000 [ relay ]
+        in
+        Fun.protect ~finally:(fun () -> Router.stop r) @@ fun () ->
+        check string "answered as the backend answers" expect
+          (Router.route r line);
+        check int "the first connection and one reconnect" 2
+          (Obs.counter_value (Obs.counter "t.rgarble.client.reconnects"));
+        check bool "the backend stays alive" true
+          (List.for_all snd (Router.backends r)));
     Alcotest.test_case "all-hot batch fans out byte-identically" `Quick
       (fun () ->
         with_engine @@ fun engine ->
@@ -1653,8 +1683,8 @@ let cluster_tests =
         with_server (Serve.handle_line e1) @@ fun srv1 a1 ->
         with_server (Serve.handle_line e2) @@ fun srv2 a2 ->
         let r =
-          Router.create ~metrics:"t.rep" ~replication:2 ~read_fallback:true
-            ~timeout_ms:2000 ~retries:0 ~check_period_ms:3600_000 [ a1; a2 ]
+          Router.create ~metrics:"t.rep" ~replication:2 ~timeout_ms:2000
+            ~retries:0 ~check_period_ms:3600_000 [ a1; a2 ]
         in
         Fun.protect ~finally:(fun () -> Router.stop r) @@ fun () ->
         let line = {|{"op":"betti","facets":["0:i0 ; 1:i1"],"id":6}|} in

@@ -36,3 +36,26 @@ let rank cols =
   List.fold_left
     (fun acc col -> if is_zero col then acc else acc + 1)
     0 (reduce cols)
+
+module SMap = Psph_topology.Simplex_sets.SMap
+module Complex = Psph_topology.Complex
+module Simplex = Psph_topology.Simplex
+
+let index_of_dim c d =
+  List.sort Simplex.compare (Complex.simplices_of_dim c d)
+  |> List.mapi (fun i s -> (s, i))
+  |> List.to_seq |> SMap.of_seq
+
+let boundary_matrix c d =
+  if d <= 0 then
+    (* d = 0 is the augmentation map, which has no matrix here *)
+    invalid_arg "Z2_matrix.boundary_matrix: dimension must be >= 1"
+  else
+    let rows = index_of_dim c (d - 1) in
+    let cols = List.sort Simplex.compare (Complex.simplices_of_dim c d) in
+    List.map
+      (fun s ->
+        Simplex.facets s
+        |> List.map (fun f -> SMap.find f rows)
+        |> List.sort Int.compare)
+      cols
