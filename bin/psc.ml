@@ -68,6 +68,12 @@ let with_trace trace f =
   | None -> f ()
   | Some path -> Psph_obs.Obs.with_trace_file path f
 
+(* a subcommand that reports an exit code: run it under --trace, then
+   exit with that code *)
+let exit_traced trace f =
+  let code = with_trace trace f in
+  if code <> 0 then exit code
+
 let n_arg =
   Arg.(value & opt int 2 & info [ "n" ] ~docv:"N" ~doc:"Dimension: $(docv)+1 processes.")
 
@@ -474,18 +480,32 @@ let addr_conv =
 let dump_metrics_stderr () =
   prerr_endline (Psph_obs.Jsonl.to_string (Psph_obs.Obs.snapshot_json ()))
 
-(* graceful stop on SIGINT/SIGTERM: ask the server to drain, remember the
-   conventional 128+signal exit code for after the drain completes *)
-let stop_server_on_signals server code =
-  let graceful signum exit_code =
-    Sys.set_signal signum
-      (Sys.Signal_handle
-         (fun _ ->
-           code := exit_code;
-           Psph_net.Server.request_stop server))
-  in
-  graceful Sys.sigint 130;
-  graceful Sys.sigterm 143
+(* the TCP front of serve and route, once [listening] is the result of
+   binding [addr]: stop gracefully on SIGINT/SIGTERM (drain, then exit
+   with the conventional 128+signal code), print the readiness line on
+   stderr (CI waits for it; stdout stays protocol-clean in both
+   transports), serve until drained, then [cleanup] *)
+let serve_tcp name ?(note = "") addr listening ~cleanup =
+  match listening with
+  | Error m ->
+      Format.eprintf "psc: %s: %s@." name m;
+      exit 1
+  | Ok server ->
+      let code = ref 0 in
+      let graceful signum exit_code =
+        Sys.set_signal signum
+          (Sys.Signal_handle
+             (fun _ ->
+               code := exit_code;
+               Psph_net.Server.request_stop server))
+      in
+      graceful Sys.sigint 130;
+      graceful Sys.sigterm 143;
+      Format.eprintf "psc %s: listening on %s:%d%s@." name
+        addr.Psph_net.Addr.host (Psph_net.Server.port server) note;
+      Psph_net.Server.serve server;
+      cleanup ();
+      !code
 
 (* flags several net subcommands share, each defined once *)
 let listen_info doc = Arg.info [ "listen" ] ~docv:"HOST:PORT" ~doc
@@ -502,71 +522,56 @@ let pipeline_depth_arg default doc =
 let serve_cmd =
   let run trace metrics listen max_conns deadline_ms domains cache_size persist
       warm_from =
-    let code =
-      with_trace trace @@ fun () ->
-      (* on stdin/stdout nothing is dispatched, so no worker domains *)
-      let domains = if listen = None then 0 else domains in
-      let engine =
-        Psph_engine.Engine.create ~domains ~capacity:cache_size ?persist ()
-      in
-      (* warm before accepting traffic, so the first requests already hit;
-         best-effort — a dead peer must not stop the server from starting *)
-      (match warm_from with
-      | None -> ()
-      | Some peer -> (
-          match Psph_net.Replica.warm_from engine peer with
-          | Ok n ->
-              Format.eprintf "psc serve: warmed %d entries from %s:%d@." n
-                peer.Psph_net.Addr.host peer.Psph_net.Addr.port
-          | Error m ->
-              Format.eprintf "psc serve: warm-from %s:%d failed: %s@."
-                peer.Psph_net.Addr.host peer.Psph_net.Addr.port m));
-      match listen with
-      | None ->
-          (* Ctrl-C must not lose unflushed store writes: flush and dump
-             metrics before dying nonzero *)
-          let bail exit_code =
-            Sys.Signal_handle
-              (fun _ ->
-                (try Psph_engine.Engine.flush engine with _ -> ());
-                if metrics then dump_metrics_stderr ();
-                exit exit_code)
-          in
-          Sys.set_signal Sys.sigint (bail 130);
-          Sys.set_signal Sys.sigterm (bail 143);
-          Psph_engine.Serve.run engine stdin stdout;
-          Psph_engine.Engine.shutdown engine;
-          if metrics then dump_metrics_stderr ();
-          0
-      | Some addr -> (
-          let deadline_s =
-            Option.map (fun ms -> float_of_int ms /. 1000.) deadline_ms
-          in
-          let handler = Psph_engine.Serve.handle_line engine in
-          match
-            Psph_net.Server.listen ~max_conns ?deadline_s
-              ~bin_handler:(Psph_net.Codec.handle ~json:handler engine)
-              ?dispatch:
-                (if domains > 0 then Some (Psph_engine.Engine.dispatch engine)
-                 else None)
-              ~handler addr
-          with
-          | Error m ->
-              Format.eprintf "psc: serve: %s@." m;
-              exit 1
-          | Ok server ->
-              let code = ref 0 in
-              stop_server_on_signals server code;
-              (* readiness line on stderr (CI waits for it; stdout stays
-                 protocol-clean in both transports) *)
-              Format.eprintf "psc serve: listening on %s:%d@." addr.Psph_net.Addr.host
-                (Psph_net.Server.port server);
-              Psph_net.Server.serve server;
-              Psph_engine.Engine.shutdown engine;
-              if metrics then dump_metrics_stderr ();
-              !code)
+    exit_traced trace @@ fun () ->
+    (* on stdin/stdout nothing is dispatched, so no worker domains *)
+    let domains = if listen = None then 0 else domains in
+    let engine =
+      Psph_engine.Engine.create ~domains ~capacity:cache_size ?persist ()
     in
-    if code <> 0 then exit code
+    (* warm before accepting traffic, so the first requests already hit;
+       best-effort — a dead peer must not stop the server from starting *)
+    (match warm_from with
+    | None -> ()
+    | Some peer -> (
+        match Psph_net.Replica.warm_from engine peer with
+        | Ok n ->
+            Format.eprintf "psc serve: warmed %d entries from %s:%d@." n
+              peer.Psph_net.Addr.host peer.Psph_net.Addr.port
+        | Error m ->
+            Format.eprintf "psc serve: warm-from %s:%d failed: %s@."
+              peer.Psph_net.Addr.host peer.Psph_net.Addr.port m));
+    match listen with
+    | None ->
+        (* Ctrl-C must not lose unflushed store writes: flush and dump
+           metrics before dying nonzero *)
+        let bail exit_code =
+          Sys.Signal_handle
+            (fun _ ->
+              (try Psph_engine.Engine.flush engine with _ -> ());
+              if metrics then dump_metrics_stderr ();
+              exit exit_code)
+        in
+        Sys.set_signal Sys.sigint (bail 130);
+        Sys.set_signal Sys.sigterm (bail 143);
+        Psph_engine.Serve.run engine stdin stdout;
+        Psph_engine.Engine.shutdown engine;
+        if metrics then dump_metrics_stderr ();
+        0
+    | Some addr ->
+        let deadline_s =
+          Option.map (fun ms -> float_of_int ms /. 1000.) deadline_ms
+        in
+        let handler = Psph_engine.Serve.handle_line engine in
+        serve_tcp "serve" addr
+          (Psph_net.Server.listen ~max_conns ?deadline_s
+             ~bin_handler:(Psph_net.Codec.handle ~json:handler engine)
+             ?dispatch:
+               (if domains > 0 then Some (Psph_engine.Engine.dispatch engine)
+                else None)
+             ~handler addr)
+          ~cleanup:(fun () ->
+            Psph_engine.Engine.shutdown engine;
+            if metrics then dump_metrics_stderr ())
   in
   let metrics_arg =
     Arg.(
@@ -662,50 +667,47 @@ let retries_arg =
 
 let query_cmd =
   let run trace connect timeout_ms retries pipeline_depth =
-    let code =
-      with_trace trace @@ fun () ->
-      let client =
-        Psph_net.Client.create ~timeout_ms ~retries
-          ~pipeline_depth:(max 1 pipeline_depth) connect
-      in
-      let failures = ref 0 in
-      let emit = function
-        | Ok resp -> print_endline resp
-        | Error e ->
-            incr failures;
-            print_endline
-              (Psph_engine.Serve.error_line (Psph_net.Client.error_message e))
-      in
-      (* responses stay in input order either way; pipelining just reads
-         stdin in chunks so up to pipeline-depth requests share the wire.
-         The plain default keeps the line-at-a-time loop, so interactive
-         sessions still see each answer before typing the next query *)
-      let chunk = if pipeline_depth > 1 then 4 * pipeline_depth else 1 in
-      let rec loop () =
-        let rec take k acc =
-          if k = 0 then List.rev acc
-          else
-            match input_line stdin with
-            | exception End_of_file -> List.rev acc
-            | line when String.trim line = "" -> take k acc
-            | line -> take (k - 1) (line :: acc)
-        in
-        match take chunk [] with
-        | [] -> ()
-        | [ line ] ->
-            emit (Psph_net.Client.request client line);
-            flush stdout;
-            loop ()
-        | lines ->
-            List.iter emit (Psph_net.Client.pipeline client lines);
-            flush stdout;
-            loop ()
-      in
-      loop ();
-      Psph_net.Client.close client;
-      if !failures > 0 then 1 else 0
+    exit_traced trace @@ fun () ->
+    let client =
+      Psph_net.Client.create ~timeout_ms ~retries
+        ~pipeline_depth:(max 1 pipeline_depth) connect
     in
-    if code <> 0 then exit code
+    let failures = ref 0 in
+    let emit = function
+      | Ok resp -> print_endline resp
+      | Error e ->
+          incr failures;
+          print_endline
+            (Psph_engine.Serve.error_line (Psph_net.Client.error_message e))
+    in
+    (* responses stay in input order either way; pipelining just reads
+       stdin in chunks so up to pipeline-depth requests share the wire.
+       The plain default keeps the line-at-a-time loop, so interactive
+       sessions still see each answer before typing the next query *)
+    let chunk = if pipeline_depth > 1 then 4 * pipeline_depth else 1 in
+    let rec loop () =
+      let rec take k acc =
+        if k = 0 then List.rev acc
+        else
+          match input_line stdin with
+          | exception End_of_file -> List.rev acc
+          | line when String.trim line = "" -> take k acc
+          | line -> take (k - 1) (line :: acc)
+      in
+      match take chunk [] with
+      | [] -> ()
+      | [ line ] ->
+          emit (Psph_net.Client.request client line);
+          flush stdout;
+          loop ()
+      | lines ->
+          List.iter emit (Psph_net.Client.pipeline client lines);
+          flush stdout;
+          loop ()
+    in
+    loop ();
+    Psph_net.Client.close client;
+    if !failures > 0 then 1 else 0
   in
   Cmd.v
     (Cmd.info "query"
@@ -725,37 +727,21 @@ let query_cmd =
 
 let route_cmd =
   let run trace listen backends max_conns replicas timeout_ms retries
-      check_period_ms pipeline_depth =
-    let code =
-      with_trace trace @@ fun () ->
-      let router =
-        Psph_net.Router.create ~replication:replicas ~timeout_ms ~retries
-          ~check_period_ms
-          ~pipeline_depth:(max 1 pipeline_depth)
-          backends
-      in
-      Psph_net.Router.start_health_checks router;
-      match
-        Psph_net.Server.listen ~max_conns
-          ~dispatch:(Psph_net.Server.threaded_dispatch ())
-          ~handler:(Psph_net.Router.route router)
-          listen
-      with
-      | Error m ->
-          Format.eprintf "psc: route: %s@." m;
-          exit 1
-      | Ok server ->
-          let code = ref 0 in
-          stop_server_on_signals server code;
-          Format.eprintf "psc route: listening on %s:%d, %d backends@."
-            listen.Psph_net.Addr.host
-            (Psph_net.Server.port server)
-            (List.length backends);
-          Psph_net.Server.serve server;
-          Psph_net.Router.stop router;
-          !code
+      check_period_ms =
+    exit_traced trace @@ fun () ->
+    let router =
+      Psph_net.Router.create ~replication:replicas ~timeout_ms ~retries
+        ~check_period_ms backends
     in
-    if code <> 0 then exit code
+    Psph_net.Router.start_health_checks router;
+    serve_tcp "route"
+      ~note:(Printf.sprintf ", %d backends" (List.length backends))
+      listen
+      (Psph_net.Server.listen ~max_conns
+         ~dispatch:(Psph_net.Server.threaded_dispatch ())
+         ~handler:(Psph_net.Router.route router)
+         listen)
+      ~cleanup:(fun () -> Psph_net.Router.stop router)
   in
   let listen_arg =
     Arg.(
@@ -787,10 +773,9 @@ let route_cmd =
           {\"ok\":false,\"error\":\"no backend\"} answer when nothing is \
           reachable (see docs/NET.md).  With $(b,--replicas) R > 1 each \
           key's answers are replicated onto R backends and reads fail over \
-          onto the warm replicas.  Backend links pipeline over the binary \
-          codec ($(b,--pipeline-depth)); hot-op batches fan out across \
-          shards in parallel.  Clients may speak JSON lines or the binary \
-          codec.")
+          onto the warm replicas.  Each request, a batch included, is \
+          forwarded whole to one backend over a binary-codec link.  \
+          Clients may speak JSON lines or the binary codec.")
     Term.(
       const run $ trace_arg $ listen_arg $ backend_arg
       $ max_conns_arg "Bound on concurrent client connections."
@@ -798,12 +783,7 @@ let route_cmd =
           "Replication factor: each key's answers are kept warm on the \
            first $(docv) distinct backends of its ring walk (populate \
            hints push cache misses to the other owners asynchronously)."
-      $ timeout_ms_arg $ retries_arg $ check_period_arg
-      (* the backend links default to a real window: fanning a batch out
-         is the point of the command *)
-      $ pipeline_depth_arg 16
-          "In-flight requests per backend connection (protocol v2 \
-           pipelining over the binary codec).")
+      $ timeout_ms_arg $ retries_arg $ check_period_arg)
 
 let sim_cmd =
   let run trace c1 c2 d n until slow_solo after_step validate =
@@ -979,84 +959,81 @@ let load_cmd =
         retries;
       }
     in
-    let code =
-      with_trace trace @@ fun () ->
-      if soak then begin
-        let cfg =
-          {
-            Psph_load.Soak.backends;
-            replicas;
-            load = lcfg;
-            faults;
-            seed;
-            warm_s;
-            slo_p99_ms = slo_ms;
-            warm_floor;
-            kill_backend = not no_kill;
-            converge_timeout_s = 20.;
-            make_backend = (fun i -> Psph_load.Soak.spawn_backend i);
-          }
-        in
-        match Psph_load.Soak.run cfg with
-        | Error m ->
-            Format.eprintf "psc load: soak: %s@." m;
-            1
-        | Ok r ->
-            Psph_load.Soak.print_summary stdout r;
-            flush stdout;
-            Option.iter
-              (fun path ->
-                Psph_obs.Jsonl.write_atomic path (fun oc ->
-                    output_string oc
-                      (Psph_obs.Jsonl.to_string (Psph_load.Soak.to_json r));
-                    output_char oc '\n');
-                Format.eprintf "psc load: wrote %s@." path)
-              out;
-            if Psph_load.Soak.passed r then 0 else 1
-      end
-      else
-        match connect with
-        | None ->
-            Format.eprintf
-              "psc load: --connect HOST:PORT required (or --soak)@.";
-            1
-        | Some addr ->
-            let st = Psph_load.Loadgen.run lcfg addr in
-            let completed = Psph_load.Loadgen.completed st in
-            let p pct = 1000. *. Psph_load.Loadgen.percentile st.latencies pct in
-            Printf.printf
-              "load seed %d: %d sent, %d ok (%d cached), %d server-err, %d \
-               timeout, %d conn, %d proto\n"
-              seed st.sent st.ok st.cached
-              (List.fold_left (fun a (_, n) -> a + n) 0 st.server_errors)
-              st.timeouts st.conn_errors st.proto_errors;
-            Printf.printf "  %.1f req/s, p50 %.2fms p99 %.2fms over %.1fs\n"
-              (float_of_int completed /. st.wall_s)
-              (p 50.) (p 99.) st.wall_s;
-            Option.iter
-              (fun path ->
-                Psph_obs.Jsonl.write_atomic path (fun oc ->
-                    output_string oc
-                      (Psph_obs.Jsonl.to_string
-                         (Psph_obs.Jsonl.Obj
-                            [
-                              ("seed", Psph_obs.Jsonl.int seed);
-                              ("sent", Psph_obs.Jsonl.int st.sent);
-                              ("ok", Psph_obs.Jsonl.int st.ok);
-                              ("cached", Psph_obs.Jsonl.int st.cached);
-                              ( "rps",
-                                Psph_obs.Jsonl.Num
-                                  (float_of_int completed /. st.wall_s) );
-                              ("p50_ms", Psph_obs.Jsonl.Num (p 50.));
-                              ("p99_ms", Psph_obs.Jsonl.Num (p 99.));
-                            ]));
-                    output_char oc '\n');
-                Format.eprintf "psc load: wrote %s@." path)
-              out;
-            if st.sent > 0 && completed = st.sent && st.unresolved = 0 then 0
-            else 1
-    in
-    if code <> 0 then exit code
+    exit_traced trace @@ fun () ->
+    if soak then begin
+      let cfg =
+        {
+          Psph_load.Soak.backends;
+          replicas;
+          load = lcfg;
+          faults;
+          seed;
+          warm_s;
+          slo_p99_ms = slo_ms;
+          warm_floor;
+          kill_backend = not no_kill;
+          converge_timeout_s = 20.;
+          make_backend = (fun i -> Psph_load.Soak.spawn_backend i);
+        }
+      in
+      match Psph_load.Soak.run cfg with
+      | Error m ->
+          Format.eprintf "psc load: soak: %s@." m;
+          1
+      | Ok r ->
+          Psph_load.Soak.print_summary stdout r;
+          flush stdout;
+          Option.iter
+            (fun path ->
+              Psph_obs.Jsonl.write_atomic path (fun oc ->
+                  output_string oc
+                    (Psph_obs.Jsonl.to_string (Psph_load.Soak.to_json r));
+                  output_char oc '\n');
+              Format.eprintf "psc load: wrote %s@." path)
+            out;
+          if Psph_load.Soak.passed r then 0 else 1
+    end
+    else
+      match connect with
+      | None ->
+          Format.eprintf
+            "psc load: --connect HOST:PORT required (or --soak)@.";
+          1
+      | Some addr ->
+          let st = Psph_load.Loadgen.run lcfg addr in
+          let completed = Psph_load.Loadgen.completed st in
+          let p pct = 1000. *. Psph_load.Loadgen.percentile st.latencies pct in
+          Printf.printf
+            "load seed %d: %d sent, %d ok (%d cached), %d server-err, %d \
+             timeout, %d conn, %d proto\n"
+            seed st.sent st.ok st.cached
+            (List.fold_left (fun a (_, n) -> a + n) 0 st.server_errors)
+            st.timeouts st.conn_errors st.proto_errors;
+          Printf.printf "  %.1f req/s, p50 %.2fms p99 %.2fms over %.1fs\n"
+            (float_of_int completed /. st.wall_s)
+            (p 50.) (p 99.) st.wall_s;
+          Option.iter
+            (fun path ->
+              Psph_obs.Jsonl.write_atomic path (fun oc ->
+                  output_string oc
+                    (Psph_obs.Jsonl.to_string
+                       (Psph_obs.Jsonl.Obj
+                          [
+                            ("seed", Psph_obs.Jsonl.int seed);
+                            ("sent", Psph_obs.Jsonl.int st.sent);
+                            ("ok", Psph_obs.Jsonl.int st.ok);
+                            ("cached", Psph_obs.Jsonl.int st.cached);
+                            ( "rps",
+                              Psph_obs.Jsonl.Num
+                                (float_of_int completed /. st.wall_s) );
+                            ("p50_ms", Psph_obs.Jsonl.Num (p 50.));
+                            ("p99_ms", Psph_obs.Jsonl.Num (p 99.));
+                          ]));
+                  output_char oc '\n');
+              Format.eprintf "psc load: wrote %s@." path)
+            out;
+          if st.sent > 0 && completed = st.sent && st.unresolved = 0 then 0
+          else 1
   in
   let connect_opt_arg =
     Arg.(
@@ -1183,45 +1160,42 @@ let load_cmd =
 let chaos_cmd =
   let run trace listen upstream seed faults disabled partition_every
       partition_for =
-    let code =
-      with_trace trace @@ fun () ->
-      match Psph_load.Chaos.create ~seed ~faults ~upstream listen with
-      | Error m ->
-          Format.eprintf "psc chaos: %s@." m;
-          1
-      | Ok proxy ->
-          Psph_load.Chaos.set_enabled proxy (not disabled);
-          Format.eprintf "psc chaos: %s -> %s, seed %d, faults %s@."
-            (Psph_net.Addr.to_string (Psph_load.Chaos.addr proxy))
-            (Psph_net.Addr.to_string upstream)
-            seed
-            (if disabled then "disabled" else "enabled");
-          let stop = ref false in
-          let on_sig _ = stop := true in
-          Sys.set_signal Sys.sigint (Sys.Signal_handle on_sig);
-          Sys.set_signal Sys.sigterm (Sys.Signal_handle on_sig);
-          let last_partition = ref (Psph_obs.Obs.monotonic ()) in
-          while not !stop do
-            Thread.delay 0.1;
-            if
-              partition_every > 0.
-              && Psph_obs.Obs.monotonic () -. !last_partition
-                 >= partition_every
-            then begin
-              Format.eprintf "psc chaos: partition for %.1fs@." partition_for;
-              Psph_load.Chaos.set_partition proxy Psph_load.Chaos.Full;
-              Thread.delay partition_for;
-              Psph_load.Chaos.set_partition proxy
-                Psph_load.Chaos.No_partition;
-              Format.eprintf "psc chaos: partition healed@.";
-              last_partition := Psph_obs.Obs.monotonic ()
-            end
-          done;
-          Psph_load.Chaos.stop proxy;
-          dump_metrics_stderr ();
-          0
-    in
-    if code <> 0 then exit code
+    exit_traced trace @@ fun () ->
+    match Psph_load.Chaos.create ~seed ~faults ~upstream listen with
+    | Error m ->
+        Format.eprintf "psc chaos: %s@." m;
+        1
+    | Ok proxy ->
+        Psph_load.Chaos.set_enabled proxy (not disabled);
+        Format.eprintf "psc chaos: %s -> %s, seed %d, faults %s@."
+          (Psph_net.Addr.to_string (Psph_load.Chaos.addr proxy))
+          (Psph_net.Addr.to_string upstream)
+          seed
+          (if disabled then "disabled" else "enabled");
+        let stop = ref false in
+        let on_sig _ = stop := true in
+        Sys.set_signal Sys.sigint (Sys.Signal_handle on_sig);
+        Sys.set_signal Sys.sigterm (Sys.Signal_handle on_sig);
+        let last_partition = ref (Psph_obs.Obs.monotonic ()) in
+        while not !stop do
+          Thread.delay 0.1;
+          if
+            partition_every > 0.
+            && Psph_obs.Obs.monotonic () -. !last_partition
+               >= partition_every
+          then begin
+            Format.eprintf "psc chaos: partition for %.1fs@." partition_for;
+            Psph_load.Chaos.set_partition proxy Psph_load.Chaos.Full;
+            Thread.delay partition_for;
+            Psph_load.Chaos.set_partition proxy
+              Psph_load.Chaos.No_partition;
+            Format.eprintf "psc chaos: partition healed@.";
+            last_partition := Psph_obs.Obs.monotonic ()
+          end
+        done;
+        Psph_load.Chaos.stop proxy;
+        dump_metrics_stderr ();
+        0
   in
   let listen_arg =
     Arg.(required & opt (some addr_conv) None & listen_info "Address to listen on.")

@@ -252,29 +252,30 @@ let reply_of_json line =
                 if List.length ints = List.length entries then Some (Array.of_list ints)
                 else None)
           in
-          let solver =
-            match Jsonl.member "solver" o with
-            | Some (Jsonl.Obj _ as s) -> (
-                let tier =
-                  match str s "tier" with
-                  | Some "cached" -> Some Engine.Cached
-                  | Some "symbolic" -> Some Engine.Symbolic
-                  | Some "numeric" -> Some Engine.Numeric
-                  | _ -> None
-                in
-                match tier with
-                | Some tier ->
-                    Some
-                      { Engine.tier; rule = str s "rule"; steps = num s "steps";
-                        cells_removed = None; checked = num s "checked" }
-                | None -> None)
-            | _ -> None
+          (* every answer names the tier that produced it: a reply
+             without a known one is damaged, not a different answer *)
+          let provenance s =
+            let tier =
+              match str s "tier" with
+              | Some "cached" -> Some Engine.Cached
+              | Some "symbolic" -> Some Engine.Symbolic
+              | Some "numeric" -> Some Engine.Numeric
+              | _ -> None
+            in
+            Option.map
+              (fun tier ->
+                { Engine.tier; rule = str s "rule"; steps = num s "steps";
+                  cells_removed = None; checked = num s "checked" })
+              tier
           in
-          Some
-            (Result
-               { id; key = Option.value ~default:"" (str o "key");
-                 cached = Jsonl.member "cached" o = Some (Jsonl.Bool true);
-                 betti; connectivity = num o "connectivity"; solver })
+          Option.map
+            (fun solver ->
+              Result
+                { id; key = Option.value ~default:"" (str o "key");
+                  cached = Jsonl.member "cached" o = Some (Jsonl.Bool true);
+                  betti; connectivity = num o "connectivity";
+                  solver = Some solver })
+            (Option.bind (Jsonl.member "solver" o) provenance)
       | Some (Jsonl.Bool false) ->
           Some
             (Failed

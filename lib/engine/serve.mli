@@ -49,8 +49,8 @@ type reply =
       betti : int array option;
       connectivity : int option;
       solver : Engine.provenance option;
-          (** which solver tier answered; [None] only for replies parsed
-              from a peer that predates the provenance field *)
+          (** which solver tier answered; every answer {!answer} gives
+              and {!reply_of_json} accepts carries it *)
     }
   | Failed of { id : int; message : string }
 
@@ -81,8 +81,9 @@ val json_of_reply : id:Jsonl.t option -> reply -> string
 
 val reply_of_json : string -> reply option
 (** Parse a serve response line back into a {!reply} ([None] when the
-    line is not one).  [id] is the response's "id" member when it is an
-    integer in [0, 2{^32}-1], else 0. *)
+    line is not one, including an ["ok":true] reply whose ["solver"] is
+    missing or names no known tier).  [id] is the response's "id"
+    member when it is an integer in [0, 2{^32}-1], else 0. *)
 
 val json_line_of_query : ?id:Jsonl.t -> want -> query -> string
 (** The JSON request line a query denotes; {!parse} reads it back to the

@@ -284,8 +284,9 @@ let kill_connections t =
   Mutex.unlock t.pairs_lock;
   List.iter (fun p -> reset_pair t p) pairs
 
-let create ?(metrics = "chaos") ?(backlog = 64) ~seed ~faults ~upstream listen
-    =
+let backlog = 64
+
+let create ?(metrics = "chaos") ~seed ~faults ~upstream listen =
   match Addr.resolve listen with
   | Error m -> Error m
   | Ok sa -> (

@@ -53,16 +53,15 @@ type t
 
 val create :
   ?metrics:string ->
-  ?backlog:int ->
   seed:int ->
   faults:faults ->
   upstream:Addr.t ->
   Addr.t ->
   (t, string) result
 (** [create ~seed ~faults ~upstream listen] binds [listen] (port 0 lets
-    the kernel pick — read it back with {!port}) and starts the accept
-    loop on a background thread.  Faults start {e disabled};
-    {!set_enabled} turns the schedule on.  If the upstream refuses a
+    the kernel pick — read it back with {!port}; the listen backlog is
+    64) and starts the accept loop on a background thread.  Faults
+    start {e disabled}; {!set_enabled} turns the schedule on.  If the upstream refuses a
     connection the client side is reset and [upstream_down] counted. *)
 
 val port : t -> int

@@ -555,14 +555,11 @@ let drive_all ?on_latency t items =
       Obs.set_attr sp "count" (Jsonl.int (Array.length items));
       drive ?on_latency t items)
 
-let pipeline_prepared ?on_latency t reqs =
+let pipeline ?on_latency t lines =
   locked t @@ fun () ->
-  let items = Array.of_list (List.map item reqs) in
+  let items = Array.of_list (List.map (fun l -> item (prepare_line l)) lines) in
   let rs = drive_all ?on_latency t items in
   Array.to_list (Array.mapi (fun i r -> Result.map (line_of items.(i)) r) rs)
-
-let pipeline ?on_latency t lines =
-  pipeline_prepared ?on_latency t (List.map prepare_line lines)
 
 let eval_many ?on_latency t specs =
   locked t @@ fun () ->
@@ -593,11 +590,11 @@ let eval_many ?on_latency t specs =
 (* one item through the driver, in its own span: on a v1 connection the
    span id rides out as "span_parent" (while tracing), so server spans
    nest under it *)
-let request t line =
+let request_prepared t req =
   locked t @@ fun () ->
   Obs.incr t.m.requests;
   Obs.with_span t.m.span_name (fun sp ->
-      let it = item (prepare_line line) in
+      let it = item req in
       match (drive t [| it |]).(0) with
       | Ok v ->
           Obs.set_attr sp "attempts" (Jsonl.int (it.attempts + 1));
@@ -606,3 +603,5 @@ let request t line =
           Obs.set_attr sp "attempts" (Jsonl.int it.attempts);
           Obs.set_attr sp "error" (Jsonl.Str (error_message e));
           Error e)
+
+let request t line = request_prepared t (prepare_line line)

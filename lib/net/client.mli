@@ -55,9 +55,10 @@
     connection, is injected into the outgoing JSON as ["span_parent"] —
     the bridge that makes loopback traces nest across the socket
     (injection only happens while a trace sink is live, so production
-    requests go out byte-untouched).  {!pipeline} runs in a single
-    [net.client.pipeline] span, whose id is the one a v1 connection
-    injects; binary requests carry no span parent. *)
+    requests go out byte-untouched).  A router hop is a
+    {!request_prepared}, so it runs in that span too.  {!pipeline} runs
+    in a single [net.client.pipeline] span, whose id is the one a v1
+    connection injects; binary requests carry no span parent. *)
 
 type error =
   | Timeout
@@ -126,10 +127,9 @@ val prepare :
     {!Psph_engine.Serve.parse} — how {!Router} forwards a line it parsed
     once.  The arguments must describe [line]. *)
 
-val pipeline_prepared :
-  ?on_latency:(int -> float -> unit) ->
-  t -> prepared list -> (string, error) result list
-(** {!pipeline} for prepared lines. *)
+val request_prepared : t -> prepared -> (string, error) result
+(** {!request} for a line already {!prepare}d: the same driver, in the
+    same [net.client.request] span. *)
 
 val eval_many :
   ?on_latency:(int -> float -> unit) ->

@@ -11,7 +11,7 @@
    request captures one snapshot up front and routes entirely under it,
    so a [join] mid-flight can never split a request across two rings —
    that capture IS the ring-epoch handshake's consistency guarantee.
-   [add_backend] builds the next snapshot (epoch+1) under a lock,
+   A [join] builds the next snapshot (epoch+1) under a lock,
    publishes it with one field write, and migrates only the key ranges
    the new backend now owns (streamed from the old backends' snapshots,
    pushed as populate batches). *)
@@ -32,7 +32,6 @@ type metrics = {
   forwarded : Obs.counter;
   failover : Obs.counter;
   no_backend : Obs.counter;
-  fanout : Obs.counter;
   backends_up : Obs.gauge;
   epoch_g : Obs.gauge;
   request_s : Obs.histogram;
@@ -48,7 +47,6 @@ type cfg = {
   timeout_ms : int;
   retries : int;
   max_frame : int;
-  pipeline_depth : int;
 }
 
 type t = {
@@ -64,15 +62,14 @@ type t = {
   m : metrics;
 }
 
-(* request links are binary: hot ops cross as codec bytes and come back
-   as the backend's own JSON bytes (Client rebuilds them) *)
+(* request links are binary at depth 1: hot ops cross as codec bytes and
+   come back as the backend's own JSON bytes (Client rebuilds them) *)
 let mk_backend cfg baddr =
   {
     baddr;
     client =
       Client.create ~metrics:(cfg.metrics ^ ".client") ~timeout_ms:cfg.timeout_ms
-        ~retries:cfg.retries ~max_frame:cfg.max_frame ~codec:`Binary
-        ~pipeline_depth:cfg.pipeline_depth baddr;
+        ~retries:cfg.retries ~max_frame:cfg.max_frame ~codec:`Binary baddr;
     health =
       Client.create ~metrics:(cfg.metrics ^ ".health")
         ~timeout_ms:(min cfg.timeout_ms 1000) ~retries:0 ~max_frame:cfg.max_frame
@@ -82,9 +79,9 @@ let mk_backend cfg baddr =
 
 let create ?(metrics = "net.router") ?(replication = 1) ?(timeout_ms = 5000)
     ?(retries = 1) ?(check_period_ms = 1000)
-    ?(max_frame = Frame.max_frame_default) ?(pipeline_depth = 16) addrs =
+    ?(max_frame = Frame.max_frame_default) addrs =
   if addrs = [] then invalid_arg "Router.create: no backends";
-  let cfg = { metrics; timeout_ms; retries; max_frame; pipeline_depth } in
+  let cfg = { metrics; timeout_ms; retries; max_frame } in
   let bks = Array.of_list (List.map (mk_backend cfg) addrs) in
   let ring = Ring.make (List.map Addr.to_string addrs) in
   let m =
@@ -93,7 +90,6 @@ let create ?(metrics = "net.router") ?(replication = 1) ?(timeout_ms = 5000)
       forwarded = Obs.counter (metrics ^ ".forwarded");
       failover = Obs.counter (metrics ^ ".failover");
       no_backend = Obs.counter (metrics ^ ".no_backend");
-      fanout = Obs.counter (metrics ^ ".fanout");
       backends_up = Obs.gauge (metrics ^ ".backends_up");
       epoch_g = Obs.gauge (metrics ^ ".epoch");
       request_s = Obs.histogram (metrics ^ ".request_s");
@@ -237,66 +233,46 @@ let populate_hint t st prefs served reply =
 (* the walk                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* A forwarded request — a single line, or one member of a fanned-out
-   batch — walks its preference order in rounds: every unresolved
-   member tries its best untried backend (live first, a dead one as a
-   last resort — it may have revived since the prober last looked),
-   members bound for the same backend share one pipelined flight, and
-   flights run in parallel.  Preferences only shrink, so the walk ends
-   in degraded answers at worst.  A single request is a one-member
-   walk: one flight, run inline. *)
-
-type member = {
-  req : req;
-  prefs : int list;  (** full preference order: rank and owner set *)
-  mutable untried : int list;
-  mutable tries : int;
-  mutable resp : string option;
-  mutable attrs : (string * Jsonl.t) list;  (** span attrs, one-member walks *)
-}
-
-(* one member's answer from backend [b].  Runs on the flight's thread:
-   it writes only to its own member. *)
-let answered t st m b resp =
-  mark t st b true;
-  Obs.incr t.m.forwarded;
-  m.attrs <- ("backend", Jsonl.Str (Addr.to_string st.bks.(b).baddr)) :: m.attrs;
-  if m.req.key <> None then begin
-    let reply = lazy (Serve.reply_of_json resp) in
-    let r = rank m.prefs b in
-    if r > 0 && r < owners_count t st then begin
-      Replica.fallback_read t.rep
-        ~cached:
-          (match Lazy.force reply with
-          | Some (Serve.Result { cached; _ }) -> cached
-          | _ -> false);
-      m.attrs <- ("fallback", Jsonl.Bool true) :: m.attrs
-    end;
-    populate_hint t st m.prefs b reply
-  end;
-  m.resp <- Some resp
-
-let walk t sp reqs =
+(* A forwarded request walks its preference order: each step tries the
+   best untried backend, live first and a dead one as the last resort
+   (it may have revived since the prober last looked).  A retryable
+   failure marks the backend down and walks on; the untried list only
+   shrinks, so the walk ends in the degraded answer at worst. *)
+let walk t sp req =
   let st = t.state in
-  let members =
-    Array.map
-      (fun req ->
-        let prefs = preference_in t st req.key in
-        { req; prefs; untried = prefs; tries = 0; resp = None; attrs = [] })
-      reqs
-  in
-  let flight (b, ms) =
-    let rs =
-      Client.pipeline_prepared st.bks.(b).client (List.map (fun m -> m.req.fwd) ms)
-    in
-    List.iter2
-      (fun m r ->
-        match r with
-        | Ok resp -> answered t st m b resp
+  let prefs = preference_in t st req.key in
+  let rec go tries untried =
+    match (List.find_opt (fun b -> st.bks.(b).alive) untried, untried) with
+    | None, [] ->
+        Obs.incr t.m.no_backend;
+        Obs.set_attr sp "degraded" (Jsonl.Bool true);
+        degraded t req.obj
+    | (Some b, _ | None, b :: _) -> (
+        if tries = 1 then Obs.incr t.m.failover;
+        match Client.request_prepared st.bks.(b).client req.fwd with
+        | Ok resp ->
+            mark t st b true;
+            Obs.incr t.m.forwarded;
+            Obs.set_attr sp "backend" (Jsonl.Str (Addr.to_string st.bks.(b).baddr));
+            if req.key <> None then begin
+              let reply = lazy (Serve.reply_of_json resp) in
+              let r = rank prefs b in
+              if r > 0 && r < owners_count t st then begin
+                Replica.fallback_read t.rep
+                  ~cached:
+                    (match Lazy.force reply with
+                    | Some (Serve.Result { cached; _ }) -> cached
+                    | _ -> false);
+                Obs.set_attr sp "fallback" (Jsonl.Bool true)
+              end;
+              populate_hint t st prefs b reply
+            end;
+            resp
         | Error e when Client.is_retryable e ->
             (* transport failure: the backend (not the request) is the
-               problem — mark it down; the next round walks on *)
-            mark t st b false
+               problem — mark it down and walk on *)
+            mark t st b false;
+            go (tries + 1) (List.filter (fun x -> x <> b) untried)
         | Error e ->
             (* fatal Protocol errors are request-specific (e.g. a
                response over the client's max_frame): every backend
@@ -304,87 +280,10 @@ let walk t sp reqs =
                instead of walking the ring marking healthy backends
                dead *)
             let msg = Client.error_message e in
-            m.attrs <- ("error", Jsonl.Str msg) :: m.attrs;
-            m.resp <- Some (error_line m.req.obj msg))
-      ms rs
+            Obs.set_attr sp "error" (Jsonl.Str msg);
+            error_line req.obj msg)
   in
-  let rec round () =
-    let groups = Hashtbl.create 8 in
-    for i = Array.length members - 1 downto 0 do
-      let m = members.(i) in
-      if m.resp = None then
-        let choice =
-          match List.find_opt (fun b -> st.bks.(b).alive) m.untried with
-          | Some b -> Some b
-          | None -> ( match m.untried with b :: _ -> Some b | [] -> None)
-        in
-        match choice with
-        | None ->
-            Obs.incr t.m.no_backend;
-            m.attrs <- ("degraded", Jsonl.Bool true) :: m.attrs;
-            m.resp <- Some (degraded t m.req.obj)
-        | Some b ->
-            m.untried <- List.filter (fun x -> x <> b) m.untried;
-            m.tries <- m.tries + 1;
-            if m.tries = 2 then Obs.incr t.m.failover;
-            Hashtbl.replace groups b
-              (m :: Option.value ~default:[] (Hashtbl.find_opt groups b))
-    done;
-    match Hashtbl.fold (fun b ms acc -> (b, ms) :: acc) groups [] with
-    | [] -> ()
-    | [ one ] ->
-        flight one;
-        round ()
-    | work ->
-        List.iter Thread.join (List.map (fun w -> Thread.create flight w) work);
-        round ()
-  in
-  round ();
-  if Array.length members = 1 then
-    List.iter (fun (k, v) -> Obs.set_attr sp k v) (List.rev members.(0).attrs);
-  Array.map (fun m -> Option.get m.resp) members
-
-(* ------------------------------------------------------------------ *)
-(* batch fan-out                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* A batch of hot-op members fans out: each member walks as above, so
-   it still lands on the cache that is warm for it and fails over on
-   its own.  Only hot ops qualify because the fan-out forwards members
-   as top-level requests, and for hot ops a member's slot in a backend
-   batch response is byte-identical to the backend's top-level response
-   — so splicing the member responses back together in request order
-   reproduces exactly the bytes a single backend would have sent.
-   Batches with nested/keyless members are forwarded whole. *)
-
-let hot_op r =
-  match Option.bind (Jsonl.member "op" r) Jsonl.to_string_opt with
-  | Some ("psph" | "betti" | "connectivity" | "model-complex") -> true
-  | _ -> false
-
-let batch_members o =
-  Option.value ~default:[] (Option.bind (Jsonl.member "requests" o) Jsonl.to_list_opt)
-
-let hot_batch o =
-  let ms = batch_members o in
-  List.length ms > 1 && List.for_all hot_op ms
-
-let route_batch t sp o =
-  let reqs =
-    Array.of_list
-      (List.map (fun m -> req_of (Jsonl.to_string m) (Some m)) (batch_members o))
-  in
-  Obs.incr t.m.fanout;
-  Obs.set_attr sp "fanout" (Jsonl.int (Array.length reqs));
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf {|{"ok":true,"results":[|};
-  Array.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf r)
-    (walk t sp reqs);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  go 0 prefs
 
 (* ------------------------------------------------------------------ *)
 (* membership: join + rebalance                                        *)
@@ -445,7 +344,10 @@ let rebalance_to t st new_idx =
         ("epoch", Jsonl.int st.epoch);
       ]
 
-let add_backend ?(rebalance = true) t baddr =
+(* join a backend: publish the next epoch, migrate (in the background)
+   the key ranges it now owns, and name its warm peer — the backend that
+   owned the start of its key range ([None] on a one-node ring) *)
+let add_backend t baddr =
   let name = Addr.to_string baddr in
   Mutex.lock t.state_lock;
   let st = t.state in
@@ -480,8 +382,7 @@ let add_backend ?(rebalance = true) t baddr =
             ("backend", Jsonl.Str name);
             ("epoch", Jsonl.int st'.epoch);
           ];
-      if rebalance then
-        ignore (Thread.create (fun () -> rebalance_to t st' new_idx) ());
+      ignore (Thread.create (fun () -> rebalance_to t st' new_idx) ());
       Ok (st'.epoch, pred)
 
 (* ------------------------------------------------------------------ *)
@@ -551,8 +452,8 @@ let join_response t req =
               in
               ok false st.epoch pred))
 
-(* the line is parsed here once; admin ops, fan-out and placement all
-   read that parse *)
+(* the line is parsed here once; admin ops and placement both read that
+   parse *)
 let route t line =
   Obs.incr t.m.requests;
   Obs.with_span t.m.span_name (fun sp ->
@@ -564,8 +465,7 @@ let route t line =
           match (op, obj) with
           | Some "cluster", Some o -> cluster_response t o
           | Some "join", Some o -> join_response t o
-          | Some "batch", Some o when hot_batch o -> route_batch t sp o
-          | _ -> (walk t sp [| req_of line obj |]).(0)))
+          | _ -> walk t sp (req_of line obj)))
 
 (* ------------------------------------------------------------------ *)
 (* health checks                                                       *)

@@ -34,11 +34,12 @@
     {b Membership.}  The ring, backend array and an {e epoch} form one
     immutable snapshot; every request captures the snapshot once and
     routes entirely under it, so requests in flight across a [join]
-    stay consistent (the ring-epoch handshake).  {!add_backend} — or
-    the [{"op":"join","backend":"H:P"}] wire op — publishes the next
-    epoch and migrates {e only} the key ranges the new backend takes
-    ownership of, streamed from the old backends' snapshots and pushed
-    as populate batches.  [{"op":"cluster"}] reports epoch, replication
+    stay consistent (the ring-epoch handshake).  The
+    [{"op":"join","backend":"H:P"}] wire op publishes the next epoch,
+    answers with it and the joining backend's warm peer, and migrates
+    {e only} the key ranges the new backend takes ownership of,
+    streamed on a background thread from the old backends' snapshots
+    and pushed as populate batches.  [{"op":"cluster"}] reports epoch, replication
     factor and per-backend liveness.
 
     {b Error contract.}  A request tries backends in ring order, live
@@ -71,7 +72,6 @@ val create :
   ?retries:int ->
   ?check_period_ms:int ->
   ?max_frame:int ->
-  ?pipeline_depth:int ->
   Addr.t list ->
   t
 (** No I/O; backends are assumed alive until a probe or request says
@@ -81,11 +81,9 @@ val create :
     [timeout_ms]/[retries] configure the per-backend clients (retries
     default 1 — the ring-level failover is the real retry);
     [check_period_ms] (default 1000) spaces health probes.  Backend
-    links always speak the binary codec and keep up to
-    [pipeline_depth] (default 16) requests in flight (see {!Client}).
-    A link serves one
-    flight at a time ({!Client.pipeline_prepared} holds its lock for the
-    round trip), so only a batch fan-out fills the window.
+    links speak the binary codec one request at a time (see
+    {!Client}): concurrent requests to one backend take turns on its
+    link.
     @raise Invalid_argument on an empty or duplicate backend list. *)
 
 val shard_key : string -> string option
@@ -103,35 +101,19 @@ val backends : t -> (Addr.t * bool) list
 val epoch : t -> int
 (** The current membership epoch (0 at creation, +1 per join). *)
 
-val add_backend :
-  ?rebalance:bool -> t -> Addr.t -> (int * Addr.t option, string) result
-(** Join a backend: publish the next ring epoch and (unless
-    [~rebalance:false]) migrate — on a background thread — the key
-    ranges the new backend now owns.  Returns the new epoch and the
-    joining node's warm peer (the backend that owned the start of its
-    key range; [None] on a one-node ring).  [Error] if the address is
-    already a member. *)
-
 val route : t -> string -> string
 (** Forward one request line, failing over as needed; the degraded
     answer if no backend responds.  Never raises — this is the
     {!Server.handler} of [psc route].  [cluster]/[join] are answered by
     the router itself (see above).  The line is parsed once — admin
-    ops, fan-out and placement read that parse, and the backend link
-    sends it without re-parsing — and a backend's answer at most once
-    (for populate hints and fallback-read accounting).
+    ops and placement read that parse, and the backend link sends it
+    without re-parsing — and a backend's answer at most once (for
+    populate hints and fallback-read accounting).
 
-    Every forwarded request takes one walk.  A single line is a
-    one-member walk; a [batch] whose members are all hot ops ([psph],
-    [betti], [connectivity], [model-complex]) {b fans out} as a
-    many-member one.  In rounds, each unresolved member tries its best
-    untried backend; members bound for one backend share its pipelined
-    connection, and the flights run in parallel.  Failover, populate
-    hints and replica-read accounting are per member.  The spliced
-    response is byte-identical to a single backend's batch answer;
-    members are answered [{"ok":false,"error":"no backend"}] in place
-    when nothing will take them.  Batches with other member ops are
-    forwarded whole.  Fanned batches count in [net.router.fanout]. *)
+    Every forwarded request, a [batch] included, is forwarded whole
+    and takes one walk down its preference order, as the error
+    contract above describes.  A [batch] has no shard key, so it goes
+    round-robin and its answer is that backend's own batch answer. *)
 
 val start_health_checks : t -> unit
 (** Spawn the background prober (idempotent). *)

@@ -475,13 +475,15 @@ let serve t =
 let start t = t.server_thread <- Some (Thread.create (fun () -> serve t) ())
 
 (* a [dispatch] for handlers that block on their own downstream I/O
-   (e.g. a Router fanning out to backends): one thread per in-flight
-   job up to [max_threads], inline beyond that so overload degrades to
+   (e.g. a Router waiting on a backend): one thread per in-flight job up
+   to [dispatch_threads], inline beyond that so overload degrades to
    backpressure instead of unbounded thread creation *)
-let threaded_dispatch ?(max_threads = 256) () =
+let dispatch_threads = 256
+
+let threaded_dispatch () =
   let active = Atomic.make 0 in
   fun job ->
-    if Atomic.fetch_and_add active 1 < max_threads then
+    if Atomic.fetch_and_add active 1 < dispatch_threads then
       ignore
         (Thread.create
            (fun () -> Fun.protect ~finally:(fun () -> Atomic.decr active) job)

@@ -91,9 +91,9 @@ val request_stop : t -> unit
 val stop : t -> unit
 (** {!request_stop}, then wait until {!serve} has drained and returned. *)
 
-val threaded_dispatch : ?max_threads:int -> unit -> (unit -> unit) -> unit
+val threaded_dispatch : unit -> (unit -> unit) -> unit
 (** A [dispatch] for handlers that block on downstream I/O of their own
-    (e.g. {!Router.route} fanning out to backends): runs each job on a
-    fresh thread up to [max_threads] (default 256) concurrently, inline
-    beyond that — overload degrades to backpressure on the event loop
-    rather than unbounded thread creation. *)
+    (e.g. {!Router.route} waiting on a backend): runs each job on a
+    fresh thread, up to 256 concurrently, inline beyond that — overload
+    degrades to backpressure on the event loop rather than unbounded
+    thread creation. *)

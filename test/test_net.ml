@@ -5,7 +5,7 @@
    fuzz, byte-equivalence with the JSON answers for every registered
    model), pipelining (ordering, id restoration, v1 fallback, binary
    from a line-handler-only server, stale responses), and router
-   hashing + failover + batch fan-out with a dying backend. *)
+   hashing + failover + whole-batch forwarding with a dying backend. *)
 
 open Psph_net
 module Obs = Psph_obs.Obs
@@ -936,6 +936,34 @@ let pipeline_tests =
           (List.combine expect got);
         check int "every hot op rode the binary window" (List.length hot)
           (Obs.counter_value (Obs.counter "t.front.pipelined")));
+    Alcotest.test_case "a reply without a known solver tier is refused"
+      `Quick
+      (fun () ->
+        (* every answer names the tier that produced it: a reply that
+           lost the field, or names a tier nobody produces, is damaged,
+           not a different answer *)
+        let ok =
+          {|{"ok":true,"key":"00","betti":[1,0],"connectivity":0,"cached":false|}
+        in
+        check bool "a known tier parses" true
+          (Serve.reply_of_json (ok ^ {|,"solver":{"tier":"numeric"}}|}) <> None);
+        let payload =
+          Codec.encode_request
+            { Codec.id = 9; want = Codec.Both;
+              query = Codec.Psph { n = 1; values = 2 } }
+        in
+        List.iter
+          (fun line ->
+            check bool line true (Serve.reply_of_json line = None);
+            match
+              Codec.decode_reply (Codec.of_json_handler (fun _ -> line) payload)
+            with
+            | Ok (Codec.Failed { id; message }) ->
+                check int "under the request's id" 9 id;
+                check_contains "named" message "unparseable answer"
+            | Ok _ -> fail ("accepted " ^ line)
+            | Error m -> fail m)
+          [ ok ^ "}"; ok ^ {|,"solver":{"tier":"bogus"}}|} ]);
     Alcotest.test_case "json hello: pipeline:false, request order kept"
       `Quick
       (fun () ->
@@ -1334,15 +1362,13 @@ let router_tests =
           (Obs.counter_value (Obs.counter "t.rgarble.client.reconnects"));
         check bool "the backend stays alive" true
           (List.for_all snd (Router.backends r)));
-    Alcotest.test_case "all-hot batch fans out byte-identically" `Quick
-      (fun () ->
+    Alcotest.test_case "a batch is forwarded whole" `Quick (fun () ->
         with_engine @@ fun engine ->
         with_v2_server engine @@ fun srv1 a1 ->
         with_v2_server engine @@ fun _srv2 a2 ->
         let r =
-          Router.create ~metrics:"t.fan" ~timeout_ms:2000 ~retries:0
-            ~check_period_ms:3600_000 ~pipeline_depth:8
-            [ a1; a2 ]
+          Router.create ~metrics:"t.whole" ~timeout_ms:2000 ~retries:0
+            ~check_period_ms:3600_000 [ a1; a2 ]
         in
         Fun.protect ~finally:(fun () -> Router.stop r) @@ fun () ->
         let batch =
@@ -1351,22 +1377,22 @@ let router_tests =
         ignore (Serve.handle_line engine batch);
         (* warm, so every member answers cached on any backend *)
         let expect = Serve.handle_line engine batch in
-        check string "fanned answer = single-backend answer" expect
-          (Router.route r batch);
-        check int "fanout counted" 1
-          (Obs.counter_value (Obs.counter "t.fan.fanout"));
-        (* kill one backend: failover is per member, bytes unchanged *)
-        Server.stop srv1;
-        check string "per-member failover keeps the bytes" expect
-          (Router.route r batch);
-        (* a member without a binary layout keeps forward-whole routing *)
-        let mixed =
-          {|{"op":"batch","requests":[{"op":"psph","n":1,"values":2},{"op":"models"}]}|}
+        let forwarded () =
+          Obs.counter_value (Obs.counter "t.whole.forwarded")
         in
-        check_contains "mixed batch forwarded whole" (Router.route r mixed)
-          {|"ok":true|};
-        check int "mixed batch did not fan" 2
-          (Obs.counter_value (Obs.counter "t.fan.fanout")));
+        let routed () =
+          let before = forwarded () in
+          let got = Router.route r batch in
+          check int "forwarded once" 1 (forwarded () - before);
+          got
+        in
+        (* keyless, so it goes round-robin: twice visits both backends *)
+        check string "answer = the backend's batch answer" expect (routed ());
+        check string "on the other backend too" expect (routed ());
+        (* kill one backend: the batch fails over whole, bytes unchanged *)
+        Server.stop srv1;
+        check string "failover keeps the bytes" expect (routed ());
+        check string "and again" expect (routed ()));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1576,6 +1602,7 @@ let replica_tests =
                        Jsonl.Arr
                          (List.map Jsonl.int (Array.to_list (Homology.betti c)))
                      );
+                     ("solver", Jsonl.Obj [ ("tier", Jsonl.Str "numeric") ]);
                    ])
             in
             match Option.bind (Serve.reply_of_json line) Replica.entry_of_response with
@@ -1706,14 +1733,14 @@ let cluster_tests =
         check bool "fallback_read counted" true (fallback_reads () >= 1);
         check bool "fallback_hit counted" true
           (Obs.counter_value (Obs.counter "t.rep.replica.fallback_hit") >= 1);
-        (* fanned-out members walk like single requests: each one the
-           survivor answers for the dead primary is a fallback read *)
+        (* each line the survivor answers for the dead primary is a
+           fallback read *)
         let members =
           List.init 6 (fun v ->
               Printf.sprintf {|{"op":"betti","facets":["0:i0 ; 1:i%d"]}|}
                 (v + 1))
         in
-        (* the first member is [line]'s complex, so at least one member's
+        (* the first line is [line]'s complex, so at least one line's
            primary is the dead backend whatever the ports hash to *)
         let expected =
           List.length
@@ -1721,15 +1748,12 @@ let cluster_tests =
                (fun m -> List.hd (Router.preference r m) = primary)
                members)
         in
-        check bool "a member's primary is the dead backend" true (expected >= 1);
+        check bool "a line's primary is the dead backend" true (expected >= 1);
         let before = fallback_reads () in
-        let batch =
-          Printf.sprintf {|{"op":"batch","requests":[%s]}|}
-            (String.concat "," members)
-        in
-        let resp3 = Router.route r batch in
-        check bool "every member answered" false (contains resp3 {|"ok":false|});
-        check int "one fallback read per member the replica answered"
+        List.iter
+          (fun m -> check_contains m (Router.route r m) {|"ok":true|})
+          members;
+        check int "one fallback read per line the replica answered"
           expected (fallback_reads () - before));
     Alcotest.test_case "join: epoch bumps and only the new range migrates"
       `Quick
