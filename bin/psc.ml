@@ -959,6 +959,16 @@ let load_cmd =
         retries;
       }
     in
+    (* --out: the run's JSON result, written tmp+rename *)
+    let write_out json =
+      Option.iter
+        (fun path ->
+          Psph_obs.Jsonl.write_atomic path (fun oc ->
+              output_string oc (Psph_obs.Jsonl.to_string json);
+              output_char oc '\n');
+          Format.eprintf "psc load: wrote %s@." path)
+        out
+    in
     exit_traced trace @@ fun () ->
     if soak then begin
       let cfg =
@@ -983,14 +993,7 @@ let load_cmd =
       | Ok r ->
           Psph_load.Soak.print_summary stdout r;
           flush stdout;
-          Option.iter
-            (fun path ->
-              Psph_obs.Jsonl.write_atomic path (fun oc ->
-                  output_string oc
-                    (Psph_obs.Jsonl.to_string (Psph_load.Soak.to_json r));
-                  output_char oc '\n');
-              Format.eprintf "psc load: wrote %s@." path)
-            out;
+          write_out (Psph_load.Soak.to_json r);
           if Psph_load.Soak.passed r then 0 else 1
     end
     else
@@ -1012,26 +1015,17 @@ let load_cmd =
           Printf.printf "  %.1f req/s, p50 %.2fms p99 %.2fms over %.1fs\n"
             (float_of_int completed /. st.wall_s)
             (p 50.) (p 99.) st.wall_s;
-          Option.iter
-            (fun path ->
-              Psph_obs.Jsonl.write_atomic path (fun oc ->
-                  output_string oc
-                    (Psph_obs.Jsonl.to_string
-                       (Psph_obs.Jsonl.Obj
-                          [
-                            ("seed", Psph_obs.Jsonl.int seed);
-                            ("sent", Psph_obs.Jsonl.int st.sent);
-                            ("ok", Psph_obs.Jsonl.int st.ok);
-                            ("cached", Psph_obs.Jsonl.int st.cached);
-                            ( "rps",
-                              Psph_obs.Jsonl.Num
-                                (float_of_int completed /. st.wall_s) );
-                            ("p50_ms", Psph_obs.Jsonl.Num (p 50.));
-                            ("p99_ms", Psph_obs.Jsonl.Num (p 99.));
-                          ]));
-                  output_char oc '\n');
-              Format.eprintf "psc load: wrote %s@." path)
-            out;
+          write_out
+            (Psph_obs.Jsonl.Obj
+               [
+                 ("seed", Psph_obs.Jsonl.int seed);
+                 ("sent", Psph_obs.Jsonl.int st.sent);
+                 ("ok", Psph_obs.Jsonl.int st.ok);
+                 ("cached", Psph_obs.Jsonl.int st.cached);
+                 ("rps", Psph_obs.Jsonl.Num (float_of_int completed /. st.wall_s));
+                 ("p50_ms", Psph_obs.Jsonl.Num (p 50.));
+                 ("p99_ms", Psph_obs.Jsonl.Num (p 99.));
+               ]);
           if st.sent > 0 && completed = st.sent && st.unresolved = 0 then 0
           else 1
   in

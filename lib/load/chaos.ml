@@ -91,8 +91,8 @@ type t = {
   m : metrics;
 }
 
-let make_metrics prefix =
-  let c n = Obs.counter (prefix ^ "." ^ n) in
+let make_metrics () =
+  let c n = Obs.counter ("chaos." ^ n) in
   {
     conns = c "conns";
     chunks = c "chunks";
@@ -106,17 +106,11 @@ let make_metrics prefix =
     upstream_down = c "upstream_down";
   }
 
-let port t = t.port
-
 let addr t = { Addr.host = t.host; port = t.port }
 
 let set_enabled t b = Atomic.set t.enabled b
 
-let enabled t = Atomic.get t.enabled
-
 let set_partition t p = Atomic.set t.part p
-
-let partition t = Atomic.get t.part
 
 (* RST, not FIN: linger time 0 discards the send queue and resets *)
 let hard_close fd =
@@ -278,15 +272,12 @@ let accept_loop t =
                       pump t pair `U2c ufd cfd (rng_for `U2c))))
   done
 
-let kill_connections t =
-  Mutex.lock t.pairs_lock;
-  let pairs = Hashtbl.fold (fun _ p acc -> p :: acc) t.pairs [] in
-  Mutex.unlock t.pairs_lock;
-  List.iter (fun p -> reset_pair t p) pairs
-
 let backlog = 64
 
-let create ?(metrics = "chaos") ~seed ~faults ~upstream listen =
+let create ~seed ~faults ~upstream listen =
+  (* a pump writing to a side that already hung up must fail with EPIPE
+     (the pair is torn down) rather than kill the proxy *)
+  Addr.ignore_sigpipe ();
   match Addr.resolve listen with
   | Error m -> Error m
   | Ok sa -> (
@@ -322,7 +313,7 @@ let create ?(metrics = "chaos") ~seed ~faults ~upstream listen =
               pairs_lock = Mutex.create ();
               threads = [];
               threads_lock = Mutex.create ();
-              m = make_metrics metrics;
+              m = make_metrics ();
             }
           in
           spawn t (fun () -> accept_loop t);

@@ -30,9 +30,9 @@
     while data goes nowhere is what distinguishes a partition from a
     dead host).
 
-    Everything injected is counted under [<metrics>.*] (default
-    [chaos.*]): [conns], [chunks], [bytes], [resets], [torn],
-    [corrupted], [delayed], [throttled], [frozen], [upstream_down]. *)
+    Everything injected is counted under [chaos.*]: [conns], [chunks],
+    [bytes], [resets], [torn], [corrupted], [delayed], [throttled],
+    [frozen], [upstream_down]. *)
 
 open Psph_net
 
@@ -52,19 +52,16 @@ type partition = No_partition | Half_open | Full
 type t
 
 val create :
-  ?metrics:string ->
   seed:int ->
   faults:faults ->
   upstream:Addr.t ->
   Addr.t ->
   (t, string) result
 (** [create ~seed ~faults ~upstream listen] binds [listen] (port 0 lets
-    the kernel pick — read it back with {!port}; the listen backlog is
+    the kernel pick — read it back with {!addr}; the listen backlog is
     64) and starts the accept loop on a background thread.  Faults
     start {e disabled}; {!set_enabled} turns the schedule on.  If the upstream refuses a
     connection the client side is reset and [upstream_down] counted. *)
-
-val port : t -> int
 
 val addr : t -> Addr.t
 (** The listen address with the bound port filled in — what a router
@@ -72,15 +69,7 @@ val addr : t -> Addr.t
 
 val set_enabled : t -> bool -> unit
 
-val enabled : t -> bool
-
 val set_partition : t -> partition -> unit
-
-val partition : t -> partition
-
-val kill_connections : t -> unit
-(** Reset every live connection now (counted under [resets]) — an
-    instant storm, independent of the per-chunk schedule. *)
 
 val stop : t -> unit
 (** Close the listener, tear down every connection (not counted as

@@ -39,19 +39,6 @@ type config = {
   retries : int;
 }
 
-let default_config =
-  {
-    rate = 500.;
-    conns = 4;
-    pipeline_depth = 16;
-    duration_s = 10.;
-    keyspace = 64;
-    zipf = 1.0;
-    seed = 1;
-    timeout_ms = 2000;
-    retries = 2;
-  }
-
 type stats = {
   sent : int;
   ok : int;

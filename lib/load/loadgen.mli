@@ -39,9 +39,6 @@ type config = {
   retries : int;
 }
 
-val default_config : config
-(** 500 req/s over 4 connections, depth 16, 10 s, 64 keys, zipf 1.0. *)
-
 type stats = {
   sent : int;
   ok : int;

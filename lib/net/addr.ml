@@ -25,3 +25,6 @@ let resolve { host; port } =
           Error
             (Printf.sprintf "cannot resolve host %S: %s" host
                (Printexc.to_string e)))
+
+let ignore_sigpipe () =
+  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ()

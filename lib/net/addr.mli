@@ -16,3 +16,10 @@ val to_string : t -> string
 
 val resolve : t -> (Unix.sockaddr, string) result
 (** [inet_addr_of_string] first, then [gethostbyname]. *)
+
+val ignore_sigpipe : unit -> unit
+(** Ignore SIGPIPE for the whole process (idempotent).  Every socket
+    user ({!Server.listen}, {!Client.create}, the chaos proxy) calls it
+    first: a write to a peer that hung up must fail with [EPIPE], which
+    the writer handles, not deliver SIGPIPE, whose default action kills
+    the process. *)

@@ -65,7 +65,6 @@ type t = {
   timeout_s : float;
   max_retries : int;
   backoff_s : float;
-  max_frame : int;
   binary : bool;  (* negotiate the binary codec on fresh connections *)
   pipeline_depth : int;
   rng : Random.State.t;
@@ -75,22 +74,16 @@ type t = {
   m : metrics;
 }
 
-(* a write to a peer-closed socket must fail with EPIPE (handled as a
-   retryable Connection error below), not deliver SIGPIPE, whose default
-   action kills the whole process *)
-let ignore_sigpipe =
-  lazy (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ())
-
 let create ?(metrics = "net.client") ?(timeout_ms = 5000) ?(retries = 3)
-    ?(backoff_ms = 50) ?(max_frame = Frame.max_frame_default) ?(codec = `Json)
-    ?(pipeline_depth = 1) addr =
-  Lazy.force ignore_sigpipe;
+    ?(backoff_ms = 50) ?(codec = `Json) ?(pipeline_depth = 1) addr =
+  (* a write to a peer-closed socket fails with EPIPE, a retryable
+     Connection error below *)
+  Addr.ignore_sigpipe ();
   {
     addr;
     timeout_s = float_of_int timeout_ms /. 1000.;
     max_retries = max 0 retries;
     backoff_s = float_of_int backoff_ms /. 1000.;
-    max_frame;
     binary = codec = `Binary || pipeline_depth > 1;
     pipeline_depth = max 1 pipeline_depth;
     rng = Random.State.make_self_init ();
@@ -111,8 +104,6 @@ let create ?(metrics = "net.client") ?(timeout_ms = 5000) ?(retries = 3)
         pipeline_span = metrics ^ ".pipeline";
       };
   }
-
-let addr t = t.addr
 
 let locked t f =
   Mutex.lock t.lock;
@@ -194,7 +185,7 @@ let ensure_connected t deadline =
       let c =
         {
           fd;
-          reader = Frame.reader ~max_frame:t.max_frame ();
+          reader = Frame.reader ();
           rbuf = Bytes.create 65536;
           wbuf = Buffer.create 4096;
           granted = false;
@@ -286,8 +277,8 @@ let hello_line = {|{"op":"hello","version":2,"codec":"binary"}|}
    transit.  The server may already have switched to binary, so the
    connection cannot carry on in v1: fail the attempt (retryable), and
    the retry renegotiates on a fresh connection. *)
-let negotiate t c deadline =
-  send_all c.fd (Frame.encode ~max_frame:t.max_frame hello_line) deadline;
+let negotiate c deadline =
+  send_all c.fd (Frame.encode hello_line) deadline;
   let resp = recv_one c deadline in
   match Jsonl.of_string_opt resp with
   | Some o
@@ -304,7 +295,7 @@ let negotiate t c deadline =
 let ensure_ready t =
   let deadline = Obs.monotonic () +. t.timeout_s in
   let c = ensure_connected t deadline in
-  if t.binary && not c.granted then negotiate t c deadline;
+  if t.binary && not c.granted then negotiate c deadline;
   c
 
 (* ------------------------------------------------------------------ *)
@@ -401,7 +392,7 @@ let drive ?on_latency t (items : ditem array) =
               | None -> Codec.escape_json ~id:tid (Lazy.force it.req.jline)
           in
           let now = Obs.monotonic () in
-          Frame.encode_into ~max_frame:t.max_frame out payload;
+          Frame.encode_into out payload;
           Hashtbl.replace window tid (idx, now, now +. t.timeout_s)
         end
       done

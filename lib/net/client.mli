@@ -76,7 +76,6 @@ val create :
   ?timeout_ms:int ->
   ?retries:int ->
   ?backoff_ms:int ->
-  ?max_frame:int ->
   ?codec:[ `Json | `Binary ] ->
   ?pipeline_depth:int ->
   Addr.t ->
@@ -88,8 +87,6 @@ val create :
     [pipeline_depth] 1.  With the defaults the client is byte-for-byte
     the v1 client — no hello, no ids.  [codec `Binary] negotiates the
     binary codec even at depth 1, and [pipeline_depth > 1] implies it. *)
-
-val addr : t -> Addr.t
 
 val request : t -> string -> (string, error) result
 (** Send one line, wait for the response line.  Serialized per client

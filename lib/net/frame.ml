@@ -1,10 +1,10 @@
-let max_frame_default = 16 * 1024 * 1024
+let max_frame = 16 * 1024 * 1024
 
 exception Oversized of int
 
 let header_size = 4
 
-let encode ?(max_frame = max_frame_default) payload =
+let encode payload =
   let len = String.length payload in
   if len > max_frame then raise (Oversized len);
   let b = Bytes.create (header_size + len) in
@@ -12,7 +12,7 @@ let encode ?(max_frame = max_frame_default) payload =
   Bytes.blit_string payload 0 b header_size len;
   Bytes.unsafe_to_string b
 
-let encode_into ?(max_frame = max_frame_default) buf payload =
+let encode_into buf payload =
   let len = String.length payload in
   if len > max_frame then raise (Oversized len);
   Buffer.add_int32_be buf (Int32.of_int len);
@@ -22,7 +22,6 @@ let encode_into ?(max_frame = max_frame_default) buf payload =
    compacted away on each decode pass, so the buffer never grows past one
    partial frame plus whatever one [feed] delivered) *)
 type reader = {
-  max_frame : int;
   mutable acc : Bytes.t;
   mutable pos : int;  (** start of undecoded data in [acc] *)
   mutable fill : int;  (** end of valid data in [acc] *)
@@ -30,9 +29,8 @@ type reader = {
   mutable poisoned : int option;  (** the oversized length, once seen *)
 }
 
-let reader ?(max_frame = max_frame_default) () =
+let reader () =
   {
-    max_frame;
     acc = Bytes.create 4096;
     pos = 0;
     fill = 0;
@@ -65,7 +63,7 @@ let rec decode r =
   let avail = pending r in
   if avail >= header_size then begin
     let len = Int32.to_int (Bytes.get_int32_be r.acc r.pos) in
-    if len < 0 || len > r.max_frame then begin
+    if len < 0 || len > max_frame then begin
       r.poisoned <- Some len;
       raise (Oversized len)
     end;

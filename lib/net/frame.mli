@@ -5,8 +5,8 @@
     byte-transparent, so payloads may contain newlines or NULs).  The
     length guards both directions: {!encode} refuses to build an
     oversized frame and a {!reader} refuses to buffer one, so a
-    misbehaving or garbage-speaking peer costs at most [max_frame] bytes
-    of memory, never an unbounded allocation.
+    misbehaving or garbage-speaking peer costs at most {!max_frame}
+    bytes of memory, never an unbounded allocation.
 
     The {!reader} is incremental: {!feed} it whatever byte run [read]
     returned — a torn header, half a payload, three frames and a
@@ -14,19 +14,19 @@
     Nothing about a partial read is an error; only an oversized length
     header is. *)
 
-val max_frame_default : int
-(** 16 MiB. *)
+val max_frame : int
+(** 16 MiB: the one frame bound, for every encoder and reader. *)
 
 exception Oversized of int
-(** The advertised (or to-be-encoded) payload length, which exceeded the
-    reader's/encoder's [max_frame] or had the sign bit set.  A reader
-    that raised this has desynced from the byte stream and must be
-    discarded along with its connection. *)
+(** The advertised (or to-be-encoded) payload length, which exceeded
+    {!max_frame} or had the sign bit set.  A reader that raised this has
+    desynced from the byte stream and must be discarded along with its
+    connection. *)
 
-val encode : ?max_frame:int -> string -> string
+val encode : string -> string
 (** The wire bytes of one frame.  @raise Oversized *)
 
-val encode_into : ?max_frame:int -> Buffer.t -> string -> unit
+val encode_into : Buffer.t -> string -> unit
 (** {!encode} appended to a buffer without the intermediate string —
     for batching many frames into one write.  @raise Oversized *)
 
@@ -35,7 +35,7 @@ val header_size : int
 
 type reader
 
-val reader : ?max_frame:int -> unit -> reader
+val reader : unit -> reader
 
 val feed : reader -> bytes -> int -> int -> unit
 (** [feed r buf off len] appends bytes and decodes any frames they

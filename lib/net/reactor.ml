@@ -11,9 +11,6 @@
 
 open Psph_obs
 
-type user = ..
-type user += No_user
-
 type failure = Oversized of int | Torn
 
 type metrics = {
@@ -24,7 +21,7 @@ type metrics = {
   frames_per_read : Obs.histogram;
 }
 
-type conn = {
+type 'u conn = {
   fd : Unix.file_descr;
   reader : Frame.reader;
   lk : Mutex.t;  (** guards the output state and flags below *)
@@ -34,30 +31,29 @@ type conn = {
   mutable closing : bool;  (** flush-then-close requested *)
   mutable rclosed : bool;  (** no more reads (EOF, error, or closing) *)
   mutable dead : bool;  (** descriptor closed, deregistered *)
-  mutable u : user;
-  owner : loop;
+  u : 'u;
+  owner : 'u loop;
 }
 
-and loop = {
+and 'u loop = {
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   llk : Mutex.t;  (** guards [incoming] and [nwake] *)
-  mutable incoming : conn list;
+  mutable incoming : 'u conn list;
   mutable nwake : bool;  (** a wake byte is already in the pipe *)
-  mutable lconns : conn list;  (** loop-private; only the loop touches it *)
+  mutable lconns : 'u conn list;  (** loop-private; only the loop touches it *)
   mutable lthread : Thread.t option;
   mutable ltid : int;  (** Thread.id of the loop thread, -1 before start *)
   wakeups : Obs.counter;  (** shared across loops; here so [send] needs no [t] *)
 }
 
-type t = {
-  loops : loop array;
+type 'u t = {
+  loops : 'u loop array;
   rr : int Atomic.t;
-  on_frame : conn -> string -> unit;
-  on_failure : conn -> failure -> unit;
-  on_eof : (conn -> unit) option;  (** None = close on EOF *)
-  on_close : conn -> unit;
-  max_frame : int;
+  on_frame : 'u conn -> string -> unit;
+  on_failure : 'u conn -> failure -> unit;
+  on_eof : 'u conn -> unit;
+  on_close : 'u conn -> unit;
   reading : bool Atomic.t;
   stopping : bool Atomic.t;
   nconns : int Atomic.t;
@@ -65,7 +61,6 @@ type t = {
 }
 
 let user c = c.u
-let set_user c u = c.u <- u
 let active t = Atomic.get t.nconns
 
 (* ------------------------------------------------------------------ *)
@@ -164,9 +159,7 @@ let drain_frames t c =
 let eof t c =
   c.rclosed <- true;
   if Frame.pending c.reader > 0 then (try t.on_failure c Torn with _ -> ());
-  match t.on_eof with
-  | Some f -> ( try f c with _ -> close c)
-  | None -> close c
+  try t.on_eof c with _ -> close c
 
 let read_step t buf c =
   match Unix.read c.fd buf 0 (Bytes.length buf) with
@@ -296,8 +289,7 @@ let loop_main t loop =
 
 let n_loops = 2
 
-let create ?(metrics = "net.reactor") ?(max_frame = Frame.max_frame_default)
-    ~on_frame ?on_failure ?on_eof ?on_close () =
+let create ~metrics ~on_frame ~on_failure ~on_eof ~on_close =
   let m =
     {
       loops_g = Obs.gauge (metrics ^ ".loops");
@@ -328,10 +320,9 @@ let create ?(metrics = "net.reactor") ?(max_frame = Frame.max_frame_default)
     loops = Array.init n_loops mk_loop;
     rr = Atomic.make 0;
     on_frame;
-    on_failure = Option.value on_failure ~default:(fun _ _ -> ());
+    on_failure;
     on_eof;
-    on_close = Option.value on_close ~default:(fun _ -> ());
-    max_frame;
+    on_close;
     reading = Atomic.make true;
     stopping = Atomic.make false;
     nconns = Atomic.make 0;
@@ -345,7 +336,7 @@ let start t =
         loop.lthread <- Some (Thread.create (fun () -> loop_main t loop) ()))
     t.loops
 
-let add t ?(user = No_user) fd =
+let add t ~user fd =
   if Atomic.get t.stopping then invalid_arg "Reactor.add: stopped";
   Unix.set_nonblock fd;
   (* small frames must not sit in Nagle's buffer waiting for an ACK *)
@@ -354,7 +345,7 @@ let add t ?(user = No_user) fd =
   let c =
     {
       fd;
-      reader = Frame.reader ~max_frame:t.max_frame ();
+      reader = Frame.reader ();
       lk = Mutex.create ();
       obuf = Buffer.create 256;
       ohead = "";

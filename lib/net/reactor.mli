@@ -1,4 +1,5 @@
-(** The event-loop core of the v2 server: a small fixed pool of loop
+(** The event-loop core of the v2 server, typed for its one caller,
+    {!Server}: a small fixed pool of loop
     threads multiplexing many nonblocking sockets with [Unix.select].
 
     Each accepted descriptor is pinned to one loop (round-robin), which
@@ -19,67 +20,58 @@
     the pipelining-efficiency signal: how many requests each [read]
     syscall carried (docs/NET.md catalogues all of them). *)
 
-type t
+type 'u t
+(** A reactor whose connections each carry one ['u] of caller state
+    ({!Server} keeps its per-connection protocol record there). *)
 
-type conn
-
-type user = ..
-(** One slot of caller state per connection ({!Server} hangs its
-    per-connection protocol record here); an extensible variant so the
-    reactor stays ignorant of the layer above. *)
-
-type user += No_user
+type 'u conn
 
 type failure =
   | Oversized of int
-      (** the peer advertised a frame over [max_frame]; the byte stream
-          is desynced and the connection must be closed after answering.
-          Frames completed ahead of the bad header are delivered to
-          [on_frame] first. *)
+      (** the peer advertised a frame over {!Frame.max_frame}; the byte
+          stream is desynced and the connection must be closed after
+          answering.  Frames completed ahead of the bad header are
+          delivered to [on_frame] first. *)
   | Torn  (** the peer hung up mid-frame *)
 
 val create :
-  ?metrics:string ->
-  ?max_frame:int ->
-  on_frame:(conn -> string -> unit) ->
-  ?on_failure:(conn -> failure -> unit) ->
-  ?on_eof:(conn -> unit) ->
-  ?on_close:(conn -> unit) ->
-  unit ->
-  t
-(** Two event-loop threads, started by {!start}.
-    [on_eof] fires when the peer stops sending (default: {!close} the
-    connection — override to finish in-flight responses first; the peer
-    may have only shut down its write side).  [on_close] fires exactly
-    once per connection, after its descriptor is closed. *)
+  metrics:string ->
+  on_frame:('u conn -> string -> unit) ->
+  on_failure:('u conn -> failure -> unit) ->
+  on_eof:('u conn -> unit) ->
+  on_close:('u conn -> unit) ->
+  'u t
+(** Two event-loop threads, started by {!start}; [metrics] prefixes the
+    reactor's metric names.  [on_eof] fires when the peer stops sending
+    (it may have only shut down its write side, so the caller decides
+    when to {!close}).  [on_close] fires exactly once per connection,
+    after its descriptor is closed. *)
 
-val start : t -> unit
+val start : 'u t -> unit
 
-val add : t -> ?user:user -> Unix.file_descr -> conn
+val add : 'u t -> user:'u -> Unix.file_descr -> 'u conn
 (** Hand a descriptor to the reactor (it becomes nonblocking and, for
     TCP sockets, gets [TCP_NODELAY]).  [user] is attached before the
     loop can possibly deliver a frame. *)
 
-val user : conn -> user
+val user : 'u conn -> 'u
 
-val set_user : conn -> user -> unit
-
-val send : conn -> string -> unit
+val send : 'u conn -> string -> unit
 (** Queue bytes (already framed) for the connection; a no-op once the
     connection is closing or closed.  Thread-safe. *)
 
-val close : conn -> unit
+val close : 'u conn -> unit
 (** Graceful close: stop reading, flush queued output, then close the
     descriptor.  Thread-safe, idempotent. *)
 
-val active : t -> int
+val active : 'u t -> int
 (** Connections currently registered (including those still flushing). *)
 
-val stop_reading : t -> unit
+val stop_reading : 'u t -> unit
 (** Stop issuing reads on every connection — frames already buffered
     still deliver; used by the server's drain. *)
 
-val stop : t -> unit
+val stop : 'u t -> unit
 (** Flush remaining output (bounded effort), close every connection and
     join the loop threads.  Further {!add}s are rejected with
     [Invalid_argument]. *)

@@ -28,9 +28,6 @@ type t
 val create : ?metrics:string -> ?queue_cap:int -> unit -> t
 (** [queue_cap] (default 1024) bounds the pending populate-hint queue. *)
 
-val start : t -> unit
-(** Spawn the populate worker (idempotent). *)
-
 val stop : t -> unit
 (** Stop the worker, dropping undelivered hints. *)
 

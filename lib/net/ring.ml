@@ -57,8 +57,6 @@ let make ?(vnodes = 64) names =
 
 let size t = Array.length t.nodes
 
-let names t = Array.to_list t.nodes
-
 let name t i = t.nodes.(i)
 
 let index t n =

@@ -2,8 +2,10 @@
 
     A ring is built from an ordered list of node names (for the router:
     backend ["host:port"] strings): each node contributes [vnodes]
-    virtual points — the {!hash}es of ["name#i"] — and the sorted
-    point array is the ring.  A key hashes to a point and walks
+    virtual points — the hashes of ["name#i"] — and the sorted point
+    array is the ring.  The hash is FNV-1a with Murmur3's [fmix64]
+    finalizer, which spreads names that differ only in their last
+    characters around the ring.  A key hashes to a point and walks
     clockwise; the sequence of {b distinct} nodes met on that walk is
     the key's preference order, so the first node is its primary and
     the next [R-1] are its replicas.
@@ -30,26 +32,18 @@ val make : ?vnodes:int -> string list -> t
 
 val add : t -> string -> t
 (** A new ring with the node appended (index [size t]).  Equal, point
-    for point, to [make ~vnodes (names t @ [name])].
+    for point, to the ring {!make} builds from [t]'s names with [name]
+    appended.
     @raise Invalid_argument if the name is already a member. *)
 
 val size : t -> int
-
-val names : t -> string list
-(** In index order. *)
 
 val name : t -> int -> string
 
 val index : t -> string -> int option
 
-val hash : string -> int
-(** FNV-1a with Murmur3's [fmix64] finalizer, folded to a nonnegative
-    OCaml int.  The finalizer is what spreads a node's ["name#i"] points
-    around the ring: raw FNV-1a puts names that differ only in their last
-    characters on nearby points. *)
-
 val order : t -> string -> int list
-(** All node indexes in clockwise-walk order from [hash key]: the
+(** All node indexes in clockwise-walk order from the key's hash: the
     failover/preference order.  Length [size t]; every node appears
     exactly once. *)
 

@@ -42,12 +42,7 @@ type metrics = {
 (* one immutable membership snapshot; requests capture it once *)
 type state = { bks : backend array; ring : Ring.t; epoch : int }
 
-type cfg = {
-  metrics : string;
-  timeout_ms : int;
-  retries : int;
-  max_frame : int;
-}
+type cfg = { metrics : string; timeout_ms : int; retries : int }
 
 type t = {
   mutable state : state;  (** swapped whole under [state_lock]; plain reads are safe *)
@@ -69,19 +64,17 @@ let mk_backend cfg baddr =
     baddr;
     client =
       Client.create ~metrics:(cfg.metrics ^ ".client") ~timeout_ms:cfg.timeout_ms
-        ~retries:cfg.retries ~max_frame:cfg.max_frame ~codec:`Binary baddr;
+        ~retries:cfg.retries ~codec:`Binary baddr;
     health =
       Client.create ~metrics:(cfg.metrics ^ ".health")
-        ~timeout_ms:(min cfg.timeout_ms 1000) ~retries:0 ~max_frame:cfg.max_frame
-        baddr;
+        ~timeout_ms:(min cfg.timeout_ms 1000) ~retries:0 baddr;
     alive = true;
   }
 
 let create ?(metrics = "net.router") ?(replication = 1) ?(timeout_ms = 5000)
-    ?(retries = 1) ?(check_period_ms = 1000)
-    ?(max_frame = Frame.max_frame_default) addrs =
+    ?(retries = 1) ?(check_period_ms = 1000) addrs =
   if addrs = [] then invalid_arg "Router.create: no backends";
-  let cfg = { metrics; timeout_ms; retries; max_frame } in
+  let cfg = { metrics; timeout_ms; retries } in
   let bks = Array.of_list (List.map (mk_backend cfg) addrs) in
   let ring = Ring.make (List.map Addr.to_string addrs) in
   let m =
@@ -275,7 +268,7 @@ let walk t sp req =
             go (tries + 1) (List.filter (fun x -> x <> b) untried)
         | Error e ->
             (* fatal Protocol errors are request-specific (e.g. a
-               response over the client's max_frame): every backend
+               response over Frame.max_frame): every backend
                would fail it identically, so answer with the error
                instead of walking the ring marking healthy backends
                dead *)

@@ -71,7 +71,6 @@ val create :
   ?timeout_ms:int ->
   ?retries:int ->
   ?check_period_ms:int ->
-  ?max_frame:int ->
   Addr.t list ->
   t
 (** No I/O; backends are assumed alive until a probe or request says

@@ -44,7 +44,7 @@ type metrics = {
 
 type codec = Cjson | Cbinary
 
-(* per-connection protocol state, hung on the reactor's user slot;
+(* per-connection protocol state, the reactor's per-connection value;
    [Cbinary] connections answer out of order, keyed by request id *)
 type cstate = {
   mutable codec : codec;
@@ -56,8 +56,6 @@ type cstate = {
   mutable eof : bool;  (** close once the last in-flight response is out *)
 }
 
-type Reactor.user += Conn of cstate
-
 type t = {
   lsock : Unix.file_descr;
   port : int;
@@ -66,8 +64,7 @@ type t = {
   dispatch : ((unit -> unit) -> unit) option;
   max_conns : int;
   deadline_s : float option;
-  max_frame : int;
-  reactor : Reactor.t;
+  reactor : cstate Reactor.t;
   stopping : bool Atomic.t;
   inflight : int Atomic.t;
   mutable server_thread : Thread.t option;
@@ -89,22 +86,16 @@ let make_metrics prefix =
     dispatched = Obs.counter (prefix ^ ".dispatched");
   }
 
-(* a response written to a peer that already hung up must fail with
-   EPIPE (the reactor drops that connection), not deliver SIGPIPE,
-   whose default action kills the whole server *)
-let ignore_sigpipe =
-  lazy (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ())
-
 let span_parent_of line =
   match Jsonl.of_string_opt line with
   | Some (Jsonl.Obj _ as o) ->
       Option.bind (Jsonl.member "span_parent" o) Jsonl.to_int_opt
   | _ -> None
 
-(* the error shape the connection's codec calls for, addressed to the
-   request the [orig] payload holds: every binary frame carries its id *)
-let error_for st ?orig msg =
-  match st.codec with
+(* the error shape [codec] calls for, addressed to the request the
+   [orig] payload holds: every binary frame carries its id *)
+let error_for codec ?orig msg =
+  match codec with
   | Cjson -> Serve.error_line ?orig msg
   | Cbinary -> (
       match Option.bind orig Codec.unescape_json with
@@ -121,16 +112,18 @@ let error_for st ?orig msg =
 (* response completion                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let frame_of t st ?orig resp =
-  match Frame.encode ~max_frame:t.max_frame resp with
+let frame_of t codec ?orig resp =
+  match Frame.encode resp with
   | bytes -> bytes
   | exception Frame.Oversized n ->
       Obs.incr t.m.frame_errors;
       let msg =
-        Printf.sprintf "response too large (%d bytes, max %d)" n t.max_frame
+        Printf.sprintf "response too large (%d bytes, max %d)" n Frame.max_frame
       in
-      (try Frame.encode ~max_frame:t.max_frame (error_for st ?orig msg)
-       with Frame.Oversized _ -> "" (* max_frame too small even for errors *))
+      (* the error echoes the request's id, which can itself be nearly
+         max_frame long *)
+      (try Frame.encode (error_for codec ?orig msg)
+       with Frame.Oversized _ -> "")
 
 (* the response slot of the next request: its arrival number on a JSON
    connection, -1 (no ordering) on a binary one.  Loop thread only. *)
@@ -142,11 +135,12 @@ let take_seq st =
       st.next_seq <- s + 1;
       s
 
-(* emit a response, honoring the ordered contract for JSON connections:
+(* emit a response (one too large for a frame becomes an error in
+   [codec]'s shape), honoring the ordered contract for JSON connections:
    [seq < 0] means the connection pipelines and the response goes
    straight out *)
-let complete t conn st ?orig seq resp =
-  let bytes = frame_of t st ?orig resp in
+let complete t conn st codec ?orig seq resp =
+  let bytes = frame_of t codec ?orig resp in
   if seq < 0 then Reactor.send conn bytes
   else begin
     Mutex.lock st.slk;
@@ -190,23 +184,33 @@ let finish_inflight t conn st =
 
 let deadline_msg d = Printf.sprintf "deadline exceeded (%.0f ms limit)" (1000. *. d)
 
-let json_response t payload =
-  let t0 = Obs.monotonic () in
-  (* re-root under the span id the client put on the wire, so a loopback
-     trace nests net.client.request -> serve.request across the socket;
-     only meaningful (and only looked for) when a sink is live.  Without
-     one the handler stays under the ambient span (its pool job). *)
-  let parent =
-    if Obs.current_sink () = Obs.Null then None else span_parent_of payload
-  in
+(* one request on a connection speaking [codec] (captured at decode
+   time): time the handler, answer a raise as an internal error, and
+   apply the deadline *)
+let response t codec payload =
   let handle () =
-    match parent with
-    | None -> t.handler payload
-    | Some _ -> Obs.with_parent parent (fun () -> t.handler payload)
+    match codec with
+    | Cbinary ->
+        Obs.incr t.m.binary;
+        t.bin_handler payload
+    | Cjson -> (
+        (* re-root under the span id the client put on the wire, so a
+           loopback trace nests net.client.request -> serve.request
+           across the socket; only meaningful (and only looked for) when
+           a sink is live.  Without one the handler stays under the
+           ambient span (its pool job). *)
+        match
+          if Obs.current_sink () = Obs.Null then None
+          else span_parent_of payload
+        with
+        | None -> t.handler payload
+        | parent -> Obs.with_parent parent (fun () -> t.handler payload))
   in
-  let response =
+  let t0 = Obs.monotonic () in
+  let resp =
     try handle ()
-    with e -> Serve.error_line ~orig:payload ("internal error: " ^ Printexc.to_string e)
+    with e ->
+      error_for codec ~orig:payload ("internal error: " ^ Printexc.to_string e)
   in
   let elapsed = Obs.monotonic () -. t0 in
   Obs.observe t.m.request_s elapsed;
@@ -215,23 +219,8 @@ let json_response t payload =
       (* cooperative: the work already ran, but the contract with the
          client is an error once the deadline has passed *)
       Obs.incr t.m.deadline_exceeded;
-      Serve.error_line ~orig:payload (deadline_msg d)
-  | _ -> response
-
-let binary_response t st payload =
-  Obs.incr t.m.binary;
-  let t0 = Obs.monotonic () in
-  let response =
-    try t.bin_handler payload
-    with e -> error_for st ~orig:payload ("internal error: " ^ Printexc.to_string e)
-  in
-  let elapsed = Obs.monotonic () -. t0 in
-  Obs.observe t.m.request_s elapsed;
-  match t.deadline_s with
-  | Some d when elapsed > d ->
-      Obs.incr t.m.deadline_exceeded;
-      error_for st ~orig:payload (deadline_msg d)
-  | _ -> response
+      error_for codec ~orig:payload (deadline_msg d)
+  | _ -> resp
 
 let run_job t job =
   match t.dispatch with
@@ -277,7 +266,7 @@ let handle_hello t conn st req payload =
       ("version", Jsonl.int 2);
       ("codec", Jsonl.Str (match codec with Cbinary -> "binary" | Cjson -> "json"));
       ("pipeline", Jsonl.Bool (codec = Cbinary));
-      ("max_frame", Jsonl.int t.max_frame);
+      ("max_frame", Jsonl.int Frame.max_frame);
     ]
   in
   let fields =
@@ -289,7 +278,7 @@ let handle_hello t conn st req payload =
   (* the response itself still honors the pre-hello ordering; the mode
      switch applies from the next frame on (the client is required to
      wait for this answer before using what it negotiated) *)
-  complete t conn st ~orig:payload (take_seq st) resp;
+  complete t conn st Cjson ~orig:payload (take_seq st) resp;
   st.codec <- codec
 
 (* ------------------------------------------------------------------ *)
@@ -297,26 +286,17 @@ let handle_hello t conn st req payload =
 (* ------------------------------------------------------------------ *)
 
 let on_frame t conn payload =
-  match Reactor.user conn with
-  | Conn st -> (
-      match
-        match st.codec with Cjson -> hello_req payload | Cbinary -> None
-      with
-      | Some req -> handle_hello t conn st req payload
-      | None ->
-          Obs.incr t.m.requests;
-          let seq = take_seq st in
-          begin_inflight t st;
-          let codec = st.codec in
-          run_job t (fun () ->
-              let resp =
-                match codec with
-                | Cjson -> json_response t payload
-                | Cbinary -> binary_response t st payload
-              in
-              complete t conn st ~orig:payload seq resp;
-              finish_inflight t conn st))
-  | _ -> ()
+  let st = Reactor.user conn in
+  let codec = st.codec in
+  match match codec with Cjson -> hello_req payload | Cbinary -> None with
+  | Some req -> handle_hello t conn st req payload
+  | None ->
+      Obs.incr t.m.requests;
+      let seq = take_seq st in
+      begin_inflight t st;
+      run_job t (fun () ->
+          complete t conn st codec ~orig:payload seq (response t codec payload);
+          finish_inflight t conn st)
 
 (* the peer will send nothing more (or nothing we can read): finish
    what is in flight, then close — the reactor flushes queued output
@@ -329,29 +309,24 @@ let close_when_drained conn st =
   if idle then Reactor.close conn
 
 let on_failure t conn fail =
-  match Reactor.user conn with
-  | Conn st -> (
-      match fail with
-      | Reactor.Torn -> Obs.incr t.m.torn
-      | Reactor.Oversized len ->
-          (* the stream is desynced: answer (the client's reader stays
-             coherent — frames survive a poisoned peer) after the
-             requests that preceded the bad header, and hang up *)
-          Obs.incr t.m.frame_errors;
-          let msg =
-            Printf.sprintf "frame too large (%d bytes, max %d)" len t.max_frame
-          in
-          complete t conn st (take_seq st) (error_for st msg);
-          close_when_drained conn st)
-  | _ -> ()
+  let st = Reactor.user conn in
+  match fail with
+  | Reactor.Torn -> Obs.incr t.m.torn
+  | Reactor.Oversized len ->
+      (* the stream is desynced: answer (the client's reader stays
+         coherent — frames survive a poisoned peer) after the requests
+         that preceded the bad header, and hang up *)
+      Obs.incr t.m.frame_errors;
+      let msg =
+        Printf.sprintf "frame too large (%d bytes, max %d)" len Frame.max_frame
+      in
+      complete t conn st st.codec (take_seq st) (error_for st.codec msg);
+      close_when_drained conn st
 
 (* half-closed peers still read *)
-let on_eof _t conn =
-  match Reactor.user conn with
-  | Conn st -> close_when_drained conn st
-  | _ -> Reactor.close conn
+let on_eof conn = close_when_drained conn (Reactor.user conn)
 
-let on_close t _conn =
+let on_close t =
   Obs.incr t.m.closed;
   Obs.gauge_add t.m.active (-1.0)
 
@@ -361,9 +336,9 @@ let on_close t _conn =
 
 let backlog = 64
 
-let listen ?(metrics = "net.server") ?(max_conns = 64) ?deadline_s
-    ?(max_frame = Frame.max_frame_default) ?bin_handler ?dispatch ~handler addr =
-  Lazy.force ignore_sigpipe;
+let listen ?(metrics = "net.server") ?(max_conns = 64) ?deadline_s ?bin_handler
+    ?dispatch ~handler addr =
+  Addr.ignore_sigpipe ();
   match Addr.resolve addr with
   | Error _ as e -> e
   | Ok sockaddr -> (
@@ -390,16 +365,14 @@ let listen ?(metrics = "net.server") ?(max_conns = 64) ?deadline_s
               dispatch;
               max_conns = max 1 max_conns;
               deadline_s;
-              max_frame;
               reactor =
-                Reactor.create ~metrics:(metrics ^ ".reactor") ~max_frame
+                Reactor.create ~metrics:(metrics ^ ".reactor")
                   ~on_frame:(fun conn payload ->
                     on_frame (Lazy.force t) conn payload)
                   ~on_failure:(fun conn fail ->
                     on_failure (Lazy.force t) conn fail)
-                  ~on_eof:(fun conn -> on_eof (Lazy.force t) conn)
-                  ~on_close:(fun conn -> on_close (Lazy.force t) conn)
-                  ();
+                  ~on_eof
+                  ~on_close:(fun _ -> on_close (Lazy.force t));
               stopping = Atomic.make false;
               inflight = Atomic.make 0;
               server_thread = None;
@@ -422,16 +395,15 @@ let request_stop t =
     try Unix.shutdown t.lsock Unix.SHUTDOWN_ALL with _ -> ()
 
 let fresh_cstate () =
-  Conn
-    {
-      codec = Cjson;
-      next_seq = 0;
-      slk = Mutex.create ();
-      next_emit = 0;
-      held = Hashtbl.create 8;
-      cinflight = 0;
-      eof = false;
-    }
+  {
+    codec = Cjson;
+    next_seq = 0;
+    slk = Mutex.create ();
+    next_emit = 0;
+    held = Hashtbl.create 8;
+    cinflight = 0;
+    eof = false;
+  }
 
 let serve t =
   Reactor.start t.reactor;
@@ -449,7 +421,7 @@ let serve t =
           Obs.incr t.m.accepted;
           Obs.gauge_add t.m.active 1.0;
           (match Reactor.add t.reactor ~user:(fresh_cstate ()) fd with
-          | (_ : Reactor.conn) -> ()
+          | (_ : cstate Reactor.conn) -> ()
           | exception _ -> ( try Unix.close fd with _ -> ()));
           accept_loop ()
       | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->

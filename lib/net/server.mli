@@ -21,7 +21,8 @@
     the connection stays v1-ordered.
 
     Robustness mirrors v1: garbage framing, death mid-frame and the
-    oversized-frame guard are answered (when possible) and closed —
+    oversized-frame guard ({!Frame.max_frame}, which the hello reply
+    reports) are answered (when possible) and closed —
     the server never crashes and other connections never notice.  An
     oversized header costs none of the requests that arrived complete
     ahead of it: they are answered first (on a JSON connection, in
@@ -53,7 +54,6 @@ val listen :
   ?metrics:string ->
   ?max_conns:int ->
   ?deadline_s:float ->
-  ?max_frame:int ->
   ?bin_handler:handler ->
   ?dispatch:((unit -> unit) -> unit) ->
   handler:handler ->

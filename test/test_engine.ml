@@ -980,8 +980,6 @@ let serve_tests =
    workers reach every handle (query counter, build and compute
    histograms, symbolic-hit counter, per-op latency) for the first time
    at about the same moment. *)
-let psc_exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/psc.exe"
-
 let first_queries =
   List.concat_map
     (fun v ->
@@ -991,39 +989,14 @@ let first_queries =
       ])
     [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
-(* a [psc serve --listen] child on a kernel-chosen port, read back from
-   its readiness line on stderr *)
-let spawn_serve () =
-  let err_r, err_w = Unix.pipe ~cloexec:true () in
-  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
-  let pid =
-    Unix.create_process psc_exe
-      [| psc_exe; "serve"; "--listen"; "127.0.0.1:0"; "--domains"; "2" |]
-      null null err_w
-  in
-  Unix.close null;
-  Unix.close err_w;
-  let ic = Unix.in_channel_of_descr err_r in
-  match input_line ic with
-  | exception End_of_file -> Alcotest.fail "psc serve died before listening"
-  | ready ->
-      let colon = String.rindex ready ':' in
-      let port =
-        int_of_string (String.sub ready (colon + 1) (String.length ready - colon - 1))
-      in
-      (pid, ic, { Psph_net.Addr.host = "127.0.0.1"; port })
-
-let query_and_stop (pid, ic, addr) =
+let query_and_stop ((_, _, addr) as child) =
   let c = Psph_net.Client.create ~timeout_ms:10_000 ~retries:0 ~pipeline_depth:16 addr in
   let replies =
     Fun.protect
       ~finally:(fun () -> Psph_net.Client.close c)
       (fun () -> Psph_net.Client.pipeline c first_queries)
   in
-  Unix.kill pid Sys.sigterm;
-  let status = snd (Unix.waitpid [] pid) in
-  close_in ic;
-  if status <> Unix.WEXITED 143 then
+  if Psc_child.stop child <> Unix.WEXITED 143 then
     Alcotest.fail "psc serve did not stop cleanly on SIGTERM";
   replies
 
@@ -1034,7 +1007,9 @@ let fresh_process_tests =
         (* the race hit a few percent of fresh processes before the
            handles were created eagerly: 64 processes, 2 alive at a time *)
         for _ = 1 to 32 do
-          List.init 2 (fun _ -> spawn_serve ())
+          List.init 2 (fun _ ->
+              Psc_child.spawn
+                [ "serve"; "--listen"; "127.0.0.1:0"; "--domains"; "2" ])
           |> List.map query_and_stop
           |> List.iter (fun replies ->
                  Alcotest.(check int) "one answer per query" 16 (List.length replies);
@@ -1057,7 +1032,11 @@ let run_psc args input =
   let in_r, in_w = Unix.pipe ~cloexec:true () in
   let out_r, out_w = Unix.pipe ~cloexec:true () in
   let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
-  let pid = Unix.create_process psc_exe (Array.of_list (psc_exe :: args)) in_r out_w null in
+  let pid =
+    Unix.create_process Psc_child.exe
+      (Array.of_list (Psc_child.exe :: args))
+      in_r out_w null
+  in
   List.iter Unix.close [ in_r; out_w; null ];
   let oc = Unix.out_channel_of_descr in_w in
   output_string oc input;

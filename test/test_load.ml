@@ -172,6 +172,45 @@ let chaos_tests =
         in
         check bool "healed" true (recovered ());
         Client.close c);
+    Alcotest.test_case "psc chaos survives a client hanging up mid-reply"
+      `Quick
+      (fun () ->
+        (* separate processes: this test process ignores SIGPIPE itself,
+           so only a [psc chaos] child shows whether the proxy does.  The
+           upstream is a child too: behind an in-process server the
+           replies reach the proxy too early to hit the closed socket,
+           and the parent's proxy survives *)
+        let serve =
+          Psc_child.spawn
+            [ "serve"; "--listen"; "127.0.0.1:0"; "--domains"; "0" ]
+        in
+        Fun.protect ~finally:(fun () -> ignore (Psc_child.stop serve))
+        @@ fun () ->
+        let _, _, upstream = serve in
+        let ((_, _, proxy) as chaos) =
+          Psc_child.spawn
+            [ "chaos"; "--listen"; "127.0.0.1:0"; "--upstream";
+              Addr.to_string upstream; "--start-disabled" ]
+        in
+        Fun.protect ~finally:(fun () -> ignore (Psc_child.stop chaos))
+        @@ fun () ->
+        (* 300 pipelined requests, then hang up before any reply: the
+           replies the proxy relays meet a closed socket *)
+        let wire =
+          String.concat "" (List.init 300 (fun _ -> Frame.encode {|{"op":"models"}|}))
+        in
+        let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.connect fd
+          (Unix.ADDR_INET (Unix.inet_addr_loopback, proxy.Addr.port));
+        ignore (Unix.write_substring fd wire 0 (String.length wire));
+        Unix.close fd;
+        Thread.delay 0.3;
+        (* a proxy killed by SIGPIPE refuses this connection *)
+        let c = Client.create ~timeout_ms:2000 ~retries:0 proxy in
+        Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+        match Client.request c {|{"op":"models"}|} with
+        | Ok r -> check bool "still relays" true (String.length r > 0)
+        | Error e -> fail ("relay after the hang-up: " ^ Client.error_message e));
   ]
 
 (* ------------------------------------------------------------------ *)

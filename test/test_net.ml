@@ -68,6 +68,12 @@ let drain r =
   in
   go []
 
+(* a bare frame header declaring [len] payload bytes *)
+let header len =
+  let b = Bytes.create Frame.header_size in
+  Bytes.set_int32_be b 0 (Int32.of_int len);
+  Bytes.to_string b
+
 let frame_tests =
   [
     Alcotest.test_case "encode/decode, byte-transparent" `Quick (fun () ->
@@ -91,20 +97,27 @@ let frame_tests =
         check (option string) "completed" (Some "abcdef") (Frame.next r);
         check int "boundary again" 0 (Frame.pending r));
     Alcotest.test_case "oversized encode refused" `Quick (fun () ->
-        match Frame.encode ~max_frame:8 "123456789" with
+        let over = Frame.max_frame + 1 in
+        match Frame.encode (String.make over 'x') with
         | _ -> fail "encode should have raised"
-        | exception Frame.Oversized n -> check int "offending length" 9 n);
+        | exception Frame.Oversized n -> check int "offending length" over n);
     Alcotest.test_case "oversized header poisons the reader" `Quick (fun () ->
-        let r = Frame.reader ~max_frame:8 () in
-        Frame.feed_string r (Frame.encode ~max_frame:8 "12345678");
-        check (option string) "exactly max ok" (Some "12345678") (Frame.next r);
-        (match Frame.feed_string r (Frame.encode "123456789") with
+        let over = Frame.max_frame + 1 in
+        let at = String.make Frame.max_frame 'x' in
+        let at_max = Frame.reader () in
+        Frame.feed_string at_max (Frame.encode at);
+        check (option string) "exactly max ok" (Some at) (Frame.next at_max);
+        let r = Frame.reader () in
+        Frame.feed_string r (Frame.encode "12345678");
+        check (option string) "frame ahead decodes" (Some "12345678")
+          (Frame.next r);
+        (match Frame.feed_string r (header over) with
         | _ -> fail "oversized header should have raised"
-        | exception Frame.Oversized n -> check int "advertised length" 9 n);
+        | exception Frame.Oversized n -> check int "advertised length" over n);
         (* the stream is desynced: even a well-formed frame re-raises *)
         match Frame.feed_string r (Frame.encode "ok") with
         | _ -> fail "poisoned reader should keep raising"
-        | exception Frame.Oversized n -> check int "original length" 9 n);
+        | exception Frame.Oversized n -> check int "original length" over n);
     Alcotest.test_case "sign-bit length is oversized" `Quick (fun () ->
         let r = Frame.reader () in
         match Frame.feed_string r "\x80\x00\x00\x01x" with
@@ -188,9 +201,9 @@ let frame_props =
 (* Client/Server loopback                                              *)
 (* ------------------------------------------------------------------ *)
 
-let with_server ?deadline_s ?max_frame ?dispatch ?bin_handler handler f =
+let with_server ?deadline_s ?dispatch ?bin_handler handler f =
   match
-    Server.listen ?deadline_s ?max_frame ?dispatch ?bin_handler ~handler
+    Server.listen ?deadline_s ?dispatch ?bin_handler ~handler
       (loopback 0)
   with
   | Error m -> fail m
@@ -215,10 +228,9 @@ let with_v2_server ?metrics ?dispatch engine f =
         ~finally:(fun () -> Server.stop srv)
         (fun () -> f srv (loopback (Server.port srv)))
 
-(* a relay in front of [upstream] that garbles the first frame its first
-   connection gets back — the hello grant, whose ["binary"] turns into
-   ["binarz"] — and passes every other byte through *)
-let with_garbling_relay upstream f =
+(* a loopback listener whose accept thread hands each connection, in
+   turn, to [serve_conn] until [f] returns *)
+let with_fake_backend serve_conn f =
   let lfd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt lfd Unix.SO_REUSEADDR true;
   Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
@@ -226,6 +238,30 @@ let with_garbling_relay upstream f =
   let port =
     match Unix.getsockname lfd with Unix.ADDR_INET (_, p) -> p | _ -> 0
   in
+  let th =
+    Thread.create
+      (fun () ->
+        let rec accept () =
+          match Unix.accept lfd with
+          | exception Unix.Unix_error _ -> ()
+          | c, _ ->
+              serve_conn c;
+              accept ()
+        in
+        accept ())
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.shutdown lfd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+      (try Unix.close lfd with Unix.Unix_error _ -> ());
+      Thread.join th)
+    (fun () -> f (loopback port))
+
+(* a relay in front of [upstream] that garbles the first frame its first
+   connection gets back — the hello grant, whose ["binary"] turns into
+   ["binarz"] — and passes every other byte through *)
+let with_garbling_relay upstream f =
   let stop = Atomic.make false in
   let garble s =
     let rec find i =
@@ -274,36 +310,22 @@ let with_garbling_relay upstream f =
       (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
       [ cfd; ufd ]
   in
-  let th =
-    Thread.create
-      (fun () ->
-        let first = ref true in
-        let relays = ref [] in
-        while not (Atomic.get stop) do
-          match Unix.accept lfd with
-          | exception Unix.Unix_error _ -> Atomic.set stop true
-          | cfd, _ ->
-              let ufd =
-                Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0
-              in
-              Unix.connect ufd
-                (Unix.ADDR_INET (Unix.inet_addr_loopback, upstream.Addr.port));
-              let first_conn = !first in
-              first := false;
-              relays :=
-                Thread.create (fun () -> relay cfd ufd ~first:first_conn) ()
-                :: !relays
-        done;
-        List.iter Thread.join !relays)
-      ()
+  let first = ref true in
+  let relays = ref [] in
+  let serve_conn cfd =
+    let ufd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect ufd
+      (Unix.ADDR_INET (Unix.inet_addr_loopback, upstream.Addr.port));
+    let first_conn = !first in
+    first := false;
+    relays :=
+      Thread.create (fun () -> relay cfd ufd ~first:first_conn) () :: !relays
   in
   Fun.protect
     ~finally:(fun () ->
       Atomic.set stop true;
-      (try Unix.shutdown lfd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-      (try Unix.close lfd with Unix.Unix_error _ -> ());
-      Thread.join th)
-    (fun () -> f (loopback port))
+      List.iter Thread.join !relays)
+  @@ fun () -> with_fake_backend serve_conn f
 
 let with_client ?(timeout_ms = 5000) ?(retries = 1) ?(backoff_ms = 1) addr f =
   let c = Client.create ~timeout_ms ~retries ~backoff_ms addr in
@@ -382,24 +404,30 @@ let loopback_tests =
             Thread.delay 0.05;
             {|{"ok":true,"late":true}|})
         @@ fun _srv addr ->
-        with_client addr @@ fun c ->
-        let resp = request_ok c {|{"op":"x","id":9}|} in
-        check_contains "deadline error" resp "deadline exceeded";
-        check_contains "id echoed" resp {|"id":9|});
-    Alcotest.test_case "oversized request answered, then reconnect" `Quick
-      (fun () ->
-        with_server ~max_frame:128 (fun _ -> "pong") @@ fun _srv addr ->
-        with_client addr @@ fun c ->
-        let big = String.make 300 'x' in
-        let resp = request_ok c big in
-        check_contains "rejected" resp "frame too large";
-        (* the server hung up after the framing error; the client must
-           reconnect transparently on the next request *)
-        check string "back in business" "pong" (request_ok c "ping"));
+        (with_client addr @@ fun c ->
+         let resp = request_ok c {|{"op":"x","id":9}|} in
+         check_contains "deadline error" resp "deadline exceeded";
+         check_contains "id echoed" resp {|"id":9|});
+        (* a binary connection gets the binary error shape: the same
+           handler, through the binary handler the server derives *)
+        with_raw_conn addr @@ fun send recv ->
+        send (Frame.encode {|{"op":"hello","version":2,"codec":"binary"}|});
+        check_contains "binary granted" (recv ()) {|"codec":"binary"|};
+        send
+          (Frame.encode
+             (Codec.encode_request
+                { Codec.id = 77; want = Codec.Both;
+                  query = Codec.Psph { n = 1; values = 2 } }));
+        match Codec.decode_reply (recv ()) with
+        | Ok (Codec.Failed { id; message }) ->
+            check int "under its own id" 77 id;
+            check_contains "deadline error" message "deadline exceeded"
+        | Ok _ -> fail "the late result was delivered"
+        | Error m -> fail ("not a binary reply: " ^ m));
     Alcotest.test_case "requests ahead of an oversized header are answered"
       `Quick (fun () ->
         (* one write: a valid request, then a header announcing a frame
-           far over the limit.  The slow dispatched handler keeps the
+           one byte over the limit.  The slow dispatched handler keeps the
            request in flight when the bad header is seen, so the server
            must both deliver the frame and wait for its answer before
            hanging up *)
@@ -416,11 +444,9 @@ let loopback_tests =
         Unix.connect fd
           (Unix.ADDR_INET (Unix.inet_addr_loopback, addr.Addr.port));
         Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
-        let bad = Bytes.create 4 in
-        Bytes.set_int32_be bad 0 0x7fffffffl;
         let out =
           Frame.encode {|{"op":"psph","n":1,"values":2,"id":1}|}
-          ^ Bytes.to_string bad
+          ^ header (Frame.max_frame + 1)
         in
         ignore (Unix.write_substring fd out 0 (String.length out));
         let r = Frame.reader () in
@@ -435,7 +461,7 @@ let loopback_tests =
                   Frame.feed r buf 0 n;
                   read_all acc)
         in
-        match read_all [] with
+        (match read_all [] with
         | [ answer; err ] ->
             check_contains "the request is answered" answer {|"id":1|};
             check_contains "answered ok" answer {|"ok":true|};
@@ -444,6 +470,12 @@ let loopback_tests =
             fail
               (Printf.sprintf "expected answer then error, got [%s]"
                  (String.concat " | " got)));
+        (* the server hung up on that connection only; a fresh client is
+           served *)
+        with_client addr @@ fun c ->
+        check_contains "a fresh client is served"
+          (request_ok c {|{"op":"models"}|})
+          "async");
     Alcotest.test_case "connect refused is retryable, not fatal" `Quick
       (fun () ->
         with_client ~timeout_ms:500 ~retries:2 (loopback (dead_port ()))
@@ -1083,67 +1115,41 @@ let pipeline_tests =
    client sees ECONNRESET mid-request — and whose later connections
    answer properly, so a retry can succeed *)
 let with_reset_then_ok_server f =
-  let lfd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt lfd Unix.SO_REUSEADDR true;
-  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  Unix.listen lfd 8;
-  let port =
-    match Unix.getsockname lfd with Unix.ADDR_INET (_, p) -> p | _ -> 0
+  let first = ref true in
+  let serve_conn c =
+    if !first then begin
+      first := false;
+      ignore
+        (try Unix.read c (Bytes.create 256) 0 256 with Unix.Unix_error _ -> 0);
+      (try Unix.setsockopt_optint c Unix.SO_LINGER (Some 0)
+       with Unix.Unix_error _ -> ());
+      try Unix.close c with Unix.Unix_error _ -> ()
+    end
+    else begin
+      let r = Frame.reader () in
+      let buf = Bytes.create 4096 in
+      let rec req () =
+        match Frame.next r with
+        | Some p -> Some p
+        | None ->
+            let n = Unix.read c buf 0 (Bytes.length buf) in
+            if n = 0 then None
+            else begin
+              Frame.feed r buf 0 n;
+              req ()
+            end
+      in
+      (try
+         match req () with
+         | Some _ ->
+             let resp = Frame.encode {|{"ok":true,"reborn":true}|} in
+             ignore (Unix.write_substring c resp 0 (String.length resp))
+         | None -> ()
+       with Unix.Unix_error _ -> ());
+      try Unix.close c with Unix.Unix_error _ -> ()
+    end
   in
-  let stop = Atomic.make false in
-  let th =
-    Thread.create
-      (fun () ->
-        let first = ref true in
-        while not (Atomic.get stop) do
-          match Unix.accept lfd with
-          | exception Unix.Unix_error _ -> Atomic.set stop true
-          | c, _ ->
-              if !first then begin
-                first := false;
-                ignore
-                  (try Unix.read c (Bytes.create 256) 0 256
-                   with Unix.Unix_error _ -> 0);
-                (try Unix.setsockopt_optint c Unix.SO_LINGER (Some 0)
-                 with Unix.Unix_error _ -> ());
-                try Unix.close c with Unix.Unix_error _ -> ()
-              end
-              else begin
-                let r = Frame.reader () in
-                let buf = Bytes.create 4096 in
-                let rec req () =
-                  match Frame.next r with
-                  | Some p -> Some p
-                  | None ->
-                      let n = Unix.read c buf 0 (Bytes.length buf) in
-                      if n = 0 then None
-                      else begin
-                        Frame.feed r buf 0 n;
-                        req ()
-                      end
-                in
-                (try
-                   match req () with
-                   | Some _ ->
-                       let resp =
-                         Frame.encode {|{"ok":true,"reborn":true}|}
-                       in
-                       ignore
-                         (Unix.write_substring c resp 0 (String.length resp))
-                   | None -> ()
-                 with Unix.Unix_error _ -> ());
-                try Unix.close c with Unix.Unix_error _ -> ()
-              end
-        done)
-      ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.set stop true;
-      (try Unix.shutdown lfd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-      (try Unix.close lfd with Unix.Unix_error _ -> ());
-      Thread.join th)
-    (fun () -> f (loopback port))
+  with_fake_backend serve_conn f
 
 let reset_tests =
   [
@@ -1179,6 +1185,41 @@ let reset_tests =
 (* ------------------------------------------------------------------ *)
 (* Router                                                              *)
 (* ------------------------------------------------------------------ *)
+
+(* a binary backend that grants the hello, then answers every request
+   whose line mentions "big" with a bare header one byte over the frame
+   bound, and every other request with {"ok":true}.  One connection at a
+   time: a client that hits the bad header drops its connection and
+   reconnects. *)
+let with_oversizing_backend f =
+  let serve_conn c =
+    let r = Frame.reader () in
+    let buf = Bytes.create 4096 in
+    let send s = ignore (Unix.write_substring c s 0 (String.length s)) in
+    let rec go () =
+      match Frame.next r with
+      | Some p ->
+          (match Codec.unescape_json p with
+          | None ->
+              send
+                (Frame.encode
+                   {|{"ok":true,"version":2,"codec":"binary","pipeline":true}|})
+          | Some (id, line) ->
+              send
+                (if contains line "big" then header (Frame.max_frame + 1)
+                 else Frame.encode (Codec.escape_json ~id {|{"ok":true}|})));
+          go ()
+      | None ->
+          let n = Unix.read c buf 0 (Bytes.length buf) in
+          if n > 0 then begin
+            Frame.feed r buf 0 n;
+            go ()
+          end
+    in
+    (try go () with Unix.Unix_error _ -> ());
+    try Unix.close c with Unix.Unix_error _ -> ()
+  in
+  with_fake_backend serve_conn f
 
 let mk_router ?metrics ?(retries = 0) ports =
   Router.create ?metrics ~timeout_ms:2000 ~retries ~check_period_ms:3600_000
@@ -1262,18 +1303,13 @@ let router_tests =
         | exception Invalid_argument _ -> ());
     Alcotest.test_case "protocol error doesn't poison backend health" `Quick
       (fun () ->
-        (* a response over the router client's max_frame is a fatal
-           Protocol error, but it's the *request* that's bad: the router
-           must answer with the error and keep the backend alive *)
-        with_server
-          (fun line ->
-            if contains line "big" then String.make 4096 'x'
-            else {|{"ok":true}|})
-        @@ fun _srv addr ->
+        (* a response over the frame bound is a fatal Protocol error,
+           but it's the *request* that's bad: the router must answer
+           with the error and keep the backend alive *)
+        with_oversizing_backend @@ fun addr ->
         let r =
           Router.create ~timeout_ms:2000 ~retries:0 ~check_period_ms:3600_000
-            ~max_frame:128
-            [ loopback addr.Addr.port ]
+            [ addr ]
         in
         Fun.protect ~finally:(fun () -> Router.stop r) @@ fun () ->
         let resp = Router.route r {|{"op":"big","id":4}|} in
