@@ -6,24 +6,6 @@ let over_facets step c =
     (fun acc s -> Complex.union acc (step s))
     Complex.empty (Complex.facets c)
 
-let iterate step r s =
-  let rec loop k c =
-    if k <= 0 then c
-    else begin
-      (* trace-only round marker; the sink check keeps the null-sink path
-         from paying for the simplex count (Set cardinal is O(n)) *)
-      if Obs.current_sink () <> Obs.Null then
-        Obs.event "model.round"
-          ~attrs:
-            [
-              ("round", Jsonl.int (r - k + 1));
-              ("simplices", Jsonl.int (Complex.num_simplices c));
-            ];
-      loop (k - 1) (over_facets step c)
-    end
-  in
-  loop r (Complex.of_simplex s)
-
 (* The r-round iteration must recurse on the facets of every branch
    complex separately, not on the facets of their union: a facet of one
    branch may be a mere face of another branch's facet (e.g. an exact-K

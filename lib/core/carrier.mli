@@ -5,19 +5,15 @@
     (Section 1).  In the asynchronous model the construction is monotone —
     the complex of a face is a subcomplex of the complex of a facet — so
     the union over the facets of [A^1] already contains the union over all
-    simplexes and {!iterate} folds over facets.  (The synchronous and
-    semi-synchronous models are NOT monotone in this sense; their [rounds]
-    functions recurse over the facets of each per-failure-set pseudosphere
-    instead.) *)
+    simplexes, and {!compose} recurses over one branch's facets.  (The
+    synchronous and semi-synchronous models are NOT monotone in this
+    sense; they recurse over the facets of each per-failure-set
+    pseudosphere instead.) *)
 
 open Psph_topology
 
 val over_facets : (Simplex.t -> Complex.t) -> Complex.t -> Complex.t
 (** Union of the operator applied to every facet. *)
-
-val iterate : (Simplex.t -> Complex.t) -> int -> Simplex.t -> Complex.t
-(** [iterate step r s]: apply the one-round operator [r] times, starting
-    from the single simplex [s].  [iterate step 0 s] is the solid [s]. *)
 
 val compose : branches:(Simplex.t -> Complex.t list) -> int -> Simplex.t -> Complex.t
 (** [compose ~branches r s]: the generic [(r, state)]-memoized

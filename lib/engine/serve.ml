@@ -369,9 +369,9 @@ let models_response () =
              (Pseudosphere.Model_complex.names ())) );
     ]
 
-(* the replication tier's wire ops (docs/NET.md "Replication &
-   rebalance"): [snapshot] pages the memo cache out in store-line form
-   for a warming peer, [populate] loads finished answers in.  Paging
+(* the replication tier's wire ops (docs/NET.md "Replication"):
+   [snapshot] pages the memo cache out in store-line form for a
+   warming peer, [populate] loads finished answers in.  Paging
    sorts by store line so a cursor stays meaningful across requests on
    a stable cache; a churning cache costs the warming peer some
    entries, never correctness (content addressing — see Engine.warm). *)

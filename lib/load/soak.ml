@@ -6,9 +6,9 @@
    decides), each fronted by its own chaos proxy; a replicated Router
    pointed at the *proxies*; a front Server exposing the router; the
    open-loop generator driving the front over TCP.  Everything the
-   router says to a backend — requests, probes, populate hints,
-   rebalance streams — crosses a proxy, so chaos reaches every internal
-   protocol, not just the client path.
+   router says to a backend — requests, probes, populate hints —
+   crosses a proxy, so chaos reaches every internal protocol, not just
+   the client path.
 
    Phases: warm (uniform skew, fills every key and lets populate hints
    replicate) -> clean (measured baseline) -> chaos (faults on; a

@@ -17,7 +17,6 @@ type metrics = {
   populate_fail : Obs.counter;
   fallback_read : Obs.counter;
   fallback_hit : Obs.counter;
-  rebalanced : Obs.counter;
   warm_entries : Obs.counter;
   warm_s : Obs.histogram;
 }
@@ -29,7 +28,6 @@ let make_metrics prefix =
     populate_fail = Obs.counter (prefix ^ ".populate_fail");
     fallback_read = Obs.counter (prefix ^ ".fallback_read");
     fallback_hit = Obs.counter (prefix ^ ".fallback_hit");
-    rebalanced = Obs.counter (prefix ^ ".rebalanced");
     warm_entries = Obs.counter (prefix ^ ".warm_entries");
     warm_s = Obs.histogram (prefix ^ ".warm_s");
   }
@@ -105,8 +103,6 @@ let fallback_read t ~cached =
   if cached then Obs.incr t.m.fallback_hit
 
 let populate_failed t = Obs.incr t.m.populate_fail
-
-let rebalanced t n = if n > 0 then Obs.incr ~by:n t.m.rebalanced
 
 (* ------------------------------------------------------------------ *)
 (* wire translations                                                   *)

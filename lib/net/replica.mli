@@ -1,4 +1,4 @@
-(** The replicated memo tier: populate hints, cache warming, rebalance.
+(** The replicated memo tier: populate hints and cache warming.
 
     The router places each key on the first R distinct nodes of the
     {!Ring} (its {b owner set}); this module supplies everything the
@@ -12,16 +12,15 @@
       (counted) rather than backpressuring the request path.
     - {b cache warming}: {!warm_from} streams a peer's store snapshot
       (the [snapshot] wire op, chunked) into a local engine — how a
-      (re)joining backend comes up warm, and how the router migrates a
-      key range to a newly joined backend.
+      restarted backend comes up warm ([psc serve --warm-from]).
 
     Metrics, under the [metrics] prefix (default [net.replica]):
     [populate] / [populate_drop] / [populate_fail] counters for the
     hint queue, [fallback_read] / [fallback_hit] counters for reads an
     owner other than the primary served (hit = the replica answered
-    from cache: the warm-failover criterion), [rebalanced] for entries
-    migrated on join, [warm_entries] and the [warm_s] histogram for
-    snapshot streaming.  See docs/NET.md "Replication & rebalance". *)
+    from cache: the warm-failover criterion), and [warm_entries] and
+    the [warm_s] histogram for snapshot streaming.  See docs/NET.md
+    "Replication". *)
 
 type t
 
@@ -42,9 +41,6 @@ val fallback_read : t -> cached:bool -> unit
 
 val populate_failed : t -> unit
 
-val rebalanced : t -> int -> unit
-(** Count entries migrated to a joining backend. *)
-
 val entry_of_response :
   Psph_engine.Serve.reply -> (Psph_engine.Key.t * Psph_engine.Store.entry) option
 (** The store entry carried by a successful serve response —
@@ -57,14 +53,6 @@ val populate_line : (Psph_engine.Key.t * Psph_engine.Store.entry) list -> string
 (** The [{"op":"populate","entries":[...]}] request carrying finished
     answers in store-line format. *)
 
-val fetch_entries :
-  ?chunk:int ->
-  Client.t ->
-  ((Psph_engine.Key.t * Psph_engine.Store.entry) list, string) result
-(** Drain the peer's [snapshot] op, [chunk] (default 512) entries per
-    request.  The snapshot is a best-effort copy of a live cache, not a
-    consistent cut — exactly what cache warming wants. *)
-
 val warm_from :
   ?metrics:string ->
   ?chunk:int ->
@@ -74,8 +62,10 @@ val warm_from :
   Addr.t ->
   (int, string) result
 (** Stream [peer]'s snapshot into the engine's memo cache
-    ({!Psph_engine.Engine.warm}), returning the number of entries
-    loaded.  Counts [warm_entries] and observes [warm_s] under
+    ({!Psph_engine.Engine.warm}), [chunk] (default 512) entries per
+    [snapshot] request, returning the number of entries loaded.  The
+    snapshot is a best-effort copy of a live cache, not a consistent
+    cut — exactly what cache warming wants.  Counts [warm_entries] and observes [warm_s] under
     [metrics] (default [net.replica]).  An unreachable peer is an
     [Error], not an exception — a backend should prefer starting cold
     to not starting. *)

@@ -1,17 +1,18 @@
 (* The consistent-hash ring, factored out of Router so that replica
-   placement is pure arithmetic shared by Router (routing decisions),
-   Replica (rebalance ownership) and the tests (qcheck placement laws).
+   placement is pure arithmetic shared by Router (routing decisions) and
+   the tests (qcheck placement laws).
 
-   A node's virtual points hash only its own name, so membership change
-   is local by construction: [add] merges the new node's sorted points
-   into the existing array and every pre-existing point keeps its
-   position relative to every key. *)
+   A node's virtual points hash only its own name, so a ring built with
+   one more or one fewer node moves only the keys that node gains or
+   loses. *)
 
 type t = {
   nodes : string array;
-  vnodes : int;
   ring : (int * int) array;  (* (point, node index), sorted by point *)
 }
+
+(* virtual points per node *)
+let vnodes = 64
 
 (* Murmur3's fmix64: FNV-1a alone leaves names that differ only in their
    last characters ("127.0.0.1:40001#3", "...#4") on nearby points, so one
@@ -35,12 +36,11 @@ let hash s =
     s;
   Int64.to_int (Int64.shift_right_logical (fmix64 !h) 2)
 
-let points vnodes name i =
+let points name i =
   Array.init vnodes (fun v -> (hash (Printf.sprintf "%s#%d" name v), i))
 
-let make ?(vnodes = 64) names =
+let make names =
   if names = [] then invalid_arg "Ring.make: no nodes";
-  if vnodes < 1 then invalid_arg "Ring.make: vnodes < 1";
   let nodes = Array.of_list names in
   let seen = Hashtbl.create (Array.length nodes) in
   Array.iter
@@ -50,28 +50,14 @@ let make ?(vnodes = 64) names =
       Hashtbl.add seen n ())
     nodes;
   let ring =
-    Array.concat (Array.to_list (Array.mapi (fun i n -> points vnodes n i) nodes))
+    Array.concat (Array.to_list (Array.mapi (fun i n -> points n i) nodes))
   in
   Array.sort compare ring;
-  { nodes; vnodes; ring }
+  { nodes; ring }
 
 let size t = Array.length t.nodes
 
 let name t i = t.nodes.(i)
-
-let index t n =
-  let rec go i =
-    if i >= Array.length t.nodes then None
-    else if t.nodes.(i) = n then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let add t n =
-  if index t n <> None then invalid_arg ("Ring.add: duplicate node " ^ n);
-  let ring = Array.append t.ring (points t.vnodes n (size t)) in
-  Array.sort compare ring;
-  { nodes = Array.append t.nodes [| n |]; vnodes = t.vnodes; ring }
 
 (* first ring index with point >= h, wrapping *)
 let ring_start t h =
@@ -101,28 +87,3 @@ let order t key =
     incr i
   done;
   List.rev !out
-
-let owners t ~r key =
-  if r < 1 then invalid_arg "Ring.owners: r < 1";
-  List.filteri (fun i _ -> i < r) (order t key)
-
-let successor t i =
-  if size t < 2 then None
-  else begin
-    (* node i's lowest virtual point; the first other node met walking
-       clockwise from it owned the start of i's key range before i
-       joined (keys map to the first point >= their hash) *)
-    let lowest = ref max_int in
-    Array.iter
-      (fun (p, b) -> if b = i && p < !lowest then lowest := p)
-      t.ring;
-    let n = Array.length t.ring in
-    let start = ring_start t !lowest in
-    let rec go k =
-      if k >= n then None
-      else
-        let b = snd t.ring.((start + k) mod n) in
-        if b <> i then Some b else go (k + 1)
-    in
-    go 0
-  end

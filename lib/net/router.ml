@@ -7,14 +7,8 @@
    primary's reads land exactly on the replicas that populate hints
    have been warming.
 
-   Membership is an immutable epoch'd snapshot ({!state}): every
-   request captures one snapshot up front and routes entirely under it,
-   so a [join] mid-flight can never split a request across two rings —
-   that capture IS the ring-epoch handshake's consistency guarantee.
-   A [join] builds the next snapshot (epoch+1) under a lock,
-   publishes it with one field write, and migrates only the key ranges
-   the new backend now owns (streamed from the old backends' snapshots,
-   pushed as populate batches). *)
+   Membership is the backend list the router was created with: the
+   backend array and the ring never change, so only liveness moves. *)
 
 open Psph_obs
 module Engine = Psph_engine.Engine
@@ -33,22 +27,16 @@ type metrics = {
   failover : Obs.counter;
   no_backend : Obs.counter;
   backends_up : Obs.gauge;
-  epoch_g : Obs.gauge;
   request_s : Obs.histogram;
   span_name : string;
   prefix : string;
 }
 
-(* one immutable membership snapshot; requests capture it once *)
-type state = { bks : backend array; ring : Ring.t; epoch : int }
-
-type cfg = { metrics : string; timeout_ms : int; retries : int }
-
 type t = {
-  mutable state : state;  (** swapped whole under [state_lock]; plain reads are safe *)
-  state_lock : Mutex.t;
-  cfg : cfg;
+  bks : backend array;
+  ring : Ring.t;
   replication : int;
+  owners : int;  (** [min replication (Array.length bks)]: the owner-set size *)
   rep : Replica.t;
   rr : int Atomic.t;  (** rotation for keyless requests *)
   check_period_s : float;
@@ -59,24 +47,26 @@ type t = {
 
 (* request links are binary at depth 1: hot ops cross as codec bytes and
    come back as the backend's own JSON bytes (Client rebuilds them) *)
-let mk_backend cfg baddr =
+let mk_backend ~metrics ~timeout_ms ~retries baddr =
   {
     baddr;
     client =
-      Client.create ~metrics:(cfg.metrics ^ ".client") ~timeout_ms:cfg.timeout_ms
-        ~retries:cfg.retries ~codec:`Binary baddr;
+      Client.create ~metrics:(metrics ^ ".client") ~timeout_ms ~retries
+        ~codec:`Binary baddr;
     health =
-      Client.create ~metrics:(cfg.metrics ^ ".health")
-        ~timeout_ms:(min cfg.timeout_ms 1000) ~retries:0 baddr;
+      Client.create ~metrics:(metrics ^ ".health")
+        ~timeout_ms:(min timeout_ms 1000) ~retries:0 baddr;
     alive = true;
   }
 
 let create ?(metrics = "net.router") ?(replication = 1) ?(timeout_ms = 5000)
     ?(retries = 1) ?(check_period_ms = 1000) addrs =
   if addrs = [] then invalid_arg "Router.create: no backends";
-  let cfg = { metrics; timeout_ms; retries } in
-  let bks = Array.of_list (List.map (mk_backend cfg) addrs) in
   let ring = Ring.make (List.map Addr.to_string addrs) in
+  let bks =
+    Array.of_list (List.map (mk_backend ~metrics ~timeout_ms ~retries) addrs)
+  in
+  let replication = max 1 replication in
   let m =
     {
       requests = Obs.counter (metrics ^ ".requests");
@@ -84,19 +74,17 @@ let create ?(metrics = "net.router") ?(replication = 1) ?(timeout_ms = 5000)
       failover = Obs.counter (metrics ^ ".failover");
       no_backend = Obs.counter (metrics ^ ".no_backend");
       backends_up = Obs.gauge (metrics ^ ".backends_up");
-      epoch_g = Obs.gauge (metrics ^ ".epoch");
       request_s = Obs.histogram (metrics ^ ".request_s");
       span_name = metrics ^ ".request";
       prefix = metrics;
     }
   in
   Obs.gauge_set m.backends_up (float_of_int (Array.length bks));
-  Obs.gauge_set m.epoch_g 0.;
   {
-    state = { bks; ring; epoch = 0 };
-    state_lock = Mutex.create ();
-    cfg;
-    replication = max 1 replication;
+    bks;
+    ring;
+    replication;
+    owners = min replication (Array.length bks);
     rep = Replica.create ~metrics:(metrics ^ ".replica") ();
     rr = Atomic.make 0;
     check_period_s = float_of_int check_period_ms /. 1000.;
@@ -134,34 +122,28 @@ let req_of line obj =
 
 let shard_key line = (req_of line (Jsonl.of_string_opt line)).key
 
-let preference_in t st key =
+let preference_in t key =
   match key with
-  | Some key -> Ring.order st.ring key
+  | Some key -> Ring.order t.ring key
   | None ->
-      let nb = Array.length st.bks in
+      let nb = Array.length t.bks in
       let c = Atomic.fetch_and_add t.rr 1 in
       List.init nb (fun i -> (c + i) mod nb)
 
-let preference t line = preference_in t t.state (shard_key line)
+let preference t line = preference_in t (shard_key line)
 
-let backends t =
-  Array.to_list (Array.map (fun b -> (b.baddr, b.alive)) t.state.bks)
-
-let epoch t = t.state.epoch
-
-let owners_count t st = min t.replication (Array.length st.bks)
+let backends t = Array.to_list (Array.map (fun b -> (b.baddr, b.alive)) t.bks)
 
 (* ------------------------------------------------------------------ *)
 (* routing                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let refresh_up_gauge t =
-  let st = t.state in
-  let up = Array.fold_left (fun n b -> if b.alive then n + 1 else n) 0 st.bks in
+  let up = Array.fold_left (fun n b -> if b.alive then n + 1 else n) 0 t.bks in
   Obs.gauge_set t.m.backends_up (float_of_int up)
 
-let mark t st i alive =
-  let b = st.bks.(i) in
+let mark t i alive =
+  let b = t.bks.(i) in
   if b.alive <> alive then begin
     b.alive <- alive;
     Obs.event
@@ -201,22 +183,21 @@ let rank prefs i =
 (* a miss answered by one owner is pushed to the others, so hot keys
    converge to R warm copies without any replica recomputing.  [reply]
    is the backend's answer, parsed (at most once) on demand. *)
-let populate_hint t st prefs served reply =
-  let rc = owners_count t st in
-  if rc > 1 then
+let populate_hint t prefs served reply =
+  if t.owners > 1 then
     match Lazy.force reply with
     | Some (Serve.Result { cached = false; _ } as r) -> (
         match Replica.entry_of_response r with
         | None -> ()
         | Some entry ->
-            let owners = List.filteri (fun k _ -> k < rc) prefs in
+            let owners = List.filteri (fun k _ -> k < t.owners) prefs in
             let line = Replica.populate_line [ entry ] in
             List.iter
               (fun b ->
-                if b <> served && st.bks.(b).alive then
+                if b <> served && t.bks.(b).alive then
                   ignore
                     (Replica.async t.rep (fun () ->
-                         match Client.request st.bks.(b).client line with
+                         match Client.request t.bks.(b).client line with
                          | Ok _ -> ()
                          | Error _ -> Replica.populate_failed t.rep)))
               owners)
@@ -232,25 +213,24 @@ let populate_hint t st prefs served reply =
    failure marks the backend down and walks on; the untried list only
    shrinks, so the walk ends in the degraded answer at worst. *)
 let walk t sp req =
-  let st = t.state in
-  let prefs = preference_in t st req.key in
+  let prefs = preference_in t req.key in
   let rec go tries untried =
-    match (List.find_opt (fun b -> st.bks.(b).alive) untried, untried) with
+    match (List.find_opt (fun b -> t.bks.(b).alive) untried, untried) with
     | None, [] ->
         Obs.incr t.m.no_backend;
         Obs.set_attr sp "degraded" (Jsonl.Bool true);
         degraded t req.obj
     | (Some b, _ | None, b :: _) -> (
         if tries = 1 then Obs.incr t.m.failover;
-        match Client.request_prepared st.bks.(b).client req.fwd with
+        match Client.request_prepared t.bks.(b).client req.fwd with
         | Ok resp ->
-            mark t st b true;
+            mark t b true;
             Obs.incr t.m.forwarded;
-            Obs.set_attr sp "backend" (Jsonl.Str (Addr.to_string st.bks.(b).baddr));
+            Obs.set_attr sp "backend" (Jsonl.Str (Addr.to_string t.bks.(b).baddr));
             if req.key <> None then begin
               let reply = lazy (Serve.reply_of_json resp) in
               let r = rank prefs b in
-              if r > 0 && r < owners_count t st then begin
+              if r > 0 && r < t.owners then begin
                 Replica.fallback_read t.rep
                   ~cached:
                     (match Lazy.force reply with
@@ -258,13 +238,13 @@ let walk t sp req =
                     | _ -> false);
                 Obs.set_attr sp "fallback" (Jsonl.Bool true)
               end;
-              populate_hint t st prefs b reply
+              populate_hint t prefs b reply
             end;
             resp
         | Error e when Client.is_retryable e ->
             (* transport failure: the backend (not the request) is the
                problem — mark it down and walk on *)
-            mark t st b false;
+            mark t b false;
             go (tries + 1) (List.filter (fun x -> x <> b) untried)
         | Error e ->
             (* fatal Protocol errors are request-specific (e.g. a
@@ -279,117 +259,15 @@ let walk t sp req =
   go 0 prefs
 
 (* ------------------------------------------------------------------ *)
-(* membership: join + rebalance                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* migrate to the joined backend exactly the entries whose owner set
-   now includes it: every key keeps R warm copies through the join and
-   nothing else moves.  Placement of a raw store entry hashes its
-   content address ("key:<hex>"), which is exact for facet queries and
-   a safe over-approximation for symbolic ones (an extra copy is
-   wasted memory, never a wrong answer). *)
-let rebalance_to t st new_idx =
-  let target = st.bks.(new_idx) in
-  let r = max 1 (owners_count t st) in
-  let seen = Hashtbl.create 256 in
-  let moved = ref 0 in
-  Array.iteri
-    (fun i b ->
-      if i <> new_idx && b.alive then
-        match Replica.fetch_entries b.client with
-        | Error _ -> ()
-        | Ok entries ->
-            let mine =
-              List.filter
-                (fun (key, _) ->
-                  let hex = Psph_engine.Key.to_hex key in
-                  (not (Hashtbl.mem seen hex))
-                  && List.mem new_idx (Ring.owners st.ring ~r ("key:" ^ hex)))
-                entries
-            in
-            List.iter
-              (fun (key, _) ->
-                Hashtbl.replace seen (Psph_engine.Key.to_hex key) ())
-              mine;
-            let rec push = function
-              | [] -> ()
-              | chunk ->
-                  let now, rest =
-                    ( List.filteri (fun k _ -> k < 256) chunk,
-                      List.filteri (fun k _ -> k >= 256) chunk )
-                  in
-                  (match
-                     Client.request target.client (Replica.populate_line now)
-                   with
-                  | Ok _ -> moved := !moved + List.length now
-                  | Error _ -> Replica.populate_failed t.rep);
-                  push rest
-            in
-            push mine)
-    st.bks;
-  Replica.rebalanced t.rep !moved;
-  Obs.event
-    (t.m.prefix ^ ".rebalance")
-    ~attrs:
-      [
-        ("backend", Jsonl.Str (Addr.to_string target.baddr));
-        ("moved", Jsonl.int !moved);
-        ("epoch", Jsonl.int st.epoch);
-      ]
-
-(* join a backend: publish the next epoch, migrate (in the background)
-   the key ranges it now owns, and name its warm peer — the backend that
-   owned the start of its key range ([None] on a one-node ring) *)
-let add_backend t baddr =
-  let name = Addr.to_string baddr in
-  Mutex.lock t.state_lock;
-  let st = t.state in
-  match Ring.index st.ring name with
-  | Some _ ->
-      Mutex.unlock t.state_lock;
-      Error "already a backend"
-  | None ->
-      let b = mk_backend t.cfg baddr in
-      let st' =
-        {
-          bks = Array.append st.bks [| b |];
-          ring = Ring.add st.ring name;
-          epoch = st.epoch + 1;
-        }
-      in
-      (* the one-field publish: requests that already captured the old
-         snapshot finish under it; new requests see epoch+1.  No request
-         ever observes a half-updated ring. *)
-      t.state <- st';
-      Mutex.unlock t.state_lock;
-      Obs.gauge_set t.m.epoch_g (float_of_int st'.epoch);
-      refresh_up_gauge t;
-      let new_idx = Array.length st'.bks - 1 in
-      let pred =
-        Option.map (fun i -> st'.bks.(i).baddr) (Ring.successor st'.ring new_idx)
-      in
-      Obs.event
-        (t.m.prefix ^ ".backend_join")
-        ~attrs:
-          [
-            ("backend", Jsonl.Str name);
-            ("epoch", Jsonl.int st'.epoch);
-          ];
-      ignore (Thread.create (fun () -> rebalance_to t st' new_idx) ());
-      Ok (st'.epoch, pred)
-
-(* ------------------------------------------------------------------ *)
 (* admin ops                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let cluster_response t req =
-  let st = t.state in
   Jsonl.to_string
     (Jsonl.Obj
        (Serve.with_id req
           [
             ("ok", Jsonl.Bool true);
-            ("epoch", Jsonl.int st.epoch);
             ("replication", Jsonl.int t.replication);
             ( "backends",
               Jsonl.Arr
@@ -401,49 +279,8 @@ let cluster_response t req =
                             ("addr", Jsonl.Str (Addr.to_string b.baddr));
                             ("alive", Jsonl.Bool b.alive);
                           ])
-                      st.bks)) );
+                      t.bks)) );
           ]))
-
-(* the joining side of the ring-epoch handshake: a (re)joining backend
-   announces itself and learns the epoch its membership starts at plus
-   the peer to stream its warm store from (psc serve --warm-from) *)
-let join_response t req =
-  match Option.bind (Jsonl.member "backend" req) Jsonl.to_string_opt with
-  | None -> error_line (Some req) "join needs a \"backend\" address"
-  | Some s -> (
-      match Addr.parse s with
-      | Error m -> error_line (Some req) m
-      | Ok baddr -> (
-          let ok joined epoch pred =
-            Jsonl.to_string
-              (Jsonl.Obj
-                 (Serve.with_id req
-                    ([
-                       ("ok", Jsonl.Bool true);
-                       ("joined", Jsonl.Bool joined);
-                       ("epoch", Jsonl.int epoch);
-                     ]
-                    @
-                    match pred with
-                    | Some a ->
-                        [ ("predecessor", Jsonl.Str (Addr.to_string a)) ]
-                    | None -> [])))
-          in
-          match add_backend t baddr with
-          | Ok (epoch, pred) -> ok true epoch pred
-          | Error _ ->
-              (* already a member (e.g. a restarted backend re-asking
-                 for its warm peer): answer idempotently *)
-              let st = t.state in
-              let pred =
-                match Ring.index st.ring (Addr.to_string baddr) with
-                | Some i ->
-                    Option.map
-                      (fun j -> st.bks.(j).baddr)
-                      (Ring.successor st.ring i)
-                | None -> None
-              in
-              ok false st.epoch pred))
 
 (* the line is parsed here once; admin ops and placement both read that
    parse *)
@@ -457,7 +294,6 @@ let route t line =
           in
           match (op, obj) with
           | Some "cluster", Some o -> cluster_response t o
-          | Some "join", Some o -> join_response t o
           | _ -> walk t sp (req_of line obj)))
 
 (* ------------------------------------------------------------------ *)
@@ -467,13 +303,12 @@ let route t line =
 let probe = {|{"op":"models"}|}
 
 let check_once t =
-  let st = t.state in
   Array.iteri
     (fun i b ->
       match Client.request b.health probe with
-      | Ok _ -> mark t st i true
-      | Error _ -> mark t st i false)
-    st.bks
+      | Ok _ -> mark t i true
+      | Error _ -> mark t i false)
+    t.bks
 
 let rec health_loop t =
   if not (Atomic.get t.stopping) then begin
@@ -503,4 +338,4 @@ let stop t =
     (fun b ->
       Client.close b.client;
       Client.close b.health)
-    t.state.bks
+    t.bks

@@ -1,6 +1,5 @@
 (** Consistent-hash routing of serve requests across N backends, with
-    an R-replicated memo tier on top (see docs/NET.md "Replication &
-    rebalance").
+    an R-replicated memo tier on top (see docs/NET.md "Replication").
 
     The router is itself a serve-protocol peer: put {!route} behind a
     {!Server} and clients talk to it exactly as they would to a single
@@ -30,17 +29,8 @@
     order, which is exactly owner order — onto those warm replicas.
     Such replica-served reads are counted
     ([net.router.replica.fallback_read]/[fallback_hit]).
-
-    {b Membership.}  The ring, backend array and an {e epoch} form one
-    immutable snapshot; every request captures the snapshot once and
-    routes entirely under it, so requests in flight across a [join]
-    stay consistent (the ring-epoch handshake).  The
-    [{"op":"join","backend":"H:P"}] wire op publishes the next epoch,
-    answers with it and the joining backend's warm peer, and migrates
-    {e only} the key ranges the new backend takes ownership of,
-    streamed on a background thread from the old backends' snapshots
-    and pushed as populate batches.  [{"op":"cluster"}] reports epoch, replication
-    factor and per-backend liveness.
+    [{"op":"cluster"}] reports the replication factor and per-backend
+    liveness.
 
     {b Error contract.}  A request tries backends in ring order, live
     ones first and dead ones as a last resort: a retryable failure marks
@@ -58,10 +48,9 @@
     revives dead ones.
 
     Observability ([net.router.*]): request/forwarded/failover/
-    no_backend counters, backends-up and epoch gauges, per-request
-    latency, a [net.router.request] span per routed request,
-    backend_up/down/join and rebalance events, and the
-    [net.router.replica.*] family from {!Replica}. *)
+    no_backend counters, a backends-up gauge, per-request latency, a
+    [net.router.request] span per routed request, backend_up/down
+    events, and the [net.router.replica.*] family from {!Replica}. *)
 
 type t
 
@@ -74,11 +63,11 @@ val create :
   Addr.t list ->
   t
 (** No I/O; backends are assumed alive until a probe or request says
-    otherwise.  Each backend has 64 virtual points on the ring
-    ({!Ring.make}'s default); [replication] (default 1, clamped to the
-    backend count per request) replicas per key;
-    [timeout_ms]/[retries] configure the per-backend clients (retries
-    default 1 — the ring-level failover is the real retry);
+    otherwise.  The backend list is the router's whole membership: it
+    never changes.  [replication] (default 1, clamped to the backend
+    count) replicas per key; [timeout_ms]/[retries] configure the
+    per-backend clients (retries default 1 — the ring-level failover is
+    the real retry);
     [check_period_ms] (default 1000) spaces health probes.  Backend
     links speak the binary codec one request at a time (see
     {!Client}): concurrent requests to one backend take turns on its
@@ -90,24 +79,22 @@ val shard_key : string -> string option
     key affinity (batch/stats/... or unparseable). *)
 
 val preference : t -> string -> int list
-(** Backend indexes in ring (failover) order for a request line under
-    the current epoch — the first {e R} entries are the owner set.
+(** Backend indexes in ring (failover) order for a request line — the
+    first {e R} entries are the owner set.
     Pure ring arithmetic — exposed for tests; keyless lines rotate. *)
 
 val backends : t -> (Addr.t * bool) list
 (** Address and liveness of each backend, in index order. *)
 
-val epoch : t -> int
-(** The current membership epoch (0 at creation, +1 per join). *)
-
 val route : t -> string -> string
 (** Forward one request line, failing over as needed; the degraded
     answer if no backend responds.  Never raises — this is the
-    {!Server.handler} of [psc route].  [cluster]/[join] are answered by
-    the router itself (see above).  The line is parsed once — admin
-    ops and placement read that parse, and the backend link sends it
-    without re-parsing — and a backend's answer at most once (for
-    populate hints and fallback-read accounting).
+    {!Server.handler} of [psc route].  [cluster] is answered by the
+    router itself (see above); every other op, an unknown one included,
+    is forwarded.  The line is parsed once — admin ops and placement
+    read that parse, and the backend link sends it without re-parsing —
+    and a backend's answer at most once (for populate hints and
+    fallback-read accounting).
 
     Every forwarded request, a [batch] included, is forwarded whole
     and takes one walk down its preference order, as the error

@@ -92,6 +92,15 @@ let span_parent_of line =
       Option.bind (Jsonl.member "span_parent" o) Jsonl.to_int_opt
   | _ -> None
 
+(* an error that echoes nothing of the request but, on binary, the
+   frame's transport id: it stays far below Frame.max_frame *)
+let short_error codec ?orig msg =
+  match codec with
+  | Cjson -> Serve.error_line msg
+  | Cbinary ->
+      let id = match orig with Some p -> Codec.request_id_of_payload p | None -> 0 in
+      Codec.encode_reply (Codec.Failed { id; message = msg })
+
 (* the error shape [codec] calls for, addressed to the request the
    [orig] payload holds: every binary frame carries its id *)
 let error_for codec ?orig msg =
@@ -100,13 +109,7 @@ let error_for codec ?orig msg =
   | Cbinary -> (
       match Option.bind orig Codec.unescape_json with
       | Some (id, inner) -> Codec.escape_json ~id (Serve.error_line ~orig:inner msg)
-      | None ->
-          let id =
-            match orig with
-            | Some p -> Codec.request_id_of_payload p
-            | None -> 0
-          in
-          Codec.encode_reply (Codec.Failed { id; message = msg }))
+      | None -> short_error codec ?orig msg)
 
 (* ------------------------------------------------------------------ *)
 (* response completion                                                 *)
@@ -121,9 +124,10 @@ let frame_of t codec ?orig resp =
         Printf.sprintf "response too large (%d bytes, max %d)" n Frame.max_frame
       in
       (* the error echoes the request's id, which can itself be nearly
-         max_frame long *)
+         max_frame long; the short error still answers in the
+         request's slot *)
       (try Frame.encode (error_for codec ?orig msg)
-       with Frame.Oversized _ -> "")
+       with Frame.Oversized _ -> Frame.encode (short_error codec ?orig msg))
 
 (* the response slot of the next request: its arrival number on a JSON
    connection, -1 (no ordering) on a binary one.  Loop thread only. *)

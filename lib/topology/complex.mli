@@ -91,9 +91,6 @@ val join : t -> t -> t
 val map : (Vertex.t -> Vertex.t) -> t -> t
 (** Image under a vertex map (always a complex; simplexes may collapse). *)
 
-val filter_vertices : (Vertex.t -> bool) -> t -> t
-(** Induced subcomplex on the vertices satisfying the predicate. *)
-
 val restrict_ids : Pid.Set.t -> t -> t
 (** Induced subcomplex on [Proc] vertices whose pid is in the set. *)
 

@@ -18,9 +18,9 @@ val rank_jobs :
     [(d, compute)] pair per remaining dimension, where [compute ()] is the
     rank of the boundary operator from [d]-chains to [(d-1)]-chains.  The
     thunks close over one immutable {!Simplex_index} built eagerly, so
-    they may be evaluated in any order — including concurrently on separate
-    domains, which is how the query engine parallelizes one large homology
-    computation.  The caller stores [compute ()] into [r.(d)].  Each thunk
+    they may be evaluated in any order; the query engine evaluates them in
+    order in the calling thread.  The caller stores [compute ()] into
+    [r.(d)].  Each thunk
     runs in a [homology.rank] span (attr [dim]) in the {!Psph_obs.Obs}
     substrate, so per-dimension elimination cost shows up in traces.
     [index], when given, must be an index of [c] (as

@@ -424,6 +424,32 @@ let loopback_tests =
             check_contains "deadline error" message "deadline exceeded"
         | Ok _ -> fail "the late result was delivered"
         | Error m -> fail ("not a binary reply: " ^ m));
+    Alcotest.test_case "an unframeable error still answers in its slot" `Quick
+      (fun () ->
+        (* the error reply echoes an id that, with it, is over the frame
+           bound: the short error without the id takes the slot, so the
+           next reply is not read as this request's *)
+        with_engine @@ fun engine ->
+        with_v2_server engine @@ fun _srv addr ->
+        let huge = {|{"op":"nope","id":"|} ^ String.make 16_777_190 'x' ^ {|"}|} in
+        (with_raw_conn addr @@ fun send recv ->
+         send (Frame.encode huge);
+         send (Frame.encode {|{"op":"nope","id":2}|});
+         let first = recv () in
+         check_contains "the oversized request is refused" first {|"ok":false|};
+         check bool "without its id" false (contains first {|"id"|});
+         check_contains "then the next request's answer" (recv ()) {|"id":2|});
+        (* binary: a Failed under the escape's transport id *)
+        with_raw_conn addr @@ fun send recv ->
+        send (Frame.encode {|{"op":"hello","version":2,"codec":"binary"}|});
+        check_contains "binary granted" (recv ()) {|"codec":"binary"|};
+        send (Frame.encode (Codec.escape_json ~id:9 huge));
+        match Codec.decode_reply (recv ()) with
+        | Ok (Codec.Failed { id; message }) ->
+            check int "under its transport id" 9 id;
+            check_contains "names the failure" message "too large"
+        | Ok _ -> fail "expected a Failed reply"
+        | Error m -> fail ("not a binary reply: " ^ m));
     Alcotest.test_case "requests ahead of an oversized header are answered"
       `Quick (fun () ->
         (* one write: a valid request, then a header announcing a frame
@@ -1435,6 +1461,9 @@ let router_tests =
 (* Ring: replica placement as qcheck laws                              *)
 (* ------------------------------------------------------------------ *)
 
+(* the owner set the router takes: the first [r] nodes of a key's walk *)
+let owners t ~r key = List.filteri (fun i _ -> i < r) (Ring.order t key)
+
 let ring_props =
   let open QCheck2 in
   let gen_names =
@@ -1448,33 +1477,28 @@ let ring_props =
     Test.make ~name:"owners: min r n distinct physical nodes" ~count:200
       Gen.(pair gen_names (pair (1 -- 4) gen_key))
       (fun (names, (r, key)) ->
-        let t = Ring.make ~vnodes:16 names in
-        let os = Ring.owners t ~r key in
+        let t = Ring.make names in
+        let os = owners t ~r key in
         List.length os = min r (List.length names)
         && List.length (List.sort_uniq compare os) = List.length os
         && List.for_all (fun i -> i >= 0 && i < List.length names) os);
+    (* restarting [psc route] with one more --backend relies on this *)
     Test.make ~name:"join: a key keeps its primary or moves to the joiner"
       ~count:200
       Gen.(pair gen_names gen_key)
       (fun (names, key) ->
-        let t = Ring.make ~vnodes:16 names in
-        let t' = Ring.add t "joiner" in
+        let t = Ring.make names in
+        let t' = Ring.make (names @ [ "joiner" ]) in
         let p = List.hd (Ring.order t key) in
         let p' = List.hd (Ring.order t' key) in
         p' = p || p' = Ring.size t);
-    Test.make ~name:"add = make on the appended list" ~count:200
-      Gen.(pair gen_names gen_key)
-      (fun (names, key) ->
-        let a = Ring.add (Ring.make ~vnodes:16 names) "joiner" in
-        let m = Ring.make ~vnodes:16 (names @ [ "joiner" ]) in
-        Ring.order a key = Ring.order m key);
     Test.make ~name:"leave: erases only the victim from every walk" ~count:200
       Gen.(pair gen_names (pair (0 -- 7) gen_key))
       (fun (names, (vi, key)) ->
         let victim = List.nth names (vi mod List.length names) in
         let rest = List.filter (fun n -> n <> victim) names in
-        let full = Ring.make ~vnodes:16 names in
-        let sub = Ring.make ~vnodes:16 rest in
+        let full = Ring.make names in
+        let sub = Ring.make rest in
         let names_of t = List.map (Ring.name t) (Ring.order t key) in
         names_of sub = List.filter (fun n -> n <> victim) (names_of full));
   ]
@@ -1505,7 +1529,7 @@ let ring_balance_test =
                      String.init 32 (fun _ ->
                          "0123456789abcdef".[Random.State.int rng 16])
                    in
-                   List.mem 2 (Ring.owners ring ~r:2 ("key:" ^ hex)))
+                   List.mem 2 (owners ring ~r:2 ("key:" ^ hex)))
                  (List.init keys Fun.id))
           in
           if owned <= 2 then incr starved;
@@ -1733,7 +1757,7 @@ let replica_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Cluster: replication, fallback, join/rebalance, backpressure        *)
+(* Cluster: replication, fallback, fixed membership, backpressure      *)
 (* ------------------------------------------------------------------ *)
 
 let cluster_tests =
@@ -1791,61 +1815,35 @@ let cluster_tests =
           members;
         check int "one fallback read per line the replica answered"
           expected (fallback_reads () - before));
-    Alcotest.test_case "join: epoch bumps and only the new range migrates"
+    Alcotest.test_case "join is an unknown op: forwarded, refused, no epoch"
       `Quick
       (fun () ->
         with_engine @@ fun e1 ->
         with_engine @@ fun e2 ->
-        with_engine @@ fun e3 ->
         with_server (Serve.handle_line e1) @@ fun _s1 a1 ->
         with_server (Serve.handle_line e2) @@ fun _s2 a2 ->
-        with_server (Serve.handle_line e3) @@ fun _s3 a3 ->
         let r =
           Router.create ~metrics:"t.join" ~replication:2 ~timeout_ms:2000
             ~retries:0 ~check_period_ms:3600_000 [ a1; a2 ]
         in
         Fun.protect ~finally:(fun () -> Router.stop r) @@ fun () ->
-        List.iter
-          (fun l -> check_contains "warm-up" (Router.route r l) {|"ok":true|})
-          (warm_queries 12);
-        check int "epoch starts at 0" 0 (Router.epoch r);
-        let join =
-          Printf.sprintf {|{"op":"join","backend":"127.0.0.1:%d","id":11}|}
-            a3.Addr.port
+        let jr =
+          Router.route r {|{"op":"join","backend":"127.0.0.1:1","id":5}|}
         in
-        let jr = Router.route r join in
-        check_contains "joined" jr {|"joined":true|};
-        check_contains "epoch advanced" jr {|"epoch":1|};
-        check_contains "warm peer named" jr {|"predecessor":"127.0.0.1:|};
-        check_contains "id echoed" jr {|"id":11|};
-        check int "epoch visible" 1 (Router.epoch r);
-        let jr2 = Router.route r join in
-        check_contains "rejoin is idempotent" jr2 {|"joined":false|};
-        check_contains "rejoin keeps the epoch" jr2 {|"epoch":1|};
-        let cl = Router.route r {|{"op":"cluster"}|} in
+        check_contains "refused" jr {|"ok":false|};
+        check_contains "id echoed" jr {|"id":5|};
+        check bool "both backends stay alive" true
+          (List.for_all snd (Router.backends r));
+        check int "membership unchanged" 2 (List.length (Router.backends r));
+        let cl = Router.route r {|{"op":"cluster","id":6}|} in
         check_contains "cluster ok" cl {|"ok":true|};
-        check_contains "cluster lists the joiner" cl
-          (Printf.sprintf {|"addr":"127.0.0.1:%d"|} a3.Addr.port);
         check_contains "cluster reports replication" cl {|"replication":2|};
-        (* the joiner's engine must converge to exactly the entries whose
-           owner set under the new ring includes it — computed here with
-           the same Ring arithmetic the router uses *)
-        let ring = Ring.make (List.map Addr.to_string [ a1; a2; a3 ]) in
-        let hexes snap =
-          List.map (fun (k, _) -> Psph_engine.Key.to_hex k) snap
-        in
-        let all_keys =
-          List.sort_uniq compare (hexes (E.snapshot e1 @ E.snapshot e2))
-        in
-        let expected =
-          List.filter
-            (fun hex -> List.mem 2 (Ring.owners ring ~r:2 ("key:" ^ hex)))
-            all_keys
-        in
-        check bool "sample placed keys on the joiner" true (expected <> []);
-        check bool "exactly the new range arrived" true
-          (poll (fun () ->
-               List.sort compare (hexes (E.snapshot e3)) = expected)));
+        check bool "cluster has no epoch" false (contains cl {|"epoch"|});
+        List.iter
+          (fun (a : Addr.t) ->
+            check_contains "cluster lists each backend" cl
+              (Printf.sprintf {|"addr":"127.0.0.1:%d"|} a.port))
+          [ a1; a2 ]);
     Alcotest.test_case "degraded answers backpressure only while probing"
       `Quick
       (fun () ->
