@@ -729,19 +729,24 @@ let route_cmd =
   let run trace listen backends max_conns replicas timeout_ms retries
       check_period_ms =
     exit_traced trace @@ fun () ->
-    let router =
+    match
       Psph_net.Router.create ~replication:replicas ~timeout_ms ~retries
         ~check_period_ms backends
-    in
-    Psph_net.Router.start_health_checks router;
-    serve_tcp "route"
-      ~note:(Printf.sprintf ", %d backends" (List.length backends))
-      listen
-      (Psph_net.Server.listen ~max_conns
-         ~dispatch:(Psph_net.Server.threaded_dispatch ())
-         ~handler:(Psph_net.Router.route router)
-         listen)
-      ~cleanup:(fun () -> Psph_net.Router.stop router)
+    with
+    | exception Invalid_argument m ->
+        (* a repeated --backend *)
+        Format.eprintf "psc: route: %s@." m;
+        2
+    | router ->
+        Psph_net.Router.start_health_checks router;
+        serve_tcp "route"
+          ~note:(Printf.sprintf ", %d backends" (List.length backends))
+          listen
+          (Psph_net.Server.listen ~max_conns
+             ~dispatch:(Psph_net.Server.threaded_dispatch ())
+             ~handler:(Psph_net.Router.route router)
+             listen)
+          ~cleanup:(fun () -> Psph_net.Router.stop router)
   in
   let listen_arg =
     Arg.(

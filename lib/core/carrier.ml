@@ -12,10 +12,15 @@ let over_facets step c =
    synchronous facet in which every survivor heard all of K is a face of
    the failure-free facet), yet its continuations are real executions.
 
-   Distinct branches of the recursion reach identical (round, state)
+   The result is the union of what the leaves of that recursion
+   contribute, and a (rounds-remaining, state) node contributes the same
+   wherever it is reached.  Distinct branches do reach identical (r, s)
    pairs — e.g. the failure-free facet of every branch in which all
-   survivors heard everything — so results are memoized per call on
-   [(r, s)] (the branch generator is fixed for the whole call).
+   survivors heard everything — so each call keeps a visited set of
+   [(r, s)] (the branch generator is fixed for the whole call) and
+   expands a node once, unioning straight into one accumulator: union is
+   idempotent, so skipping a revisit loses nothing, and no per-node
+   complex stays live until the call returns.
 
    In the last round the continuation of every facet is the facet's own
    closure, and a complex is the union of its facets' closures, so [r = 1]
@@ -23,7 +28,7 @@ let over_facets step c =
    facet. *)
 (* vertex labels may hold [Pid.Set]s, so hash structurally, not
    polymorphically *)
-module Memo = Hashtbl.Make (struct
+module Visited = Hashtbl.Make (struct
   type t = int * Simplex.t
 
   let equal (r, s) (r', s') = r = r' && Simplex.equal s s'
@@ -32,28 +37,26 @@ module Memo = Hashtbl.Make (struct
 end)
 
 let compose ~branches r s =
-  let memo = Memo.create 97 in
-  let rec go r s =
-    if r <= 0 then Complex.of_simplex s
-    else
-      let key = (r, s) in
-      match Memo.find_opt memo key with
-      | Some c -> c
-      | None ->
-          (* one trace event per distinct (rounds-remaining, state) node
-             actually expanded; memo hits are silent *)
-          Obs.event "model.round" ~attrs:[ ("remaining", Jsonl.int r) ];
-          let c =
-            List.fold_left
-              (fun acc b ->
-                if r = 1 then Complex.union acc b
-                else
-                  List.fold_left
-                    (fun acc t -> Complex.union acc (go (r - 1) t))
-                    acc (Complex.facets b))
-              Complex.empty (branches s)
-          in
-          Memo.add memo key c;
-          c
-  in
-  go r s
+  if r <= 0 then Complex.of_simplex s
+  else begin
+    let visited = Visited.create 97 in
+    let acc = ref Complex.empty in
+    let rec go r s =
+      (* [replace] hashes the node once; the table grows only on a first
+         visit *)
+      let n = Visited.length visited in
+      Visited.replace visited (r, s) ();
+      if Visited.length visited > n then begin
+        (* one trace event per distinct (rounds-remaining, state) node
+           actually expanded; revisits are silent *)
+        Obs.event "model.round" ~attrs:[ ("remaining", Jsonl.int r) ];
+        List.iter
+          (fun b ->
+            if r = 1 then acc := Complex.union !acc b
+            else List.iter (go (r - 1)) (Complex.facets b))
+          (branches s)
+      end
+    in
+    go r s;
+    !acc
+  end

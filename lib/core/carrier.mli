@@ -16,14 +16,17 @@ val over_facets : (Simplex.t -> Complex.t) -> Complex.t -> Complex.t
 (** Union of the operator applied to every facet. *)
 
 val compose : branches:(Simplex.t -> Complex.t list) -> int -> Simplex.t -> Complex.t
-(** [compose ~branches r s]: the generic [(r, state)]-memoized
-    round-composition operator shared by every registered model.
-    [branches s] lists the one-round complexes whose facets are each
-    recursed on {e separately} — the union of branch facets is not enough
-    for the non-monotone models, where an exact-failure facet can be a
-    face of the failure-free facet yet have continuations of its own.
-    For a monotone model, pass a single branch (the one-round complex).
-    Results are memoized per call on [(r, s)], collapsing the
+(** [compose ~branches r s]: the generic round-composition operator
+    shared by every registered model.  [branches s] lists the one-round
+    complexes whose facets are each recursed on {e separately} — the
+    union of branch facets is not enough for the non-monotone models,
+    where an exact-failure facet can be a face of the failure-free facet
+    yet have continuations of its own.  For a monotone model, pass a
+    single branch (the one-round complex).  A call keeps a visited set of
+    [(r, state)] pairs and one accumulator: each distinct pair is
+    expanded once (one [model.round] event each), collapsing the
     exponentially many recursion branches that revisit the same (round,
-    global-state) pair; the memo is dropped when the call returns.
-    [compose ~branches 0 s] is the solid [s]. *)
+    global-state) pair, and the branch complexes of the last round are
+    unioned straight into the accumulator, so no per-state complex stays
+    live until the call returns.  [compose ~branches 0 s] is the solid
+    [s]. *)

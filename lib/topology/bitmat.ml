@@ -45,11 +45,13 @@ let low_from col hint =
   while !i >= 0 && col.(!i) = 0 do decr i done;
   if !i < 0 then -1 else (!i * bits) + top_bit col.(!i)
 
-let rank t =
+(* Reduces [t]'s own columns: no copy, so a matrix built only to be
+   ranked costs its columns once. *)
+let rank ?lows t =
   let nwords = words_for t.rows in
   (* pivot.(r) = index of the column whose low is row r, or -1 *)
   let pivot = Array.make (max t.rows 1) (-1) in
-  let cols = Array.map Array.copy t.cols in
+  let cols = t.cols in
   let rank = ref 0 in
   Array.iteri
     (fun j col ->
@@ -61,6 +63,7 @@ let rank t =
           match pivot.(l) with
           | -1 ->
               pivot.(l) <- j;
+              (match lows with Some b -> Bytes.set b l '\001' | None -> ());
               incr rank
           | p ->
               (* the pivot column's low is also l, so it is zero above
@@ -82,7 +85,7 @@ let rank_of_columns ~rows cols = rank (of_columns ~rows cols)
    column is one int mask, the pivot table stores reduced masks directly
    (0 = no pivot yet: a zero mask never owns a pivot), and the whole
    reduction runs on registers. *)
-let rank_words ~rows cols =
+let rank_words ?lows ~rows cols =
   if rows > bits then invalid_arg "Bitmat.rank_words: too many rows";
   let pivot = Array.make (max rows 1) 0 in
   let rank = ref 0 in
@@ -92,6 +95,7 @@ let rank_words ~rows cols =
       let p = Array.unsafe_get pivot l in
       if p = 0 then begin
         Array.unsafe_set pivot l m;
+        (match lows with Some b -> Bytes.set b l '\001' | None -> ());
         incr rank
       end
       else reduce (m lxor p)

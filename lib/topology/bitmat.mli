@@ -24,14 +24,19 @@ val of_columns : rows:int -> int list list -> t
 (** Build from sparse columns, each the list of its nonzero row
     indices. *)
 
-val rank : t -> int
-(** Rank over Z/2.  The matrix is not modified (reduction works on a
-    copy). *)
+val rank : ?lows:Bytes.t -> t -> int
+(** Rank over Z/2.  The columns are reduced in place, so afterwards [t]
+    holds the reduced matrix and no column is copied: build a matrix to
+    rank it.  When [lows] is given (at least [rows] bytes), byte
+    [r] is set to ['\001'] for every row [r] that is the lowest one of a
+    reduced column — the pivot rows, [rank] of them; other bytes are left
+    as they are.  {!Homology} clears with them (see [rank_jobs]). *)
 
 val rank_of_columns : rows:int -> int list list -> int
 (** [rank_of_columns ~rows cols = rank (of_columns ~rows cols)]. *)
 
-val rank_words : rows:int -> int array -> int
+val rank_words : ?lows:Bytes.t -> rows:int -> int array -> int
 (** Single-word fast path: each array element is one column, encoded as a
-    bit mask over at most [Sys.int_size] rows.
+    bit mask over at most [Sys.int_size] rows.  [lows] is marked as by
+    {!rank}.
     @raise Invalid_argument if [rows > Sys.int_size]. *)

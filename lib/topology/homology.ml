@@ -7,13 +7,22 @@ open Psph_obs
    Fast path: one {!Simplex_index} of the complex numbers every simplex
    within its dimension, so each boundary matrix is built from int keys
    (no Simplex.compare on the hot path) and eliminated by the bit-packed
-   {!Bitmat} engine.
+   {!Bitmat} engine, in place on the matrix just built.
 
-   [rank_jobs] exposes the per-dimension eliminations as independent
-   thunks: the index is built once in the calling domain, and each
-   returned closure only reads it — safe to run on any domain.  [ranks]
-   and the query engine run them in order.  A caller that already holds
-   an index of [c] (the engine keys through one) passes it as [index]. *)
+   Clearing (the "twist" of Chen and Kerber, "Persistent homology
+   computation with a twist", 2011): the jobs are listed top-down.  Once
+   the job for d has reduced boundary_d, every (d-1)-simplex that is the
+   lowest row of a reduced column is positive: that column is a cycle
+   whose highest simplex it is, so the simplex's own column in
+   boundary_{d-1} is a sum of earlier columns and reduces to zero.  The
+   job for d - 1 builds only the other columns, and the rank is the same.
+   A job finds its upper neighbour's pivot rows through an [Atomic] that
+   neighbour sets when it is done; a job run before it (or beside it, on
+   another domain) reduces every column, so any order gives the same
+   ranks.
+
+   A caller that already holds an index of [c] (the engine keys through
+   one) passes it as [index]. *)
 let rank_jobs ?max_dim ?index c =
   let dim = Complex.dim c in
   let top = match max_dim with None -> dim | Some m -> min m dim in
@@ -33,41 +42,69 @@ let rank_jobs ?max_dim ?index c =
               invalid_arg "Homology.rank_jobs: index stops below the needed dimension";
             idx
       in
-      let rank_of_dim d =
-        let cols = Simplex_index.keys idx d in
+      (* positive.(e): how many e-simplices the job for e + 1 found
+         positive, and which (a byte per row), once that job has run *)
+      let positive = Array.init upper (fun _ -> Atomic.make None) in
+      let rank_of_dim sp d =
+        let keys = Simplex_index.keys idx d in
         let nrows = Array.length (Simplex_index.keys idx (d - 1)) in
-        if nrows <= Sys.int_size then
-          (* columns fit in single words: build int masks directly *)
-          Bitmat.rank_words ~rows:nrows
-            (Array.map
-               (fun k ->
-                 let m = ref 0 in
-                 for i = 0 to d do
-                   m := !m lor (1 lsl Simplex_index.face_row idx k i)
-                 done;
-                 !m)
-               cols)
-        else begin
-          let mat = Bitmat.create ~rows:nrows ~cols:(Array.length cols) in
-          Array.iteri
-            (fun j k ->
-              for i = 0 to d do
-                Bitmat.set mat ~row:(Simplex_index.face_row idx k i) ~col:j
-              done)
-            cols;
-          Bitmat.rank mat
-        end
+        let skip = if d < upper then Atomic.get positive.(d) else None in
+        let cleared = match skip with None -> 0 | Some (n, _) -> n in
+        let columns = Array.length keys - cleared in
+        (* [f j k] for each column built: [j] its column, [k] its key *)
+        let iter_built f =
+          match skip with
+          | None -> Array.iteri f keys
+          | Some (_, pos) ->
+              let j = ref 0 in
+              Array.iteri
+                (fun row k ->
+                  if Bytes.get pos row = '\000' then begin
+                    f !j k;
+                    incr j
+                  end)
+                keys
+        in
+        (* the rows below have a job of their own only from d = 2 *)
+        let lows = if d >= 2 then Some (Bytes.make nrows '\000') else None in
+        let rank =
+          if nrows <= Sys.int_size then begin
+            (* columns fit in single words: build int masks directly *)
+            let masks = Array.make columns 0 in
+            iter_built (fun j k ->
+                let m = ref 0 in
+                for i = 0 to d do
+                  m := !m lor (1 lsl Simplex_index.face_row idx k i)
+                done;
+                masks.(j) <- !m);
+            Bitmat.rank_words ?lows ~rows:nrows masks
+          end
+          else begin
+            let mat = Bitmat.create ~rows:nrows ~cols:columns in
+            iter_built (fun j k ->
+                for i = 0 to d do
+                  Bitmat.set mat ~row:(Simplex_index.face_row idx k i) ~col:j
+                done);
+            Bitmat.rank ?lows mat
+          end
+        in
+        Option.iter (fun pos -> Atomic.set positive.(d - 1) (Some (rank, pos))) lows;
+        if Obs.current_sink () <> Obs.Null then begin
+          Obs.set_attr sp "columns" (Jsonl.int columns);
+          Obs.set_attr sp "cleared" (Jsonl.int cleared)
+        end;
+        rank
       in
       ( r,
         List.init upper (fun i ->
-            let d = i + 1 in
+            let d = upper - i in
             ( d,
               fun () ->
                 (* each elimination is a [homology.rank] span so traces
                    show where a query's compute time went, per dimension *)
                 Obs.with_span "homology.rank"
                   ~attrs:[ ("dim", Jsonl.int d) ]
-                  (fun _ -> rank_of_dim d) )) )
+                  (fun sp -> rank_of_dim sp d) )) )
     end
   end
 

@@ -17,16 +17,26 @@ val rank_jobs :
     [r.(0)] already filled in (the augmentation rank), and [jobs] is one
     [(d, compute)] pair per remaining dimension, where [compute ()] is the
     rank of the boundary operator from [d]-chains to [(d-1)]-chains.  The
-    thunks close over one immutable {!Simplex_index} built eagerly, so
-    they may be evaluated in any order; the query engine evaluates them in
-    order in the calling thread.  The caller stores [compute ()] into
-    [r.(d)].  Each thunk
-    runs in a [homology.rank] span (attr [dim]) in the {!Psph_obs.Obs}
-    substrate, so per-dimension elimination cost shows up in traces.
-    [index], when given, must be an index of [c] (as
-    {!Simplex_index.create} builds it) reaching the dimensions needed; it
-    is used instead of building a new one.  @raise Invalid_argument if it
-    stops below them. *)
+    caller stores [compute ()] into [r.(d)].
+
+    The jobs are listed top-down, from the highest dimension to 1, and
+    list order enables clearing: the job for [d] records which
+    [(d-1)]-simplexes it found positive (the pivot rows of its reduced
+    matrix), and the job for [d - 1], run after it, builds and reduces
+    only the other columns, since those reduce to zero.  Any order is
+    still correct, on any domain: a job whose upper neighbour has not
+    finished reduces every column.  The thunks close over one
+    {!Simplex_index} built eagerly; the query engine evaluates them in
+    list order in the calling thread.
+
+    Each thunk runs in a [homology.rank] span (attr [dim]) in the
+    {!Psph_obs.Obs} substrate, so per-dimension elimination cost shows up
+    in traces; when a sink is live the span also carries [columns] (the
+    columns built) and [cleared] (the columns clearing skipped), which
+    add up to the number of [d]-simplexes.  [index], when given, must be
+    an index of [c] (as {!Simplex_index.create} builds it) reaching the
+    dimensions needed; it is used instead of building a new one.
+    @raise Invalid_argument if it stops below them. *)
 
 val of_ranks : top:int -> Complex.t -> int array -> int array * int
 (** [of_ranks ~top c r], for [r] the boundary ranks of [c] filled in from

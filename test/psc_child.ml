@@ -31,3 +31,16 @@ let stop (pid, ic, _) =
   let status = snd (Unix.waitpid [] pid) in
   close_in ic;
   status
+
+(* a [psc args] child run to completion, stdin and stdout on /dev/null:
+   its exit status and all it wrote to stderr *)
+let run args =
+  let err_r, err_w = Unix.pipe ~cloexec:true () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+  let pid = Unix.create_process exe (Array.of_list (exe :: args)) null null err_w in
+  Unix.close null;
+  Unix.close err_w;
+  let ic = Unix.in_channel_of_descr err_r in
+  let err = In_channel.input_all ic in
+  close_in ic;
+  (snd (Unix.waitpid [] pid), err)

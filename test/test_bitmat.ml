@@ -40,6 +40,18 @@ let unit_tests =
           [ 0; 62; 63; 64; 126; 129 ];
         Alcotest.(check bool) "unset" false (Bitmat.get m ~row:1 ~col:0);
         Alcotest.(check bool) "other col" false (Bitmat.get m ~row:63 ~col:1));
+    Alcotest.test_case "rank reduces its argument in place" `Quick (fun () ->
+        (* three words of columns whose lows share three rows: reduction
+           rewrites all but three of them, in the matrix itself *)
+        let rows = 190 in
+        let cols = List.init 100 (fun i -> [ i; i + 30; 150 + (i mod 3) ]) in
+        let m = Bitmat.of_columns ~rows cols in
+        let entries m =
+          List.init 100 (fun col ->
+              List.filter (fun row -> Bitmat.get m ~row ~col) (List.init rows Fun.id))
+        in
+        Alcotest.(check int) "rank" (Z2_matrix.rank cols) (Bitmat.rank m);
+        Alcotest.(check (list (list int))) "reduced" (Z2_matrix.reduce cols) (entries m));
     Alcotest.test_case "multi-word rank equals reference" `Quick (fun () ->
         (* a shifted staircase spanning three words *)
         let cols = List.init 100 (fun i -> [ i; i + 30; i + 90 ]) in
@@ -107,17 +119,36 @@ let oracle_reduced_betti c =
   end
 
 (* psi(P^n; U) with independently chosen nonempty value sets per process,
-   n <= 3 *)
-let gen_psph =
+   n <= 3, each drawn as up to [max_values] values out of 0..3 *)
+let gen_psph_upto ~max_values =
   QCheck2.Gen.(
     int_range 0 3 >>= fun n ->
-    let values = list_size (int_range 1 3) (int_range 0 3) in
+    let values = list_size (int_range 1 max_values) (int_range 0 3) in
     list_repeat (n + 1) values
     |> map (fun vss ->
            let vss = Array.of_list vss in
            Psph.create
              ~base:(Simplex.proc_simplex n)
              ~values:(fun p -> List.map (fun v -> Label.Int v) vss.(Pid.to_int p))))
+
+let gen_psph = gen_psph_upto ~max_values:3
+
+(* boundary ranks through the reference oracle, r.(0) the augmentation *)
+let oracle_ranks c =
+  Array.init (Complex.dim c + 1) (fun d ->
+      if d = 0 then 1 else Z2_matrix.rank (Z2_matrix.boundary_matrix c d))
+
+(* [Homology.rank_jobs c], its jobs run in [order jobs]; false unless
+   the jobs are listed top-down *)
+let ranks_run order c =
+  let r, jobs = Homology.rank_jobs c in
+  let dims = List.map fst jobs in
+  List.iter (fun (d, job) -> r.(d) <- job ()) (order jobs);
+  (dims = List.rev (List.sort Int.compare dims), r)
+
+let clearing_agrees c =
+  let oracle = oracle_ranks c in
+  ranks_run Fun.id c = (true, oracle) && ranks_run List.rev c = (true, oracle)
 
 let psph_props =
   let open QCheck2 in
@@ -127,6 +158,12 @@ let psph_props =
       (fun ps ->
         let c = Psph.realize ~vertex:Psph.default_vertex ps in
         Homology.reduced_betti c = oracle_reduced_betti c);
+    (* up to four values per process: boundary_2 can have 96 rows, so
+       clearing also skips columns of multi-word matrices *)
+    Test.make ~count:100
+      ~name:"rank_jobs in list and reversed order = Z2_matrix ranks"
+      (gen_psph_upto ~max_values:4)
+      (fun ps -> clearing_agrees (Psph.realize ~vertex:Psph.default_vertex ps));
     Test.make ~count:120 ~name:"realize closure matches of_facets closure"
       gen_psph
       (fun ps ->
@@ -166,6 +203,60 @@ let wide_key_tests =
              (fun (g : Homology_z.group) -> g.rank)
              (Homology_z.reduced_homology c));
         Alcotest.(check bool) "torsion-free" true (Homology_z.is_torsion_free c));
+    Alcotest.test_case "rank_jobs in list and reversed order = Z2_matrix ranks"
+      `Quick (fun () ->
+        Alcotest.(check bool) "agrees" true (clearing_agrees (wide_complex ())));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* clearing, as the [homology.rank] spans report it                    *)
+(* ------------------------------------------------------------------ *)
+
+module Obs = Psph_obs.Obs
+module Jsonl = Psph_obs.Jsonl
+
+let clearing_trace_tests =
+  [
+    Alcotest.test_case "homology.rank spans count the columns clearing skipped"
+      `Quick (fun () ->
+        (* psi(P^3; {0,1,2}): f-vector 12, 54, 108, 81, so boundary_3 is
+           a multi-word matrix and boundary_2 and boundary_1 fit a word *)
+        let c =
+          Psph.realize ~vertex:Psph.default_vertex
+            (Psph.create ~base:(Simplex.proc_simplex 3)
+               ~values:(fun _ -> List.map (fun v -> Label.Int v) [ 0; 1; 2 ]))
+        in
+        let f = Complex.f_vector c in
+        Obs.set_sink Obs.Memory;
+        Obs.clear_records ();
+        let spans =
+          Fun.protect
+            ~finally:(fun () ->
+              Obs.set_sink Obs.Null;
+              Obs.clear_records ())
+            (fun () ->
+              ignore (Homology.reduced_betti c);
+              List.filter_map
+                (function
+                  | Obs.Span_record { name = "homology.rank"; attrs; _ } ->
+                      let int k =
+                        match List.assoc_opt k attrs with
+                        | Some (Jsonl.Num x) -> int_of_float x
+                        | _ -> Alcotest.fail ("no int attr " ^ k)
+                      in
+                      Some (int "dim", (int "columns", int "cleared"))
+                  | _ -> None)
+                (Obs.records ()))
+        in
+        Alcotest.(check (list int)) "one span per dimension, top-down" [ 3; 2; 1 ]
+          (List.map fst spans);
+        List.iter
+          (fun (d, (columns, cleared)) ->
+            let at = Printf.sprintf "dim %d" d in
+            Alcotest.(check int) (at ^ ": columns + cleared") f.(d) (columns + cleared);
+            Alcotest.(check bool) (at ^ ": cleared > 0 below the top") (d < 3)
+              (cleared > 0))
+          spans);
   ]
 
 let suites =
@@ -174,4 +265,5 @@ let suites =
     ("bitmat.wide_keys", wide_key_tests);
     ("bitmat.matrix_oracle", matrix_props);
     ("bitmat.psph_oracle", psph_props);
+    ("bitmat.clearing_trace", clearing_trace_tests);
   ]

@@ -1253,6 +1253,19 @@ let mk_router ?metrics ?(retries = 0) ports =
 
 let router_tests =
   [
+    Alcotest.test_case "psc route refuses a repeated --backend as a usage error"
+      `Quick (fun () ->
+        (* the ring names each backend once: a repeat used to escape as
+           an uncaught Invalid_argument, exit 125 *)
+        let status, err =
+          Psc_child.run
+            [
+              "route"; "--listen"; "127.0.0.1:0"; "--backend"; "127.0.0.1:7999";
+              "--backend"; "127.0.0.1:7999";
+            ]
+        in
+        check bool "exit 2" true (status = Unix.WEXITED 2);
+        check_contains "stderr" err "duplicate node 127.0.0.1:7999");
     Alcotest.test_case "shard keys canonicalize like the engine" `Quick
       (fun () ->
         check (option string) "psph by parameters"
