@@ -74,6 +74,15 @@ let exit_traced trace f =
   let code = with_trace trace f in
   if code <> 0 then exit code
 
+(* refuse a command's parameters as a usage error (exit 2) naming the
+   first rule they break; [rules] pairs each check with the rule's text *)
+let require cmd rules =
+  match List.find_opt (fun (ok, _) -> not ok) rules with
+  | Some (_, rule) ->
+      Format.eprintf "psc: %s needs %s@." cmd rule;
+      exit 2
+  | None -> ()
+
 let n_arg =
   Arg.(value & opt int 2 & info [ "n" ] ~docv:"N" ~doc:"Dimension: $(docv)+1 processes.")
 
@@ -293,6 +302,7 @@ let models_cmd =
 let decide_cmd =
   let run trace model n f k p r ext task_k =
     with_trace trace @@ fun () ->
+    require "decide" [ (task_k >= 1, "--task-k >= 1") ];
     let values = task_k + 1 in
     let spec =
       { Model_complex.n; f; k; p; r; ext = parse_ext model ext }
@@ -315,6 +325,11 @@ let decide_cmd =
 let bound_cmd =
   let run trace n f k c1 c2 d =
     with_trace trace @@ fun () ->
+    require "bound"
+      [
+        (k >= 1, "-k >= 1"); (f >= 0, "-f >= 0"); (n >= 0, "-n >= 0");
+        (1 <= c1 && c1 <= c2, "1 <= --c1 <= --c2"); (d >= 1, "-d >= 1");
+      ];
     Format.printf "Corollary 13 (async): %d-set agreement with f=%d is %s@." k f
       (if Lower_bound.corollary13_impossible ~f ~k then "impossible"
        else "not excluded");
@@ -793,10 +808,7 @@ let route_cmd =
 let sim_cmd =
   let run trace c1 c2 d n until slow_solo after_step validate =
     with_trace trace @@ fun () ->
-    if c1 < 1 || c2 < c1 || d < 1 then begin
-      Format.eprintf "psc: sim needs 1 <= c1 <= c2 and d >= 1@.";
-      exit 2
-    end;
+    require "sim" [ (1 <= c1 && c1 <= c2, "1 <= --c1 <= --c2"); (d >= 1, "-d >= 1") ];
     let cfg = { Sim.c1; c2; d } in
     let adv =
       match slow_solo with

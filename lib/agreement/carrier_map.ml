@@ -24,110 +24,18 @@ let kset_output ~n ~k ~values =
 
 let consensus_output ~n ~values = kset_output ~n ~k:1 ~values
 
-type verdict =
-  | Map of Vertex.t Vertex.Map.t
-  | Impossible
-  | Unknown
-
-exception Out_of_budget
-
 let solve ?(budget = 20_000_000) ~complex ~output ~carrier () =
-  let vertices = Array.of_list (Complex.vertices complex) in
-  let nv = Array.length vertices in
-  if nv = 0 then Map Vertex.Map.empty
-  else begin
-    let index =
-      let m = ref Vertex.Map.empty in
-      Array.iteri (fun i v -> m := Vertex.Map.add v i !m) vertices;
-      !m
-    in
-    (* domain: output vertices with the same colour, allowed by the
-       carrier, and actually present in the output complex *)
-    let domains =
-      Array.map
-        (fun v ->
-          match Vertex.pid v with
-          | None -> [||]
-          | Some p ->
-              carrier v
-              |> List.filter_map (fun value ->
-                     let w = output_vertex p value in
-                     if Complex.mem_vertex w output then Some w else None)
-              |> Array.of_list)
-        vertices
-    in
-    let facets =
-      Complex.facets complex
-      |> List.map (fun s ->
-             Simplex.vertices s
-             |> List.map (fun v -> Vertex.Map.find v index)
-             |> Array.of_list)
-      |> Array.of_list
-    in
-    let facets_of = Array.make nv [] in
-    Array.iteri
-      (fun fi f -> Array.iter (fun vi -> facets_of.(vi) <- fi :: facets_of.(vi)) f)
-      facets;
-    let order = Array.init nv (fun i -> i) in
-    Array.sort
-      (fun a b ->
-        let c = Int.compare (Array.length domains.(a)) (Array.length domains.(b)) in
-        if c <> 0 then c
-        else Int.compare (List.length facets_of.(b)) (List.length facets_of.(a)))
-      order;
-    let assignment = Array.make nv None in
-    let nodes = ref 0 in
-    let facet_ok fi =
-      (* the image of the assigned part must be a simplex of the output *)
-      let image =
-        Array.to_list facets.(fi)
-        |> List.filter_map (fun vi -> assignment.(vi))
-      in
-      Complex.mem (Simplex.of_list image) output || image = []
-    in
-    let rec go pos =
-      incr nodes;
-      if !nodes > budget then raise Out_of_budget;
-      if pos >= nv then true
-      else begin
-        let vi = order.(pos) in
-        Array.exists
-          (fun w ->
-            assignment.(vi) <- Some w;
-            let consistent = List.for_all facet_ok facets_of.(vi) in
-            if consistent && go (pos + 1) then true
-            else begin
-              assignment.(vi) <- None;
-              false
-            end)
-          domains.(vi)
-      end
-    in
-    match go 0 with
-    | true ->
-        let map =
-          Array.to_seq (Array.mapi (fun i v -> (vertices.(i), v)) assignment)
-          |> Seq.filter_map (fun (v, a) ->
-                 match a with Some w -> Some (v, w) | None -> None)
-          |> Vertex.Map.of_seq
-        in
-        Map map
-    | false -> Impossible
-    | exception Out_of_budget -> Unknown
-  end
-
-let agrees_with_decision ~complex ~n ~k ~values =
-  let output = kset_output ~n ~k ~values in
-  let a =
-    match solve ~complex ~output ~carrier:Task.allowed () with
-    | Map _ -> `S
-    | Impossible -> `I
-    | Unknown -> `U
+  (* domain: output vertices with the same colour, allowed by the carrier,
+     and actually present in the output complex *)
+  let domain v =
+    match Vertex.pid v with
+    | None -> []
+    | Some p ->
+        carrier v
+        |> List.filter_map (fun value ->
+               let w = output_vertex p value in
+               if Complex.mem_vertex w output then Some w else None)
   in
-  let b =
-    match Decision.solve ~complex ~allowed:Task.allowed ~k () with
-    | Decision.Solution _ -> `S
-    | Decision.Impossible -> `I
-    | Decision.Unknown -> `U
-  in
-  a = b
+  (* the image of the assigned part must be a simplex of the output *)
+  Decision.search ~budget ~complex ~domain ~facet_ok:(fun image _ ->
+      Complex.mem (Simplex.of_list image) output)

@@ -9,8 +9,9 @@
 
     A decision map in the paper's sense (Section 4) is exactly such a map
     into the k-set agreement output complex, so {!solve} strictly
-    generalizes {!Decision.solve}; the test-suite checks the two agree on
-    k-set instances. *)
+    generalizes {!Decision.solve}.  Both run the one search of
+    {!Decision.search}; the test-suite checks they agree on k-set
+    instances. *)
 
 open Psph_topology
 open Psph_model
@@ -22,27 +23,15 @@ val kset_output : n:int -> k:int -> values:Value.t list -> Complex.t
 val consensus_output : n:int -> values:Value.t list -> Complex.t
 (** [kset_output ~k:1]: one disjoint monochrome simplex per value. *)
 
-val output_vertex : Pid.t -> Value.t -> Vertex.t
-(** The vertex [(P, v)] of an output complex. *)
-
-type verdict =
-  | Map of Vertex.t Vertex.Map.t  (** protocol vertex -> output vertex *)
-  | Impossible
-  | Unknown
-
 val solve :
   ?budget:int ->
   complex:Complex.t ->
   output:Complex.t ->
   carrier:(Vertex.t -> Value.t list) ->
   unit ->
-  verdict
-(** Search for a colour-preserving simplicial map from the protocol complex
-    to [output] sending each vertex [(P, view)] to some [(P, v)] with [v]
-    allowed by the carrier, such that every facet's image is a simplex of
-    [output]. *)
-
-val agrees_with_decision :
-  complex:Complex.t -> n:int -> k:int -> values:Value.t list -> bool
-(** The carrier-map search and {!Decision.solve} return the same
-    solvability verdict on the k-set task. *)
+  Vertex.t Decision.outcome
+(** {!Decision.search} for a colour-preserving simplicial map from the
+    protocol complex to [output] sending each vertex [(P, view)] to some
+    [(P, v)] with [v] allowed by the carrier, such that every facet's
+    image is a simplex of [output].  The witness maps protocol vertices
+    to output vertices. *)

@@ -1,11 +1,11 @@
 open Psph_topology
 open Psph_model
 
-type verdict = Solution of Value.t Vertex.Map.t | Impossible | Unknown
+type 'a outcome = Solution of 'a Vertex.Map.t | Impossible | Unknown
 
 exception Out_of_budget
 
-let solve ?(budget = 20_000_000) ?(forward_check = true) ~complex ~allowed ~k () =
+let search ~budget ~complex ~domain ~facet_ok =
   let vertices = Array.of_list (Complex.vertices complex) in
   let nv = Array.length vertices in
   if nv = 0 then Solution Vertex.Map.empty
@@ -15,7 +15,7 @@ let solve ?(budget = 20_000_000) ?(forward_check = true) ~complex ~allowed ~k ()
       Array.iteri (fun i v -> m := Vertex.Map.add v i !m) vertices;
       !m
     in
-    let domains = Array.map (fun v -> Array.of_list (allowed v)) vertices in
+    let domains = Array.map (fun v -> Array.of_list (domain v)) vertices in
     (* facets as index arrays; per vertex, the facets containing it *)
     let facets =
       Complex.facets complex
@@ -39,111 +39,17 @@ let solve ?(budget = 20_000_000) ?(forward_check = true) ~complex ~allowed ~k ()
       order;
     let assignment = Array.make nv None in
     let nodes = ref 0 in
-    let facet_ok fi =
-      (* distinct assigned values <= k, and if exactly k, every unassigned
-         vertex in the facet can still take one of them *)
-      let distinct = ref Value.Set.empty in
-      Array.iter
-        (fun vi ->
-          match assignment.(vi) with
-          | Some value -> distinct := Value.Set.add value !distinct
-          | None -> ())
-        facets.(fi);
-      let d = Value.Set.cardinal !distinct in
-      if d > k then false
-      else if d < k || not forward_check then true
-      else
-        Array.for_all
-          (fun vi ->
+    (* the facet's assigned values, and the domains of its open vertices *)
+    let consistent fi =
+      let assigned, open_domains =
+        Array.fold_right
+          (fun vi (assigned, open_domains) ->
             match assignment.(vi) with
-            | Some _ -> true
-            | None ->
-                Array.exists (fun u -> Value.Set.mem u !distinct) domains.(vi))
-          facets.(fi)
-    in
-    let rec go pos =
-      incr nodes;
-      if !nodes > budget then raise Out_of_budget;
-      if pos >= nv then true
-      else begin
-        let vi = order.(pos) in
-        let ok =
-          Array.exists
-            (fun value ->
-              assignment.(vi) <- Some value;
-              let consistent = List.for_all facet_ok facets_of.(vi) in
-              if consistent && go (pos + 1) then true
-              else begin
-                assignment.(vi) <- None;
-                false
-              end)
-            domains.(vi)
-        in
-        ok
-      end
-    in
-    match go 0 with
-    | true ->
-        let map =
-          Array.to_seq (Array.mapi (fun i v -> (vertices.(i), v)) assignment)
-          |> Seq.filter_map (fun (v, a) ->
-                 match a with Some value -> Some (v, value) | None -> None)
-          |> Vertex.Map.of_seq
-        in
-        Solution map
-    | false -> Impossible
-    | exception Out_of_budget -> Unknown
-  end
-
-let solvable ?budget ?forward_check ~complex ~allowed ~k () =
-  match solve ?budget ?forward_check ~complex ~allowed ~k () with
-  | Solution _ -> Some true
-  | Impossible -> Some false
-  | Unknown -> None
-
-(* Generalized search: the per-facet constraint is an arbitrary monotone
-   predicate on the multiset of values assigned so far ("monotone" meaning
-   it may only return false when no completion of the partial assignment
-   can be valid — e.g. "at most k distinct", "pairwise distinct").  Slower
-   than [solve] (no k-specific forward checking) but task-agnostic. *)
-let solve_general ?(budget = 20_000_000) ~complex ~domains ~partial_ok () =
-  let vertices = Array.of_list (Complex.vertices complex) in
-  let nv = Array.length vertices in
-  if nv = 0 then Solution Vertex.Map.empty
-  else begin
-    let index =
-      let m = ref Vertex.Map.empty in
-      Array.iteri (fun i v -> m := Vertex.Map.add v i !m) vertices;
-      !m
-    in
-    let doms = Array.map (fun v -> Array.of_list (domains v)) vertices in
-    let facets =
-      Complex.facets complex
-      |> List.map (fun s ->
-             Simplex.vertices s
-             |> List.map (fun v -> Vertex.Map.find v index)
-             |> Array.of_list)
-      |> Array.of_list
-    in
-    let facets_of = Array.make nv [] in
-    Array.iteri
-      (fun fi f -> Array.iter (fun vi -> facets_of.(vi) <- fi :: facets_of.(vi)) f)
-      facets;
-    let order = Array.init nv (fun i -> i) in
-    Array.sort
-      (fun a b ->
-        let c = Int.compare (Array.length doms.(a)) (Array.length doms.(b)) in
-        if c <> 0 then c
-        else Int.compare (List.length facets_of.(b)) (List.length facets_of.(a)))
-      order;
-    let assignment = Array.make nv None in
-    let nodes = ref 0 in
-    let facet_ok fi =
-      let assigned =
-        Array.to_list facets.(fi)
-        |> List.filter_map (fun vi -> assignment.(vi))
+            | Some a -> (a :: assigned, open_domains)
+            | None -> (assigned, domains.(vi) :: open_domains))
+          facets.(fi) ([], [])
       in
-      partial_ok assigned
+      facet_ok assigned open_domains
     in
     let rec go pos =
       incr nodes;
@@ -152,29 +58,50 @@ let solve_general ?(budget = 20_000_000) ~complex ~domains ~partial_ok () =
       else begin
         let vi = order.(pos) in
         Array.exists
-          (fun value ->
-            assignment.(vi) <- Some value;
-            let consistent = List.for_all facet_ok facets_of.(vi) in
-            if consistent && go (pos + 1) then true
+          (fun a ->
+            assignment.(vi) <- Some a;
+            if List.for_all consistent facets_of.(vi) && go (pos + 1) then true
             else begin
               assignment.(vi) <- None;
               false
             end)
-          doms.(vi)
+          domains.(vi)
       end
     in
     match go 0 with
     | true ->
         let map =
           Array.to_seq (Array.mapi (fun i v -> (vertices.(i), v)) assignment)
-          |> Seq.filter_map (fun (v, a) ->
-                 match a with Some value -> Some (v, value) | None -> None)
+          |> Seq.filter_map (fun (v, a) -> Option.map (fun a -> (v, a)) a)
           |> Vertex.Map.of_seq
         in
         Solution map
     | false -> Impossible
     | exception Out_of_budget -> Unknown
   end
+
+let solve ?(budget = 20_000_000) ?(forward_check = true) ~complex ~allowed ~k () =
+  search ~budget ~complex ~domain:allowed ~facet_ok:(fun assigned open_domains ->
+      (* at most k distinct values, and once exactly k, every open vertex
+         can still take one of them *)
+      let distinct = Value.Set.of_list assigned in
+      let d = Value.Set.cardinal distinct in
+      d < k
+      || d = k
+         && ((not forward_check)
+            || List.for_all
+                 (Array.exists (fun u -> Value.Set.mem u distinct))
+                 open_domains))
+
+let solvable ?budget ?forward_check ~complex ~allowed ~k () =
+  match solve ?budget ?forward_check ~complex ~allowed ~k () with
+  | Solution _ -> Some true
+  | Impossible -> Some false
+  | Unknown -> None
+
+let solve_general ?(budget = 20_000_000) ~complex ~domains ~partial_ok () =
+  search ~budget ~complex ~domain:domains ~facet_ok:(fun assigned _ ->
+      partial_ok assigned)
 
 let kset_constraint k assigned =
   Value.Set.cardinal (Value.Set.of_list assigned) <= k

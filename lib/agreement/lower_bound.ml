@@ -11,7 +11,7 @@ type check = {
   label : string;
   connectivity : int;
   expected_connectivity : int;
-  decision : Decision.verdict;
+  decision : Psph_model.Value.t Decision.outcome;
   impossible_expected : bool;
 }
 

@@ -19,7 +19,7 @@ type check = {
   label : string;
   connectivity : int;  (** measured homological connectivity *)
   expected_connectivity : int;  (** the lemma's lower bound *)
-  decision : Decision.verdict;  (** search outcome on the complex *)
+  decision : Value.t Decision.outcome;  (** search outcome on the complex *)
   impossible_expected : bool;  (** does the paper predict impossibility? *)
 }
 

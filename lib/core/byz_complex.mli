@@ -22,10 +22,6 @@ val claim : Simplex.t -> Pid.t -> int -> Label.t
 (** [claim s q v]: the value a survivor believes [q] sent — [q]'s honest
     label for [v = 0], a tagged forgery for [v >= 1]. *)
 
-val pseudosphere_accusing : Simplex.t -> Pid.Set.t -> versions:int -> Psph.t
-(** The symbolic piece for exposed set [K]: base [S \ K], each survivor's
-    value set enumerating (heard subset of [K]) x (claim versions). *)
-
 val pseudospheres :
   n:int -> k:int -> t:int -> versions:int -> Simplex.t ->
   (Pid.Set.t * Psph.t) list

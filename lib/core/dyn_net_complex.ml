@@ -8,18 +8,10 @@ let adversary_of_int = function
   | 2 -> Some All
   | _ -> None
 
-let int_of_adversary = function Rooted -> 0 | Strong -> 1 | All -> 2
-
 let adversary_name = function
   | Rooted -> "rooted"
   | Strong -> "strong"
   | All -> "all"
-
-let adversary_of_string = function
-  | "rooted" -> Some Rooted
-  | "strong" -> Some Strong
-  | "all" -> Some All
-  | _ -> None
 
 (* forward reachability over edges u -> v (bit u set in ins.(v)): grow the
    seen mask with every process hearing from it until a fixpoint *)

@@ -17,9 +17,7 @@ open Psph_topology
 type adversary = Rooted | Strong | All
 
 val adversary_of_int : int -> adversary option
-val int_of_adversary : adversary -> int
 val adversary_name : adversary -> string
-val adversary_of_string : string -> adversary option
 
 val allows : adversary -> int array -> bool
 (** [allows adv ins]: whether the class permits the digraph on processes

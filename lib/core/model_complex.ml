@@ -8,10 +8,6 @@ type spec = { n : int; f : int; k : int; p : int; r : int; ext : ext }
 
 let default_spec = { n = 2; f = 1; k = 1; p = 2; r = 1; ext = [] }
 
-let pp_spec ppf { n; f; k; p; r; ext } =
-  Format.fprintf ppf "n=%d f=%d k=%d p=%d r=%d" n f k p r;
-  List.iter (fun (key, v) -> Format.fprintf ppf " %s=%d" key v) ext
-
 (* ------------------------------------------------------------------ *)
 (* model-owned extension parameters                                    *)
 (* ------------------------------------------------------------------ *)

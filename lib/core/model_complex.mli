@@ -42,8 +42,6 @@ val default_spec : spec
 (** [{ n = 2; f = 1; k = 1; p = 2; r = 1; ext = [] }] — the [psc] flag
     defaults. *)
 
-val pp_spec : Format.formatter -> spec -> unit
-
 (** {2 Extension parameters} *)
 
 type ext_param = {

@@ -23,11 +23,6 @@ val async_structure : n:int -> f:int -> alive:Pid.Set.t -> structure
 (** Asynchronous f-resilience: any suspect set of size at most [f] not
     containing oneself (so at least [n - f + 1] states are received). *)
 
-val sync_structure : alive:Pid.Set.t -> failed:Pid.Set.t -> structure
-(** Synchronous round with failure set [K]: suspects are exactly a subset
-    of [K] (live processes are never suspected, crashed ones may still be
-    heard). *)
-
 val one_round : Simplex.t -> structure -> Complex.t
 (** One RRFD round from the global state [S]: each process's new view
     records the states of the unsuspected processes.  Suspect sets leaving
@@ -41,5 +36,7 @@ val agrees_with_async : n:int -> f:int -> Simplex.t -> bool
     participation.  @raise Invalid_argument on a proper face of [P^n]. *)
 
 val agrees_with_sync : Simplex.t -> Pid.Set.t -> bool
-(** [one_round (S \ K) (sync_structure ...)] equals
+(** [one_round (S \ K)] under the synchronous detector with failure set
+    [K] (suspects are a subset of [K]: live processes are never
+    suspected, crashed ones may still be heard) equals
     [Sync_complex.one_round_failing s k]. *)

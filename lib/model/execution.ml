@@ -68,9 +68,3 @@ let rec run_semi ~k ~p ~n ~rounds g =
     Round_schedule.semi_schedules ~k ~p ~n ~alive:(alive g)
     |> List.concat_map (fun sched ->
            run_semi ~k ~p ~n ~rounds:(rounds - 1) (apply_semi ~p ~n g sched))
-
-let pp_global ppf g =
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf (q, v) ->
-         Format.fprintf ppf "%a: %a" Pid.pp q View.pp v))
-    (Pid.Map.bindings g)

@@ -38,4 +38,3 @@ val run_semi : k:int -> p:int -> n:int -> rounds:int -> global -> global list
 
 val alive : global -> Pid.Set.t
 
-val pp_global : Format.formatter -> global -> unit

@@ -71,10 +71,6 @@ val digraphs : alive:Pid.Set.t -> digraph list
 (** Every communication digraph on [alive]: each process independently
     hears from any subset of the others (plus itself). *)
 
-val reachable_from : digraph -> Pid.t -> Pid.Set.t
-(** Forward reachability along edges [u -> v] ([u] in [v]'s
-    in-neighborhood). *)
-
 val rooted : digraph -> bool
 (** Some process reaches every process — the weakest adversary class
     under which broadcast (and hence consensus) stays solvable. *)

@@ -25,11 +25,6 @@ let boundary_of_index idx d =
     cols;
   m
 
-let boundary_matrix_z c d =
-  if d <= 0 then invalid_arg "Homology_z.boundary_matrix_z: dimension must be >= 1";
-  if d > Complex.dim c then Array.make_matrix (Complex.count_of_dim c (d - 1)) 0 0
-  else boundary_of_index (Simplex_index.create ~max_dim:d c) d
-
 (* diag_d = smith diagonal of boundary_d (with boundary_0 = augmentation of
    rank 1 on nonempty complexes, torsion-free).  Then
    H_d = Z^{n_d - rank_d - rank_{d+1}} + torsion(boundary_{d+1}). *)

@@ -19,11 +19,6 @@ type group = { rank : int; torsion : int list }
 val group_to_string : group -> string
 (** e.g. ["Z^2"], ["Z + Z/2"], ["0"]. *)
 
-val boundary_matrix_z : Complex.t -> int -> Snf.t
-(** Signed boundary operator from [d]-chains to [(d-1)]-chains (rows =
-    [(d-1)]-simplexes, columns = [d]-simplexes, entries [+-1]).
-    @raise Invalid_argument for [d <= 0]. *)
-
 val homology : ?max_dim:int -> Complex.t -> group array
 (** Unreduced integral homology groups [H_0 .. H_dim]. *)
 

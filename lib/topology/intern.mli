@@ -8,11 +8,7 @@
     tables ({!Simplex_index}) and content addressing that must survive
     serialization (see [Psph_engine.Key]). *)
 
-val label_hash : int -> Label.t -> int
-(** [label_hash seed l]: pure structural hash of a label, folding [Pid.Set]
-    values in canonical element order.  Equal labels hash equally for every
-    seed. *)
-
 val vertex_hash : int -> Vertex.t -> int
-(** [vertex_hash seed v]: pure structural hash of a vertex (via
-    {!label_hash}). *)
+(** [vertex_hash seed v]: pure structural hash of a vertex, folding
+    [Pid.Set] values in its label in canonical element order.  Equal
+    vertices hash equally for every seed. *)

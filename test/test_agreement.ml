@@ -136,6 +136,32 @@ let lower_bound_tests =
         Alcotest.(check bool) "holds" true (Lower_bound.holds c);
         Alcotest.(check bool) "impossible" true
           (c.Lower_bound.decision = Decision.Impossible));
+    Alcotest.test_case "psc decide and bound refuse degenerate parameters" `Quick
+      (fun () ->
+        (* no task or bound is defined for these values (k = 0 divides by
+           zero in the Theorem 18 bound): a usage error naming the flag *)
+        List.iter
+          (fun (args, flag) ->
+            let status, err = Psc_child.run args in
+            let what = String.concat " " args in
+            Alcotest.(check bool) (what ^ ": exit 2") true (status = Unix.WEXITED 2);
+            let n = String.length flag in
+            let rec named i =
+              i + n <= String.length err && (String.sub err i n = flag || named (i + 1))
+            in
+            if not (named 0) then
+              Alcotest.failf "%s: %S not named in %S" what flag err)
+          [
+            ([ "decide"; "--task-k=-1" ], "--task-k");
+            ([ "decide"; "--task-k=-2" ], "--task-k");
+            ([ "decide"; "--task-k"; "0" ], "--task-k");
+            ([ "bound"; "-k"; "0" ], "-k");
+            ([ "bound"; "-f-1" ], "-f");
+            ([ "bound"; "-n-1" ], "-n");
+            ([ "bound"; "--c1"; "0" ], "--c1");
+            ([ "bound"; "--c1"; "3"; "--c2"; "2" ], "--c2");
+            ([ "bound"; "-d"; "0" ], "-d");
+          ]);
     Alcotest.test_case "Theorem 18 formula table" `Quick (fun () ->
         List.iter
           (fun (n, f, k, expect) ->

@@ -51,20 +51,63 @@ let output_tests =
 
 let carrier_tests =
   [
-    Alcotest.test_case "agrees with Decision.solve on the k-set grid" `Quick
-      (fun () ->
+    Alcotest.test_case "solve, solve_general and the carrier map agree on k-set"
+      `Quick (fun () ->
+        (* the three constraints of the one search, on one grid: the same
+           verdict, and every witness valid for its own task *)
+        let verdict = function
+          | Decision.Solution _ -> `S
+          | Decision.Impossible -> `I
+          | Decision.Unknown -> `U
+        in
         List.iter
-          (fun (n, f, k, values) ->
-            let ic = Input_complex.make ~n ~values in
-            let c = Async_complex.over_inputs ~n ~f ~r:1 ic in
-            Alcotest.(check bool)
-              (Printf.sprintf "n=%d f=%d k=%d" n f k)
-              true
-              (Carrier_map.agrees_with_decision ~complex:c ~n ~k ~values))
-          [
-            (2, 1, 1, [ 0; 1 ]); (2, 2, 2, [ 0; 1; 2 ]); (2, 1, 2, [ 0; 1; 2 ]);
-            (1, 1, 1, [ 0; 1 ]);
-          ]);
+          (fun (name, n, k, values, complex) ->
+            let task = Task.kset ~n ~k ~values in
+            let valid = function
+              | Decision.Solution m ->
+                  Alcotest.(check bool) (name ^ ": valid decision map") true
+                    (Task.valid_decision_map task complex (fun v ->
+                         Vertex.Map.find v m))
+              | _ -> ()
+            in
+            let kset = Decision.solve ~complex ~allowed:Task.allowed ~k () in
+            let general =
+              Decision.solve_general ~complex ~domains:Task.allowed
+                ~partial_ok:(Decision.kset_constraint k) ()
+            in
+            let output = Carrier_map.kset_output ~n ~k ~values in
+            let carrier = Carrier_map.solve ~complex ~output ~carrier:Task.allowed () in
+            Alcotest.(check bool) (name ^ ": solve_general = solve") true
+              (verdict general = verdict kset);
+            Alcotest.(check bool) (name ^ ": carrier map = solve") true
+              (verdict carrier = verdict kset);
+            valid kset;
+            valid general;
+            match carrier with
+            | Decision.Solution m ->
+                List.iter
+                  (fun facet ->
+                    let image =
+                      List.map (fun v -> Vertex.Map.find v m) (Simplex.vertices facet)
+                    in
+                    Alcotest.(check bool) (name ^ ": facet image in output") true
+                      (Complex.mem (Simplex.of_list image) output))
+                  (Complex.facets complex)
+            | _ -> ())
+          (List.map
+             (fun (n, f, k, values) ->
+               ( Printf.sprintf "async n=%d f=%d k=%d" n f k,
+                 n, k, values,
+                 Async_complex.over_inputs ~n ~f ~r:1 (Input_complex.make ~n ~values) ))
+             [
+               (2, 1, 1, [ 0; 1 ]); (2, 2, 2, [ 0; 1; 2 ]); (2, 1, 2, [ 0; 1; 2 ]);
+               (1, 1, 1, [ 0; 1 ]);
+             ]
+          @ [
+              ( "sync n=2 r=2 consensus", 2, 1, [ 0; 1 ],
+                Sync_complex.over_inputs ~k:1 ~r:2
+                  (Input_complex.make ~n:2 ~values:[ 0; 1 ]) );
+            ]));
     Alcotest.test_case "solutions are simplicial and carrier-preserving" `Quick
       (fun () ->
         let values = [ 0; 1; 2 ] in
@@ -72,7 +115,7 @@ let carrier_tests =
         let c = Async_complex.over_inputs ~n:2 ~f:1 ~r:1 ic in
         let output = Carrier_map.kset_output ~n:2 ~k:2 ~values in
         match Carrier_map.solve ~complex:c ~output ~carrier:Task.allowed () with
-        | Carrier_map.Map m ->
+        | Decision.Solution m ->
             let mu v = Option.value ~default:v (Vertex.Map.find_opt v m) in
             Alcotest.(check bool) "simplicial" true
               (Simplicial_map.is_simplicial mu c output);
@@ -93,7 +136,7 @@ let carrier_tests =
         let c = Sync_complex.over_inputs ~k:1 ~r:2 ic in
         let output = Carrier_map.consensus_output ~n:2 ~values in
         match Carrier_map.solve ~complex:c ~output ~carrier:Task.allowed () with
-        | Carrier_map.Map _ -> ()
+        | Decision.Solution _ -> ()
         | _ -> Alcotest.fail "expected a map");
     Alcotest.test_case "IIS consensus has no carrier map (ACT direction)" `Quick
       (fun () ->
@@ -103,7 +146,7 @@ let carrier_tests =
         let output = Carrier_map.consensus_output ~n:1 ~values in
         Alcotest.(check bool) "impossible" true
           (Carrier_map.solve ~complex:c ~output ~carrier:Task.allowed ()
-          = Carrier_map.Impossible));
+          = Decision.Impossible));
     Alcotest.test_case "empty budget reports Unknown" `Quick (fun () ->
         let values = [ 0; 1 ] in
         let ic = Input_complex.make ~n:1 ~values in
@@ -111,7 +154,7 @@ let carrier_tests =
         let output = Carrier_map.consensus_output ~n:1 ~values in
         Alcotest.(check bool) "unknown" true
           (Carrier_map.solve ~budget:2 ~complex:c ~output ~carrier:Task.allowed ()
-          = Carrier_map.Unknown));
+          = Decision.Unknown));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -190,7 +233,7 @@ let integration_tests =
         let output = Carrier_map.consensus_output ~n:2 ~values in
         Alcotest.(check bool) "impossible" true
           (Carrier_map.solve ~complex:c ~output ~carrier:Task.allowed ()
-          = Carrier_map.Impossible));
+          = Decision.Impossible));
     Alcotest.test_case "input simplex of mixed values" `Quick (fun () ->
         let s = input_simplex 3 in
         Alcotest.(check int) "dim" 3 (Simplex.dim s);

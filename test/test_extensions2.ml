@@ -184,31 +184,6 @@ let knowledge_tests =
 
 let general_search_tests =
   [
-    Alcotest.test_case "kset_constraint reproduces solve's verdicts" `Quick
-      (fun () ->
-        List.iter
-          (fun (complex, k) ->
-            let a =
-              match Decision.solve ~complex ~allowed:Task.allowed ~k () with
-              | Decision.Solution _ -> `S
-              | Decision.Impossible -> `I
-              | Decision.Unknown -> `U
-            in
-            let b =
-              match
-                Decision.solve_general ~complex ~domains:Task.allowed
-                  ~partial_ok:(Decision.kset_constraint k) ()
-              with
-              | Decision.Solution _ -> `S
-              | Decision.Impossible -> `I
-              | Decision.Unknown -> `U
-            in
-            Alcotest.(check bool) "same" true (a = b))
-          [
-            (Async_complex.over_inputs ~n:2 ~f:1 ~r:1 (Input_complex.make ~n:2 ~values:[ 0; 1 ]), 1);
-            (Sync_complex.over_inputs ~k:1 ~r:2 (Input_complex.make ~n:2 ~values:[ 0; 1 ]), 1);
-            (Async_complex.over_inputs ~n:2 ~f:1 ~r:1 (Input_complex.make ~n:2 ~values:[ 0; 1; 2 ]), 2);
-          ]);
     Alcotest.test_case "distinct_constraint: enough names succeed" `Quick (fun () ->
         (* assign pairwise distinct names per facet with a large namespace:
            trivially solvable by pid *)

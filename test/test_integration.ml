@@ -170,9 +170,39 @@ let cross_layer_tests =
         | [] -> Alcotest.fail "no facets");
   ]
 
+(* The appendix of EXPERIMENTS.md records the transcript that the
+   runtest rule diffs bin/experiments.exe against: a [dune promote] that
+   updates experiments.expected must update the appendix too. *)
+let transcript_tests =
+  [
+    Alcotest.test_case "EXPERIMENTS.md appendix = experiments.expected" `Quick
+      (fun () ->
+        let here = Filename.dirname Sys.executable_name in
+        let lines path = In_channel.with_open_text path In_channel.input_lines in
+        (* the first fenced block after the appendix heading *)
+        let rec heading = function
+          | [] -> Alcotest.fail "EXPERIMENTS.md: no \"## Appendix\" heading"
+          | l :: rest ->
+              if String.starts_with ~prefix:"## Appendix" l then fence rest
+              else heading rest
+        and fence = function
+          | [] -> Alcotest.fail "EXPERIMENTS.md: no fenced block in the appendix"
+          | "```" :: rest -> block [] rest
+          | _ :: rest -> fence rest
+        and block acc = function
+          | [] -> Alcotest.fail "EXPERIMENTS.md: unterminated appendix block"
+          | "```" :: _ -> List.rev acc
+          | l :: rest -> block (l :: acc) rest
+        in
+        Alcotest.(check (list string)) "appendix"
+          (lines (Filename.concat here "experiments.expected"))
+          (heading (lines (Filename.concat here "../EXPERIMENTS.md"))));
+  ]
+
 let suites =
   [
     ("integration.multi_round", multi_round_tests);
     ("integration.random_spot", random_spot_tests);
     ("integration.cross_layer", cross_layer_tests);
+    ("integration.transcript", transcript_tests);
   ]
