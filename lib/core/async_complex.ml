@@ -35,15 +35,15 @@ let view_vertex s p base_label = function
       Vertex.proc p (View.round_label ~prev:base_label ~heard)
   | _ -> invalid_arg "Async_complex: value is not a pid set"
 
-let one_round ~n ~f s =
-  Psph.realize ~vertex:(view_vertex s) (pseudosphere ~n ~f s)
+(* one branch, the pseudosphere itself *)
+let round ~n ~f tbl s emit =
+  Psph.facets ~vertex:(view_vertex s) (pseudosphere ~n ~f s) tbl emit
 
-(* Monotone (a face's complex is a subcomplex of a facet's), so a single
-   branch suffices; the shared operator adds (r, state) memoization. *)
-let rounds ~n ~f ~r s =
-  Carrier.compose r s ~branches:(fun s -> [ one_round ~n ~f s ])
+let one_round ~n ~f s = Carrier.rounds (round ~n ~f) 1 s
 
-let over_inputs ~n ~f ~r inputs = Carrier.over_facets (rounds ~n ~f ~r) inputs
+let rounds ~n ~f ~r s = Carrier.rounds (round ~n ~f) r s
+
+let over_inputs ~n ~f ~r inputs = Carrier.over_inputs (round ~n ~f) r inputs
 
 let lemma11_map = function
   | Vertex.Proc (p, l) -> (

@@ -18,6 +18,10 @@
 
 open Psph_topology
 
+val round : n:int -> f:int -> Carrier.round
+(** The facets of {!pseudosphere} with view labels, over vertex ids: the
+    model is monotone, so its one pseudosphere is its one branch. *)
+
 val one_round : n:int -> f:int -> Simplex.t -> Complex.t
 (** [A^1(S)]: vertex labels are encoded one-round views. *)
 

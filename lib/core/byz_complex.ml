@@ -71,18 +71,17 @@ let pseudospheres ~n ~k ~t ~versions s =
 
 (* realized with the paired vertex builder, so a vertex carries its full
    information: previous state plus everything heard (with claims) *)
-let one_round ~n ~k ~t ~versions s =
-  List.fold_left
-    (fun acc (_, ps) -> Complex.union acc (Psph.realize ps))
-    Complex.empty
+let round ~n ~k ~t ~versions tbl s emit =
+  List.iter
+    (fun (_, ps) -> Psph.facets ps tbl emit)
     (pseudospheres ~n ~k ~t ~versions s)
 
-let rounds ~n ~k ~t ~versions ~r s =
-  Carrier.compose r s ~branches:(fun s ->
-      List.map (fun (_, ps) -> Psph.realize ps) (pseudospheres ~n ~k ~t ~versions s))
+let one_round ~n ~k ~t ~versions s = Carrier.rounds (round ~n ~k ~t ~versions) 1 s
+
+let rounds ~n ~k ~t ~versions ~r s = Carrier.rounds (round ~n ~k ~t ~versions) r s
 
 let over_inputs ~n ~k ~t ~versions ~r inputs =
-  Carrier.over_facets (rounds ~n ~k ~t ~versions ~r) inputs
+  Carrier.over_inputs (round ~n ~k ~t ~versions) r inputs
 
 (* the Mendes-Herlihy shape: for r <= ceil(t/k) rounds (budget not yet
    exhausted) and n >= rk + k, the r-round complex over an m-simplex is

@@ -29,6 +29,10 @@ val pseudospheres :
     exposed set allowed by the remaining budget (at most [min k (t -
     spent)] processes, where [spent = (n + 1) - |ids s|]). *)
 
+val round : n:int -> k:int -> t:int -> versions:int -> Carrier.round
+(** One branch per accused set: the facets of its pseudosphere, over
+    vertex ids. *)
+
 val one_round : n:int -> k:int -> t:int -> versions:int -> Simplex.t -> Complex.t
 
 val rounds :

@@ -1,32 +1,39 @@
-(** Applying a round operator across a complex.
+(** Applying a round operator across a complex, over vertex ids.
 
     The paper's iterated constructions "replace each simplex of the
     one-round complex with the complex produced by the remaining rounds"
-    (Section 1).  In the asynchronous model the construction is monotone —
-    the complex of a face is a subcomplex of the complex of a facet — so
-    the union over the facets of [A^1] already contains the union over all
-    simplexes, and {!compose} recurses over one branch's facets.  (The
-    synchronous and semi-synchronous models are NOT monotone in this
-    sense; they recurse over the facets of each per-failure-set
-    pseudosphere instead.) *)
+    (Section 1).  A round's complex is a union of branches (pseudospheres,
+    for the models of the paper), and {!compose} recurses on every facet
+    of every branch: the synchronous and semi-synchronous models are not
+    monotone, so the facets of the union would not be enough.
+
+    The build works over a {!Vertex_table}: a {!round} interns the
+    vertices it creates and emits facets as id arrays, and the table
+    emits the {!Simplex_index} of the result directly.  {!rounds} and
+    {!over_inputs} materialize a labelled complex from it for callers
+    that need one. *)
 
 open Psph_topology
 
-val over_facets : (Simplex.t -> Complex.t) -> Complex.t -> Complex.t
-(** Union of the operator applied to every facet. *)
+type round = Vertex_table.t -> Simplex.t -> (int array -> unit) -> unit
+(** [round t s emit]: the one-round protocol complex over the state [s],
+    given facet by facet.  It interns the vertices it creates in [t] and
+    calls [emit] with the ids of each facet of each branch, in
+    {!Vertex.compare} order.  The array may be reused after [emit]
+    returns. *)
 
-val compose : branches:(Simplex.t -> Complex.t list) -> int -> Simplex.t -> Complex.t
-(** [compose ~branches r s]: the generic round-composition operator
-    shared by every registered model.  [branches s] lists the one-round
-    complexes whose facets are each recursed on {e separately} — the
-    union of branch facets is not enough for the non-monotone models,
-    where an exact-failure facet can be a face of the failure-free facet
-    yet have continuations of its own.  For a monotone model, pass a
-    single branch (the one-round complex).  A call keeps a visited set of
-    [(r, state)] pairs and one accumulator: each distinct pair is
-    expanded once (one [model.round] event each), collapsing the
-    exponentially many recursion branches that revisit the same (round,
-    global-state) pair, and the branch complexes of the last round are
-    unioned straight into the accumulator, so no per-state complex stays
-    live until the call returns.  [compose ~branches 0 s] is the solid
-    [s]. *)
+val compose : round -> int -> Simplex.t list -> Vertex_table.t
+(** [compose round r ss]: a fresh table holding the [r]-round complex
+    over each of [ss] ([r = 0] gives the solid simplexes).  One build
+    keeps a visited set of [(r, ids)] nodes: each distinct (round, state)
+    pair is expanded once (one [model.round] event each), collapsing the
+    exponentially many recursion branches that revisit it.  In the last
+    round every emitted facet's closure goes straight into the table.
+    @raise Failure once the table passes {!Vertex_table.max_faces}. *)
+
+val rounds : round -> int -> Simplex.t -> Complex.t
+(** The labelled complex of [compose round r [s]]. *)
+
+val over_inputs : round -> int -> Complex.t -> Complex.t
+(** The labelled union of the [r]-round complexes over the facets of an
+    input complex. *)

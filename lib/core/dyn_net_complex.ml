@@ -31,34 +31,26 @@ let allows adv ins =
   | Rooted -> Seq.exists spans (Seq.init m Fun.id)
   | Strong -> Seq.for_all spans (Seq.init m Fun.id)
 
-module Codes = Hashtbl.Make (Int)
-
 (* One round is a filtered pseudosphere product.  Process i (the i-th pid
    of [s]) picks its in-neighbourhood from the 2^(m-1) subsets of the
    others, plus itself, independently of everyone else; the class keeps
    the choice tuples whose digraph it allows.  Each heard-set vertex is
-   built once and shared physically by every facet choosing it.
+   built and interned once, and a kept tuple is emitted as its ids in pid
+   order, which is the sorted vertex order.
 
-   A face of a kept tuple picks, per process, either its option or
-   nothing: digit i of its code, in base 2^(m-1) + 1, is 0 for absent and
-   j + 1 for option j.  Faces are marked with the closure pruning of
-   [Complex.add_facet] (a marked face has all its faces marked), so the
-   table holds exactly the distinct faces.  Each is then built once, in
-   pid order, which is already the sorted vertex order. *)
-let one_round adv s =
+   Every digraph facet keeps all m processes, so no facet of a round is a
+   face of another and the facets of the round complex are exactly the
+   kept tuples: one branch. *)
+let round adv tbl s emit =
   let pids = Array.of_list (Pid.Set.elements (Simplex.ids s)) in
   let m = Array.length pids in
-  let overflow () = invalid_arg "Dyn_net_complex.one_round: face codes overflow int" in
-  if m = 0 then Complex.empty
-  else begin
-    if m > Sys.int_size - 2 then overflow ();
+  if m > 0 then begin
+    (* every option but the silent one (hearing only itself) is in some
+       digraph of every class, so there are at least m (2^(m-1) - 1)
+       vertices: refuse a round over the budget before listing them *)
+    if m - 1 >= Sys.int_size - 2 || (1 lsl (m - 1)) - 1 > Vertex_table.max_faces / m then
+      Vertex_table.over_budget ();
     let k = 1 lsl (m - 1) in
-    let base = k + 1 in
-    let weight = Array.make (m + 1) 1 in
-    for i = 1 to m do
-      if weight.(i - 1) > max_int / base then overflow ();
-      weight.(i) <- weight.(i - 1) * base
-    done;
     let label i = Option.get (Simplex.label_of pids.(i) s) in
     let heard = Array.init m (fun q -> Label.Pair (Label.Pid pids.(q), label q)) in
     (* option j of process i: the in-neighbourhood mask j with bit i
@@ -76,45 +68,27 @@ let one_round adv s =
       Vertex.proc pids.(i) (Label.Pair (label i, Label.List heard_from))
     in
     let options = Array.init m (fun i -> Array.init k (mask_of i)) in
-    let vertices = Array.init m (fun i -> Array.map (vertex i) options.(i)) in
-    let seen = Codes.create 1024 in
-    let rec mark code =
-      if code <> 0 && not (Codes.mem seen code) then begin
-        Codes.add seen code ();
-        for i = 0 to m - 1 do
-          let d = code / weight.(i) mod base in
-          if d > 0 then mark (code - (d * weight.(i)))
-        done
-      end
+    let ids =
+      Array.init m (fun i -> Array.map (fun mask -> Vertex_table.intern tbl (vertex i mask)) options.(i))
     in
-    let ins = Array.make m 0 in
-    let rec choose i code =
-      if i = m then (if allows adv ins then mark code)
+    let ins = Array.make m 0 and buf = Array.make m 0 in
+    let rec choose i =
+      if i = m then (if allows adv ins then emit buf)
       else
         for j = 0 to k - 1 do
           ins.(i) <- options.(i).(j);
-          choose (i + 1) (code + ((j + 1) * weight.(i)))
+          buf.(i) <- ids.(i).(j);
+          choose (i + 1)
         done
     in
-    choose 0 0;
-    let face code =
-      let rec go i acc =
-        if i < 0 then acc
-        else
-          let d = code / weight.(i) mod base in
-          go (i - 1) (if d > 0 then vertices.(i).(d - 1) :: acc else acc)
-      in
-      Simplex.of_sorted_list (go (m - 1) [])
-    in
-    Complex.of_closure (Codes.fold (fun code () acc -> face code :: acc) seen [])
+    choose 0
   end
 
-(* Every digraph facet keeps all m processes, so no facet of a round is a
-   face of another and the facets of the round complex are exactly the
-   digraph facets: one branch recurses on each of them. *)
-let rounds adv ~r s = Carrier.compose r s ~branches:(fun s -> [ one_round adv s ])
+let one_round adv s = Carrier.rounds (round adv) 1 s
 
-let over_inputs adv ~r inputs = Carrier.over_facets (rounds adv ~r) inputs
+let rounds adv ~r s = Carrier.rounds (round adv) r s
+
+let over_inputs adv ~r inputs = Carrier.over_inputs (round adv) r inputs
 
 (* No process ever leaves the carrier in a dynamic network, so the r-round
    complex over an m-simplex keeps every facet at dimension m.  For the

@@ -26,21 +26,24 @@ val allows : adversary -> int array -> bool
     [Round_schedule.rooted] / [Round_schedule.strongly_connected] on every
     digraph. *)
 
-val one_round : adversary -> Simplex.t -> Complex.t
-(** The one-round complex: one facet per digraph the class allows, in
-    which process [p]'s new label pairs its previous state with the sorted
+val round : adversary -> Carrier.round
+(** One facet per digraph the class allows, over vertex ids: process
+    [p]'s new vertex pairs its previous state with the sorted
     [(pid, state)] list of its in-neighbourhood.  Built as a filtered
     pseudosphere product: under {!All} it is exactly
     [psi(s; heard-set labels)], each process choosing its in-neighbourhood
-    independently; {!Rooted} and {!Strong} keep the closure of the choice
-    tuples whose digraph they allow.
-    @raise Invalid_argument if [s] has so many processes that a face of
-    the product cannot be coded in one [int]. *)
+    independently; {!Rooted} and {!Strong} keep the choice tuples whose
+    digraph they allow.  Every facet keeps all processes, so the facets
+    of a round complex are exactly these.
+    @raise Failure ({!Psph_topology.Vertex_table.over_budget}) before
+    enumerating anything when the round has more vertices than
+    {!Psph_topology.Vertex_table.max_faces}. *)
+
+val one_round : adversary -> Simplex.t -> Complex.t
+(** The labelled one-round complex: the closure of {!round}'s facets. *)
 
 val rounds : adversary -> r:int -> Simplex.t -> Complex.t
-(** [r]-fold composition via {!Carrier.compose}, with {!one_round} as
-    the single branch: every facet keeps full dimension, so the facets of
-    a round complex are exactly its digraph facets. *)
+(** [r]-fold composition via {!Carrier.compose}. *)
 
 val over_inputs : adversary -> r:int -> Complex.t -> Complex.t
 

@@ -16,23 +16,31 @@ let view_of s q seen =
   in
   View.round_label ~prev ~heard
 
-let one_round s =
-  let participants = Simplex.ids s in
-  let facets =
-    Snapshot.schedules participants
-    |> List.map (fun schedule ->
-           let views = Snapshot.views_of_schedule schedule in
-           Simplex.of_list
-             (List.map
-                (fun (q, seen) ->
-                  Vertex.proc q (view_of s q seen))
-                (Pid.Map.bindings views)))
+(* One facet per schedule.  A view recurs across many schedules, so each
+   [(process, seen set)] is built and interned once; a schedule's views in
+   pid order are its facet in sorted vertex order. *)
+let round tbl s emit =
+  let ids = Hashtbl.create 16 in
+  let id q seen =
+    let key = (q, List.map Pid.to_int (Pid.Set.elements seen)) in
+    match Hashtbl.find_opt ids key with
+    | Some i -> i
+    | None ->
+        let i = Vertex_table.intern tbl (Vertex.proc q (view_of s q seen)) in
+        Hashtbl.add ids key i;
+        i
   in
-  Complex.of_facets facets
+  List.iter
+    (fun schedule ->
+      let views = Pid.Map.bindings (Snapshot.views_of_schedule schedule) in
+      emit (Array.of_list (List.map (fun (q, seen) -> id q seen) views)))
+    (Snapshot.schedules (Simplex.ids s))
 
-let rounds ~r s = Carrier.compose r s ~branches:(fun s -> [ one_round s ])
+let one_round s = Carrier.rounds round 1 s
 
-let over_inputs ~r inputs = Carrier.over_facets (rounds ~r) inputs
+let rounds ~r s = Carrier.rounds round r s
+
+let over_inputs ~r inputs = Carrier.over_inputs round r inputs
 
 let enumerated ~r inputs =
   Enumerated.of_globals (Snapshot.run ~rounds:r (Execution.initial inputs))

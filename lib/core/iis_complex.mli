@@ -17,6 +17,9 @@
 
 open Psph_topology
 
+val round : Carrier.round
+(** One facet per immediate-snapshot schedule, over vertex ids. *)
+
 val one_round : Simplex.t -> Complex.t
 (** The one-round wait-free IIS complex with full-view vertex labels. *)
 

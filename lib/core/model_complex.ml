@@ -75,6 +75,7 @@ module type MODEL = sig
   val normalize : spec -> spec
   val validate : spec -> (spec, string) result
   val one_round : spec -> Simplex.t -> Complex.t
+  val round : spec -> Carrier.round
   val rounds : spec -> Simplex.t -> Complex.t
   val over_inputs : spec -> Complex.t -> Complex.t
   val pseudosphere_decomposition : (spec -> Simplex.t -> Psph.t Seq.t) option
@@ -156,6 +157,11 @@ let all () = List.map (fun n -> Hashtbl.find registry n) !order
 
 let encode = encode_with
 
+let rounds_index ((module M : MODEL) as m) spec s =
+  Obs.with_span "model.rounds"
+    ~attrs:[ ("spec", Jsonl.Str (encode_with m spec)) ]
+    (fun _ -> Vertex_table.index (Carrier.compose (M.round spec) spec.r [ s ]))
+
 (* ------------------------------------------------------------------ *)
 (* the generic Lemma 11/14/19 relabelling                              *)
 (* ------------------------------------------------------------------ *)
@@ -214,6 +220,7 @@ module Async_model = struct
     else Ok (normalize spec)
 
   let one_round { n; f; _ } s = Async_complex.one_round ~n ~f s
+  let round { n; f; _ } = Async_complex.round ~n ~f
   let rounds { n; f; r; _ } s = Async_complex.rounds ~n ~f ~r s
   let over_inputs { n; f; r; _ } c = Async_complex.over_inputs ~n ~f ~r c
 
@@ -238,6 +245,7 @@ module Sync_model = struct
     if spec.k < 0 then Error "k must be >= 0" else Ok (normalize spec)
 
   let one_round { k; _ } s = Sync_complex.one_round ~k s
+  let round { k; _ } = Sync_complex.round ~k
   let rounds { k; r; _ } s = Sync_complex.rounds ~k ~r s
   let over_inputs { k; r; _ } c = Sync_complex.over_inputs ~k ~r c
 
@@ -266,6 +274,7 @@ module Semi_sync_model = struct
     else Ok (normalize spec)
 
   let one_round { n; k; p; _ } s = Semi_sync_complex.one_round ~k ~p ~n s
+  let round { n; k; p; _ } = Semi_sync_complex.round ~k ~p ~n
   let rounds { n; k; p; r; _ } s = Semi_sync_complex.rounds ~k ~p ~n ~r s
   let over_inputs { n; k; p; r; _ } c = Semi_sync_complex.over_inputs ~k ~p ~n ~r c
 
@@ -294,6 +303,7 @@ module Iis_model = struct
   let normalize spec = { spec with f = 0; k = 0; p = 0; ext = [] }
   let validate spec = Result.map normalize (check_common spec)
   let one_round _ s = Iis_complex.one_round s
+  let round _ = Iis_complex.round
   let rounds { r; _ } s = Iis_complex.rounds ~r s
   let over_inputs { r; _ } c = Iis_complex.over_inputs ~r c
 
@@ -343,6 +353,10 @@ module Byz_model = struct
   let one_round ({ n; k; _ } as spec) s =
     let t, versions = params spec in
     Byz_complex.one_round ~n ~k ~t ~versions s
+
+  let round ({ n; k; _ } as spec) =
+    let t, versions = params spec in
+    Byz_complex.round ~n ~k ~t ~versions
 
   let rounds ({ n; k; r; _ } as spec) s =
     let t, versions = params spec in
@@ -396,6 +410,7 @@ module Dyn_net_model = struct
     | None -> Error "adv must be rooted (0), strong (1) or all (2)"
 
   let one_round spec s = Dyn_net_complex.one_round (adv_exn spec) s
+  let round spec = Dyn_net_complex.round (adv_exn spec)
   let rounds ({ r; _ } as spec) s = Dyn_net_complex.rounds (adv_exn spec) ~r s
 
   let over_inputs ({ r; _ } as spec) c =

@@ -98,9 +98,14 @@ module type MODEL = sig
   val one_round : spec -> Simplex.t -> Complex.t
   (** The one-round protocol complex over an input simplex. *)
 
+  val round : spec -> Carrier.round
+  (** The facets of each branch of the one-round complex over a state,
+      over vertex ids: what {!Carrier.compose} iterates, and all a model
+      gives the served build ({!rounds_index}). *)
+
   val rounds : spec -> Simplex.t -> Complex.t
-  (** The [spec.r]-round complex ([r = 0] gives the solid input), built
-      with the shared {!Carrier.compose} round-composition operator. *)
+  (** The labelled [spec.r]-round complex ([r = 0] gives the solid
+      input): {!Carrier.rounds} of {!round}. *)
 
   val over_inputs : spec -> Complex.t -> Complex.t
   (** Union of {!rounds} over the facets of an input complex. *)
@@ -164,6 +169,13 @@ val encode : model -> spec -> string
     keyed on [encode] can never be mis-keyed by an irrelevant parameter;
     models with an empty payload encode exactly as before extensions
     existed, so pre-existing cache keys stay valid. *)
+
+val rounds_index : model -> spec -> Simplex.t -> Simplex_index.t
+(** The {!Simplex_index} of [M.rounds spec s], emitted by the build over
+    vertex ids with no labelled complex in between (in a [model.rounds]
+    span carrying the canonical spec).  The query engine's miss starts
+    here.  [spec] must be valid for the model.
+    @raise Failure once the build passes {!Vertex_table.max_faces}. *)
 
 val intrinsic_map : n:int -> Vertex.t -> Vertex.t
 (** The generic Lemma 11/14/19 vertex relabelling: a full-information

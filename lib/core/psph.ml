@@ -111,42 +111,61 @@ let default_vertex p _base u = Vertex.proc p u
 
 let paired_vertex p base u = Vertex.proc p (Label.Pair (base, u))
 
-let realize ?(vertex = paired_vertex) t =
+(* A facet is a choice tuple: one vertex per (nonempty) base vertex.
+   Each column's vertices are built and interned once, and the tuples are
+   enumerated over their ids in pid order — vertices of distinct
+   processes are ordered by pid regardless of label, so that is the
+   sorted vertex order. *)
+let facets ?(vertex = paired_vertex) t tbl emit =
   let t = normalize t in
-  let base_label p =
-    match Simplex.label_of p t.base with Some l -> l | None -> assert false
-  in
-  (* The face closure of a pseudosphere is itself a product: a simplex
-     picks, for each process independently, either one of its vertices or
-     nothing.  Enumerating that product builds the whole closure directly —
-     no per-facet 2^d face expansion, no set-membership rechecks.  Vertices
-     of distinct processes are ordered by pid regardless of label, so with
-     each per-process vertex list pre-sorted, a product assembled in pid
-     order is strictly sorted and needs no re-sort. *)
-  let cols =
-    List.map
-      (fun (p, us) ->
-        List.sort_uniq Vertex.compare (List.map (fun u -> vertex p (base_label p) u) us))
-      t.values
-  in
-  let rec faces = function
-    | [] -> [ [] ]
-    | vxs :: rest ->
-        let tails = faces rest in
-        List.fold_left
-          (fun acc v -> List.fold_left (fun acc tl -> (v :: tl) :: acc) acc tails)
-          tails vxs
-  in
-  Complex.of_closure (List.rev_map Simplex.of_sorted_list (faces cols))
+  if t.values <> [] then begin
+    let base_label p =
+      match Simplex.label_of p t.base with Some l -> l | None -> assert false
+    in
+    let cols =
+      Array.of_list
+        (List.map
+           (fun (p, us) ->
+             let b = base_label p in
+             Array.of_list (List.map (fun u -> Vertex_table.intern tbl (vertex p b u)) us))
+           t.values)
+    in
+    let m = Array.length cols in
+    let buf = Array.make m 0 in
+    let rec go i =
+      if i = m then emit buf
+      else
+        Array.iter
+          (fun id ->
+            buf.(i) <- id;
+            go (i + 1))
+          cols.(i)
+    in
+    go 0
+  end
+
+let realize ?vertex t =
+  let tbl = Vertex_table.create () in
+  facets ?vertex t tbl (Vertex_table.add_facet tbl);
+  Vertex_table.complex tbl
 
 let facet_count t =
   let t = normalize t in
   if is_empty t then 0
   else List.fold_left (fun acc (_, us) -> acc * List.length us) 1 t.values
 
+(* saturating at [max_int]: the product overflows an int from about 40
+   processes with one value each *)
 let simplex_count t =
   let t = normalize t in
-  List.fold_left (fun acc (_, us) -> acc * (1 + List.length us)) 1 t.values - 1
+  let prod =
+    List.fold_left
+      (fun acc (_, us) ->
+        let c = 1 + List.length us in
+        if acc > max_int / c then max_int else acc * c)
+      1 t.values
+  in
+  if prod = max_int then max_int else prod - 1
 
 let binary n =
   uniform ~base:(Simplex.proc_simplex n) [ Label.Int 0; Label.Int 1 ]

@@ -6,7 +6,10 @@
     simplex iff their base vertices [x_i] are distinct.
 
     The type {!t} is the {e symbolic} form — the base simplex plus the
-    per-vertex value sets.  {!realize} produces the actual complex.
+    per-vertex value sets.  {!facets} gives the realized complex's facets
+    over vertex ids, interning each vertex in a {!Vertex_table} once, which
+    is how every model build uses a pseudosphere; {!realize} produces the
+    labelled complex.
     Symbolic forms support the algebra of Lemma 4 exactly (deleting empty
     value sets, componentwise intersection), which is what the
     Mayer–Vietoris engine manipulates. *)
@@ -71,15 +74,25 @@ val paired_vertex : vertex_builder
     realizations of pseudospheres over distinct faces of a common simplex
     intersect exactly as Lemma 4.3 predicts. *)
 
+val facets :
+  ?vertex:vertex_builder -> t -> Vertex_table.t -> (int array -> unit) -> unit
+(** [facets t tbl emit]: the facets of the realized complex — the choice
+    tuples, one value per (nonempty) base vertex — over vertex ids.  Each
+    vertex is built and interned in [tbl] once; [emit] gets each tuple's
+    ids in pid order, which is {!Vertex.compare} order as long as the
+    builder keeps the pid (every builder here does).  The array is reused
+    after [emit] returns.  Defaults to {!paired_vertex}. *)
+
 val realize : ?vertex:vertex_builder -> t -> Complex.t
-(** Build the complex.  Facets are the choice tuples: one value per
-    (nonempty) base vertex.  Defaults to {!paired_vertex}. *)
+(** Build the labelled complex: the closure of {!facets}, through a
+    {!Vertex_table}.  Defaults to {!paired_vertex}. *)
 
 val facet_count : t -> int
 (** Product of the nonempty value-set sizes (0 if empty pseudosphere). *)
 
 val simplex_count : t -> int
-(** Number of nonempty simplices: [prod (1 + |U_i|) - 1]. *)
+(** Number of nonempty simplices: [prod (1 + |U_i|) - 1], or [max_int]
+    when that overflows an int. *)
 
 val binary : int -> t
 (** [binary n]: the [n]-dimensional binary pseudosphere

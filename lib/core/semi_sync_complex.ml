@@ -39,20 +39,19 @@ let view_vertex ~p s q base_label = function
 let one_round_pattern ~p ~n s pat =
   Psph.realize ~vertex:(view_vertex ~p s) (pseudosphere_pattern ~p ~n s pat)
 
-let one_round ~k ~p ~n s =
-  List.fold_left
-    (fun acc (_, ps) -> Complex.union acc (Psph.realize ~vertex:(view_vertex ~p s) ps))
-    Complex.empty (pseudospheres ~k ~p ~n s)
-
 (* As in the synchronous model, recursion must visit the facets of every
-   [M^1_{K,F}] separately (see Carrier.compose). *)
-let rounds ~k ~p ~n ~r s =
-  Carrier.compose r s ~branches:(fun s ->
-      List.map
-        (fun (_, ps) -> Psph.realize ~vertex:(view_vertex ~p s) ps)
-        (pseudospheres ~k ~p ~n s))
+   [M^1_{K,F}] separately (see Carrier.compose), so each piece is a
+   branch. *)
+let round ~k ~p ~n tbl s emit =
+  Seq.iter
+    (fun (_, ps) -> Psph.facets ~vertex:(view_vertex ~p s) ps tbl emit)
+    (pseudosphere_seq ~k ~p ~n s)
 
-let over_inputs ~k ~p ~n ~r inputs = Carrier.over_facets (rounds ~k ~p ~n ~r) inputs
+let one_round ~k ~p ~n s = Carrier.rounds (round ~k ~p ~n) 1 s
+
+let rounds ~k ~p ~n ~r s = Carrier.rounds (round ~k ~p ~n) r s
+
+let over_inputs ~k ~p ~n ~r inputs = Carrier.over_inputs (round ~k ~p ~n) r inputs
 
 let lemma19_rhs ~p ~n s pat =
   Psph.realize ~vertex:Psph.default_vertex (pseudosphere_pattern ~p ~n s pat)

@@ -20,6 +20,10 @@ open Psph_model
 val one_round_pattern : p:int -> n:int -> Simplex.t -> Failure.pattern -> Complex.t
 (** [M^1_{K,F}(S)] with full-view vertex labels. *)
 
+val round : k:int -> p:int -> n:int -> Carrier.round
+(** One branch per failure set and pattern: the facets of each
+    [M^1_{K,F}], over vertex ids. *)
+
 val one_round : k:int -> p:int -> n:int -> Simplex.t -> Complex.t
 (** [M^1(S)]: union over failure sets of size [<= k] and patterns. *)
 

@@ -39,20 +39,18 @@ let view_vertex s p base_label = function
 let one_round_failing s k =
   Psph.realize ~vertex:(view_vertex s) (pseudosphere_failing s k)
 
-let one_round ~k s =
-  List.fold_left
-    (fun acc (_, ps) -> Complex.union acc (Psph.realize ~vertex:(view_vertex s) ps))
-    Complex.empty (pseudospheres ~k s)
-
 (* The model is not monotone: recursion must visit the facets of every
-   S^1_K separately (see Carrier.compose). *)
-let rounds ~k ~r s =
-  Carrier.compose r s ~branches:(fun s ->
-      List.map
-        (fun (_, ps) -> Psph.realize ~vertex:(view_vertex s) ps)
-        (pseudospheres ~k s))
+   S^1_K separately (see Carrier.compose), so each piece is a branch. *)
+let round ~k tbl s emit =
+  Seq.iter
+    (fun (_, ps) -> Psph.facets ~vertex:(view_vertex s) ps tbl emit)
+    (pseudosphere_seq ~k s)
 
-let over_inputs ~k ~r inputs = Carrier.over_facets (rounds ~k ~r) inputs
+let one_round ~k s = Carrier.rounds (round ~k) 1 s
+
+let rounds ~k ~r s = Carrier.rounds (round ~k) r s
+
+let over_inputs ~k ~r inputs = Carrier.over_inputs (round ~k) r inputs
 
 let lemma14_rhs s k =
   Psph.realize

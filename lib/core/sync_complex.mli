@@ -15,6 +15,10 @@ val one_round_failing : Simplex.t -> Pid.Set.t -> Complex.t
 (** [S^1_K(S)]: the executions in which exactly [K] fails.  Empty if [K]
     contains every process of [S]. *)
 
+val round : k:int -> Carrier.round
+(** One branch per failure set: the facets of each [S^1_K], over vertex
+    ids. *)
+
 val one_round : k:int -> Simplex.t -> Complex.t
 (** [S^1(S)]: union over failure sets of size [<= k] (proper subsets of
     [ids S]). *)

@@ -4,10 +4,15 @@
    or protocol-complex parameters).  Evaluation is content-addressed: the
    complex's canonical {!Key.t} selects the slot in the LRU memo store, so
    structurally-equal queries coalesce no matter how they were phrased.
-   On a miss the reduced-homology ranks are computed in the calling
-   thread and the answer (Betti vector + connectivity) is cached under
-   the key.  The engine's Domain pool runs whole requests ([dispatch]),
-   never parts of one.
+   A symbolic spec's build runs over vertex ids and emits the complex's
+   {!Simplex_index} directly (no labelled complex is built on the served
+   path); the key folds that index, and on a miss the reduced-homology
+   ranks are computed over the same index in the calling thread and the
+   answer (Betti vector + connectivity) is cached under the key.  A build
+   stops with an error past {!Vertex_table.max_faces} simplices, and a
+   psph spec over that count is refused before it starts, so one request
+   cannot exhaust the server's memory.  The engine's Domain pool runs
+   whole requests ([dispatch]), never parts of one.
 
    Symbolic specs get a second, cheaper canonicalization layer in front:
    a normalized spec (model specs canonicalized by the registered model's
@@ -35,11 +40,12 @@
    instance in the process.
 
    Thread-safety: the engine lock guards both tables.  The underlying
-   computations are safe to run on worker domains because every table
-   they use is built per call (the {!Simplex_index} of one complex, a
-   compose memo) and everything else on the path is immutable (a racing
-   duplicate miss computes the same answer twice and the second
-   [Lru.add] is a no-op overwrite — wasteful, never wrong). *)
+   computations are safe to run on worker domains because every mutable
+   table they use belongs to one call (the {!Vertex_table} a build fills,
+   its visited set) and everything else on the path is immutable, the
+   emitted {!Simplex_index} included (a racing duplicate miss computes
+   the same answer twice and the second [Lru.add] is a no-op overwrite —
+   wasteful, never wrong). *)
 
 open Psph_obs
 open Psph_topology
@@ -169,18 +175,50 @@ let create ?domains ?(capacity = 4096) ?persist () =
 
 let input_simplex = Solver.standard_input
 
+(* A psph spec is refused up front once its simplex count passes the
+   build budget; past [Sys.int_size - 2] processes with a value each the
+   count is over it for sure, so the base is never even listed.  With no
+   values the complex is empty whatever the base (Lemma 4.2), so no base
+   is listed either. *)
+let psph_of ~n ~values =
+  if n < 0 || values < 0 then invalid_arg "Engine: psph needs n, values >= 0";
+  let over () =
+    invalid_arg
+      (Printf.sprintf
+         "Engine: psph n=%d values=%d has more than %d simplices (the build budget)"
+         n values Vertex_table.max_faces)
+  in
+  if values > 0 && n >= Sys.int_size - 2 then over ();
+  let base = if values = 0 then Simplex.empty else Simplex.proc_simplex n in
+  let ps = Psph.uniform ~base (List.init values (fun i -> Label.Int i)) in
+  if Psph.simplex_count ps > Vertex_table.max_faces then over ();
+  ps
+
+let validated model params =
+  let ((module M : Model_complex.MODEL) as m) = Model_complex.get model in
+  match M.validate params with
+  | Error msg -> invalid_arg (Printf.sprintf "Engine: %s model: %s" model msg)
+  | Ok params -> (m, params)
+
 let build = function
   | Explicit c -> c
+  | Psph { n; values } -> Psph.realize ~vertex:Psph.default_vertex (psph_of ~n ~values)
+  | Model { model; params } ->
+      let (module M : Model_complex.MODEL), params = validated model params in
+      M.rounds params (input_simplex params.Model_complex.n)
+
+(* what a miss keys and eliminates over: a symbolic spec's build emits the
+   index over vertex ids, with no labelled complex in between *)
+let index_of = function
+  | Explicit c -> Simplex_index.create c
   | Psph { n; values } ->
-      if n < 0 || values < 0 then invalid_arg "Engine: psph needs n, values >= 0";
-      Psph.realize ~vertex:Psph.default_vertex
-        (Psph.uniform ~base:(Simplex.proc_simplex n)
-           (List.init values (fun i -> Label.Int i)))
-  | Model { model; params } -> (
-      let (module M : Model_complex.MODEL) = Model_complex.get model in
-      match M.validate params with
-      | Error msg -> invalid_arg (Printf.sprintf "Engine: %s model: %s" model msg)
-      | Ok params -> M.rounds params (input_simplex params.Model_complex.n))
+      let tbl = Vertex_table.create () in
+      Psph.facets ~vertex:Psph.default_vertex (psph_of ~n ~values) tbl
+        (Vertex_table.add_facet tbl);
+      Vertex_table.index tbl
+  | Model { model; params } ->
+      let m, params = validated model params in
+      Model_complex.rounds_index m params (input_simplex params.Model_complex.n)
 
 (* ------------------------------------------------------------------ *)
 (* evaluation                                                          *)
@@ -216,14 +254,11 @@ let provenance_fields p =
   @ (match p.steps with Some s -> [ ("steps", Jsonl.int s) ] | None -> [])
   @ match p.checked with Some b -> [ ("checked", Jsonl.int b) ] | None -> []
 
-(* Z/2 elimination straight over the built complex, with no
-   discrete-Morse precollapse: on the served model specs
-   {!Collapse.reduce} costs more than the elimination it saves (see the
-   numbers in docs/TOPOLOGY.md). *)
-let compute index c =
-  let r, jobs = Homology.rank_jobs ~index c in
-  List.iter (fun (d, job) -> r.(d) <- job ()) jobs;
-  let betti, connectivity = Homology.of_ranks ~top:(Complex.dim c) c r in
+(* Z/2 elimination straight over the index, with no discrete-Morse
+   precollapse: on the served model specs {!Collapse.reduce} costs more
+   than the elimination it saves (see the numbers in docs/TOPOLOGY.md). *)
+let compute index =
+  let betti, connectivity = Homology.of_index index in
   if betti <> [||] then betti.(0) <- betti.(0) + 1;
   { betti; connectivity }
 
@@ -242,14 +277,12 @@ let remember_spec t sk key =
   end;
   Obs.gauge_set spec_memo_g (float_of_int (Hashtbl.length t.spec_memo))
 
-(* slow path: build the complex, index it, key the index, consult the LRU;
-   a miss eliminates over the same index.  [sk_opt] is the caller's spec
-   key, recorded so the next occurrence of the same spec takes the fast
-   path. *)
+(* slow path: build the index, key it, consult the LRU; a miss eliminates
+   over the same index.  [sk_opt] is the caller's spec key, recorded so
+   the next occurrence of the same spec takes the fast path. *)
 let eval_uncached t sk_opt spec =
   let t0 = Obs.monotonic () in
-  let c = build spec in
-  let index = Simplex_index.create c in
+  let index = index_of spec in
   let key = Key.of_index index in
   let t1 = Obs.monotonic () in
   Obs.observe build_h (t1 -. t0);
@@ -260,7 +293,7 @@ let eval_uncached t sk_opt spec =
   match hit with
   | Some answer -> { key; answer; cached = true; solver = cached_prov }
   | None ->
-      let answer = Obs.time compute_h (fun () -> compute index c) in
+      let answer = Obs.time compute_h (fun () -> compute index) in
       Mutex.lock t.lock;
       Lru.add t.cache key answer;
       Mutex.unlock t.lock;

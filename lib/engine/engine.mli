@@ -93,9 +93,13 @@ val create :
     names a {!Store} file loaded now and written by {!flush}/{!shutdown}. *)
 
 val build : spec -> Complex.t
-(** The complex a spec denotes (no caching, no homology).
-    @raise Invalid_argument on invalid parameters or an unknown model
-    name (the message lists the registered models). *)
+(** The labelled complex a spec denotes (no caching, no homology).  A
+    query miss does not call this: it builds the spec's index over vertex
+    ids, with the same simplexes, numbering and key.
+    @raise Invalid_argument on invalid parameters, an unknown model name
+    (the message lists the registered models), or a psph spec of more
+    than {!Psph_topology.Vertex_table.max_faces} simplices.
+    @raise Failure once a model build passes that many simplices. *)
 
 val eval : ?mode:mode -> t -> spec -> result
 (** Betti numbers need the numeric tier, so [mode] (default [Auto]) only

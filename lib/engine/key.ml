@@ -31,11 +31,6 @@ type t = { h1 : int; h2 : int }
 
 let equal a b = a.h1 = b.h1 && a.h2 = b.h2
 
-let compare a b =
-  match Int.compare a.h1 b.h1 with 0 -> Int.compare a.h2 b.h2 | c -> c
-
-let hash a = a.h1 lxor (a.h2 * 0x9e3779b1)
-
 let of_index idx =
   if not (Simplex_index.complete idx) then
     invalid_arg "Key.of_index: the index omits dimensions";

@@ -31,10 +31,6 @@ val of_string : string -> t
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-
-val hash : t -> int
-
 val to_hex : t -> string
 (** 32 lowercase hex digits; the wire and on-disk representation. *)
 

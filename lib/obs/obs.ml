@@ -405,23 +405,3 @@ let snapshot_json () =
              s.span_totals) );
     ]
 
-let reset () =
-  Mutex.lock registry_lock;
-  Hashtbl.iter (fun _ c -> Atomic.set c.ticks 0) counters;
-  Hashtbl.iter (fun _ g -> Atomic.set g.level 0.0) gauges;
-  Hashtbl.iter
-    (fun _ h ->
-      Mutex.lock h.hlock;
-      h.hcount <- 0;
-      h.hsum <- 0.0;
-      h.hmin <- infinity;
-      h.hmax <- neg_infinity;
-      Mutex.unlock h.hlock)
-    histograms;
-  Hashtbl.iter
-    (fun _ a ->
-      a.scount <- 0;
-      a.stotal <- 0.0)
-    span_aggs;
-  Mutex.unlock registry_lock;
-  clear_records ()

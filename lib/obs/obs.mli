@@ -35,12 +35,6 @@ type attrs = (string * Jsonl.t) list
 (** Span/event attributes: JSON-valued, so they serialize to the trace
     without further encoding. *)
 
-val now : unit -> float
-(** The wall clock ({!Unix.gettimeofday}), in seconds.  Used only for
-    trace timestamps; durations are measured with {!monotonic} so a
-    wall-clock step can never produce a negative span or histogram
-    observation. *)
-
 val monotonic : unit -> float
 (** [CLOCK_MONOTONIC], in seconds since an arbitrary origin.  The clock
     every duration in this module is measured on; comparable only within
@@ -184,8 +178,3 @@ val snapshot_json : unit -> Jsonl.t
     [{"counters":{..},"gauges":{..},"histograms":{..},"spans":{..}}] —
     the payload of the serve [metrics] wire op and of
     [psc serve --metrics]. *)
-
-val reset : unit -> unit
-(** Zero every registered metric and span aggregate and clear the memory
-    buffer.  Registrations (and handles already held by callers) stay
-    valid. *)

@@ -21,91 +21,90 @@ open Psph_obs
    another domain) reduces every column, so any order gives the same
    ranks.
 
-   A caller that already holds an index of [c] (the engine keys through
-   one) passes it as [index]. *)
-let rank_jobs ?max_dim ?index c =
+   [of_index] needs no complex at all, only a complete index (the engine
+   builds one straight from a model and keys through it). *)
+
+(* the jobs for dimensions [upper] down to 1 over [idx]; [idx ()] is
+   asked only when there is a job *)
+let jobs_upto upper idx =
+  let r = Array.make (upper + 1) 0 in
+  r.(0) <- 1;
+  if upper < 1 then (r, [])
+  else begin
+    let idx = idx () in
+    (* positive.(e): how many e-simplices the job for e + 1 found
+       positive, and which (a byte per row), once that job has run *)
+    let positive = Array.init upper (fun _ -> Atomic.make None) in
+    let rank_of_dim sp d =
+      let keys = Simplex_index.keys idx d in
+      let nrows = Array.length (Simplex_index.keys idx (d - 1)) in
+      let skip = if d < upper then Atomic.get positive.(d) else None in
+      let cleared = match skip with None -> 0 | Some (n, _) -> n in
+      let columns = Array.length keys - cleared in
+      (* [f j k] for each column built: [j] its column, [k] its key *)
+      let iter_built f =
+        match skip with
+        | None -> Array.iteri f keys
+        | Some (_, pos) ->
+            let j = ref 0 in
+            Array.iteri
+              (fun row k ->
+                if Bytes.get pos row = '\000' then begin
+                  f !j k;
+                  incr j
+                end)
+              keys
+      in
+      (* the rows below have a job of their own only from d = 2 *)
+      let lows = if d >= 2 then Some (Bytes.make nrows '\000') else None in
+      let rank =
+        if nrows <= Sys.int_size then begin
+          (* columns fit in single words: build int masks directly *)
+          let masks = Array.make columns 0 in
+          iter_built (fun j k ->
+              let m = ref 0 in
+              for i = 0 to d do
+                m := !m lor (1 lsl Simplex_index.face_row idx k i)
+              done;
+              masks.(j) <- !m);
+          Bitmat.rank_words ?lows ~rows:nrows masks
+        end
+        else begin
+          let mat = Bitmat.create ~rows:nrows ~cols:columns in
+          iter_built (fun j k ->
+              for i = 0 to d do
+                Bitmat.set mat ~row:(Simplex_index.face_row idx k i) ~col:j
+              done);
+          Bitmat.rank ?lows mat
+        end
+      in
+      Option.iter (fun pos -> Atomic.set positive.(d - 1) (Some (rank, pos))) lows;
+      if Obs.current_sink () <> Obs.Null then begin
+        Obs.set_attr sp "columns" (Jsonl.int columns);
+        Obs.set_attr sp "cleared" (Jsonl.int cleared)
+      end;
+      rank
+    in
+    ( r,
+      List.init upper (fun i ->
+          let d = upper - i in
+          ( d,
+            fun () ->
+              (* each elimination is a [homology.rank] span so traces
+                 show where a query's compute time went, per dimension *)
+              Obs.with_span "homology.rank"
+                ~attrs:[ ("dim", Jsonl.int d) ]
+                (fun sp -> rank_of_dim sp d) )) )
+  end
+
+let rank_jobs ?max_dim c =
   let dim = Complex.dim c in
   let top = match max_dim with None -> dim | Some m -> min m dim in
   if dim < 0 then ([||], [])
   else begin
     (* rank of boundary_{top+1} is needed for betti at top *)
     let upper = min (top + 1) dim in
-    let r = Array.make (upper + 1) 0 in
-    r.(0) <- 1;
-    if upper < 1 then (r, [])
-    else begin
-      let idx =
-        match index with
-        | None -> Simplex_index.create ~max_dim:upper c
-        | Some idx ->
-            if Simplex_index.dim idx < upper then
-              invalid_arg "Homology.rank_jobs: index stops below the needed dimension";
-            idx
-      in
-      (* positive.(e): how many e-simplices the job for e + 1 found
-         positive, and which (a byte per row), once that job has run *)
-      let positive = Array.init upper (fun _ -> Atomic.make None) in
-      let rank_of_dim sp d =
-        let keys = Simplex_index.keys idx d in
-        let nrows = Array.length (Simplex_index.keys idx (d - 1)) in
-        let skip = if d < upper then Atomic.get positive.(d) else None in
-        let cleared = match skip with None -> 0 | Some (n, _) -> n in
-        let columns = Array.length keys - cleared in
-        (* [f j k] for each column built: [j] its column, [k] its key *)
-        let iter_built f =
-          match skip with
-          | None -> Array.iteri f keys
-          | Some (_, pos) ->
-              let j = ref 0 in
-              Array.iteri
-                (fun row k ->
-                  if Bytes.get pos row = '\000' then begin
-                    f !j k;
-                    incr j
-                  end)
-                keys
-        in
-        (* the rows below have a job of their own only from d = 2 *)
-        let lows = if d >= 2 then Some (Bytes.make nrows '\000') else None in
-        let rank =
-          if nrows <= Sys.int_size then begin
-            (* columns fit in single words: build int masks directly *)
-            let masks = Array.make columns 0 in
-            iter_built (fun j k ->
-                let m = ref 0 in
-                for i = 0 to d do
-                  m := !m lor (1 lsl Simplex_index.face_row idx k i)
-                done;
-                masks.(j) <- !m);
-            Bitmat.rank_words ?lows ~rows:nrows masks
-          end
-          else begin
-            let mat = Bitmat.create ~rows:nrows ~cols:columns in
-            iter_built (fun j k ->
-                for i = 0 to d do
-                  Bitmat.set mat ~row:(Simplex_index.face_row idx k i) ~col:j
-                done);
-            Bitmat.rank ?lows mat
-          end
-        in
-        Option.iter (fun pos -> Atomic.set positive.(d - 1) (Some (rank, pos))) lows;
-        if Obs.current_sink () <> Obs.Null then begin
-          Obs.set_attr sp "columns" (Jsonl.int columns);
-          Obs.set_attr sp "cleared" (Jsonl.int cleared)
-        end;
-        rank
-      in
-      ( r,
-        List.init upper (fun i ->
-            let d = upper - i in
-            ( d,
-              fun () ->
-                (* each elimination is a [homology.rank] span so traces
-                   show where a query's compute time went, per dimension *)
-                Obs.with_span "homology.rank"
-                  ~attrs:[ ("dim", Jsonl.int d) ]
-                  (fun sp -> rank_of_dim sp d) )) )
-    end
+    jobs_upto upper (fun () -> Simplex_index.create ~max_dim:upper c)
   end
 
 let ranks ?max_dim c =
@@ -123,16 +122,26 @@ let connectivity_of_reduced ~top reduced =
   in
   conn 0
 
-let of_ranks ~top c r =
-  let dim = Complex.dim c in
+let reduced_of ~top ~dim ~count r =
   if dim < 0 then ([||], -2)
   else begin
     let reduced =
       Array.init (min top dim + 1) (fun d ->
-          Complex.count_of_dim c d - r.(d) - if d + 1 <= dim then r.(d + 1) else 0)
+          count d - r.(d) - if d + 1 <= dim then r.(d + 1) else 0)
     in
     (reduced, connectivity_of_reduced ~top reduced)
   end
+
+let of_ranks ~top c r =
+  reduced_of ~top ~dim:(Complex.dim c) ~count:(Complex.count_of_dim c) r
+
+let of_index idx =
+  if not (Simplex_index.complete idx) then
+    invalid_arg "Homology.of_index: the index omits dimensions";
+  let dim = Simplex_index.dim idx in
+  let r, jobs = if dim < 0 then ([||], []) else jobs_upto dim (fun () -> idx) in
+  List.iter (fun (d, job) -> r.(d) <- job ()) jobs;
+  reduced_of ~top:dim ~dim ~count:(Simplex_index.count idx) r
 
 let connectivity_of_betti betti =
   let dim = Array.length betti - 1 in

@@ -8,11 +8,7 @@
     notions agree, and the Mayer–Vietoris engine ({!Mayer_vietoris})
     independently replays the paper's genuine connectivity proofs. *)
 
-val rank_jobs :
-  ?max_dim:int ->
-  ?index:Simplex_index.t ->
-  Complex.t ->
-  int array * (int * (unit -> int)) list
+val rank_jobs : ?max_dim:int -> Complex.t -> int array * (int * (unit -> int)) list
 (** [rank_jobs c] is [(r, jobs)]: [r] is the boundary-rank array with
     [r.(0)] already filled in (the augmentation rank), and [jobs] is one
     [(d, compute)] pair per remaining dimension, where [compute ()] is the
@@ -26,26 +22,24 @@ val rank_jobs :
     only the other columns, since those reduce to zero.  Any order is
     still correct, on any domain: a job whose upper neighbour has not
     finished reduces every column.  The thunks close over one
-    {!Simplex_index} built eagerly; the query engine evaluates them in
-    list order in the calling thread.
+    {!Simplex_index} built eagerly; {!of_index} runs the same jobs over
+    an index it is given, in list order in the calling thread.
 
     Each thunk runs in a [homology.rank] span (attr [dim]) in the
     {!Psph_obs.Obs} substrate, so per-dimension elimination cost shows up
     in traces; when a sink is live the span also carries [columns] (the
     columns built) and [cleared] (the columns clearing skipped), which
-    add up to the number of [d]-simplexes.  [index], when given, must be
-    an index of [c] (as {!Simplex_index.create} builds it) reaching the
-    dimensions needed; it is used instead of building a new one.
-    @raise Invalid_argument if it stops below them. *)
+    add up to the number of [d]-simplexes. *)
 
-val of_ranks : top:int -> Complex.t -> int array -> int array * int
-(** [of_ranks ~top c r], for [r] the boundary ranks of [c] filled in from
-    [rank_jobs ~max_dim:top c], is [(reduced, k)]: the reduced Betti numbers
-    of dimensions [0 .. min top (dim c)] and the connectivity they show,
-    searched up to [top] — the first [d] with [reduced.(d) <> 0] gives
-    [d - 1], and [top] if there is none.  The empty complex gives
-    [([||], -2)].  {!reduced_betti}, {!connectivity} and the query engine
-    all derive their answers here. *)
+val of_index : Simplex_index.t -> int array * int
+(** [of_index idx] is [(reduced, k)] for the complex a complete index
+    numbers, its ranks computed by that index's jobs in list order in the
+    calling thread, with dimensions and counts read from the index alone:
+    the reduced Betti numbers of dimensions [0 .. dim] and the
+    connectivity they show — the first [d] with [reduced.(d) <> 0] gives
+    [d - 1], and [dim] if there is none.  The empty complex gives
+    [([||], -2)].  The query engine answers a miss here.
+    @raise Invalid_argument if the index was cut by [max_dim]. *)
 
 val reduced_betti : ?max_dim:int -> Complex.t -> int array
 (** [reduced_betti c] is the array of reduced Z/2 Betti numbers
@@ -67,7 +61,7 @@ val connectivity : ?cap:int -> Complex.t -> int
 val connectivity_of_betti : int array -> int
 (** The connectivity shown by a full unreduced Betti vector, as {!betti}
     returns it for dimensions [0 .. dim c]: [-2] for the empty vector,
-    otherwise the rule of {!of_ranks} on the reduced numbers (beta_0 - 1,
+    otherwise the rule of {!of_index} on the reduced numbers (beta_0 - 1,
     then the rest) searched up to [dim c].  For any complex [c],
     [connectivity_of_betti (betti c) = connectivity c]; this is how a
     reply that carries Betti numbers but no connectivity is completed. *)

@@ -48,15 +48,28 @@ let pack_skip bits k skip =
   done;
   !acc
 
+(* bits needed to hold any id of [nv] vertices *)
+let id_bits nv =
+  let rec loop b = if max 0 (nv - 1) lsr b = 0 then b else loop (b + 1) in
+  loop 1
+
+(* face lookup for the dimensions below [top]: the packed keys where
+   [(d+1)] ids fit in a word ([packed d] gives them ascending), an
+   int-array table otherwise *)
+let rows_of ~bits ~top keys packed =
+  Array.init (max 0 top) (fun d ->
+      if (d + 1) * bits <= Sys.int_size - 1 then Packed (packed d)
+      else begin
+        let tbl = Hashtbl.create (2 * Array.length keys.(d)) in
+        Array.iteri (fun row k -> Hashtbl.replace tbl k row) keys.(d);
+        Table tbl
+      end)
+
 let create ?max_dim c =
   let dim = Complex.dim c in
   let top = match max_dim with None -> dim | Some m -> max (-1) (min m dim) in
   let nv = Complex.count_of_dim c 0 in
-  (* bits needed to hold any vertex id *)
-  let bits =
-    let rec loop b = if max 0 (nv - 1) lsr b = 0 then b else loop (b + 1) in
-    loop 1
-  in
+  let bits = id_bits nv in
   let keys =
     Array.init (top + 1) (fun d -> Array.make (Complex.count_of_dim c d) [||])
   in
@@ -84,20 +97,21 @@ let create ?max_dim c =
        c
    with Exit -> ());
   let rows =
-    Array.init (max 0 top) (fun d ->
-        if (d + 1) * bits <= Sys.int_size - 1 then
-          Packed (Array.map (fun k -> pack_skip bits k (-1)) keys.(d))
-        else begin
-          let tbl = Hashtbl.create (2 * Array.length keys.(d)) in
-          Array.iteri (fun row k -> Hashtbl.replace tbl k row) keys.(d);
-          Table tbl
-        end)
+    rows_of ~bits ~top keys (fun d ->
+        Array.map (fun k -> pack_skip bits k (-1)) keys.(d))
   in
   { bits; keys; rows; hashes; complete = top = dim }
+
+let of_sorted ~hashes ~keys ~packed =
+  let bits = id_bits (Array.length hashes) in
+  let top = Array.length keys - 1 in
+  { bits; keys; rows = rows_of ~bits ~top keys packed; hashes; complete = true }
 
 let keys t d = t.keys.(d)
 
 let dim t = Array.length t.keys - 1
+
+let count t d = if d < 0 || d >= Array.length t.keys then 0 else Array.length t.keys.(d)
 
 let complete t = t.complete
 

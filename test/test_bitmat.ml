@@ -184,8 +184,44 @@ let wide_complex () =
     (Simplex.of_list (List.init 8 Vertex.anon)
     :: List.init 1017 (fun i -> Simplex.of_list [ Vertex.anon (8 + i) ]))
 
+(* a vertex table fed the facets in the given order, each interned
+   vertex by vertex *)
+let table_of facets =
+  let t = Vertex_table.create () in
+  List.iter
+    (fun f ->
+      Vertex_table.add_facet t (Array.map (Vertex_table.intern t) (Simplex.vertex_array f)))
+    facets;
+  t
+
+(* 6-simplexes over about 350 vertices: while building, a 6-face packs
+   8 bits per id, so faces holding an id of 256 or more take the
+   int-array fallback; the index numbers ids in 9 bits, 7 of which no
+   longer fit one word *)
+let random_wide_complex () =
+  let rng = Random.State.make [| 7 |] in
+  Complex.of_facets
+    (List.init 120 (fun _ ->
+         Simplex.of_list (List.init 7 (fun _ -> Vertex.anon (Random.State.int rng 400)))))
+
+let table_indexes_like_create name c facets =
+  let t = table_of facets in
+  Index_check.same name (Vertex_table.index t) (Simplex_index.create c);
+  Alcotest.(check bool) (name ^ ": same complex") true
+    (Complex.equal (Vertex_table.complex t) c)
+
 let wide_key_tests =
   [
+    Alcotest.test_case "a vertex table indexes wide faces like create" `Quick
+      (fun () ->
+        let c = random_wide_complex () in
+        Alcotest.(check bool) "over 256 vertices" true (Complex.num_vertices c > 256);
+        table_indexes_like_create "random 6-simplexes" c (Complex.facets c);
+        (* the 8-simplex interned first, then last: its ids fit 7 bits
+           while building, then need 11 *)
+        let w = wide_complex () in
+        table_indexes_like_create "8-simplex first" w (Complex.facets w);
+        table_indexes_like_create "8-simplex last" w (List.rev (Complex.facets w)));
     Alcotest.test_case "wide keys take the Hashtbl rows, same Betti" `Quick
       (fun () ->
         let c = wide_complex () in

@@ -870,6 +870,7 @@ let serve_tests =
         let normalize spec = spec
         let validate spec = Ok spec
         let one_round _ _ = raise Not_found
+        let round _ _ _ _ = raise Not_found
         let rounds _ _ = raise Not_found
         let over_inputs _ _ = raise Not_found
         let pseudosphere_decomposition = None
@@ -902,6 +903,33 @@ let serve_tests =
           Alcotest.(check (option bool))
             "still serving" (Some true)
             (Option.map (fun v -> v = Jsonl.Bool true) (obj_field "ok" next))) );
+    Alcotest.test_case "an oversized build answers an error and serving goes on"
+      `Quick (fun () ->
+        let e = Lazy.force engine in
+        let ok line =
+          let resp = Serve.handle_line e line in
+          ( Option.bind (obj_field "ok" resp) (function
+              | Jsonl.Bool b -> Some b
+              | _ -> None),
+            Option.bind (obj_field "error" resp) Jsonl.to_string_opt )
+        in
+        let refused ~says line =
+          match ok line with
+          | Some false, Some msg ->
+              List.iter
+                (fun sub ->
+                  Alcotest.(check bool) (sub ^ " in " ^ msg) true
+                    (Test_models.contains ~sub msg))
+                [ says; string_of_int Vertex_table.max_faces ]
+          | _ -> Alcotest.fail ("not refused: " ^ line)
+        in
+        (* 5^15 - 1 simplices: refused from the spec, before any build *)
+        refused ~says:"psph n=14 values=4" {|{"op":"psph","n":14,"values":4}|};
+        (* 2^72 digraphs: the build stops at the budget *)
+        refused ~says:"build stopped"
+          {|{"op":"model-complex","model":"dyn","n":8,"adv":"all"}|};
+        Alcotest.(check (option bool)) "next request answers" (Some true)
+          (fst (ok {|{"op":"psph","n":2,"values":2}|})));
     Alcotest.test_case "pathologically nested input answers an error" `Quick
       (fun () ->
         let e = Lazy.force engine in

@@ -65,6 +65,7 @@ let registry_tests =
             let normalize s = s
             let validate s = Ok s
             let one_round _ _ = Complex.empty
+            let round _ _ _ _ = ()
             let rounds _ _ = Complex.empty
             let over_inputs _ c = c
             let pseudosphere_decomposition = None
@@ -333,37 +334,6 @@ let real_models () =
 (* round composition against the facet-by-facet reference             *)
 (* ------------------------------------------------------------------ *)
 
-(* Round composition facet by facet, with no last-round shortcut: every
-   facet of every branch is recursed on down to [r = 0], where it is
-   re-closed. *)
-module Round_state = Map.Make (struct
-  type t = int * Simplex.t
-
-  let compare (r, s) (r', s') =
-    match Int.compare r r' with 0 -> Simplex.compare s s' | c -> c
-end)
-
-let reference_compose ~branches r s =
-  let memo = ref Round_state.empty in
-  let rec go r s =
-    if r <= 0 then Complex.of_simplex s
-    else
-      match Round_state.find_opt (r, s) !memo with
-      | Some c -> c
-      | None ->
-          let c =
-            List.fold_left
-              (fun acc b ->
-                List.fold_left
-                  (fun acc t -> Complex.union acc (go (r - 1) t))
-                  acc (Complex.facets b))
-              Complex.empty (branches s)
-          in
-          memo := Round_state.add (r, s) c !memo;
-          c
-  in
-  go r s
-
 (* The dynamic-network reference, one digraph at a time: the class
    filters [Round_schedule.digraphs], and the global state after a round
    under digraph [g] gives process [p] the label pairing its previous
@@ -393,39 +363,6 @@ let dyn_reference_facets adv s =
   |> List.filter (dyn_allowed adv)
   |> List.map (dyn_facet_of s)
 
-(* each registered model's branch generator, rebuilt from the model
-   modules' public one-round pieces *)
-let reference_branches name (spec : MC.spec) =
-  let ext key = MC.ext_value spec key ~default:0 in
-  match name with
-  | "async" -> Some (fun s -> [ Async_complex.one_round ~n:spec.n ~f:spec.f s ])
-  | "iis" -> Some (fun s -> [ Iis_complex.one_round s ])
-  | "sync" ->
-      Some
-        (fun s ->
-          List.map
-            (fun (fk, _) -> Sync_complex.one_round_failing s fk)
-            (Sync_complex.pseudospheres ~k:spec.k s))
-  | "semi" ->
-      Some
-        (fun s ->
-          List.map
-            (fun (pat, _) ->
-              Semi_sync_complex.one_round_pattern ~p:spec.p ~n:spec.n s pat)
-            (Semi_sync_complex.pseudospheres ~k:spec.k ~p:spec.p ~n:spec.n s))
-  | "byz" ->
-      Some
-        (fun s ->
-          List.map
-            (fun (_, ps) -> Psph.realize ps)
-            (Byz_complex.pseudospheres ~n:spec.n ~k:spec.k ~t:(ext "t")
-               ~versions:(1 + ext "equiv") s))
-  | "dyn" ->
-      let adv = Option.get (Dyn_net_complex.adversary_of_int (ext "adv")) in
-      Some
-        (fun s -> List.map Complex.of_simplex (dyn_reference_facets adv s))
-  | _ -> None
-
 let compose_tests =
   [
     Alcotest.test_case
@@ -448,7 +385,7 @@ let compose_tests =
                   | Error msg -> Alcotest.fail (M.name ^ ": " ^ msg)
                 in
                 let branches =
-                  match reference_branches M.name (spec 1) with
+                  match Model_reference.branches M.name (spec 1) with
                   | Some b -> b
                   | None -> Alcotest.fail (M.name ^ ": no reference branches")
                 in
@@ -459,7 +396,7 @@ let compose_tests =
                           (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) ext)))
                     true
                     (Complex.equal (M.rounds (spec r) s)
-                       (reference_compose ~branches r s))
+                       (Model_reference.compose ~branches r s))
                 in
                 check 1;
                 (* the bench's gate: a second round only where the first
@@ -468,12 +405,56 @@ let compose_tests =
                 then check 2)
               (List.concat_map (fun n -> List.map (fun e -> (n, e)) exts) [ 2; 3 ]))
           (real_models ()));
+    Alcotest.test_case
+      "the served build indexes and keys like the labelled reference \
+       (every model, ext 0..2, n<=3, r<=2)" `Slow (fun () ->
+        List.iter
+          (fun ((module M : MC.MODEL) as m) ->
+            let exts =
+              List.fold_right
+                (fun (ep : MC.ext_param) acc ->
+                  List.concat_map
+                    (fun v -> List.map (fun e -> (ep.ep_name, v) :: e) acc)
+                    [ 0; 1; 2 ])
+                M.ext_params [ [] ]
+            in
+            List.iter
+              (fun (n, ext) ->
+                let s = Solver.standard_input n in
+                let run r =
+                  match M.validate { MC.default_spec with n; r; ext } with
+                  | Error _ -> None
+                  | Ok spec ->
+                      let name = MC.encode m spec in
+                      let reference = Option.get (Model_reference.complex M.name spec s) in
+                      Index_check.same name
+                        (MC.rounds_index m spec s)
+                        (Simplex_index.create reference);
+                      let res =
+                        E.eval (E.create ~domains:0 ())
+                          (E.Model { model = M.name; params = spec })
+                      in
+                      Alcotest.(check bool) (name ^ " is a miss") false res.E.cached;
+                      Alcotest.(check string) (name ^ " served key")
+                        (Key_reference.hex reference) (Key.to_hex res.E.key);
+                      Some reference
+                in
+                ignore (run 0);
+                (* the bench's gate: a second round only where the first
+                   has at most 1024 facets *)
+                match run 1 with
+                | Some c when List.length (Complex.facets c) <= 1024 -> ignore (run 2)
+                | _ -> ())
+              (List.concat_map (fun n -> List.map (fun e -> (n, e)) exts) [ 0; 1; 2; 3 ]))
+          (real_models ()));
     Alcotest.test_case "content keys match the pinned golden values" `Quick
       (fun () ->
         List.iter
           (fun (name, spec, expect) ->
-            let c = E.build (E.Model { model = name; params = spec }) in
-            Alcotest.(check string) name expect (Key.to_hex (Key.of_complex c)))
+            let q = E.Model { model = name; params = spec } in
+            Alcotest.(check string) name expect (Key.to_hex (Key.of_complex (E.build q)));
+            let served = E.eval (E.create ~domains:0 ()) q in
+            Alcotest.(check string) (name ^ " served") expect (Key.to_hex served.E.key))
           [
             ( "async",
               { MC.default_spec with n = 2; f = 1; r = 2 },
@@ -947,13 +928,20 @@ let dyn_tests =
                   (List.exists (fun w -> w == v) vs))
               (Simplex.vertices f))
           (Complex.facets c));
-    Alcotest.test_case "face codes that would overflow int are refused" `Quick
+    Alcotest.test_case "an oversized round stops at the build budget" `Quick
       (fun () ->
-        (* 9 processes: (2^8 + 1)^9 codes exceed max_int; refused before
-           any of the 2^72 digraphs is enumerated *)
-        match Dyn_net_complex.one_round All (input_simplex 8) with
-        | exception Invalid_argument _ -> ()
-        | _ -> Alcotest.fail "built a complex whose face codes overflow");
+        (* 9 processes: 2^72 digraphs; the build stops once it holds
+           Vertex_table.max_faces faces, long before enumerating them.
+           21 processes: 21 (2^20 - 1) vertices at least, refused before
+           the 2^20 in-neighbourhoods of each are listed *)
+        List.iter
+          (fun n ->
+            match Dyn_net_complex.one_round All (input_simplex n) with
+            | exception Failure msg ->
+                Alcotest.(check bool) "names the budget" true
+                  (contains ~sub:(string_of_int Vertex_table.max_faces) msg)
+            | _ -> Alcotest.fail "built a complex past the build budget")
+          [ 8; 20 ]);
     Alcotest.test_case "adversary classes nest as subcomplexes" `Quick
       (fun () ->
         let (module D : MC.MODEL) = MC.get "dyn" in

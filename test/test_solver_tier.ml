@@ -210,6 +210,7 @@ let endless forced : MC.model =
     let normalize s = s
     let validate s = Ok s
     let one_round _ _ = Complex.empty
+    let round _ _ _ _ = ()
     let rounds _ _ = Complex.empty
     let over_inputs _ c = c
 
