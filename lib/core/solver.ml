@@ -1,5 +1,3 @@
-open Psph_topology
-
 type symbolic = {
   connectivity : int;
   rule : string;
@@ -72,19 +70,16 @@ let symbolic_model ((module M : Model_complex.MODEL) as m) spec =
         match mv with Some _ -> mv | None -> lemma_tier m spec
       end
 
+(* psi(P^n; {0..values-1}) has dimension n with a value and is empty
+   without (Lemma 4.2), so Corollary 6's bound is arithmetic: the base is
+   never listed, whatever n *)
 let symbolic_psph ~n ~values =
   if n < 0 || values < 0 then None
-  else begin
-    let ps =
-      Psph.uniform
-        ~base:(Simplex.proc_simplex n)
-        (List.init values (fun v -> Label.Int v))
-    in
+  else
     Some
       {
-        connectivity = Psph.connectivity_bound ps;
+        connectivity = (if values = 0 then -2 else n - 1);
         rule = "Corollary 6";
         steps = 1;
         proof = None;
       }
-  end

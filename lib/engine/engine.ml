@@ -10,8 +10,9 @@
    ranks are computed over the same index in the calling thread and the
    answer (Betti vector + connectivity) is cached under the key.  A build
    stops with an error past {!Vertex_table.max_faces} simplices, and a
-   psph spec over that count is refused before it starts, so one request
-   cannot exhaust the server's memory.  The engine's Domain pool runs
+   psph spec over that count, or a model spec whose input simplex alone
+   is, is refused before it starts, so one request cannot exhaust the
+   server's memory.  The engine's Domain pool runs
    whole requests ([dispatch]), never parts of one.
 
    Symbolic specs get a second, cheaper canonicalization layer in front:
@@ -194,11 +195,22 @@ let psph_of ~n ~values =
   if Psph.simplex_count ps > Vertex_table.max_faces then over ();
   ps
 
+(* Every model's complex holds the facet of a failure-free execution, a
+   simplex on all n + 1 processes, so it has at least 2^(n+1) - 1
+   simplices: past the build budget from n = 20 on, whatever the model.
+   Such a spec is refused before its input simplex is listed. *)
 let validated model params =
   let ((module M : Model_complex.MODEL) as m) = Model_complex.get model in
   match M.validate params with
   | Error msg -> invalid_arg (Printf.sprintf "Engine: %s model: %s" model msg)
-  | Ok params -> (m, params)
+  | Ok params ->
+      let n = params.Model_complex.n in
+      if n >= Sys.int_size - 2 || (1 lsl (n + 1)) - 1 > Vertex_table.max_faces then
+        invalid_arg
+          (Printf.sprintf
+             "Engine: %s n=%d has more than %d simplices (the build budget)" model n
+             Vertex_table.max_faces);
+      (m, params)
 
 let build = function
   | Explicit c -> c

@@ -97,8 +97,9 @@ val build : spec -> Complex.t
     query miss does not call this: it builds the spec's index over vertex
     ids, with the same simplexes, numbering and key.
     @raise Invalid_argument on invalid parameters, an unknown model name
-    (the message lists the registered models), or a psph spec of more
-    than {!Psph_topology.Vertex_table.max_faces} simplices.
+    (the message lists the registered models), a psph spec of more
+    than {!Psph_topology.Vertex_table.max_faces} simplices, or a model
+    spec with [n >= 20] (its failure-free facet alone has more).
     @raise Failure once a model build passes that many simplices. *)
 
 val eval : ?mode:mode -> t -> spec -> result

@@ -1,14 +1,19 @@
 open Psph_topology
 
+(* [choose k len l]: the [k]-subsets of [l], whose length is [len]; a
+   branch with fewer than [k] elements left is cut at once, so the work is
+   bounded by the subsets listed, not by 2^len *)
 let subsets_of_size univ k =
   let elems = Pid.Set.elements univ in
-  let rec choose k = function
+  let rec choose k len = function
     | _ when k = 0 -> [ [] ]
+    | _ when len < k -> []
     | [] -> []
     | x :: rest ->
-        List.map (fun s -> x :: s) (choose (k - 1) rest) @ choose k rest
+        List.map (fun s -> x :: s) (choose (k - 1) (len - 1) rest)
+        @ choose k (len - 1) rest
   in
-  choose k elems
+  choose k (List.length elems) elems
   |> List.map Pid.Set.of_list
   |> List.sort Pid.Set.compare_lex
 

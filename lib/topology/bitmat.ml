@@ -1,30 +1,12 @@
-(* Dense bit-packed Z/2 matrices.  A column is an [int array] of
-   [Sys.int_size]-bit words; word [w] bit [b] encodes row [w * bits + b].
-   Rank uses the low-based column reduction of persistent homology, with
-   word-level XOR and an O(1) pivot table indexed by row. *)
+(* Bit-packed Z/2 rank.  A column is [Sys.int_size]-bit words; word [w]
+   bit [b] encodes row [w * bits + b].  Rank uses the low-based column
+   reduction of persistent homology, with word-level XOR.  The multi-word
+   reducer never holds the matrix: it reduces one column at a time and
+   keeps a column only once it becomes a pivot. *)
 
 let bits = Sys.int_size
 
-type t = { rows : int; cols : int array array }
-
 let words_for rows = (rows + bits - 1) / bits
-
-let create ~rows ~cols =
-  { rows; cols = Array.init cols (fun _ -> Array.make (words_for rows) 0) }
-
-let dims t = (t.rows, Array.length t.cols)
-
-let set t ~row ~col =
-  if row < 0 || row >= t.rows then invalid_arg "Bitmat.set: row out of range";
-  let c = t.cols.(col) in
-  c.(row / bits) <- c.(row / bits) lor (1 lsl (row mod bits))
-
-let get t ~row ~col = t.cols.(col).(row / bits) land (1 lsl (row mod bits)) <> 0
-
-let of_columns ~rows cols =
-  let t = create ~rows ~cols:(List.length cols) in
-  List.iteri (fun j col -> List.iter (fun row -> set t ~row ~col:j) col) cols;
-  t
 
 (* Index of the highest set bit of [w]; [w] must be nonzero. *)
 let top_bit w =
@@ -45,41 +27,104 @@ let low_from col hint =
   while !i >= 0 && col.(!i) = 0 do decr i done;
   if !i < 0 then -1 else (!i * bits) + top_bit col.(!i)
 
-(* Reduces [t]'s own columns: no copy, so a matrix built only to be
-   ranked costs its columns once. *)
-let rank ?lows t =
-  let nwords = words_for t.rows in
-  (* pivot.(r) = index of the column whose low is row r, or -1 *)
-  let pivot = Array.make (max t.rows 1) (-1) in
-  let cols = t.cols in
-  let rank = ref 0 in
-  Array.iteri
-    (fun j col ->
-      let hint = ref (nwords - 1) in
-      let rec reduce () =
-        let l = low_from col !hint in
-        if l >= 0 then begin
-          hint := l / bits;
-          match pivot.(l) with
-          | -1 ->
-              pivot.(l) <- j;
-              (match lows with Some b -> Bytes.set b l '\001' | None -> ());
-              incr rank
-          | p ->
-              (* the pivot column's low is also l, so it is zero above
-                 word l/bits and the XOR can stop there *)
-              let other = cols.(p) in
-              for w = 0 to !hint do
-                col.(w) <- col.(w) lxor other.(w)
-              done;
-              reduce ()
+type reducer = {
+  rows : int;
+  work : int array;  (* the column being pushed and reduced *)
+  mutable top : int;  (* highest row pushed into [work], -1 if none *)
+  store : int array;
+      (* the pivot whose low is row r is zero above word r / bits, so
+         only its words 0 .. r / bits are kept, at [slot r] when
+         [by_row], else at [offset.(r)] *)
+  by_row : bool;
+  offset : int array;  (* unless [by_row]: -1 while row r has no pivot *)
+  mutable free : int;  (* unless [by_row]: the store's first unused word *)
+  lows : Bytes.t option;
+  mutable rank : int;
+}
+
+(* the words the pivots of rows below [r] take, one more per row each
+   word up: the offset of row r's pivot, and [slot rows] is the store *)
+let slot r =
+  let w = r / bits in
+  (bits * w * (w + 1) / 2) + (r mod bits * (w + 1))
+
+(* A matrix with far fewer columns than rows has far fewer pivots than
+   [slot rows] reserves room for (a client's complex of many edges and
+   few triangles would ask for gigabytes): there the pivots are stored
+   one after another, at most [cols] of them, through an offset per row. *)
+let reducer ?lows ~rows ~cols () =
+  let words = words_for rows in
+  let by_row = slot rows <= cols * words in
+  {
+    rows;
+    work = Array.make words 0;
+    top = -1;
+    store = Array.make (if by_row then slot rows else cols * words) 0;
+    by_row;
+    offset = (if by_row then [||] else Array.make rows (-1));
+    free = 0;
+    lows;
+    rank = 0;
+  }
+
+let push t row =
+  if row < 0 || row >= t.rows then invalid_arg "Bitmat.push: row out of range";
+  let w = row / bits in
+  t.work.(w) <- t.work.(w) lor (1 lsl (row mod bits));
+  if row > t.top then t.top <- row
+
+(* By row, a slot is nonzero exactly when it holds a pivot, and a pivot
+   whose low is l has bit l set: that bit says whether row l has one.
+   Either way [work] ends zero, ready for the next column.  A loop, not a
+   local recursive function, so no closure is allocated per column. *)
+let reduce t =
+  let work = t.work and store = t.store in
+  let low = ref (if t.top < 0 then -1 else low_from work (t.top / bits)) in
+  while !low >= 0 do
+    let l = !low in
+    let w = l / bits in
+    let s = if t.by_row then slot l else t.offset.(l) in
+    let held =
+      if t.by_row then Array.unsafe_get store (s + w) land (1 lsl (l mod bits)) <> 0
+      else s >= 0
+    in
+    if held then begin
+      (* the pivot's words stop at w, so the XOR does too *)
+      for i = 0 to w do
+        Array.unsafe_set work i
+          (Array.unsafe_get work i lxor Array.unsafe_get store (s + i))
+      done;
+      low := low_from work w
+    end
+    else begin
+      let s =
+        if t.by_row then s
+        else begin
+          let s = t.free in
+          t.offset.(l) <- s;
+          t.free <- s + w + 1;
+          s
         end
       in
-      reduce ())
-    cols;
-  !rank
+      Array.blit work 0 store s (w + 1);
+      Array.fill work 0 (w + 1) 0;
+      (match t.lows with Some b -> Bytes.set b l '\001' | None -> ());
+      t.rank <- t.rank + 1;
+      low := -1
+    end
+  done;
+  t.top <- -1
 
-let rank_of_columns ~rows cols = rank (of_columns ~rows cols)
+let rank t = t.rank
+
+let rank_of_columns ~rows cols =
+  let t = reducer ~rows ~cols:(List.length cols) () in
+  List.iter
+    (fun col ->
+      List.iter (push t) col;
+      reduce t)
+    cols;
+  rank t
 
 (* Single-word fast path: when the matrix has at most [bits] rows each
    column is one int mask, the pivot table stores reduced masks directly

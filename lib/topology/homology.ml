@@ -5,9 +5,10 @@ open Psph_obs
    nonempty complex).
 
    Fast path: one {!Simplex_index} of the complex numbers every simplex
-   within its dimension, so each boundary matrix is built from int keys
+   within its dimension, so each boundary column is built from int keys
    (no Simplex.compare on the hot path) and eliminated by the bit-packed
-   {!Bitmat} engine, in place on the matrix just built.
+   {!Bitmat} engine: single-word columns as an array of masks, wider ones
+   streamed through a {!Bitmat.reducer}, which keeps only the pivots.
 
    Clearing (the "twist" of Chen and Kerber, "Persistent homology
    computation with a twist", 2011): the jobs are listed top-down.  Once
@@ -70,12 +71,14 @@ let jobs_upto upper idx =
           Bitmat.rank_words ?lows ~rows:nrows masks
         end
         else begin
-          let mat = Bitmat.create ~rows:nrows ~cols:columns in
-          iter_built (fun j k ->
+          (* one column at a time: only the pivots are kept *)
+          let red = Bitmat.reducer ?lows ~rows:nrows ~cols:columns () in
+          iter_built (fun _ k ->
               for i = 0 to d do
-                Bitmat.set mat ~row:(Simplex_index.face_row idx k i) ~col:j
-              done);
-          Bitmat.rank ?lows mat
+                Bitmat.push red (Simplex_index.face_row idx k i)
+              done;
+              Bitmat.reduce red);
+          Bitmat.rank red
         end
       in
       Option.iter (fun pos -> Atomic.set positive.(d - 1) (Some (rank, pos))) lows;

@@ -1,4 +1,4 @@
-(* Oracle tests for the fast homology engine: the bit-packed Bitmat rank
+(* Oracle tests for the fast homology engine: the bit-packed Bitmat ranks
    must agree with the list-based Z2_matrix reference on random sparse
    matrices, and Homology's Simplex_index/Bitmat Betti pipeline must agree
    with the rank formula computed through the reference oracle on random
@@ -28,30 +28,6 @@ let unit_tests =
         Alcotest.(check int)
           "rank" 2
           (Bitmat.rank_of_columns ~rows:3 [ [ 0; 1 ]; [ 1; 2 ]; [ 0; 2 ] ]));
-    Alcotest.test_case "set/get round-trip across word boundaries" `Quick (fun () ->
-        let m = Bitmat.create ~rows:130 ~cols:2 in
-        List.iter (fun r -> Bitmat.set m ~row:r ~col:0) [ 0; 62; 63; 64; 126; 129 ];
-        List.iter
-          (fun r ->
-            Alcotest.(check bool)
-              (Printf.sprintf "bit %d" r)
-              true
-              (Bitmat.get m ~row:r ~col:0))
-          [ 0; 62; 63; 64; 126; 129 ];
-        Alcotest.(check bool) "unset" false (Bitmat.get m ~row:1 ~col:0);
-        Alcotest.(check bool) "other col" false (Bitmat.get m ~row:63 ~col:1));
-    Alcotest.test_case "rank reduces its argument in place" `Quick (fun () ->
-        (* three words of columns whose lows share three rows: reduction
-           rewrites all but three of them, in the matrix itself *)
-        let rows = 190 in
-        let cols = List.init 100 (fun i -> [ i; i + 30; 150 + (i mod 3) ]) in
-        let m = Bitmat.of_columns ~rows cols in
-        let entries m =
-          List.init 100 (fun col ->
-              List.filter (fun row -> Bitmat.get m ~row ~col) (List.init rows Fun.id))
-        in
-        Alcotest.(check int) "rank" (Z2_matrix.rank cols) (Bitmat.rank m);
-        Alcotest.(check (list (list int))) "reduced" (Z2_matrix.reduce cols) (entries m));
     Alcotest.test_case "multi-word rank equals reference" `Quick (fun () ->
         (* a shifted staircase spanning three words *)
         let cols = List.init 100 (fun i -> [ i; i + 30; i + 90 ]) in
@@ -80,6 +56,39 @@ let masks_of_columns ~rows cols =
   Array.of_list
     (List.map (List.fold_left (fun m r -> m lor (1 lsl r)) 0) cols)
 
+(* a matrix whose height and entries sit at the word edges (a word holds
+   [Sys.int_size] = 63 rows), with empty and all-zero columns among the
+   rest: each column is empty or a few rows, half of them drawn from the
+   edge rows that fit *)
+let gen_edge_matrix =
+  QCheck2.Gen.(
+    oneofl [ 62; 63; 64; 65; 126; 127; 128; 190 ] >>= fun rows ->
+    let edges =
+      List.filter (fun r -> r < rows) [ 0; 61; 62; 63; 64; 65; 125; 126; 127; 128; 189 ]
+    in
+    let row = oneof [ int_range 0 (rows - 1); oneofl edges ] in
+    let col =
+      oneof [ return []; list_size (int_range 1 6) row ]
+      |> map (List.sort_uniq Int.compare)
+    in
+    list_size (int_range 0 16) col |> map (fun cols -> (rows, cols)))
+
+(* the lowest rows of the reference's reduced columns: its pivot rows *)
+let reference_lows cols = List.filter_map Z2_matrix.low (Z2_matrix.reduce cols)
+
+(* rank and marked rows through a reducer fed column by column, sized
+   for [room] columns *)
+let reducer_run ~room ~rows cols =
+  let lows = Bytes.make rows '\000' in
+  let t = Bitmat.reducer ~lows ~rows ~cols:room () in
+  List.iter
+    (fun col ->
+      List.iter (Bitmat.push t) col;
+      Bitmat.reduce t)
+    cols;
+  ( Bitmat.rank t,
+    List.filter (fun r -> Bytes.get lows r = '\001') (List.init rows Fun.id) )
+
 let matrix_props =
   let open QCheck2 in
   [
@@ -91,6 +100,15 @@ let matrix_props =
       (gen_matrix ~max_rows:200)
       (fun (rows, cols) ->
         Bitmat.rank_of_columns ~rows cols = Z2_matrix.rank cols);
+    Test.make ~count:300
+      ~name:"the reducer's rank and lows = Z2_matrix's rank and pivot rows"
+      gen_edge_matrix
+      (fun (rows, cols) ->
+        let expect = (Z2_matrix.rank cols, List.sort Int.compare (reference_lows cols)) in
+        (* room for as many columns as rows: the pivots are stored by
+           row; room for just these (at most 16): one after another *)
+        reducer_run ~room:rows ~rows cols = expect
+        && reducer_run ~room:(List.length cols) ~rows cols = expect);
     Test.make ~count:300 ~name:"Bitmat.rank_words = Z2_matrix.rank"
       (gen_matrix ~max_rows:60)
       (fun (rows, cols) ->
@@ -295,9 +313,41 @@ let clearing_trace_tests =
           spans);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* what a served miss's elimination allocates                          *)
+(* ------------------------------------------------------------------ *)
+
+let allocation_tests =
+  [
+    Alcotest.test_case "of_index allocates no young column (async n=2 f=2 r=2)"
+      `Quick (fun () ->
+        (* 6,892 simplexes, most of whose boundary matrices span several
+           words: the reducers' pivot stores are large, so they go straight
+           to the major heap, and nothing is allocated per column *)
+        let m = Model_complex.get "async" in
+        let (module M : Model_complex.MODEL) = m in
+        let spec =
+          match M.validate { Model_complex.default_spec with n = 2; f = 2; r = 2 } with
+          | Ok spec -> spec
+          | Error e -> Alcotest.fail e
+        in
+        let idx = Model_complex.rounds_index m spec (Solver.standard_input 2) in
+        Alcotest.(check int) "simplexes" 6892
+          (List.fold_left ( + ) 0
+             (List.init (Simplex_index.dim idx + 1) (Simplex_index.count idx)));
+        let expect = Homology.of_index idx in
+        let before = Gc.minor_words () in
+        let got = Homology.of_index idx in
+        let minor = Gc.minor_words () -. before in
+        Alcotest.(check bool) "same answer" true (got = expect);
+        if minor > 2000. then
+          Alcotest.failf "of_index allocated %.0f minor words (at most 2000)" minor);
+  ]
+
 let suites =
   [
     ("bitmat.unit", unit_tests);
+    ("bitmat.allocation", allocation_tests);
     ("bitmat.wide_keys", wide_key_tests);
     ("bitmat.matrix_oracle", matrix_props);
     ("bitmat.psph_oracle", psph_props);

@@ -582,6 +582,29 @@ let solver_tier_tests =
 (* wire protocol                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* a served request's one reply line and its "ok" field *)
+let served e line =
+  let resp = Serve.handle_line e line in
+  Alcotest.(check int) ("one line for " ^ line) 1
+    (List.length (String.split_on_char '\n' resp));
+  ( Option.bind (obj_field "ok" resp) (function
+      | Jsonl.Bool b -> Some b
+      | _ -> None),
+    resp )
+
+(* the reply is an error naming [says] and the build budget *)
+let budget_refused e ~says line =
+  match served e line with
+  | Some false, resp ->
+      let msg =
+        Option.value ~default:"" (Option.bind (obj_field "error" resp) Jsonl.to_string_opt)
+      in
+      List.iter
+        (fun sub ->
+          Alcotest.(check bool) (sub ^ " in " ^ msg) true (Test_models.contains ~sub msg))
+        [ says; string_of_int Vertex_table.max_faces ]
+  | _, resp -> Alcotest.fail ("not refused: " ^ resp)
+
 let serve_tests =
   [
     Alcotest.test_case "psph request answers with betti + connectivity" `Quick
@@ -906,30 +929,47 @@ let serve_tests =
     Alcotest.test_case "an oversized build answers an error and serving goes on"
       `Quick (fun () ->
         let e = Lazy.force engine in
-        let ok line =
-          let resp = Serve.handle_line e line in
-          ( Option.bind (obj_field "ok" resp) (function
-              | Jsonl.Bool b -> Some b
-              | _ -> None),
-            Option.bind (obj_field "error" resp) Jsonl.to_string_opt )
-        in
-        let refused ~says line =
-          match ok line with
-          | Some false, Some msg ->
-              List.iter
-                (fun sub ->
-                  Alcotest.(check bool) (sub ^ " in " ^ msg) true
-                    (Test_models.contains ~sub msg))
-                [ says; string_of_int Vertex_table.max_faces ]
-          | _ -> Alcotest.fail ("not refused: " ^ line)
-        in
         (* 5^15 - 1 simplices: refused from the spec, before any build *)
-        refused ~says:"psph n=14 values=4" {|{"op":"psph","n":14,"values":4}|};
+        budget_refused e ~says:"psph n=14 values=4" {|{"op":"psph","n":14,"values":4}|};
         (* 2^72 digraphs: the build stops at the budget *)
-        refused ~says:"build stopped"
+        budget_refused e ~says:"build stopped"
           {|{"op":"model-complex","model":"dyn","n":8,"adv":"all"}|};
         Alcotest.(check (option bool)) "next request answers" (Some true)
-          (fst (ok {|{"op":"psph","n":2,"values":2}|})));
+          (fst (served e {|{"op":"psph","n":2,"values":2}|})));
+    Alcotest.test_case "a huge n answers at once and serving goes on" `Quick
+      (fun () ->
+        let e = Lazy.force engine in
+        (* the failure-free facet of n = 20 already has 2^21 - 1 faces *)
+        List.iter
+          (fun n ->
+            budget_refused e ~says:(Printf.sprintf "async n=%d" n)
+              (Printf.sprintf {|{"op":"model-complex","model":"async","n":%d}|} n))
+          [ 20; 40; 100_000_000 ];
+        (* Corollary 6 by arithmetic, with no base listed *)
+        (match served e {|{"op":"connectivity","n":100000000,"values":2}|} with
+        | Some true, resp ->
+            Alcotest.(check (option int)) "n - 1" (Some 99_999_999)
+              (Option.bind (obj_field "connectivity" resp) Jsonl.to_int_opt)
+        | _, resp -> Alcotest.fail ("not answered: " ^ resp));
+        Alcotest.(check (option bool)) "next request answers" (Some true)
+          (fst (served e {|{"op":"psph","n":2,"values":2}|})));
+    Alcotest.test_case "every model's complex holds a facet on all n + 1 processes"
+      `Quick (fun () ->
+        (* the premise of refusing n >= 20 before any build *)
+        List.iter
+          (fun ((module M : Model_complex.MODEL) as m) ->
+            List.iter
+              (fun (n, r) ->
+                match M.validate { Model_complex.default_spec with n; r } with
+                | Error _ -> ()
+                | Ok spec ->
+                    Alcotest.(check int)
+                      (Printf.sprintf "%s n=%d r=%d" M.name n r)
+                      n
+                      (Simplex_index.dim
+                         (Model_complex.rounds_index m spec (Solver.standard_input n))))
+              [ (1, 0); (1, 1); (2, 1); (2, 2); (3, 1) ])
+          (Test_models.real_models ()));
     Alcotest.test_case "pathologically nested input answers an error" `Quick
       (fun () ->
         let e = Lazy.force engine in

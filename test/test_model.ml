@@ -156,6 +156,14 @@ let failure_tests =
             Alcotest.(check bool) "first singleton is {0}" true
               (Pid.Set.equal s1 (Pid.Set.singleton 0))
         | _ -> Alcotest.fail "unexpected");
+    Alcotest.test_case "choosing 39 of 40 lists 40 sets" `Quick (fun () ->
+        (* each branch left with fewer elements than it still needs is cut:
+           without that the walk takes exponential time here *)
+        let u = Pid.Set.of_list (List.init 40 Fun.id) in
+        let subs = Failure.subsets_of_size u 39 in
+        Alcotest.(check int) "count" 40 (List.length subs);
+        Alcotest.(check bool) "all of size 39" true
+          (List.for_all (fun s -> Pid.Set.cardinal s = 39) subs));
     Alcotest.test_case "power_set size" `Quick (fun () ->
         Alcotest.(check int) "2^3" 8
           (List.length (Failure.power_set (Pid.Set.of_list [ 0; 1; 2 ]))));
@@ -574,10 +582,35 @@ let prop_tests =
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
+(* the subsets of exactly [k] elements, as a power set listed by bit mask
+   (sharing no code with [Failure]) filtered by size, in lex order *)
+let reference_subsets univ k =
+  let elems = Array.of_list (Pid.Set.elements univ) in
+  let n = Array.length elems in
+  List.init (1 lsl n) (fun mask ->
+      Pid.Set.of_list
+        (List.filteri (fun i _ -> mask land (1 lsl i) <> 0) (Array.to_list elems)))
+  |> List.filter (fun s -> Pid.Set.cardinal s = k)
+  |> List.sort Pid.Set.compare_lex
+
+let failure_props =
+  let open QCheck2 in
+  [
+    Test.make ~count:200 ~name:"subsets_of_size = the filtered power set (n <= 10)"
+      Gen.(
+        list_size (int_range 0 10) (int_range 0 15) >>= fun pids ->
+        let univ = Pid.Set.of_list pids in
+        int_range (-1) (Pid.Set.cardinal univ + 1) |> map (fun k -> (univ, k)))
+      (fun (univ, k) ->
+        List.equal Pid.Set.equal (Failure.subsets_of_size univ k)
+          (reference_subsets univ k));
+  ]
+  |> List.map QCheck_alcotest.to_alcotest
+
 let suites =
   [
     ("model.view", view_tests @ encoding_props);
-    ("model.failure", failure_tests);
+    ("model.failure", failure_tests @ failure_props);
     ("model.schedule", schedule_tests);
     ("model.execution", execution_tests);
     ("model.pqueue", pqueue_tests);

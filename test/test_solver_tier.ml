@@ -287,6 +287,24 @@ let pin_tests =
             ("semi", 8, 2, 1, "Lemma 21", 1);
             ("sync", 8, 2, 1, "Lemma 16/17", 1);
           ]);
+    Alcotest.test_case "the psph bound is Psph.connectivity_bound, unlisted" `Quick
+      (fun () ->
+        (* computed from n and values alone, it must still be Corollary 6
+           on the pseudosphere itself *)
+        for n = 0 to 8 do
+          for values = 0 to 4 do
+            let ps =
+              Psph.uniform ~base:(Simplex.proc_simplex n)
+                (List.init values (fun v -> Label.Int v))
+            in
+            Alcotest.(check (option int))
+              (Printf.sprintf "n=%d values=%d" n values)
+              (Some (Psph.connectivity_bound ps))
+              (Option.map
+                 (fun s -> s.Solver.connectivity)
+                 (Solver.symbolic_psph ~n ~values))
+          done
+        done);
   ]
 
 let suites =
