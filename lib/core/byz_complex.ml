@@ -13,14 +13,23 @@ let claim s q v =
   | None -> invalid_arg "Byz_complex: claimed pid outside simplex"
   | Some l -> if v = 0 then l else Label.Pair (l, Label.Int v)
 
-let value_label entries =
-  Label.List
-    (List.sort compare
-       (List.map (fun (q, c) -> Label.Pair (Label.Pid q, c)) entries))
+(* the entries heard, as [Pair (Pid q, claim)] in pid order: [truthful]
+   ascends and [extra] descends by pid, and no pid is in both *)
+let value_label truthful extra =
+  let entry (q, c) = Label.Pair (Label.Pid q, c) in
+  let rec merge t e =
+    match (t, e) with
+    | [], e -> List.map entry e
+    | t, [] -> List.map entry t
+    | ((q, _) as a) :: t', ((r, _) as b) :: e' ->
+        if Pid.compare q r < 0 then entry a :: merge t' e else entry b :: merge t e'
+  in
+  Label.List (merge truthful (List.rev extra))
 
 (* all ways the accused set [ks] can present itself to one survivor: each
    accused process independently stays silent or is heard with one of
-   [versions] claims (version 0 = the honest value) *)
+   [versions] claims (version 0 = the honest value); each way lists its
+   claims by descending pid *)
 let assignments s ks ~versions =
   Pid.Set.fold
     (fun q acc ->
@@ -36,37 +45,36 @@ let assignments s ks ~versions =
 (* one piece per accused set K: the pseudosphere over S \ K whose value
    sets enumerate, per survivor independently, which of K it heard and
    with which claims — survivors are always heard, honestly *)
-let pseudosphere_accusing s ks ~versions =
-  let alive = Simplex.ids s in
+let pseudosphere_accusing ~alive s ks ~versions =
   let survivors = Pid.Set.diff alive ks in
-  let values _ =
+  let values =
     if Pid.Set.is_empty survivors then []
     else begin
       let truthful =
         List.map (fun q -> (q, claim s q 0)) (Pid.Set.elements survivors)
       in
       List.map
-        (fun extra -> value_label (truthful @ extra))
+        (fun extra -> value_label truthful extra)
         (assignments s ks ~versions)
     end
   in
-  Psph.create ~base:(Simplex.without_ids ks s) ~values
+  Psph.uniform ~base:(Simplex.without_ids ks s) values
 
 (* the adversary's remaining exposure budget is determined by the state
    itself: processes exposed in earlier rounds have left the simplex, so
    [spent = (n + 1) - |alive|] — which keeps [Carrier.compose]'s
    per-simplex memoization sound *)
-let accusation_sets ~n ~k ~t s =
-  let alive = Simplex.ids s in
+let accusation_sets ~n ~k ~t ~alive =
   let spent = n + 1 - Pid.Set.cardinal alive in
   let cap = min k (max 0 (t - spent)) in
   Failure.subsets_of_size_at_most alive cap
   |> List.filter (fun ks -> Pid.Set.cardinal ks < Pid.Set.cardinal alive)
 
 let pseudospheres ~n ~k ~t ~versions s =
-  accusation_sets ~n ~k ~t s
+  let alive = Simplex.ids s in
+  accusation_sets ~n ~k ~t ~alive
   |> List.filter_map (fun ks ->
-         let ps = pseudosphere_accusing s ks ~versions in
+         let ps = pseudosphere_accusing ~alive s ks ~versions in
          if Psph.is_empty ps then None else Some (ks, ps))
 
 (* realized with the paired vertex builder, so a vertex carries its full

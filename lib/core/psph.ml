@@ -7,16 +7,24 @@ type t = {
          deduplicated *)
 }
 
-let create ~base ~values =
+(* [sorted p]: the sorted, deduplicated values of [p]; a chromatic base
+   lists its pids in ascending order *)
+let over_base base sorted =
   if not (Simplex.is_chromatic base) then
     invalid_arg "Psph.create: base simplex is not chromatic";
-  let vals =
-    Pid.Set.elements (Simplex.ids base)
-    |> List.map (fun p -> (p, List.sort_uniq Label.compare (values p)))
+  let value v acc =
+    match v with
+    | Vertex.Proc (p, _) -> (p, sorted p) :: acc
+    | Vertex.Anon _ | Vertex.Bary _ -> assert false
   in
-  { base; values = vals }
+  { base; values = Array.fold_right value (Simplex.vertex_array base) [] }
 
-let uniform ~base us = create ~base ~values:(fun _ -> us)
+let create ~base ~values = over_base base (fun p -> List.sort_uniq Label.compare (values p))
+
+(* one list shared by every process, sorted once *)
+let uniform ~base us =
+  let us = List.sort_uniq Label.compare us in
+  over_base base (fun _ -> us)
 
 let base t = t.base
 
@@ -29,9 +37,9 @@ let normalize t =
     let keep_pids = Pid.Set.of_list (List.map fst keep) in
     { base = Simplex.restrict_ids keep_pids t.base; values = keep }
 
-let dim t = List.length (List.filter (fun (_, us) -> us <> []) t.values) - 1
+let dim t = List.fold_left (fun n (_, us) -> if us = [] then n else n + 1) (-1) t.values
 
-let is_empty t = dim t < 0
+let is_empty t = List.for_all (fun (_, us) -> us = []) t.values
 
 let connectivity_bound t = dim t - 1
 
@@ -110,6 +118,26 @@ type vertex_builder = Pid.t -> Label.t -> Label.t -> Vertex.t
 let default_vertex p _base u = Vertex.proc p u
 
 let paired_vertex p base u = Vertex.proc p (Label.Pair (base, u))
+
+module Built = Hashtbl.Make (struct
+  type t = Vertex.t
+
+  let equal = Vertex.equal
+
+  let hash = Simplex_index.vertex_hash
+end)
+
+(* keyed on [Proc (p, u)]: the base label is not part of the key *)
+let shared vertex =
+  let built = Built.create 16 in
+  fun p base u ->
+    let key = Vertex.proc p u in
+    match Built.find built key with
+    | v -> v
+    | exception Not_found ->
+        let v = vertex p base u in
+        Built.add built key v;
+        v
 
 (* A facet is a choice tuple: one vertex per (nonempty) base vertex.
    Each column's vertices are built and interned once, and the tuples are

@@ -74,6 +74,12 @@ val paired_vertex : vertex_builder
     realizations of pseudospheres over distinct faces of a common simplex
     intersect exactly as Lemma 4.3 predicts. *)
 
+val shared : vertex_builder -> vertex_builder
+(** [shared builder] builds the vertex of each pid and value once and
+    hands the same vertex back after that.  For pieces whose bases give
+    each pid one label, such as the pieces of one round over one simplex,
+    which share most of their vertices. *)
+
 val facets :
   ?vertex:vertex_builder -> t -> Vertex_table.t -> (int array -> unit) -> unit
 (** [facets t tbl emit]: the facets of the realized complex — the choice

@@ -1,22 +1,25 @@
 open Psph_topology
 open Psph_model
 
-let pseudosphere_pattern ~p ~n s pat =
-  let alive = Simplex.ids s in
+(* [alive] is the pids of [s] *)
+let pattern_piece ~p ~n ~alive s pat =
   let k = pat.Failure.failed in
-  let values _ =
+  let values =
     if Pid.Set.is_empty (Pid.Set.diff alive k) then []
     else
       Failure.views ~p ~n ~alive pat
       |> List.map (fun vec -> Label.Vec vec)
   in
-  Psph.create ~base:(Simplex.without_ids k s) ~values
+  Psph.uniform ~base:(Simplex.without_ids k s) values
+
+let pseudosphere_pattern ~p ~n s pat = pattern_piece ~p ~n ~alive:(Simplex.ids s) s pat
 
 let pseudosphere_seq ~k ~p ~n s =
-  List.to_seq (Failure.subsets_of_size_at_most (Simplex.ids s) k)
+  let alive = Simplex.ids s in
+  List.to_seq (Failure.subsets_of_size_at_most alive k)
   |> Seq.concat_map (fun fk -> List.to_seq (Failure.all_patterns ~p fk))
   |> Seq.filter_map (fun pat ->
-         let ps = pseudosphere_pattern ~p ~n s pat in
+         let ps = pattern_piece ~p ~n ~alive s pat in
          if Psph.is_empty ps then None else Some (pat, ps))
 
 let pseudospheres ~k ~p ~n s = List.of_seq (pseudosphere_seq ~k ~p ~n s)
@@ -41,10 +44,11 @@ let one_round_pattern ~p ~n s pat =
 
 (* As in the synchronous model, recursion must visit the facets of every
    [M^1_{K,F}] separately (see Carrier.compose), so each piece is a
-   branch. *)
+   branch.  The pieces share their views: a view is a pid and a vector. *)
 let round ~k ~p ~n tbl s emit =
+  let vertex = Psph.shared (view_vertex ~p s) in
   Seq.iter
-    (fun (_, ps) -> Psph.facets ~vertex:(view_vertex ~p s) ps tbl emit)
+    (fun (_, ps) -> Psph.facets ~vertex ps tbl emit)
     (pseudosphere_seq ~k ~p ~n s)
 
 let one_round ~k ~p ~n s = Carrier.rounds (round ~k ~p ~n) 1 s

@@ -3,23 +3,22 @@ open Psph_model
 
 (* Intrinsic value labels: the full heard set (survivors plus a subset of
    K).  Distinct failure sets producing the same heard set share vertices,
-   exactly as in Figure 3. *)
-let heard_sets s k =
-  let survivors = Pid.Set.diff (Simplex.ids s) k in
-  Failure.power_set k |> List.map (fun a -> Pid.Set.union survivors a)
-
-let pseudosphere_failing s k =
-  let alive = Simplex.ids s in
-  let values _ =
-    if Pid.Set.is_empty (Pid.Set.diff alive k) then []
-    else List.map (fun m -> Label.Pid_set m) (heard_sets s k)
+   exactly as in Figure 3.  [alive] is the pids of [s]. *)
+let failing ~alive s k =
+  let survivors = Pid.Set.diff alive k in
+  let values =
+    if Pid.Set.is_empty survivors then []
+    else List.map (fun a -> Label.Pid_set (Pid.Set.union survivors a)) (Failure.power_set k)
   in
-  Psph.create ~base:(Simplex.without_ids k s) ~values
+  Psph.uniform ~base:(Simplex.without_ids k s) values
+
+let pseudosphere_failing s k = failing ~alive:(Simplex.ids s) s k
 
 let pseudosphere_seq ~k s =
-  List.to_seq (Failure.subsets_of_size_at_most (Simplex.ids s) k)
+  let alive = Simplex.ids s in
+  List.to_seq (Failure.subsets_of_size_at_most alive k)
   |> Seq.filter_map (fun fk ->
-         let ps = pseudosphere_failing s fk in
+         let ps = failing ~alive s fk in
          if Psph.is_empty ps then None else Some (fk, ps))
 
 let pseudospheres ~k s = List.of_seq (pseudosphere_seq ~k s)
@@ -40,11 +39,11 @@ let one_round_failing s k =
   Psph.realize ~vertex:(view_vertex s) (pseudosphere_failing s k)
 
 (* The model is not monotone: recursion must visit the facets of every
-   S^1_K separately (see Carrier.compose), so each piece is a branch. *)
+   S^1_K separately (see Carrier.compose), so each piece is a branch.  The
+   pieces share their views: a survivor's view is its pid and heard set. *)
 let round ~k tbl s emit =
-  Seq.iter
-    (fun (_, ps) -> Psph.facets ~vertex:(view_vertex s) ps tbl emit)
-    (pseudosphere_seq ~k s)
+  let vertex = Psph.shared (view_vertex s) in
+  Seq.iter (fun (_, ps) -> Psph.facets ~vertex ps tbl emit) (pseudosphere_seq ~k s)
 
 let one_round ~k s = Carrier.rounds (round ~k) 1 s
 

@@ -1,21 +1,22 @@
 open Psph_topology
 
-(* [choose k len l]: the [k]-subsets of [l], whose length is [len]; a
-   branch with fewer than [k] elements left is cut at once, so the work is
-   bounded by the subsets listed, not by 2^len *)
-let subsets_of_size univ k =
-  let elems = Pid.Set.elements univ in
-  let rec choose k len = function
-    | _ when k = 0 -> [ [] ]
-    | _ when len < k -> []
-    | [] -> []
+(* [choose k len l prefix acc]: [prefix] plus each [k]-subset of the
+   ascending list [l], whose length is [len], in lex order, in front of
+   [acc].  The subsets holding [l]'s head come first, so the order needs
+   no sort.  A branch with fewer than [k] elements left is cut at once, so
+   the work is bounded by the subsets listed, not by 2^len. *)
+let rec choose k len l prefix acc =
+  if k = 0 then prefix :: acc
+  else if len < k then acc
+  else
+    match l with
+    | [] -> acc
     | x :: rest ->
-        List.map (fun s -> x :: s) (choose (k - 1) (len - 1) rest)
-        @ choose k (len - 1) rest
-  in
-  choose k (List.length elems) elems
-  |> List.map Pid.Set.of_list
-  |> List.sort Pid.Set.compare_lex
+        choose (k - 1) (len - 1) rest (Pid.Set.add x prefix)
+          (choose k (len - 1) rest prefix acc)
+
+let subsets_of_size univ k =
+  choose k (Pid.Set.cardinal univ) (Pid.Set.elements univ) Pid.Set.empty []
 
 let subsets_of_size_at_most univ k =
   List.concat_map (fun i -> subsets_of_size univ i) (List.init (k + 1) (fun i -> i))

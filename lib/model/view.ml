@@ -12,17 +12,30 @@ let check_distinct_senders senders =
   if List.length sorted <> List.length senders then
     invalid_arg "View: duplicate senders in heard list"
 
+(* senders strictly ascending: sorted and distinct already, as the
+   builders list them, so the list is kept as it is *)
+let rec ascending sender = function
+  | a :: (b :: _ as rest) -> Pid.compare (sender a) (sender b) < 0 && ascending sender rest
+  | [ _ ] | [] -> true
+
 let sort_heard heard =
-  check_distinct_senders (List.map fst heard);
-  List.sort (fun (p, _) (q, _) -> Pid.compare p q) heard
+  if ascending fst heard then heard
+  else begin
+    check_distinct_senders (List.map fst heard);
+    List.sort (fun (p, _) (q, _) -> Pid.compare p q) heard
+  end
 
 let sort_timed ~p heard =
-  check_distinct_senders (List.map (fun (q, _, _) -> q) heard);
   List.iter
     (fun (_, mu, _) ->
       if mu < 0 || mu > p then invalid_arg "View.timed_round: mu out of range")
     heard;
-  List.sort (fun (q, _, _) (r, _, _) -> Pid.compare q r) heard
+  let sender (q, _, _) = q in
+  if ascending sender heard then heard
+  else begin
+    check_distinct_senders (List.map sender heard);
+    List.sort (fun a b -> Pid.compare (sender a) (sender b)) heard
+  end
 
 let round ~prev ~heard = Round { prev; heard = sort_heard heard }
 

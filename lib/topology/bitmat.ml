@@ -31,37 +31,29 @@ type reducer = {
   rows : int;
   work : int array;  (* the column being pushed and reduced *)
   mutable top : int;  (* highest row pushed into [work], -1 if none *)
+  offset : int array;  (* where row r's pivot starts; -1 while it has none *)
   store : int array;
       (* the pivot whose low is row r is zero above word r / bits, so
-         only its words 0 .. r / bits are kept, at [slot r] when
-         [by_row], else at [offset.(r)] *)
-  by_row : bool;
-  offset : int array;  (* unless [by_row]: -1 while row r has no pivot *)
-  mutable free : int;  (* unless [by_row]: the store's first unused word *)
+         only its words 0 .. r / bits are kept, one pivot after another *)
+  mutable free : int;  (* the store's first unused word *)
   lows : Bytes.t option;
   mutable rank : int;
 }
 
-(* the words the pivots of rows below [r] take, one more per row each
-   word up: the offset of row r's pivot, and [slot rows] is the store *)
-let slot r =
-  let w = r / bits in
-  (bits * w * (w + 1) / 2) + (r mod bits * (w + 1))
-
-(* A matrix with far fewer columns than rows has far fewer pivots than
-   [slot rows] reserves room for (a client's complex of many edges and
-   few triangles would ask for gigabytes): there the pivots are stored
-   one after another, at most [cols] of them, through an offset per row. *)
+(* The pivots have distinct lows, so they take at most the words of one
+   pivot per row, [slot rows], and at most [cols] columns' words. *)
 let reducer ?lows ~rows ~cols () =
   let words = words_for rows in
-  let by_row = slot rows <= cols * words in
+  let slot_rows =
+    let w = rows / bits in
+    (bits * w * (w + 1) / 2) + (rows mod bits * (w + 1))
+  in
   {
     rows;
     work = Array.make words 0;
     top = -1;
-    store = Array.make (if by_row then slot rows else cols * words) 0;
-    by_row;
-    offset = (if by_row then [||] else Array.make rows (-1));
+    offset = Array.make rows (-1);
+    store = Array.make (min slot_rows (cols * words)) 0;
     free = 0;
     lows;
     rank = 0;
@@ -73,22 +65,16 @@ let push t row =
   t.work.(w) <- t.work.(w) lor (1 lsl (row mod bits));
   if row > t.top then t.top <- row
 
-(* By row, a slot is nonzero exactly when it holds a pivot, and a pivot
-   whose low is l has bit l set: that bit says whether row l has one.
-   Either way [work] ends zero, ready for the next column.  A loop, not a
-   local recursive function, so no closure is allocated per column. *)
+(* Either way [work] ends zero, ready for the next column.  A loop, not
+   a local recursive function, so no closure is allocated per column. *)
 let reduce t =
   let work = t.work and store = t.store in
   let low = ref (if t.top < 0 then -1 else low_from work (t.top / bits)) in
   while !low >= 0 do
     let l = !low in
     let w = l / bits in
-    let s = if t.by_row then slot l else t.offset.(l) in
-    let held =
-      if t.by_row then Array.unsafe_get store (s + w) land (1 lsl (l mod bits)) <> 0
-      else s >= 0
-    in
-    if held then begin
+    let s = Array.unsafe_get t.offset l in
+    if s >= 0 then begin
       (* the pivot's words stop at w, so the XOR does too *)
       for i = 0 to w do
         Array.unsafe_set work i
@@ -97,15 +83,9 @@ let reduce t =
       low := low_from work w
     end
     else begin
-      let s =
-        if t.by_row then s
-        else begin
-          let s = t.free in
-          t.offset.(l) <- s;
-          t.free <- s + w + 1;
-          s
-        end
-      in
+      let s = t.free in
+      t.offset.(l) <- s;
+      t.free <- s + w + 1;
       Array.blit work 0 store s (w + 1);
       Array.fill work 0 (w + 1) 0;
       (match t.lows with Some b -> Bytes.set b l '\001' | None -> ());

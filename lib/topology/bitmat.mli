@@ -11,11 +11,11 @@
     rows, then {!reduce} it against the pivots found so far — and keeps
     the column only if it becomes a pivot.  The pivot whose lowest row is
     [r] is zero above word [r / Sys.int_size], so it is stored in just
-    those words, at an offset computed from [r]: one store allocated with
-    the reducer, about [rows * (rows / Sys.int_size + 1) / 2] words, and
-    nothing allocated per column.  When that is more than the [cols]
-    columns' own words (far fewer columns than rows), the pivots are
-    stored one after another instead, through an offset per row. *)
+    those words, one pivot after another, found through an offset per
+    row.  Pivots have distinct lowest rows, so one store allocated with
+    the reducer holds them all in at most the smaller of
+    [rows * (rows / Sys.int_size + 1) / 2] words and the [cols] columns'
+    own words; nothing is allocated per column. *)
 
 type reducer
 

@@ -28,8 +28,8 @@ val rank_jobs : ?max_dim:int -> Complex.t -> int array * (int * (unit -> int)) l
     Past one word of rows a job never holds its matrix: it pushes each
     column it builds into one {!Bitmat.reducer}, which reduces it and
     keeps it only if it becomes a pivot.  So each job allocates one pivot
-    store, fresh (nothing is shared between jobs or calls), and nothing
-    per column; a job of at most one word of rows allocates one array of
+    store and its offset per row, fresh (nothing is shared between jobs
+    or calls), and nothing per column; a job of at most one word of rows allocates one array of
     column masks instead.
 
     Each thunk runs in a [homology.rank] span (attr [dim]) in the

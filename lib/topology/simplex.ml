@@ -167,33 +167,52 @@ let labels s =
   |> List.rev
 
 let label_of p s =
-  Array.fold_left
-    (fun acc v ->
-      match acc with
-      | Some _ -> acc
-      | None -> (
-          match v with
-          | Vertex.Proc (q, l) when Pid.equal p q -> Some l
-          | Vertex.Proc _ | Vertex.Anon _ | Vertex.Bary _ -> None))
-    None s
+  let rec find i =
+    if i = Array.length s then None
+    else
+      match Array.unsafe_get s i with
+      | Vertex.Proc (q, l) when Pid.equal p q -> Some l
+      | Vertex.Proc _ | Vertex.Anon _ | Vertex.Bary _ -> find (i + 1)
+  in
+  find 0
 
+(* the vertices are sorted, pid first: distinct pids ascend *)
 let is_chromatic s =
-  let n = Array.length s in
-  Pid.Set.cardinal (ids s) = n
-  && Array.for_all
-       (function Vertex.Proc _ -> true | Vertex.Anon _ | Vertex.Bary _ -> false)
-       s
+  let rec from i prev =
+    i = Array.length s
+    ||
+    match Array.unsafe_get s i with
+    | Vertex.Proc (p, _) -> Pid.compare prev p < 0 && from (i + 1) p
+    | Vertex.Anon _ | Vertex.Bary _ -> false
+  in
+  Array.length s = 0
+  ||
+  match s.(0) with
+  | Vertex.Proc (p, _) -> from 1 p
+  | Vertex.Anon _ | Vertex.Bary _ -> false
+
+(* the vertices of [s] that [keep] holds, in order *)
+let filter keep s =
+  let n = Array.fold_left (fun n v -> if keep v then n + 1 else n) 0 s in
+  if n = Array.length s then s
+  else begin
+    let r = Array.make n (Vertex.Anon 0) and j = ref 0 in
+    Array.iter
+      (fun v ->
+        if keep v then begin
+          r.(!j) <- v;
+          incr j
+        end)
+      s;
+    r
+  end
 
 let without_ids k s =
-  Array.of_seq
-    (Seq.filter
-       (fun v ->
-         match Vertex.pid v with Some p -> not (Pid.Set.mem p k) | None -> true)
-       (Array.to_seq s))
+  filter
+    (function Vertex.Proc (p, _) -> not (Pid.Set.mem p k) | Vertex.Anon _ | Vertex.Bary _ -> true)
+    s
 
 let restrict_ids k s =
-  Array.of_seq
-    (Seq.filter
-       (fun v ->
-         match Vertex.pid v with Some p -> Pid.Set.mem p k | None -> false)
-       (Array.to_seq s))
+  filter
+    (function Vertex.Proc (p, _) -> Pid.Set.mem p k | Vertex.Anon _ | Vertex.Bary _ -> false)
+    s

@@ -105,8 +105,9 @@ let matrix_props =
       gen_edge_matrix
       (fun (rows, cols) ->
         let expect = (Z2_matrix.rank cols, List.sort Int.compare (reference_lows cols)) in
-        (* room for as many columns as rows: the pivots are stored by
-           row; room for just these (at most 16): one after another *)
+        (* room for as many columns as rows: the store is bounded by
+           one pivot per row; room for just these (at most 16): by the
+           columns' own words *)
         reducer_run ~room:rows ~rows cols = expect
         && reducer_run ~room:(List.length cols) ~rows cols = expect);
     Test.make ~count:300 ~name:"Bitmat.rank_words = Z2_matrix.rank"

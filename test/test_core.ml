@@ -66,6 +66,26 @@ let psph_tests =
         Alcotest.(check bool) "equal" true
           (Complex.equal (Psph.realize with_empty) (Psph.realize without));
         Alcotest.(check int) "dim" 1 (Psph.dim with_empty));
+    Alcotest.test_case "uniform sorts once; shared builds each vertex once" `Quick
+      (fun () ->
+        let base = Simplex.proc_simplex 2 in
+        let us = [ Label.Int 1; Label.Int 0; Label.Int 1 ] in
+        Alcotest.(check bool) "uniform = create" true
+          (Psph.equal (Psph.uniform ~base us) (Psph.create ~base ~values:(fun _ -> us)));
+        Alcotest.(check bool) "empty" true (Psph.is_empty (Psph.uniform ~base []));
+        let calls = ref 0 in
+        let vertex =
+          Psph.shared (fun p b u ->
+              incr calls;
+              Psph.paired_vertex p b u)
+        in
+        let v = vertex 1 Label.Unit (Label.Int 0) in
+        Alcotest.(check bool) "same vertex again" true (vertex 1 Label.Unit (Label.Int 0) == v);
+        Alcotest.(check bool) "the builder's vertex" true
+          (Vertex.equal v (Psph.paired_vertex 1 Label.Unit (Label.Int 0)));
+        ignore (vertex 2 Label.Unit (Label.Int 0));
+        ignore (vertex 1 Label.Unit (Label.Int 1));
+        Alcotest.(check int) "one build per pid and value" 3 !calls);
     Alcotest.test_case "Lemma 4.3: intersections are componentwise" `Quick (fun () ->
         let base = Simplex.proc_simplex 2 in
         let a = Psph.uniform ~base [ Label.Int 0; Label.Int 1 ] in

@@ -634,6 +634,35 @@ let prop_tests =
       (fun s -> List.length (Simplex.faces s) = 1 lsl Simplex.cardinal s);
     Test.make ~count ~name:"betti.(0) counts components" gen_small_complex (fun c ->
         (Homology.betti c).(0) = List.length (Complex.connected_components c));
+    Test.make ~count
+      ~name:"is_chromatic, without_ids, restrict_ids and label_of by vertex lists"
+      QCheck2.Gen.(
+        let vertex =
+          oneof
+            [
+              map2 (fun p l -> Vertex.proc p (Label.Int l)) (int_range 0 3) (int_range 0 1);
+              map Vertex.anon (int_range 0 2);
+            ]
+        in
+        pair
+          (list_size (int_range 0 6) vertex |> map Simplex.of_list)
+          (list_size (int_range 0 4) (int_range 0 3) |> map Pid.Set.of_list))
+      (fun (s, k) ->
+        let vs = Simplex.vertices s in
+        let pids = List.filter_map Vertex.pid vs in
+        let chromatic =
+          List.for_all (fun v -> Vertex.pid v <> None) vs
+          && List.length (List.sort_uniq Int.compare pids) = List.length vs
+        in
+        let in_k v = match Vertex.pid v with Some p -> Pid.Set.mem p k | None -> false in
+        let proc_of p v = match v with Vertex.Proc (q, l) when q = p -> Some l | _ -> None in
+        Simplex.is_chromatic s = chromatic
+        && Simplex.vertices (Simplex.without_ids k s)
+           = List.filter (fun v -> not (in_k v)) vs
+        && Simplex.vertices (Simplex.restrict_ids k s) = List.filter in_k vs
+        && List.for_all
+             (fun p -> Simplex.label_of p s = List.find_map (proc_of p) vs)
+             [ 0; 1; 2; 3 ]);
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
