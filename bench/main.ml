@@ -17,9 +17,9 @@ open Psph_model
 open Pseudosphere
 open Psph_agreement
 
-let inputs n = List.init (n + 1) (fun i -> (i, i mod 2))
+let inputs = Solver.standard_inputs
 
-let input_simplex n = Input_complex.simplex_of_inputs (inputs n)
+let input_simplex = Solver.standard_input
 
 let t name f = Test.make ~name (Staged.stage f)
 
@@ -306,10 +306,10 @@ let registry_tests =
            t
              (Printf.sprintf "registry: %s one round (%s)" M.name
                 (Model_complex.encode m spec))
-             (fun () -> M.one_round spec s);
+             (fun () -> Model_complex.one_round m spec s);
            t
              (Printf.sprintf "registry: %s connectivity r=1" M.name)
-             (fun () -> Homology.connectivity (M.rounds spec s));
+             (fun () -> Homology.connectivity (Model_complex.rounds m spec s));
          ])
 
 (* ------------------------------------------------------------------ *)
@@ -412,7 +412,9 @@ let models_bench () =
                     let timed_m p f =
                       timed (Printf.sprintf "model.%s.n%d.%s" M.name n p) f
                     in
-                    let c1, r1_s = timed_m "r1" (fun () -> M.rounds (spec 1) s) in
+                    let c1, r1_s =
+                      timed_m "r1" (fun () -> Model_complex.rounds m (spec 1) s)
+                    in
                     let conn, conn_s =
                       timed_m "conn" (fun () -> Homology.connectivity c1)
                     in
@@ -427,7 +429,10 @@ let models_bench () =
                     let r2 =
                       if List.length (Complex.facets c1) > 1024 then None
                       else begin
-                        let c2, r2_s = timed_m "r2" (fun () -> M.rounds (spec 2) s) in
+                        let c2, r2_s =
+                          timed_m "r2" (fun () ->
+                              Model_complex.rounds m (spec 2) s)
+                        in
                         Some (r2_s, Complex.num_simplices c2)
                       end
                     in

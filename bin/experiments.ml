@@ -33,9 +33,9 @@ let fvec c =
 let betti c =
   Homology.betti c |> Array.to_list |> List.map string_of_int |> String.concat ","
 
-let inputs n = List.init (n + 1) (fun i -> (i, i mod 2))
+let inputs = Solver.standard_inputs
 
-let input_simplex n = Input_complex.simplex_of_inputs (inputs n)
+let input_simplex = Solver.standard_input
 
 (* ------------------------------------------------------------------ *)
 

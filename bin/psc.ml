@@ -15,9 +15,9 @@ open Cmdliner
 (* shared helpers                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let inputs n = List.init (n + 1) (fun i -> (i, i mod 2))
+let inputs = Solver.standard_inputs
 
-let input_simplex n = Input_complex.simplex_of_inputs (inputs n)
+let input_simplex = Solver.standard_input
 
 let describe ?(show_facets = false) ?(integral = false) ?dot ?svg ?save name c =
   Format.printf "%s: %a@." name Complex.pp_summary c;
@@ -251,13 +251,13 @@ let validated (module M : Model_complex.MODEL) spec =
       Format.eprintf "psc: model %s: %s@." M.name msg;
       exit 2
 
-let build_complex ((module M : Model_complex.MODEL) as m) spec ~values ~over =
+let build_complex m spec ~values ~over =
   let spec = validated m spec in
   if over then
-    M.over_inputs spec
+    Model_complex.over_inputs m spec
       (Input_complex.make ~n:spec.Model_complex.n
          ~values:(Value.domain (values - 1)))
-  else M.rounds spec (input_simplex spec.Model_complex.n)
+  else Model_complex.rounds m spec (input_simplex spec.Model_complex.n)
 
 (* one subcommand per registered model, generated from the registry *)
 let model_cmd ((module M : Model_complex.MODEL) as m) =
@@ -535,26 +535,14 @@ let pipeline_depth_arg default doc =
   Arg.(value & opt int default & info [ "pipeline-depth" ] ~docv:"N" ~doc)
 
 let serve_cmd =
-  let run trace metrics listen max_conns deadline_ms domains cache_size persist
-      warm_from =
+  let run trace metrics listen max_conns deadline_ms domains cache_size
+      persist =
     exit_traced trace @@ fun () ->
     (* on stdin/stdout nothing is dispatched, so no worker domains *)
     let domains = if listen = None then 0 else domains in
     let engine =
       Psph_engine.Engine.create ~domains ~capacity:cache_size ?persist ()
     in
-    (* warm before accepting traffic, so the first requests already hit;
-       best-effort — a dead peer must not stop the server from starting *)
-    (match warm_from with
-    | None -> ()
-    | Some peer -> (
-        match Psph_net.Replica.warm_from engine peer with
-        | Ok n ->
-            Format.eprintf "psc serve: warmed %d entries from %s:%d@." n
-              peer.Psph_net.Addr.host peer.Psph_net.Addr.port
-        | Error m ->
-            Format.eprintf "psc serve: warm-from %s:%d failed: %s@."
-              peer.Psph_net.Addr.host peer.Psph_net.Addr.port m));
     match listen with
     | None ->
         (* Ctrl-C must not lose unflushed store writes: flush and dump
@@ -637,29 +625,18 @@ let serve_cmd =
             "Per-request deadline for TCP requests: a request whose handler \
              runs longer is answered with an error instead of its late result.")
   in
-  let warm_from_arg =
-    Arg.(
-      value
-      & opt (some addr_conv) None
-      & info [ "warm-from" ] ~docv:"HOST:PORT"
-          ~doc:
-            "Before accepting traffic, stream the memo cache of a running \
-             $(b,psc serve --listen) peer (its $(b,snapshot) op, chunked) \
-             into this server's cache.  Best-effort: an unreachable peer is \
-             reported on stderr and the server starts cold.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Serve topology queries over JSON lines on stdin/stdout — or over \
           TCP with $(b,--listen) (ops: betti, connectivity, psph, \
-          model-complex, batch, models, stats, metrics, snapshot, populate; \
+          model-complex, batch, models, stats, metrics, populate; \
           see docs/ENGINE.md and docs/NET.md).")
     Term.(
       const run $ trace_arg $ metrics_arg $ listen_arg
       $ max_conns_arg
           "Bound on concurrent TCP connections (excess waits in the backlog)."
-      $ deadline_arg $ domains_arg $ cache_arg $ persist_arg $ warm_from_arg)
+      $ deadline_arg $ domains_arg $ cache_arg $ persist_arg)
 
 let connect_arg =
   Arg.(

@@ -12,10 +12,6 @@
 open Psph_topology
 open Pseudosphere
 
-let inputs n = List.init (n + 1) (fun i -> (i, i mod 2))
-
-let input_simplex n = Input_complex.simplex_of_inputs (inputs n)
-
 let () =
   Format.printf "registered models: %s@.@."
     (String.concat ", " (Model_complex.names ()));
@@ -26,12 +22,12 @@ let () =
         | Ok spec -> spec
         | Error msg -> failwith (M.name ^ ": " ^ msg)
       in
-      let s = input_simplex spec.Model_complex.n in
+      let s = Solver.standard_input spec.Model_complex.n in
       Format.printf "%s — %s@." M.name M.doc;
       Format.printf "  canonical spec: %s@." (Model_complex.encode m spec);
       List.iter
         (fun r ->
-          let c = M.rounds { spec with Model_complex.r } s in
+          let c = Model_complex.rounds m { spec with Model_complex.r } s in
           Format.printf "  r=%d: %a  connectivity %d%s@." r Complex.pp_summary c
             (Homology.connectivity c)
             (match

@@ -74,10 +74,7 @@ module type MODEL = sig
   val ext_params : ext_param list
   val normalize : spec -> spec
   val validate : spec -> (spec, string) result
-  val one_round : spec -> Simplex.t -> Complex.t
   val round : spec -> Carrier.round
-  val rounds : spec -> Simplex.t -> Complex.t
-  val over_inputs : spec -> Complex.t -> Complex.t
   val pseudosphere_decomposition : (spec -> Simplex.t -> Psph.t Seq.t) option
   val expected_connectivity : spec -> m:int -> int option
   val connectivity_lemma : string
@@ -98,7 +95,7 @@ let name_of (module M : MODEL) = M.name
 
 let ext_params_of (module M : MODEL) = M.ext_params
 
-let encode_with (module M : MODEL) spec =
+let encode (module M : MODEL) spec =
   let { n; f; k; p; r; ext } = M.normalize spec in
   let base = Printf.sprintf "%s:n=%d,f=%d,k=%d,p=%d,r=%d" M.name n f k p r in
   (* models without extensions keep the exact historical key format, so
@@ -110,35 +107,10 @@ let encode_with (module M : MODEL) spec =
       ^ String.concat ""
           (List.map (fun (key, v) -> Printf.sprintf ",%s=%d" key v) ext)
 
-(* every registered model's complex constructions run inside
-   [model.one_round] / [model.rounds] spans carrying the canonical spec,
-   so model cost is attributed in traces no matter which front end (psc,
-   serve, engine, tests) asked — models register plain code and get
-   instrumentation for free *)
-let instrument ((module M : MODEL) : model) : model =
-  (module struct
-    include M
-
-    let one_round spec s =
-      Obs.with_span "model.one_round"
-        ~attrs:[ ("spec", Jsonl.Str (encode_with (module M) spec)) ]
-        (fun _ -> M.one_round spec s)
-
-    let rounds spec s =
-      Obs.with_span "model.rounds"
-        ~attrs:[ ("spec", Jsonl.Str (encode_with (module M) spec)) ]
-        (fun _ -> M.rounds spec s)
-
-    let over_inputs spec c =
-      Obs.with_span "model.over_inputs"
-        ~attrs:[ ("spec", Jsonl.Str (encode_with (module M) spec)) ]
-        (fun _ -> M.over_inputs spec c)
-  end)
-
 let register ((module M : MODEL) as m) =
   if Hashtbl.mem registry M.name then
     invalid_arg ("Model_complex.register: duplicate model " ^ M.name);
-  Hashtbl.replace registry M.name (instrument m);
+  Hashtbl.replace registry M.name m;
   order := !order @ [ M.name ]
 
 let names () = !order
@@ -155,12 +127,28 @@ let get name =
 
 let all () = List.map (fun n -> Hashtbl.find registry n) !order
 
-let encode = encode_with
+(* every model construction runs inside a [model.one_round] /
+   [model.rounds] / [model.over_inputs] span carrying the canonical spec,
+   so model cost is attributed in traces no matter which front end (psc,
+   serve, engine, tests) asked *)
+let spec_span name m spec f =
+  Obs.with_span name ~attrs:[ ("spec", Jsonl.Str (encode m spec)) ] f
+
+let one_round ((module M : MODEL) as m) spec s =
+  spec_span "model.one_round" m spec (fun _ ->
+      Carrier.rounds (M.round spec) 1 s)
+
+let rounds ((module M : MODEL) as m) spec s =
+  spec_span "model.rounds" m spec (fun _ ->
+      Carrier.rounds (M.round spec) spec.r s)
+
+let over_inputs ((module M : MODEL) as m) spec c =
+  spec_span "model.over_inputs" m spec (fun _ ->
+      Carrier.over_inputs (M.round spec) spec.r c)
 
 let rounds_index ((module M : MODEL) as m) spec s =
-  Obs.with_span "model.rounds"
-    ~attrs:[ ("spec", Jsonl.Str (encode_with m spec)) ]
-    (fun _ -> Vertex_table.index (Carrier.compose (M.round spec) spec.r [ s ]))
+  spec_span "model.rounds" m spec (fun _ ->
+      Vertex_table.index (Carrier.compose (M.round spec) spec.r [ s ]))
 
 (* ------------------------------------------------------------------ *)
 (* the generic Lemma 11/14/19 relabelling                              *)
@@ -179,11 +167,11 @@ let intrinsic_map ~n = function
           invalid_arg "Model_complex.intrinsic_map: not a one-round view")
   | (Vertex.Anon _ | Vertex.Bary _) as v -> v
 
-let decomposition_holds (module M : MODEL) spec s =
+let decomposition_holds ((module M : MODEL) as m) spec s =
   match M.pseudosphere_decomposition with
   | None -> true
   | Some pieces ->
-      let lhs = M.one_round spec s in
+      let lhs = one_round m spec s in
       let rhs =
         Seq.fold_left
           (fun acc ps ->
@@ -219,10 +207,7 @@ module Async_model = struct
     else if spec.f > spec.n then Error "f must be <= n"
     else Ok (normalize spec)
 
-  let one_round { n; f; _ } s = Async_complex.one_round ~n ~f s
   let round { n; f; _ } = Async_complex.round ~n ~f
-  let rounds { n; f; r; _ } s = Async_complex.rounds ~n ~f ~r s
-  let over_inputs { n; f; r; _ } c = Async_complex.over_inputs ~n ~f ~r c
 
   let pseudosphere_decomposition =
     Some (fun { n; f; _ } s -> Seq.return (Async_complex.pseudosphere ~n ~f s))
@@ -244,10 +229,7 @@ module Sync_model = struct
     let* spec = check_common spec in
     if spec.k < 0 then Error "k must be >= 0" else Ok (normalize spec)
 
-  let one_round { k; _ } s = Sync_complex.one_round ~k s
   let round { k; _ } = Sync_complex.round ~k
-  let rounds { k; r; _ } s = Sync_complex.rounds ~k ~r s
-  let over_inputs { k; r; _ } c = Sync_complex.over_inputs ~k ~r c
 
   let pseudosphere_decomposition =
     Some (fun { k; _ } s -> Seq.map snd (Sync_complex.pseudosphere_seq ~k s))
@@ -273,10 +255,7 @@ module Semi_sync_model = struct
     else if spec.p < 1 then Error "p must be >= 1"
     else Ok (normalize spec)
 
-  let one_round { n; k; p; _ } s = Semi_sync_complex.one_round ~k ~p ~n s
   let round { n; k; p; _ } = Semi_sync_complex.round ~k ~p ~n
-  let rounds { n; k; p; r; _ } s = Semi_sync_complex.rounds ~k ~p ~n ~r s
-  let over_inputs { n; k; p; r; _ } c = Semi_sync_complex.over_inputs ~k ~p ~n ~r c
 
   let pseudosphere_decomposition =
     Some
@@ -302,10 +281,7 @@ module Iis_model = struct
   let ext_params = []
   let normalize spec = { spec with f = 0; k = 0; p = 0; ext = [] }
   let validate spec = Result.map normalize (check_common spec)
-  let one_round _ s = Iis_complex.one_round s
   let round _ = Iis_complex.round
-  let rounds { r; _ } s = Iis_complex.rounds ~r s
-  let over_inputs { r; _ } c = Iis_complex.over_inputs ~r c
 
   (* a chromatic subdivision, not a union of pseudospheres *)
   let pseudosphere_decomposition = None
@@ -350,21 +326,9 @@ module Byz_model = struct
       Error "equiv must be none (0) or binary (1)"
     else Ok spec
 
-  let one_round ({ n; k; _ } as spec) s =
-    let t, versions = params spec in
-    Byz_complex.one_round ~n ~k ~t ~versions s
-
   let round ({ n; k; _ } as spec) =
     let t, versions = params spec in
     Byz_complex.round ~n ~k ~t ~versions
-
-  let rounds ({ n; k; r; _ } as spec) s =
-    let t, versions = params spec in
-    Byz_complex.rounds ~n ~k ~t ~versions ~r s
-
-  let over_inputs ({ n; k; r; _ } as spec) c =
-    let t, versions = params spec in
-    Byz_complex.over_inputs ~n ~k ~t ~versions ~r c
 
   (* the pieces are pseudospheres but their value labels are already
      intrinsic (claim lists), not full-information views, so the generic
@@ -409,12 +373,7 @@ module Dyn_net_model = struct
     | Some _ -> Ok spec
     | None -> Error "adv must be rooted (0), strong (1) or all (2)"
 
-  let one_round spec s = Dyn_net_complex.one_round (adv_exn spec) s
   let round spec = Dyn_net_complex.round (adv_exn spec)
-  let rounds ({ r; _ } as spec) s = Dyn_net_complex.rounds (adv_exn spec) ~r s
-
-  let over_inputs ({ r; _ } as spec) c =
-    Dyn_net_complex.over_inputs (adv_exn spec) ~r c
 
   let pseudosphere_decomposition = None
 

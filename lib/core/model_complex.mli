@@ -4,8 +4,8 @@
     semi-synchronous round complexes are {e one} construction — unions of
     pseudospheres — viewed through different failure disciplines.  This
     module makes that unification first-class: a {!MODEL} signature
-    packaging a model's name, parameter discipline and complex
-    constructors, and a registry through which every consumer (the query
+    packaging a model's name, parameter discipline and round
+    operator, and a registry through which every consumer (the query
     engine, [psc serve], the [psc] subcommands, benches, examples and
     tests) reaches all models generically.  Registering a new model makes
     it reachable from all of them with zero consumer-side edits — the
@@ -95,20 +95,11 @@ module type MODEL = sig
   (** Range-check the relevant parameters (including extension values)
       and return the normalized spec, or a human-readable error. *)
 
-  val one_round : spec -> Simplex.t -> Complex.t
-  (** The one-round protocol complex over an input simplex. *)
-
   val round : spec -> Carrier.round
   (** The facets of each branch of the one-round complex over a state,
-      over vertex ids: what {!Carrier.compose} iterates, and all a model
-      gives the served build ({!rounds_index}). *)
-
-  val rounds : spec -> Simplex.t -> Complex.t
-  (** The labelled [spec.r]-round complex ([r = 0] gives the solid
-      input): {!Carrier.rounds} of {!round}. *)
-
-  val over_inputs : spec -> Complex.t -> Complex.t
-  (** Union of {!rounds} over the facets of an input complex. *)
+      over vertex ids: what {!Carrier.compose} iterates.  A model is its
+      round operator: every complex of the model ({!one_round},
+      {!rounds}, {!over_inputs}, {!rounds_index}) is built from it. *)
 
   val pseudosphere_decomposition : (spec -> Simplex.t -> Psph.t Seq.t) option
   (** The model's symbolic decomposition: pseudospheres (with intrinsic
@@ -159,7 +150,7 @@ val ext_params_of : model -> ext_param list
 (** The model's extension declaration, for generic consumers (CLI flag
     generation, request validation, codec layout). *)
 
-(** {2 Canonical encoding and the generic lemma check} *)
+(** {2 Canonical encoding and the model's complexes} *)
 
 val encode : model -> spec -> string
 (** A canonical, {!Psph_engine.Key}-feedable encoding of [(model, spec)]:
@@ -170,11 +161,27 @@ val encode : model -> spec -> string
     models with an empty payload encode exactly as before extensions
     existed, so pre-existing cache keys stay valid. *)
 
+(** The labelled complexes below are {!Carrier.rounds} and
+    {!Carrier.over_inputs} of the model's {!MODEL.round}, each built in a
+    [model.one_round] / [model.rounds] / [model.over_inputs] span whose
+    [spec] attribute is the canonical {!encode}, so model cost is
+    attributed in traces whichever front end asked.  [spec] must be
+    valid for the model. *)
+
+val one_round : model -> spec -> Simplex.t -> Complex.t
+(** The one-round protocol complex over an input simplex. *)
+
+val rounds : model -> spec -> Simplex.t -> Complex.t
+(** The [spec.r]-round complex over an input simplex ([r = 0] gives the
+    solid input). *)
+
+val over_inputs : model -> spec -> Complex.t -> Complex.t
+(** Union of {!rounds} over the facets of an input complex. *)
+
 val rounds_index : model -> spec -> Simplex.t -> Simplex_index.t
-(** The {!Simplex_index} of [M.rounds spec s], emitted by the build over
-    vertex ids with no labelled complex in between (in a [model.rounds]
-    span carrying the canonical spec).  The query engine's miss starts
-    here.  [spec] must be valid for the model.
+(** The {!Simplex_index} of [rounds model spec s], emitted by the build
+    over vertex ids with no labelled complex in between (in a
+    [model.rounds] span).  The query engine's miss starts here.
     @raise Failure once the build passes {!Vertex_table.max_faces}. *)
 
 val intrinsic_map : n:int -> Vertex.t -> Vertex.t
@@ -188,5 +195,5 @@ val decomposition_holds : model -> spec -> Simplex.t -> bool
 (** The machine-checked unification statement, one model at a time: the
     union of the realized {!MODEL.pseudosphere_decomposition} (plain
     labels) is isomorphic, via {!intrinsic_map}, to the model's
-    [one_round] complex.  Vacuously [true] for models without a
+    {!one_round} complex.  Vacuously [true] for models without a
     decomposition. *)

@@ -26,10 +26,12 @@ type symbolic = {
       (** the full derivation when the Mayer–Vietoris tier answered *)
 }
 
+val standard_inputs : int -> (Psph_topology.Pid.t * Psph_model.Value.t) list
+(** [[ (i, i mod 2) ]] for [i = 0..n] — the canonical input assignment
+    every front end uses for an [n]-dimensional query. *)
+
 val standard_input : int -> Psph_topology.Simplex.t
-(** The input simplex of [[ (i, i mod 2) ]] for [i = 0..n] — the canonical
-    input assignment all front ends use for an [n]-dimensional query (the
-    engine's build base). *)
+(** The input simplex of {!standard_inputs} (the engine's build base). *)
 
 val mv_piece_cap : int
 (** Largest decomposition (piece count) the Mayer–Vietoris tier derives;

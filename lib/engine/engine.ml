@@ -130,8 +130,8 @@ let default_domains () =
 (* warming inserts finished answers straight into the memo cache
    (content addressing makes a stale entry harmless — it can only be the
    same answer), snapshot exports the cache in store-entry form.  The
-   on-disk store ([create]/[flush]) and replication (streaming to a
-   peer) both go through them. *)
+   on-disk store loads through [warm] at [create] and saves through
+   [snapshot] at [flush]; the [populate] wire op lands through [warm]. *)
 let warm t entries =
   Mutex.lock t.lock;
   let n =
@@ -216,8 +216,8 @@ let build = function
   | Explicit c -> c
   | Psph { n; values } -> Psph.realize ~vertex:Psph.default_vertex (psph_of ~n ~values)
   | Model { model; params } ->
-      let (module M : Model_complex.MODEL), params = validated model params in
-      M.rounds params (input_simplex params.Model_complex.n)
+      let m, params = validated model params in
+      Model_complex.rounds m params (input_simplex params.Model_complex.n)
 
 (* what a miss keys and eliminates over: a symbolic spec's build emits the
    index over vertex ids, with no labelled complex in between *)

@@ -135,14 +135,13 @@ val dispatch : t -> (unit -> unit) -> unit
 
 val warm : t -> (Key.t * Store.entry) list -> int
 (** Insert finished answers straight into the memo cache (the wire-side
-    counterpart of the [persist] load at {!create}): how a backend comes
-    up warm from a peer's snapshot and how [populate] hints land.
+    counterpart of the [persist] load at {!create}): how [populate]
+    hints land.
     Content addressing makes this safe — an entry under a key can only
     ever be that key's answer.  Returns the number of entries loaded. *)
 
 val snapshot : t -> (Key.t * Store.entry) list
-(** The memo cache as store entries, MRU first — what {!flush} writes,
-    exported for streaming to a warming peer (the [snapshot] wire op). *)
+(** The memo cache as store entries, MRU first — what {!flush} writes. *)
 
 val stats : t -> stats
 

@@ -11,7 +11,6 @@
      {"op":"models"}
      {"op":"stats"}
      {"op":"metrics"}
-     {"op":"snapshot",      "cursor":0, "limit":512}
      {"op":"populate",      "entries":["<hex> <conn> <betti csv>", ...]}
 
    "model" accepts any name registered in Model_complex (the "models" op
@@ -369,35 +368,9 @@ let models_response () =
              (Pseudosphere.Model_complex.names ())) );
     ]
 
-(* the replication tier's wire ops (docs/NET.md "Replication"):
-   [snapshot] pages the memo cache out in store-line form for a
-   warming peer, [populate] loads finished answers in.  Paging
-   sorts by store line so a cursor stays meaningful across requests on
-   a stable cache; a churning cache costs the warming peer some
-   entries, never correctness (content addressing — see Engine.warm). *)
-let snapshot_response engine req =
-  let cursor = max 0 (int_field ~default:0 req "cursor") in
-  let limit = min 4096 (max 1 (int_field ~default:512 req "limit")) in
-  let lines =
-    List.sort compare
-      (List.map
-         (fun (k, e) -> Store.entry_to_line k e)
-         (Engine.snapshot engine))
-  in
-  let total = List.length lines in
-  let page = List.filteri (fun i _ -> i >= cursor && i < cursor + limit) lines in
-  let next = min total (cursor + limit) in
-  Jsonl.Obj
-    (with_id req
-       [
-         ("ok", Jsonl.Bool true);
-         ("total", Jsonl.int total);
-         ("cursor", Jsonl.int cursor);
-         ("next", Jsonl.int next);
-         ("done", Jsonl.Bool (next >= total));
-         ("entries", Jsonl.Arr (List.map (fun l -> Jsonl.Str l) page));
-       ])
-
+(* the replication tier's wire op (docs/NET.md "Replication"):
+   [populate] loads finished answers into the memo cache (content
+   addressing makes a stale entry harmless — see Engine.warm). *)
 let populate_response engine req =
   match Option.bind (Jsonl.member "entries" req) Jsonl.to_list_opt with
   | None -> bad "populate needs an \"entries\" array"
@@ -421,7 +394,6 @@ let handle_request engine req =
   | Some "stats" -> stats_response engine
   | Some "metrics" -> metrics_response ()
   | Some "models" -> models_response ()
-  | Some "snapshot" -> snapshot_response engine req
   | Some "populate" -> populate_response engine req
   | Some "batch" ->
       let requests =
@@ -464,7 +436,7 @@ let requests_c = Obs.counter "serve.requests"
 let known_ops =
   [
     "betti"; "connectivity"; "psph"; "model-complex"; "batch"; "models";
-    "stats"; "metrics"; "snapshot"; "populate"; "invalid";
+    "stats"; "metrics"; "populate"; "invalid";
   ]
 
 let op_metric op =

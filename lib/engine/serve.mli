@@ -6,9 +6,8 @@
     (members evaluated in order), [models], [stats], [metrics]
     (the full {!Psph_obs.Obs.snapshot_json} of counters, gauges,
     histograms and span totals; [stats] carries the same snapshot in a
-    "metrics" field), and the replication pair [snapshot] (page the memo
-    cache out in {!Store} line format, [cursor]/[limit] chunked) /
-    [populate] (load finished answers in) that cache warming and the
+    "metrics" field), and the replication op [populate] (load finished
+    answers in {!Store} line format into the memo cache) that the
     router's populate hints ride (docs/NET.md).  The full wire protocol
     is specified in docs/ENGINE.md and docs/OBSERVABILITY.md.
 

@@ -1,8 +1,7 @@
 (* Replication mechanics for the sharded memo tier: the async populate
-   queue, the store-entry <-> wire translations, and snapshot-stream
-   cache warming.  Placement itself lives in {!Ring}; the policy (who
-   owns what, when to hint) lives in {!Router} — this module is the
-   machinery both lean on.
+   queue and the store-entry <-> wire translations.  Placement itself
+   lives in {!Ring}; the policy (who owns what, when to hint) lives in
+   {!Router} — this module is the machinery both lean on.
 
    The populate worker is deliberately lossy: hints are an optimization
    (a dropped hint costs one recompute on some future failover), so a
@@ -17,8 +16,6 @@ type metrics = {
   populate_fail : Obs.counter;
   fallback_read : Obs.counter;
   fallback_hit : Obs.counter;
-  warm_entries : Obs.counter;
-  warm_s : Obs.histogram;
 }
 
 let make_metrics prefix =
@@ -28,8 +25,6 @@ let make_metrics prefix =
     populate_fail = Obs.counter (prefix ^ ".populate_fail");
     fallback_read = Obs.counter (prefix ^ ".fallback_read");
     fallback_hit = Obs.counter (prefix ^ ".fallback_hit");
-    warm_entries = Obs.counter (prefix ^ ".warm_entries");
-    warm_s = Obs.histogram (prefix ^ ".warm_s");
   }
 
 type t = {
@@ -134,70 +129,3 @@ let populate_line entries =
                 (fun (key, e) -> Jsonl.Str (Store.entry_to_line key e))
                 entries) );
        ])
-
-(* ------------------------------------------------------------------ *)
-(* snapshot streaming                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let snapshot_line ~cursor ~limit =
-  Printf.sprintf {|{"op":"snapshot","cursor":%d,"limit":%d}|} cursor limit
-
-let fetch_entries ?(chunk = 512) client =
-  let chunk = max 1 chunk in
-  let rec go cursor acc =
-    match Client.request client (snapshot_line ~cursor ~limit:chunk) with
-    | Error e -> Error (Client.error_message e)
-    | Ok resp -> (
-        match Jsonl.of_string_opt resp with
-        | Some (Jsonl.Obj _ as o)
-          when Jsonl.member "ok" o = Some (Jsonl.Bool true) -> (
-            let entries =
-              match
-                Option.bind (Jsonl.member "entries" o) Jsonl.to_list_opt
-              with
-              | None -> []
-              | Some lines ->
-                  List.filter_map
-                    (fun l ->
-                      Option.bind (Jsonl.to_string_opt l) Store.entry_of_line)
-                    lines
-            in
-            let acc = List.rev_append entries acc in
-            let finished =
-              Jsonl.member "done" o = Some (Jsonl.Bool true)
-              || entries = []
-            in
-            match
-              Option.bind (Jsonl.member "next" o) Jsonl.to_int_opt
-            with
-            | Some next when (not finished) && next > cursor -> go next acc
-            | _ -> Ok (List.rev acc))
-        | Some (Jsonl.Obj _ as o) ->
-            let msg =
-              match
-                Option.bind (Jsonl.member "error" o) Jsonl.to_string_opt
-              with
-              | Some m -> m
-              | None -> "snapshot refused"
-            in
-            Error msg
-        | _ -> Error "unparseable snapshot response")
-  in
-  go 0 []
-
-let warm_from ?(metrics = "net.replica") ?chunk ?(timeout_ms = 5000)
-    ?(retries = 3) engine peer =
-  let m = make_metrics metrics in
-  let client = Client.create ~metrics:(metrics ^ ".warm") ~timeout_ms ~retries peer in
-  let t0 = Obs.monotonic () in
-  let result =
-    match fetch_entries ?chunk client with
-    | Error _ as e -> e
-    | Ok entries ->
-        let loaded = Engine.warm engine entries in
-        Obs.incr ~by:loaded m.warm_entries;
-        Ok loaded
-  in
-  Client.close client;
-  Obs.observe m.warm_s (Obs.monotonic () -. t0);
-  result

@@ -892,10 +892,7 @@ let serve_tests =
         let ext_params = []
         let normalize spec = spec
         let validate spec = Ok spec
-        let one_round _ _ = raise Not_found
         let round _ _ _ _ = raise Not_found
-        let rounds _ _ = raise Not_found
-        let over_inputs _ _ = raise Not_found
         let pseudosphere_decomposition = None
         let expected_connectivity _ ~m:_ = None
         let connectivity_lemma = "none"

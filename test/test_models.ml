@@ -64,10 +64,7 @@ let registry_tests =
             let ext_params = []
             let normalize s = s
             let validate s = Ok s
-            let one_round _ _ = Complex.empty
             let round _ _ _ _ = ()
-            let rounds _ _ = Complex.empty
-            let over_inputs _ c = c
             let pseudosphere_decomposition = None
             let expected_connectivity _ ~m:_ = None
             let connectivity_lemma = "none"
@@ -259,10 +256,9 @@ let decomposition_n4 =
 
 let rounds_tests =
   [
-    Alcotest.test_case "r=0 is the solid input simplex; r=1 is one_round"
-      `Quick (fun () ->
+    Alcotest.test_case "r=0 is the solid input simplex" `Quick (fun () ->
         List.iter
-          (fun (module M : MC.MODEL) ->
+          (fun ((module M : MC.MODEL) as m) ->
             let s = input_simplex 2 in
             let spec =
               match M.validate { MC.default_spec with n = 2 } with
@@ -271,15 +267,13 @@ let rounds_tests =
             in
             Alcotest.(check bool) (M.name ^ " r=0") true
               (Complex.equal
-                 (M.rounds { spec with MC.r = 0 } s)
-                 (Complex.of_simplex s));
-            Alcotest.(check bool) (M.name ^ " r=1") true
-              (Complex.equal (M.rounds { spec with MC.r = 1 } s) (M.one_round spec s)))
+                 (MC.rounds m { spec with MC.r = 0 } s)
+                 (Complex.of_simplex s)))
           (MC.all ()));
     Alcotest.test_case "expected_connectivity is honoured at r=1,2 (n=2)"
       `Quick (fun () ->
         List.iter
-          (fun (module M : MC.MODEL) ->
+          (fun ((module M : MC.MODEL) as m) ->
             List.iter
               (fun r ->
                 let spec =
@@ -290,7 +284,7 @@ let rounds_tests =
                 match M.expected_connectivity spec ~m:2 with
                 | None -> ()
                 | Some conn ->
-                    let c = M.rounds spec (input_simplex 2) in
+                    let c = MC.rounds m spec (input_simplex 2) in
                     Alcotest.(check bool)
                       (Printf.sprintf "%s r=%d >= %d-connected" M.name r conn)
                       true
@@ -301,19 +295,58 @@ let rounds_tests =
       `Quick (fun () ->
         let ic = Input_complex.make ~n:1 ~values:[ 0; 1 ] in
         List.iter
-          (fun (module M : MC.MODEL) ->
+          (fun ((module M : MC.MODEL) as m) ->
             let spec =
               match M.validate { MC.default_spec with n = 1 } with
               | Ok spec -> spec
               | Error msg -> Alcotest.fail (M.name ^ ": " ^ msg)
             in
-            let c = M.over_inputs spec ic in
+            let c = MC.over_inputs m spec ic in
             List.iter
               (fun s ->
                 Alcotest.(check bool) (M.name ^ " facet subcomplex") true
-                  (Complex.subcomplex (M.rounds spec s) c))
+                  (Complex.subcomplex (MC.rounds m spec s) c))
               (Complex.facets ic))
           (MC.all ()));
+    Alcotest.test_case "each build runs in a span tagged with the canonical spec"
+      `Quick (fun () ->
+        let module Obs = Psph_obs.Obs in
+        let module Jsonl = Psph_obs.Jsonl in
+        let ic = Input_complex.make ~n:1 ~values:[ 0; 1 ] in
+        Obs.set_sink Obs.Memory;
+        Obs.clear_records ();
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.set_sink Obs.Null;
+            Obs.clear_records ())
+          (fun () ->
+            List.iter
+              (fun ((module M : MC.MODEL) as m) ->
+                let spec =
+                  match M.validate { MC.default_spec with n = 1 } with
+                  | Ok spec -> spec
+                  | Error msg -> Alcotest.fail (M.name ^ ": " ^ msg)
+                in
+                ignore (MC.one_round m spec (input_simplex 1));
+                ignore (MC.rounds m spec (input_simplex 1));
+                ignore (MC.over_inputs m spec ic);
+                let tagged =
+                  List.filter_map
+                    (function
+                      | Obs.Span_record { name; attrs; _ }
+                        when List.assoc_opt "spec" attrs
+                             = Some (Jsonl.Str (MC.encode m spec)) ->
+                          Some name
+                      | _ -> None)
+                    (Obs.records ())
+                in
+                List.iter
+                  (fun name ->
+                    Alcotest.(check bool) (M.name ^ " " ^ name) true
+                      (List.mem name tagged))
+                  [ "model.one_round"; "model.rounds"; "model.over_inputs" ];
+                Obs.clear_records ())
+              (MC.all ())));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -369,7 +402,7 @@ let compose_tests =
       "rounds equal the facet-by-facet reference (n=2,3; r=1,2)" `Slow
       (fun () ->
         List.iter
-          (fun (module M : MC.MODEL) ->
+          (fun ((module M : MC.MODEL) as m) ->
             (* every adversary class of a model that has one *)
             let exts =
               if M.name = "dyn" then
@@ -395,13 +428,13 @@ let compose_tests =
                        (String.concat ","
                           (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) ext)))
                     true
-                    (Complex.equal (M.rounds (spec r) s)
+                    (Complex.equal (MC.rounds m (spec r) s)
                        (Model_reference.compose ~branches r s))
                 in
                 check 1;
                 (* the bench's gate: a second round only where the first
                    has at most 1024 facets *)
-                if List.length (Complex.facets (M.rounds (spec 1) s)) <= 1024
+                if List.length (Complex.facets (MC.rounds m (spec 1) s)) <= 1024
                 then check 2)
               (List.concat_map (fun n -> List.map (fun e -> (n, e)) exts) [ 2; 3 ]))
           (real_models ()));
@@ -551,7 +584,7 @@ let solver_tests =
                     | Some s ->
                         incr checked;
                         let numeric =
-                          Homology.connectivity (M.rounds spec (input_simplex n))
+                          Homology.connectivity (MC.rounds m spec (input_simplex n))
                         in
                         if numeric < s.Solver.connectivity then
                           Alcotest.fail
@@ -703,7 +736,7 @@ let byz_point (n, t, k, r, expect) =
   match bound with
   | None -> ()
   | Some b ->
-      let c = B.rounds spec (input_simplex n) in
+      let c = MC.rounds byz spec (input_simplex n) in
       Alcotest.(check bool)
         (Printf.sprintf "%s: numeric >= %d (claimed %s)" label b
            (match expect with Some e -> string_of_int e | None -> "-"))
@@ -749,7 +782,7 @@ let byz_grid_tests =
         Alcotest.(check bool) "keys differ" false
           (MC.encode byz (spec 0) = MC.encode byz (spec 1));
         let s = input_simplex 2 in
-        let c0 = B.one_round (spec 0) s and c1 = B.one_round (spec 1) s in
+        let c0 = MC.one_round byz (spec 0) s and c1 = MC.one_round byz (spec 1) s in
         (* binary equivocation strictly enlarges the adversary's options *)
         Alcotest.(check bool) "equiv=none subcomplex of equiv=binary" true
           (Complex.subcomplex c0 c1);
@@ -757,13 +790,13 @@ let byz_grid_tests =
           (Complex.num_simplices c1 > Complex.num_simplices c0));
     Alcotest.test_case "exposed processes leave; budget shrinks across rounds"
       `Quick (fun () ->
-        let (module B : MC.MODEL) = MC.get "byz" in
+        let ((module B : MC.MODEL) as byz) = MC.get "byz" in
         let spec =
           match B.validate (byz_spec ~n:2 ~t:1 ~k:1 ~r:2) with
           | Ok spec -> spec
           | Error msg -> Alcotest.fail msg
         in
-        let c = B.rounds spec (input_simplex 2) in
+        let c = MC.rounds byz spec (input_simplex 2) in
         (* t = 1: at most one process is ever exposed, so every facet
            keeps at least 2 of the 3 processes *)
         List.iter
@@ -828,13 +861,13 @@ let dyn_tests =
           && List.length rooted < List.length all));
     Alcotest.test_case "one facet per allowed digraph" `Quick (fun () ->
         let open Psph_model in
-        let (module D : MC.MODEL) = MC.get "dyn" in
+        let dyn = MC.get "dyn" in
         let s = input_simplex 2 in
         let all = Round_schedule.digraphs ~alive:(Simplex.ids s) in
         List.iter
           (fun (adv, keep) ->
             let expected = List.length (List.filter keep all) in
-            let c = D.one_round (dyn_validated adv) s in
+            let c = MC.one_round dyn (dyn_validated adv) s in
             Alcotest.(check int)
               (Printf.sprintf "adv=%d facet count" adv)
               expected
@@ -944,9 +977,9 @@ let dyn_tests =
           [ 8; 20 ]);
     Alcotest.test_case "adversary classes nest as subcomplexes" `Quick
       (fun () ->
-        let (module D : MC.MODEL) = MC.get "dyn" in
+        let dyn = MC.get "dyn" in
         let s = input_simplex 2 in
-        let c adv = D.rounds (dyn_validated adv) s in
+        let c adv = MC.rounds dyn (dyn_validated adv) s in
         Alcotest.(check bool) "strong within rooted" true
           (Complex.subcomplex (c 1) (c 0));
         Alcotest.(check bool) "rooted within all" true
@@ -962,7 +995,7 @@ let dyn_tests =
             (match adv with
             | 1 -> Alcotest.(check (option int)) "strong: no claim" None claim
             | _ -> Alcotest.(check (option int)) "claimed" (Some 0) claim);
-            let c = D.rounds spec s in
+            let c = MC.rounds dyn spec s in
             Alcotest.(check bool)
               (Printf.sprintf "adv=%d connected" adv)
               true
@@ -977,13 +1010,13 @@ let dyn_tests =
           [ 0; 1; 2 ]);
     Alcotest.test_case "two rounds stay connected (rooted, n=2)" `Slow
       (fun () ->
-        let (module D : MC.MODEL) = MC.get "dyn" in
+        let ((module D : MC.MODEL) as dyn) = MC.get "dyn" in
         let spec =
           match D.validate { (dyn_spec 0) with r = 2 } with
           | Ok spec -> spec
           | Error msg -> Alcotest.fail msg
         in
-        let c = D.rounds spec (input_simplex 2) in
+        let c = MC.rounds dyn spec (input_simplex 2) in
         Alcotest.(check bool) "connected" true (Homology.is_k_connected c 0));
   ]
 

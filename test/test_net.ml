@@ -1575,45 +1575,18 @@ let warm_queries k =
 
 let replica_tests =
   [
-    Alcotest.test_case "snapshot pages the store out; populate loads it in"
+    Alcotest.test_case "populate loads store lines in, skipping malformed ones"
       `Quick
       (fun () ->
         with_engine @@ fun a ->
         List.iter (fun q -> ignore (Serve.handle_line a q)) (warm_queries 5);
-        let total = List.length (E.snapshot a) in
-        check bool "store has entries" true (total >= 5);
-        let rec page cursor acc =
-          let resp =
-            Serve.handle_line a
-              (Printf.sprintf {|{"op":"snapshot","cursor":%d,"limit":2}|} cursor)
-          in
-          let o =
-            match Jsonl.of_string_opt resp with
-            | Some o -> o
-            | None -> fail ("unparseable: " ^ resp)
-          in
-          check bool "ok" true (Jsonl.member "ok" o = Some (Jsonl.Bool true));
-          let entries =
-            match Jsonl.member "entries" o with
-            | Some (Jsonl.Arr xs) ->
-                List.map
-                  (function Jsonl.Str s -> s | _ -> fail "non-string entry")
-                  xs
-            | _ -> fail ("no entries: " ^ resp)
-          in
-          check bool "chunked" true (List.length entries <= 2);
-          let next =
-            match Option.bind (Jsonl.member "next" o) Jsonl.to_int_opt with
-            | Some n -> n
-            | None -> fail ("no next cursor: " ^ resp)
-          in
-          if Jsonl.member "done" o = Some (Jsonl.Bool true) then acc @ entries
-          else page next (acc @ entries)
+        let entry_lines =
+          List.map
+            (fun (k, e) -> Psph_engine.Store.entry_to_line k e)
+            (E.snapshot a)
         in
-        let entry_lines = page 0 [] in
-        check int "every entry paged" total (List.length entry_lines);
-        check int "no duplicates" total
-          (List.length (List.sort_uniq compare entry_lines));
+        let total = List.length entry_lines in
+        check bool "store has entries" true (total >= 5);
         with_engine @@ fun b ->
         let presp =
           Serve.handle_line b
@@ -1624,6 +1597,7 @@ let replica_tests =
         check_contains "populate ok" presp {|"ok":true|};
         check_contains "loaded count" presp
           (Printf.sprintf {|"loaded":%d|} total);
+        check_contains "nothing skipped" presp {|"skipped":0|};
         check_contains "id echoed" presp {|"id":3|};
         check_contains "warm after populate"
           (Serve.handle_line b (List.hd (warm_queries 1)))
@@ -1690,32 +1664,6 @@ let replica_tests =
             ("2-sphere", Constructions.sphere 2);
             ("solid simplex", Constructions.solid 3);
           ]);
-    Alcotest.test_case "warm_from streams a peer's cache over TCP" `Quick
-      (fun () ->
-        with_engine @@ fun a ->
-        List.iter (fun q -> ignore (Serve.handle_line a q)) (warm_queries 3);
-        ignore (Serve.handle_line a {|{"op":"betti","facets":["0:i0 ; 1:i1"]}|});
-        let total = List.length (E.snapshot a) in
-        with_v2_server a @@ fun _srv addr ->
-        with_engine @@ fun b ->
-        (match Replica.warm_from ~metrics:"t.warm" ~chunk:2 b addr with
-        | Ok n -> check int "all entries streamed" total n
-        | Error m -> fail m);
-        check_contains "psph answers warm"
-          (Serve.handle_line b (List.hd (warm_queries 1)))
-          {|"cached":true|};
-        check_contains "betti answers warm"
-          (Serve.handle_line b {|{"op":"betti","facets":["0:i0 ; 1:i1"]}|})
-          {|"cached":true|};
-        check bool "warm_entries counted" true
-          (Obs.counter_value (Obs.counter "t.warm.warm_entries") >= total);
-        (* unreachable peer: an Error, never an exception *)
-        match
-          Replica.warm_from ~timeout_ms:200 ~retries:0 b
-            (loopback (dead_port ()))
-        with
-        | Ok _ -> fail "nothing was listening"
-        | Error _ -> ());
     Alcotest.test_case "hint queue overflow drops (counted), then drains"
       `Quick
       (fun () ->
@@ -1857,6 +1805,45 @@ let cluster_tests =
             check_contains "cluster lists each backend" cl
               (Printf.sprintf {|"addr":"127.0.0.1:%d"|} a.port))
           [ a1; a2 ]);
+    Alcotest.test_case "snapshot is an unknown op: refused, forwarded verbatim"
+      `Quick
+      (fun () ->
+        let line = {|{"op":"snapshot","cursor":0}|} in
+        let unknown_count () =
+          match
+            List.assoc_opt "serve.op.unknown" (Obs.snapshot ()).Obs.histograms
+          with
+          | Some st -> st.Obs.count
+          | None -> 0
+        in
+        with_engine @@ fun e ->
+        (* a cache with an entry in it, which the old op would page out *)
+        ignore (Serve.handle_line e (List.hd (warm_queries 1)));
+        let before = unknown_count () in
+        let direct = Serve.handle_line e line in
+        check int "timed under serve.op.unknown" (before + 1) (unknown_count ());
+        check bool "one reply line" false (String.contains direct '\n');
+        check_contains "refused" direct {|"ok":false|};
+        check_contains "named as unknown" direct {|unknown op \"snapshot\"|};
+        check bool "no entries paged out" false (contains direct {|"entries"|});
+        with_engine @@ fun e1 ->
+        with_engine @@ fun e2 ->
+        with_server (Serve.handle_line e1) @@ fun _s1 a1 ->
+        with_server (Serve.handle_line e2) @@ fun _s2 a2 ->
+        let r =
+          Router.create ~metrics:"t.snap" ~replication:2 ~timeout_ms:2000
+            ~retries:0 ~check_period_ms:3600_000 [ a1; a2 ]
+        in
+        Fun.protect ~finally:(fun () -> Router.stop r) @@ fun () ->
+        let forwarded () =
+          Obs.counter_value (Obs.counter "t.snap.forwarded")
+        in
+        let f0 = forwarded () in
+        check string "backend error returned unchanged" direct
+          (Router.route r line);
+        check int "forwarded to one backend" (f0 + 1) (forwarded ());
+        check bool "both backends stay alive" true
+          (List.for_all snd (Router.backends r)));
     Alcotest.test_case "degraded answers backpressure only while probing"
       `Quick
       (fun () ->

@@ -209,10 +209,7 @@ let endless forced : MC.model =
     let ext_params = []
     let normalize s = s
     let validate s = Ok s
-    let one_round _ _ = Complex.empty
     let round _ _ _ _ = ()
-    let rounds _ _ = Complex.empty
-    let over_inputs _ c = c
 
     let pseudosphere_decomposition =
       Some
